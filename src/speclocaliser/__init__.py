@@ -61,7 +61,6 @@ from .localiser import (
     pairing,
     pairing_even,
     pairing_odd,
-    precompute_rotation,
     truncate,
     validate_infinite_regime,
     validate_truncation_params,

@@ -102,6 +102,8 @@ def _print_report(report) -> None:
                     rec.extra["sf_crossings"], rec.extra["sf_endpoints"]
                 )
         print(line)
+    if report.oracle_error:
+        print("oracle error: %s" % report.oracle_error)
     s = report.summary
     print(
         "jobs=%d passed=%d failed=%d errors=%d violations=%d"

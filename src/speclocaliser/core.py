@@ -39,6 +39,8 @@ __all__ = [
     "signature",
     "positive_spectral_projection",
     "interval_spectral_projection",
+    "window_mask",
+    "odd_block",
     "spectral_gap",
     "singular_gap",
     "operator_norm",
@@ -290,27 +292,51 @@ def positive_spectral_projection(op, zero_tol: float | None = None) -> Projectio
     return Projection(cols @ cols.conj().T)
 
 
+def window_mask(
+    w: np.ndarray, rho: float, eig_sep_tol: float = EIG_SEP_TOL, allow_empty: bool = False
+) -> np.ndarray:
+    """The spectral window rule: mask of the eigenvalues w with |w| <= rho.
+
+    Raises BoundaryEigenvalue if any eigenvalue lies within eig_sep_tol of
+    +/-rho, since window membership must be unambiguous, and
+    ValidationError if the window is empty (unless allow_empty).
+    """
+    dist = np.abs(np.abs(w) - rho)
+    if np.any(dist < eig_sep_tol):
+        raise BoundaryEigenvalue(
+            "eigenvalue within %.3e of the window edge +/-%.6g (eig_sep_tol %.3e)"
+            % (float(np.min(dist)), rho, eig_sep_tol)
+        )
+    mask = np.abs(w) <= rho
+    if not (allow_empty or mask.any()):
+        raise ValidationError("empty window at rho=%.6g" % rho)
+    return mask
+
+
 def interval_spectral_projection(
     op, rho: float, eig_sep_tol: float = EIG_SEP_TOL
 ) -> Projection:
-    """Spectral projection onto eigenvalues in [-rho, rho].
+    """Spectral projection onto eigenvalues in [-rho, rho] (window_mask rule).
 
-    Raises BoundaryEigenvalue if any eigenvalue lies within eig_sep_tol of
-    +/-rho; window membership must be unambiguous.
+    An empty window gives the zero projection.
     """
     if rho < 0:
         raise ValidationError("rho must be non-negative")
     h = _hermitian_part(op)
     w, v = np.linalg.eigh(h.matrix)
-    dist = np.abs(np.abs(w) - rho)
-    if np.any(dist < eig_sep_tol):
-        worst = float(np.min(dist))
-        raise BoundaryEigenvalue(
-            "eigenvalue within %.3e of the window edge +/-%.6g (eig_sep_tol %.3e)"
-            % (worst, rho, eig_sep_tol)
-        )
-    cols = v[:, np.abs(w) <= rho]
+    cols = v[:, window_mask(w, rho, eig_sep_tol, allow_empty=True)]
     return Projection(cols @ cols.conj().T)
+
+
+def odd_block(d: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The odd localiser layout [[d, g], [g*, -d]] on the doubled space."""
+    n = d.shape[0]
+    mat = np.empty((2 * n, 2 * n), dtype=np.complex128)
+    mat[:n, :n] = d
+    mat[n:, n:] = -d
+    mat[:n, n:] = g
+    mat[n:, :n] = g.conj().T
+    return mat
 
 
 def spectral_gap(op) -> float:

@@ -27,12 +27,14 @@ from typing import Callable
 import numpy as np
 
 from .core import (
+    EIG_SEP_TOL,
     HermitianOperator,
     Projection,
+    odd_block,
     signature,
+    window_mask,
 )
 from .errors import (
-    BoundaryEigenvalue,
     DimensionMismatch,
     IntegerityViolation,
     NonUnitary,
@@ -289,20 +291,6 @@ def sf_crossings(
 # suspension paths
 
 
-def _window_columns(model: ModelInstance, rho: float, eig_sep_tol: float = 1e-6):
-    w, v = model.dirac_eigensystem()
-    dist = np.abs(np.abs(w) - rho)
-    if np.any(dist < eig_sep_tol):
-        raise BoundaryEigenvalue(
-            "D eigenvalue within %.3e of the window edge %.6g"
-            % (float(np.min(dist)), rho)
-        )
-    sel = np.abs(w) <= rho
-    if not sel.any():
-        raise ValidationError("empty window at rho=%.6g" % rho)
-    return w[sel], v[:, sel]
-
-
 def suspension_even(
     model: ModelInstance,
     kappa: float,
@@ -313,7 +301,9 @@ def suspension_even(
     """Path t -> kappa D + Gamma S(t), S(t) = -chi_minus(t) + chi_plus(t) H.
 
     Endpoints: kappa D - Gamma at t=-1 and the even localiser at t=+1.
-    With rho set, every sample is compressed onto the |D| <= rho window.
+    With rho set, every sample is compressed onto the |D| <= rho window,
+    reusing the model's cached window K-part, so the t=+1 sample is the
+    truncated localiser that ``pairing`` reads.
     """
     if model.parity != "even":
         raise ValidationError("even suspension needs an even model")
@@ -328,13 +318,12 @@ def suspension_even(
             return base - chi.minus(t) * gamma_diag + chi.plus(t) * gamma_h
 
     else:
-        wsel, cols = _window_columns(model, rho)
-        base = kappa * np.diag(wsel).astype(complex)
-        gcols = gamma[:, None] * cols
-        b_gamma = cols.conj().T @ gcols
+        window = model.window(rho)
+        cols = model.dirac_eigensystem()[1][:, window.index]
+        base = kappa * np.diag(window.eigs).astype(complex)
+        b_gamma = cols.conj().T @ (gamma[:, None] * cols)
         b_gamma = (b_gamma + b_gamma.conj().T) / 2.0
-        b_h = gcols.conj().T @ (model.k_rep @ cols)
-        b_h = (b_h + b_h.conj().T) / 2.0
+        b_h = window.k_part
 
         def evaluate(t):
             return base - chi.minus(t) * b_gamma + chi.plus(t) * b_h
@@ -356,7 +345,8 @@ def suspension_odd(
     """Path of odd localisers along G(t) = chi_minus(t) + chi_plus(t) G.
 
     Endpoints: the trivial odd localiser (G = identity) at t=-1 and the
-    model's odd localiser at t=+1.
+    model's odd localiser at t=+1.  With rho set, every sample is compressed
+    onto the |D| <= rho window, as in ``suspension_even``.
     """
     if model.parity != "odd":
         raise ValidationError("odd suspension needs an odd model")
@@ -366,21 +356,13 @@ def suspension_odd(
         g = model.k_rep
         eye = np.eye(model.dim, dtype=complex)
     else:
-        wsel, cols = _window_columns(model, rho)
-        d = kappa * np.diag(wsel).astype(complex)
-        g = cols.conj().T @ (model.k_rep @ cols)
-        eye = np.eye(wsel.size, dtype=complex)
-
-    k = d.shape[0]
+        window = model.window(rho)
+        d = kappa * np.diag(window.eigs).astype(complex)
+        g = window.k_part
+        eye = np.eye(window.dim, dtype=complex)
 
     def evaluate(t):
-        gt = chi.minus(t) * eye + chi.plus(t) * g
-        mat = np.zeros((2 * k, 2 * k), dtype=complex)
-        mat[:k, :k] = d
-        mat[k:, k:] = -d
-        mat[:k, k:] = gt
-        mat[k:, :k] = gt.conj().T
-        return mat
+        return odd_block(d, chi.minus(t) * eye + chi.plus(t) * g)
 
     return OperatorPath(
         evaluate=evaluate,
@@ -395,7 +377,7 @@ def sf_conjugation(
     window: float,
     num: int = 33,
     zero_tol: float | None = None,
-    eig_sep_tol: float = 1e-6,
+    eig_sep_tol: float = EIG_SEP_TOL,
 ) -> int:
     """Spectral flow of the windowed straight line from D to u D u*.
 
@@ -412,15 +394,7 @@ def sf_conjugation(
         raise NonUnitary("u fails unitarity by %.3e" % defect)
 
     w, v = np.linalg.eigh(dm)
-    dist = np.abs(np.abs(w) - window)
-    if np.any(dist < eig_sep_tol):
-        raise BoundaryEigenvalue(
-            "D eigenvalue within %.3e of the window edge %.6g"
-            % (float(np.min(dist)), window)
-        )
-    sel = np.abs(w) <= window
-    if not sel.any():
-        raise ValidationError("empty window at %.6g" % window)
+    sel = window_mask(w, window, eig_sep_tol)
     cols = v[:, sel]
     start = np.diag(w[sel]).astype(complex)
     rot = u.conj().T @ cols

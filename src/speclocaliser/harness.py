@@ -32,7 +32,7 @@ from .flow import (
     suspension_even,
     suspension_odd,
 )
-from .localiser import LocaliserParams, pairing, precompute_rotation
+from .localiser import LocaliserParams, pairing
 from .models import (
     ModelInstance,
     build_circle_model,
@@ -299,12 +299,16 @@ class JobRecord:
 
 @dataclasses.dataclass
 class Report:
-    """Sweep output: resolved config, model descriptor, records, summary."""
+    """Sweep output: resolved config, model descriptor, records, summary.
+
+    oracle_error says why the oracle could not be evaluated, if it could not.
+    """
 
     command: str
     model: dict
     config: dict
     records: list
+    oracle_error: Optional[str] = None
 
     @property
     def summary(self) -> dict:
@@ -330,6 +334,7 @@ class Report:
                 "model": self.model,
                 "config": self.config,
                 "summary": self.summary,
+                "oracle_error": self.oracle_error,
                 "records": [r.as_dict() for r in self.records],
             }
         )
@@ -371,6 +376,10 @@ class Report:
 # job runners
 
 
+def _describe(exc: Exception) -> str:
+    return "%s: %s" % (type(exc).__name__, exc)
+
+
 def _error_record(kappa, rho, mode, t0, exc) -> JobRecord:
     return JobRecord(
         kappa=kappa,
@@ -378,7 +387,7 @@ def _error_record(kappa, rho, mode, t0, exc) -> JobRecord:
         mode=mode,
         status="error",
         seconds=time.perf_counter() - t0,
-        error="%s: %s" % (type(exc).__name__, exc),
+        error=_describe(exc),
     )
 
 
@@ -405,22 +414,33 @@ def _localise_job(model: ModelInstance, kappa: float, rho: float, mode: str) -> 
     )
 
 
-def _pool_localise(args) -> JobRecord:
+def _pool_job(args) -> JobRecord:
     # jobs share nothing: each worker rebuilds the model from its spec
-    spec, kappa, rho, mode = args
-    model = parse_model_spec(spec)
-    return _localise_job(model, kappa, rho, mode)
+    job, spec, kappa, rho, rest = args
+    return job(parse_model_spec(spec), kappa, rho, *rest)
 
 
-def _job_grid(config: RunConfig) -> list[tuple[float, float]]:
-    return sorted((k, r) for k in config.kappas for r in config.rhos)
+def _sweep(config: RunConfig, model: ModelInstance, job, *rest, pool_ok=True) -> list:
+    """Run job(model, kappa, rho, *rest) over the sorted (kappa, rho) grid.
+
+    With more than one worker the jobs go to a process pool instead.
+    """
+    jobs = sorted((k, r) for k in config.kappas for r in config.rhos)
+    workers = config.resolved_workers()
+    if pool_ok and workers > 1 and len(jobs) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(
+                pool.map(_pool_job, [(job, config.model, k, r, rest) for k, r in jobs])
+            )
+    return [job(model, k, r, *rest) for k, r in jobs]
 
 
 def _finish_report(command, model, config, records) -> Report:
+    oracle = oracle_error = None
     try:
         oracle = oracle_pairing(model)
-    except Exception:
-        oracle = None
+    except Exception as exc:
+        oracle_error = _describe(exc)
     for rec in records:
         rec.oracle = oracle
         if rec.status == "ok" and oracle is not None:
@@ -430,6 +450,7 @@ def _finish_report(command, model, config, records) -> Report:
         model=model.describe(),
         config=config.as_dict(),
         records=records,
+        oracle_error=oracle_error,
     )
     if config.out:
         report.write(config.out)
@@ -440,20 +461,7 @@ def run_localise(config: RunConfig) -> Report:
     """Build, validate, truncate, certify and compare each (kappa, rho) job."""
     config.validate()
     model = parse_model_spec(config.model)
-    jobs = _job_grid(config)
-    workers = config.resolved_workers()
-    if workers > 1 and len(jobs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(
-                pool.map(
-                    _pool_localise,
-                    [(config.model, k, r, config.mode) for k, r in jobs],
-                )
-            )
-    else:
-        if len(jobs) >= 3:
-            precompute_rotation(model)
-        records = [_localise_job(model, k, r, config.mode) for k, r in jobs]
+    records = _sweep(config, model, _localise_job, config.mode)
     return _finish_report("localise", model, config, records)
 
 
@@ -503,12 +511,6 @@ def _sf_job(model, kappa, rho, mode, chi_name, grid, trace_dir) -> JobRecord:
     )
 
 
-def _pool_sf(args) -> JobRecord:
-    spec, kappa, rho, mode, chi_name, grid = args
-    model = parse_model_spec(spec)
-    return _sf_job(model, kappa, rho, mode, chi_name, grid, None)
-
-
 def run_sf(config: RunConfig) -> Report:
     """Suspension spectral flow per job plus the internal equality checks.
 
@@ -518,29 +520,13 @@ def run_sf(config: RunConfig) -> Report:
     """
     config.validate()
     model = parse_model_spec(config.model)
-    jobs = _job_grid(config)
     trace_dir = config.out if config.trace else None
-    workers = config.resolved_workers()
-    if workers > 1 and len(jobs) > 1 and trace_dir is None:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(
-                pool.map(
-                    _pool_sf,
-                    [
-                        (config.model, k, r, config.mode, config.chi, config.grid)
-                        for k, r in jobs
-                    ],
-                )
-            )
-    else:
-        if trace_dir is not None:
-            Path(trace_dir).mkdir(parents=True, exist_ok=True)
-        if len(jobs) >= 3:
-            precompute_rotation(model)
-        records = [
-            _sf_job(model, k, r, config.mode, config.chi, config.grid, trace_dir)
-            for k, r in jobs
-        ]
+    if trace_dir is not None:
+        Path(trace_dir).mkdir(parents=True, exist_ok=True)
+    records = _sweep(
+        config, model, _sf_job, config.mode, config.chi, config.grid, trace_dir,
+        pool_ok=trace_dir is None,
+    )
     return _finish_report("sf", model, config, records)
 
 

@@ -7,6 +7,14 @@ eigenbasis of D ordered by eigenvalue (ties by original index).  The pairing
 is read off the truncated matrix as half its signature, with the graded index
 of D added in the even case.
 
+``pairing`` never forms the full localiser: every block it needs is read off
+the model's windows (``ModelInstance.window``), which hold D's eigenvalues
+and the K-part V* K~ V on the window.  The truncated block comes from the
+|D| <= rho window; the complement block and the seam-free regime block are
+sub-blocks of the containment window.  ``truncate`` and
+``complement_block`` compress a dense localiser directly and serve as the
+reference those blocks are checked against.
+
 Validity is tracked through certificates rather than asserted silently.  Hard
 conditions (the kappa bound, rho > 2*gap/kappa, containment of the window in
 the box) gate the truncation theorem and are enforced in strict mode.  The
@@ -26,14 +34,16 @@ import math
 import numpy as np
 
 from .core import (
+    EIG_SEP_TOL,
     ZERO_TOL_FACTOR,
     HermitianOperator,
     Inertia,
     inertia,
+    odd_block,
     spectral_gap,
+    window_mask,
 )
 from .errors import (
-    BoundaryEigenvalue,
     ContainmentViolation,
     DimensionMismatch,
     HypothesisViolated,
@@ -61,8 +71,6 @@ __all__ = [
     "pairing_odd",
     "pairing",
 ]
-
-EIG_SEP_TOL = 1e-6
 
 # (47/192)^(1/4): prefactor of sqrt(g*kappa*rho) in the coupling condition.
 _COUPLING_FACTOR = (47.0 / 192.0) ** 0.25
@@ -184,15 +192,7 @@ def build_even_localiser(model: ModelInstance, kappa: float) -> HermitianOperato
     if kappa <= 0:
         raise ValidationError("kappa must be positive")
     gamma = model.grading.astype(np.float64)
-    h = model.k_rep
-    scale = max(float(np.max(np.abs(h))), 1.0)
-    defect = float(np.max(np.abs(gamma[:, None] * h - h * gamma[None, :])))
-    if defect > 1e-12 * scale:
-        raise ValidationError(
-            "K does not commute with the grading (defect %.3e)" % defect
-        )
-    mat = kappa * model.dirac + gamma[:, None] * h
-    return HermitianOperator(mat)
+    return HermitianOperator(kappa * model.dirac + gamma[:, None] * model.k_rep)
 
 
 def build_odd_localiser(model: ModelInstance, kappa: float) -> HermitianOperator:
@@ -201,36 +201,7 @@ def build_odd_localiser(model: ModelInstance, kappa: float) -> HermitianOperator
         raise ValidationError("odd localiser needs an odd model")
     if kappa <= 0:
         raise ValidationError("kappa must be positive")
-    d = model.dirac
-    g = model.k_rep
-    n = d.shape[0]
-    mat = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    mat[:n, :n] = kappa * d
-    mat[n:, n:] = -kappa * d
-    mat[:n, n:] = g
-    mat[n:, :n] = g.conj().T
-    return HermitianOperator(mat)
-
-
-def _build_localiser(model: ModelInstance, kappa: float) -> HermitianOperator:
-    if model.parity == "even":
-        return build_even_localiser(model, kappa)
-    return build_odd_localiser(model, kappa)
-
-
-def _seam_free_localiser(model: ModelInstance, kappa: float) -> HermitianOperator:
-    """The localiser compressed onto |D| <= containment radius.
-
-    Equals the full localiser when the containment window already covers the
-    whole spectrum of D (open-boundary models).
-    """
-    loc = _build_localiser(model, kappa)
-    w, v = model.dirac_eigensystem()
-    mask = np.abs(w) <= model.containment_radius + 1e-9
-    if mask.all() or not mask.any():
-        return loc
-    basis, _ = _window_basis(loc.matrix, mask, v)
-    return _compress(loc.matrix, basis)
+    return HermitianOperator(odd_block(kappa * model.dirac, model.k_rep))
 
 
 def validate_infinite_regime(
@@ -260,7 +231,7 @@ def validate_infinite_regime(
     if measure and holds:
         key = ("regime_gap", float(kappa))
         if key not in model.cache:
-            model.cache[key] = spectral_gap(_seam_free_localiser(model, kappa))
+            model.cache[key] = spectral_gap(model.containment_window().localiser(kappa))
         measured = model.cache[key]
     return RegimeCertificate(
         kappa=float(kappa),
@@ -345,18 +316,6 @@ class TruncatedLocaliser:
         return self.operator.dim
 
 
-def _window_mask(w: np.ndarray, rho: float, eig_sep_tol: float) -> np.ndarray:
-    dist = np.abs(np.abs(w) - rho)
-    if np.any(dist < eig_sep_tol):
-        raise BoundaryEigenvalue(
-            "D eigenvalue within %.3e of the window edge %.6g" % (float(np.min(dist)), rho)
-        )
-    mask = np.abs(w) <= rho
-    if not mask.any():
-        raise ValidationError("empty truncation window at rho=%.6g" % rho)
-    return mask
-
-
 def _resolve_eigensystem(dirac, eigensystem):
     if eigensystem is not None:
         return eigensystem
@@ -406,7 +365,7 @@ def truncate(
     """
     op_matrix = op.matrix if isinstance(op, HermitianOperator) else np.asarray(op)
     w, v = _resolve_eigensystem(dirac, eigensystem)
-    mask = _window_mask(w, rho, eig_sep_tol)
+    mask = window_mask(w, rho, eig_sep_tol)
     basis, doubled = _window_basis(op_matrix, mask, v)
     compressed = _compress(op_matrix, basis)
     return TruncatedLocaliser(
@@ -415,6 +374,19 @@ def truncate(
         window_eigs=w[mask],
         rho=float(rho),
         doubled=doubled,
+    )
+
+
+def _complement_certificate(op, kappa, rho, applicable) -> GapCertificate:
+    return _certificate(
+        "complement_gap",
+        spectral_gap(op),
+        _COMPLEMENT_FACTOR * kappa * rho,
+        ">=",
+        kind="guarantee",
+        applicable=applicable,
+        detail="complement block gap vs sqrt(47/48) kappa rho",
+        slack=1e-9,
     )
 
 
@@ -437,7 +409,7 @@ def complement_block(
     """
     op_matrix = op.matrix if isinstance(op, HermitianOperator) else np.asarray(op)
     w, v = _resolve_eigensystem(dirac, eigensystem)
-    mask = ~_window_mask(w, rho, eig_sep_tol)
+    mask = ~window_mask(w, rho, eig_sep_tol)
     if outer is not None:
         mask &= np.abs(w) <= outer + 1e-9
     if not mask.any():
@@ -446,16 +418,7 @@ def complement_block(
     compressed = _compress(op_matrix, basis)
     cert = None
     if kappa is not None:
-        cert = _certificate(
-            "complement_gap",
-            spectral_gap(compressed),
-            _COMPLEMENT_FACTOR * kappa * rho,
-            ">=",
-            kind="guarantee",
-            applicable=applicable,
-            detail="complement block gap vs sqrt(47/48) kappa rho",
-            slack=1e-9,
-        )
+        cert = _complement_certificate(compressed, kappa, rho, applicable)
     return compressed, cert
 
 
@@ -487,60 +450,6 @@ class PairingResult:
         return [c.name for c in self.certificates if c.violated]
 
 
-def _rotated_k(model: ModelInstance) -> np.ndarray | None:
-    """Cached V* (Gamma K) V or V* G V if the harness precomputed it."""
-    return model.cache.get("k_rotated")
-
-
-def precompute_rotation(model: ModelInstance) -> None:
-    """Rotate the K-side of the localiser into the D eigenbasis once.
-
-    Sweeps over many (kappa, rho) pairs reuse this to make each job a
-    submatrix selection instead of a fresh dense compression.
-    """
-    if "k_rotated" in model.cache:
-        return
-    w, v = model.dirac_eigensystem()
-    if model.parity == "even":
-        gk = model.grading.astype(np.float64)[:, None] * model.k_rep
-        rot = v.conj().T @ gk @ v
-        rot = (rot + rot.conj().T) / 2.0
-    else:
-        rot = v.conj().T @ model.k_rep @ v
-    model.cache["k_rotated"] = rot
-
-
-def _truncated_parts(model, kappa, rho, eig_sep_tol=EIG_SEP_TOL):
-    """(window matrix, complement matrix builder, dims) via the rotated cache.
-
-    Returns None when no rotation is cached; callers fall back to the
-    generic truncate/complement path.
-    """
-    rot = _rotated_k(model)
-    if rot is None:
-        return None
-    w, _ = model.dirac_eigensystem()
-    mask = _window_mask(w, rho, eig_sep_tol)
-    idx = np.flatnonzero(mask)
-    cdx = np.flatnonzero(~mask & (np.abs(w) <= model.containment_radius + 1e-9))
-
-    def assemble(selection):
-        wsel = w[selection]
-        ksel = rot[np.ix_(selection, selection)]
-        if model.parity == "even":
-            mat = kappa * np.diag(wsel).astype(np.complex128) + ksel
-        else:
-            k = selection.size
-            mat = np.zeros((2 * k, 2 * k), dtype=np.complex128)
-            mat[:k, :k] = kappa * np.diag(wsel)
-            mat[k:, k:] = -kappa * np.diag(wsel)
-            mat[:k, k:] = ksel
-            mat[k:, :k] = ksel.conj().T
-        return HermitianOperator((mat + mat.conj().T) / 2.0)
-
-    return assemble(idx), (lambda: assemble(cdx) if cdx.size else None), idx.size
-
-
 def _index_correction(model: ModelInstance, rho: float) -> int:
     key = ("index_correction", float(rho))
     if key not in model.cache:
@@ -554,7 +463,13 @@ def pairing(
     zero_tol: float | None = None,
     certificates: bool = True,
 ) -> PairingResult:
-    """Assemble, truncate and read off the index pairing for either parity.
+    """Read off the index pairing for either parity from the model's windows.
+
+    The truncated block is kappa*diag(w) + V* K~ V on the |D| <= rho window
+    (doubled for odd models).  The complement block rho < |D| <= containment
+    and the seam-free regime block are sub-blocks of the containment
+    window; both match the dense ``truncate``/``complement_block``
+    compressions of the full localiser.
 
     certificates=False is a lean mode for sweeps on large models: it skips
     everything that needs the [D, K] commutator or an extra eigensolve (the
@@ -573,27 +488,7 @@ def pairing(
         regime = validate_infinite_regime(model, params.kappa, params.mode)
     assumption_ok = certificates and all(c.satisfied for c in certs if c.hard)
 
-    parts = _truncated_parts(model, params.kappa, params.rho)
-    if parts is not None:
-        trunc_op, complement_fn, _ = parts
-    else:
-        loc = _build_localiser(model, params.kappa)
-        eigensystem = model.dirac_eigensystem()
-        trunc = truncate(loc, model.dirac, params.rho, eigensystem=eigensystem)
-        trunc_op = trunc.operator
-        complement_fn = None
-        w_all = eigensystem[0]
-        has_complement = bool(
-            np.any((np.abs(w_all) > params.rho)
-                   & (np.abs(w_all) <= model.containment_radius + 1e-9))
-        )
-        if certificates and has_complement:
-            comp_op, _ = complement_block(
-                loc, model.dirac, params.rho,
-                outer=model.containment_radius, eigensystem=eigensystem,
-            )
-            complement_fn = lambda: comp_op  # noqa: E731
-
+    trunc_op = model.window(params.rho).localiser(params.kappa)
     g = model.k_gap()
     trunc_gap = spectral_gap(trunc_op)
     certs.append(
@@ -606,20 +501,10 @@ def pairing(
     )
     if regime is not None:
         certs.append(regime.gap_certificate())
-    if certificates and complement_fn is not None:
-        comp = complement_fn()
+        comp = model.containment_window().localiser(params.kappa, beyond=params.rho)
         if comp is not None:
             certs.append(
-                _certificate(
-                    "complement_gap",
-                    spectral_gap(comp),
-                    _COMPLEMENT_FACTOR * params.kappa * params.rho,
-                    ">=",
-                    kind="guarantee",
-                    applicable=assumption_ok,
-                    detail="complement block gap vs sqrt(47/48) kappa rho",
-                    slack=1e-9,
-                )
+                _complement_certificate(comp, params.kappa, params.rho, assumption_ok)
             )
 
     if params.mode == "strict":

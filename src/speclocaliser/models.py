@@ -21,7 +21,9 @@ Three builders are provided:
 Builders attach analytically known eigensystems of D where the structure
 makes them immediate (diagonal or site-block D); the generic dense path is
 used otherwise and the two are interchangeable up to basis choice inside
-degenerate eigenspaces.
+degenerate eigenspaces.  ``ModelInstance.window`` compresses K onto a
+spectral window of D in that eigenbasis once per radius; every localiser
+block the pairing reads is assembled from such a window.
 """
 
 from __future__ import annotations
@@ -39,9 +41,11 @@ from .core import (
     CommutatorNorm,
     HermitianOperator,
     commutator_norm,
+    odd_block,
     operator_norm,
     singular_gap,
     spectral_gap,
+    window_mask,
 )
 from .errors import (
     ContainmentViolation,
@@ -59,6 +63,7 @@ __all__ = [
     "sz",
     "GradedOperator",
     "ModelInstance",
+    "Window",
     "build_circle_model",
     "build_qwz_model",
     "build_weighted_shift_dirac",
@@ -134,6 +139,43 @@ class GradedOperator:
         return self.matrix[np.ix_(self.minus_index, self.plus_index)]
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class Window:
+    """A spectral window of D, in D's eigenbasis.
+
+    index holds the kept positions of the ordered D eigensystem, eigs their
+    D eigenvalues, and k_part the K-part V_W* K~ V_W, with K~ = Gamma K for
+    even models and G for odd ones.  radius is the selection radius.  Every
+    localiser block on the window or on a sub-window is read off these.
+    """
+
+    index: np.ndarray
+    eigs: np.ndarray
+    k_part: np.ndarray
+    radius: float
+    odd: bool
+
+    @property
+    def dim(self) -> int:
+        return self.index.size
+
+    def localiser(self, kappa: float, beyond: float | None = None) -> HermitianOperator | None:
+        """The localiser on the window, or on its part with |D| > beyond.
+
+        kappa*diag(eigs) + k_part for even models, the odd double
+        [[kappa*diag(eigs), k_part], [k_part*, -kappa*diag(eigs)]] for odd
+        ones.  None when the part beyond is empty.
+        """
+        w, k = self.eigs, self.k_part
+        if beyond is not None:
+            sel = np.flatnonzero((np.abs(w) > beyond) & (np.abs(w) <= self.radius))
+            if not sel.size:
+                return None
+            w, k = w[sel], k[np.ix_(sel, sel)]
+        d = np.diag(kappa * w).astype(np.complex128)
+        return HermitianOperator(odd_block(d, k) if self.odd else d + k)
+
+
 @dataclasses.dataclass(eq=False)
 class ModelInstance:
     """Immutable model data plus lazily cached spectral quantities."""
@@ -163,6 +205,14 @@ class ModelInstance:
             GradedOperator(self.dirac, self.grading)
             HermitianOperator(self.k_rep)
             self.grading = np.asarray(self.grading, dtype=np.int8)
+            # K must commute with the grading: its inter-sector block vanishes
+            cross = self.k_rep[np.ix_(self.grading == 1, self.grading == -1)]
+            defect = float(np.max(np.abs(cross))) if cross.size else 0.0
+            # relative to max(|K|, 1); the scale is only read past the floor
+            if defect > 1e-12 and defect > 1e-12 * float(np.max(np.abs(self.k_rep))):
+                raise ValidationError(
+                    "K does not commute with the grading (defect %.3e)" % defect
+                )
         elif self.grading is not None:
             raise ValidationError("odd models carry no grading")
         self.interior_mask = np.asarray(self.interior_mask, dtype=bool)
@@ -192,6 +242,46 @@ class ModelInstance:
             order = _stable_order(w)
             self.cache["eigensystem"] = (w[order], v[:, order])
         return self.cache["eigensystem"]
+
+    def window(self, rho: float) -> Window:
+        """The |D| <= rho window under the core.window_mask rule, cached per radius."""
+        key = ("window", float(rho))
+        if key not in self.cache:
+            w, _ = self.dirac_eigensystem()
+            self.cache[key] = self._window(window_mask(w, rho), float(rho))
+        return self.cache[key]
+
+    def containment_window(self) -> Window:
+        """The |D| <= containment radius window, cached.
+
+        Containment radii are themselves D eigenvalues, so there is no edge
+        check.  An empty selection means the whole space.
+        """
+        if "containment_window" not in self.cache:
+            w, _ = self.dirac_eigensystem()
+            radius = self.containment_radius + 1e-9
+            mask = np.abs(w) <= radius
+            self.cache["containment_window"] = self._window(
+                mask if mask.any() else np.ones_like(mask), radius
+            )
+        return self.cache["containment_window"]
+
+    def _window(self, mask: np.ndarray, radius: float) -> Window:
+        w, v = self.dirac_eigensystem()
+        index = np.flatnonzero(mask)
+        cols = v[:, index]
+        # only rows in the support of the window's eigenvectors contribute;
+        # closed-form eigensystems make that support as small as the window
+        rows = np.flatnonzero(np.any(cols, axis=1))
+        cols = cols[rows]
+        k_sub = self.k_rep if rows.size == self.dim else self.k_rep[np.ix_(rows, rows)]
+        k_cols = k_sub @ cols
+        if self.parity == "even":
+            k_part = (self.grading[rows, None] * cols).conj().T @ k_cols
+            k_part = (k_part + k_part.conj().T) / 2.0
+        else:
+            k_part = cols.conj().T @ k_cols
+        return Window(index, w[index], k_part, radius, self.parity == "odd")
 
     def k_norm(self) -> float:
         if "k_norm" not in self.cache:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
+from .core import EIG_SEP_TOL, window_mask
 from .errors import (
     AmbiguousKernel,
     BoundaryEigenvalue,
@@ -101,8 +102,8 @@ def chern_number_fhs(
     return int(nearest)
 
 
-def _sector_window_basis(gram: np.ndarray, rho: float, eig_sep_tol: float):
-    """Orthonormal basis of the |D| <= rho window within one grading sector.
+def _sector_radii(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|D| eigenvalues and eigenvectors within one grading sector.
 
     gram is the sector block of D^2.  Site-diagonal models make it exactly
     diagonal, in which case the eigensystem is immediate.
@@ -113,23 +114,20 @@ def _sector_window_basis(gram: np.ndarray, rho: float, eig_sep_tol: float):
         vecs = np.eye(n, dtype=complex)
     else:
         lam, vecs = np.linalg.eigh(gram)
-    radii = np.sqrt(np.clip(lam, 0.0, None))
-    dist = np.abs(radii - rho)
-    if np.any(dist < eig_sep_tol):
-        raise BoundaryEigenvalue(
-            "|D| eigenvalue within %.3e of the window edge %.6g"
-            % (float(np.min(dist)), rho)
-        )
-    return vecs[:, radii <= rho]
+    return np.sqrt(np.clip(lam, 0.0, None)), vecs
 
 
 def fredholm_index_graded(
     graded: GradedOperator,
     rho_window: float | None = None,
     tol: float | None = None,
-    eig_sep_tol: float = 1e-6,
+    eig_sep_tol: float = EIG_SEP_TOL,
 ) -> int:
     """dim ker - dim coker of the plus block, restricted to the |D| window.
+
+    The window is |D| <= rho_window under the core.window_mask rule, applied
+    to both grading sectors at once (their |D| eigenvalues together are
+    those of D), so one sector may be empty but not both.
 
     Kernel dimensions are column counts minus ranks from singular values of
     the window-restricted block.  Singular values inside the ambiguity decade
@@ -141,12 +139,11 @@ def fredholm_index_graded(
         a = dplus
         n_cols, n_rows = a.shape[1], a.shape[0]
     else:
-        basis_plus = _sector_window_basis(
-            dplus.conj().T @ dplus, rho_window, eig_sep_tol
-        )
-        basis_minus = _sector_window_basis(
-            dplus @ dplus.conj().T, rho_window, eig_sep_tol
-        )
+        r_plus, v_plus = _sector_radii(dplus.conj().T @ dplus)
+        r_minus, v_minus = _sector_radii(dplus @ dplus.conj().T)
+        keep = window_mask(np.concatenate([r_plus, r_minus]), rho_window, eig_sep_tol)
+        basis_plus = v_plus[:, keep[: r_plus.size]]
+        basis_minus = v_minus[:, keep[r_plus.size :]]
         a = basis_minus.conj().T @ dplus @ basis_plus
         n_cols, n_rows = basis_plus.shape[1], basis_minus.shape[1]
 
@@ -209,7 +206,7 @@ def toeplitz_index(
     margin: float = 5.0,
     tol: float = 1e-8,
     zero_tol: float = 1e-8,
-    eig_sep_tol: float = 1e-6,
+    eig_sep_tol: float = EIG_SEP_TOL,
 ) -> int:
     """Index of the compression of a unitary to the positive-D window (0, W].
 

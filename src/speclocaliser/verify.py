@@ -34,7 +34,7 @@ from .flow import (
     suspension_even,
     suspension_odd,
 )
-from .localiser import LocaliserParams, pairing, precompute_rotation
+from .localiser import LocaliserParams, pairing
 from .models import (
     build_circle_model,
     build_qwz_model,
@@ -148,7 +148,6 @@ class VerifySession:
             results = {}
             for k in _CIRCLE_WINDINGS:
                 model = build_circle_model(60, {0: 0.5, k: 1.0})
-                precompute_rotation(model)
                 models[k] = model
                 results[k] = {
                     (kap, rho): pairing(model, LocaliserParams(kap, rho))
@@ -186,13 +185,10 @@ class VerifySession:
                         for rho in _QWZ_RHOS
                         if kap * rho > model.k_norm()
                     ]
-                    if len(grid) >= 3:
-                        precompute_rotation(model)
                     jobs = {
                         (kap, rho): pairing(model, LocaliserParams(kap, rho))
                         for kap, rho in grid
                     }
-                    model.cache.pop("k_rotated", None)
                     models[(mass, offset)] = model
                     results[(mass, offset)] = jobs
                     oracles[(mass, offset)] = oracle_pairing(model)

@@ -168,7 +168,7 @@ class TestLocaliseSweeps:
 
     def test_worker_pool_matches_serial(self):
         # integers must agree exactly; gap floats may differ in the last bit
-        # because the serial path compresses through a precomputed rotation
+        # because each worker rebuilds the model and recomputes its windows
         serial = RunConfig(model="shift:sites=20", kappas=[0.1, 0.2], rhos=[5.5, 8.5])
         pooled = RunConfig(
             model="shift:sites=20", kappas=[0.1, 0.2], rhos=[5.5, 8.5], workers=2
@@ -184,6 +184,20 @@ class TestLocaliseSweeps:
             assert ra.agreement is rb.agreement is True
             assert ra.violations == rb.violations
             assert ra.truncated_gap == pytest.approx(rb.truncated_gap, rel=1e-12)
+
+    def test_oracle_error_is_recorded(self, capsys):
+        # 1 + z vanishes at theta = pi: the winding grid hits it, the box
+        # momenta miss it, so G stays invertible and only the oracle fails
+        spec = "circle:modes=40,winding=1,c0=1.0"
+        cfg = RunConfig(model=spec, kappas=[0.05], rhos=[30.5], workers=1)
+        report = run_localise(cfg)
+        rec = report.records[0]
+        assert rec.status == "ok" and rec.oracle is None and not rec.passed
+        assert report.oracle_error.startswith("SingularSymbol: ")
+        assert report.as_dict()["oracle_error"] == report.oracle_error
+        code = cli.main(["localise", "--model", spec, "--kappa", "0.05", "--rho", "30.5"])
+        assert code == 1
+        assert "oracle error: SingularSymbol" in capsys.readouterr().out
 
     def test_output_files(self, tmp_path):
         out = tmp_path / "sweep"

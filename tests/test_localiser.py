@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from speclocaliser import (
     BoundaryEigenvalue,
@@ -17,12 +18,14 @@ from speclocaliser import (
     build_qwz_model,
     build_weighted_shift_dirac,
     complement_block,
+    inertia,
     oracle_pairing,
     pairing,
     pairing_even,
     pairing_odd,
-    precompute_rotation,
     spectral_gap,
+    suspension_even,
+    suspension_odd,
     truncate,
     validate_infinite_regime,
     validate_truncation_params,
@@ -197,6 +200,65 @@ class TestComplementBlock:
         assert comp.dim == 2 * 10
 
 
+def _assert_same_block(block, reference):
+    assert block.matrix.shape == reference.matrix.shape
+    assert np.max(np.abs(block.matrix - reference.matrix)) <= 1e-12
+    assert inertia(block) == inertia(reference)
+
+
+class TestWindowBlocks:
+    """The window blocks pairing reads equal the dense compressions."""
+
+    @pytest.mark.parametrize(
+        "model_name,kappas,rhos",
+        [
+            ("circle40", (0.02, 0.05), (20.5, 30.5)),
+            ("qwz9", (0.5, 1.0), (4.5, 5.5)),
+            ("shift40_nu2", (0.1, 0.2), (8.5, 10.5)),
+        ],
+    )
+    def test_window_blocks_match_dense_reference(self, request, model_name, kappas, rhos):
+        if model_name == "shift40_nu2":
+            model = build_weighted_shift_dirac(40, nu=2)
+        else:
+            model = request.getfixturevalue(model_name)
+        even = model.parity == "even"
+        eigensystem = model.dirac_eigensystem()
+        w, v = eigensystem
+        cols = v[:, np.abs(w) <= model.containment_radius + 1e-9]
+        outer_basis = cols if even else sla.block_diag(cols, cols)
+        outer = model.containment_window()
+        for kappa in kappas:
+            loc = (build_even_localiser if even else build_odd_localiser)(model, kappa)
+            seam_free = outer_basis.conj().T @ loc.matrix @ outer_basis
+            seam_free = HermitianOperator((seam_free + seam_free.conj().T) / 2.0)
+            _assert_same_block(outer.localiser(kappa), seam_free)
+            for rho in rhos:
+                trunc = truncate(loc, model.dirac, rho, eigensystem=eigensystem).operator
+                comp, _ = complement_block(
+                    loc, model.dirac, rho, outer=model.containment_radius,
+                    eigensystem=eigensystem,
+                )
+                block = model.window(rho).localiser(kappa)
+                _assert_same_block(block, trunc)
+                _assert_same_block(outer.localiser(kappa, beyond=rho), comp)
+
+                path = (suspension_even if even else suspension_odd)(
+                    model, kappa, num=3, rho=rho
+                )
+                assert np.max(np.abs(path.sample(1.0) - trunc.matrix)) <= 1e-12
+
+                res = pairing(model, LocaliserParams(kappa, rho))
+                assert res.inertia == inertia(trunc)
+                assert res.certificate("complement_gap").measured == pytest.approx(
+                    spectral_gap(comp), rel=1e-12
+                )
+                if res.regime.hypothesis_holds:
+                    assert res.regime.measured_gap == pytest.approx(
+                        spectral_gap(seam_free), rel=1e-12
+                    )
+
+
 class TestPairing:
     def test_odd_identity_symbol_pairs_to_zero(self):
         model = build_circle_model(10, {0: 1.0})
@@ -254,20 +316,6 @@ class TestPairing:
     def test_lean_strict_is_contradictory(self, shift40):
         with pytest.raises(ValidationError):
             pairing(shift40, LocaliserParams(0.1, 10.5, mode="strict"), certificates=False)
-
-    def test_rotation_cache_gives_identical_results(self):
-        base = build_circle_model(40, {0: 0.5, 1: 1.0})
-        cached = build_circle_model(40, {0: 0.5, 1: 1.0})
-        precompute_rotation(cached)
-        assert "k_rotated" in cached.cache
-        for kappa in (0.02, 0.05):
-            for rho in (20.5, 30.5):
-                params = LocaliserParams(kappa, rho)
-                a = pairing(base, params)
-                b = pairing(cached, params)
-                assert (a.pairing, a.signature) == (b.pairing, b.signature)
-                assert a.dim_trunc == b.dim_trunc
-                assert a.truncated_gap == pytest.approx(b.truncated_gap, rel=1e-9)
 
     def test_parameter_stability_grid(self):
         model = build_circle_model(40, {0: 0.5, 1: 1.0})

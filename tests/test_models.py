@@ -10,6 +10,7 @@ from speclocaliser import (
     ContainmentViolation,
     GaplessMass,
     GradedOperator,
+    ModelInstance,
     ValidationError,
     build_circle_model,
     build_qwz_model,
@@ -159,6 +160,24 @@ class TestShiftModel:
             build_weighted_shift_dirac(8, nu=1, sign=2)
         with pytest.raises(ValidationError):
             build_weighted_shift_dirac(1, nu=1)
+
+
+class TestGradingContract:
+    def test_even_model_rejects_k_coupling_the_sectors(self):
+        # D anticommutes with the grading, but K swaps its two sectors
+        swap = np.array([[0, 1], [1, 0]], dtype=complex)
+        with pytest.raises(ValidationError, match="commute with the grading"):
+            ModelInstance(
+                kind="custom",
+                parity="even",
+                dirac=swap,
+                grading=np.array([1, -1]),
+                k_rep=swap,
+                containment_radius=1.0,
+                oracle_ref="fredholm_index_graded",
+                params={},
+                interior_mask=np.ones(2, dtype=bool),
+            )
 
 
 class TestSuggestBox:
