@@ -1,7 +1,6 @@
 """Finite-volume index pairings from truncated spectral localisers."""
 
 from .core import (
-    CommutatorNorm,
     HermitianOperator,
     Inertia,
     Projection,

@@ -8,8 +8,9 @@ triangular factorization, and the two integer count triples must agree
 exactly; a mismatch raises :class:`~speclocaliser.errors.BackendDisagreement`
 rather than being averaged away.
 
-Dense storage only.  Matrices are capped at ``DENSE_DIM_LIMIT`` rows; the
-models in this library stay well under it.
+Dense storage, capped at ``DENSE_DIM_LIMIT`` rows; the models in this
+library stay well under it.  The one exception is the transient ``[D, X]``
+product inside ``commutator_norm``, formed sparse because D and K are.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .errors import (
     BackendDisagreement,
@@ -33,7 +35,6 @@ __all__ = [
     "HermitianOperator",
     "Inertia",
     "Projection",
-    "CommutatorNorm",
     "as_matrix",
     "inertia",
     "signature",
@@ -366,19 +367,6 @@ def operator_norm(a) -> float:
     return float(s[0]) if s.size else 0.0
 
 
-@dataclasses.dataclass(frozen=True)
-class CommutatorNorm:
-    """Norm of [D, X]: full-matrix value plus the interior-window restriction.
-
-    Periodic identifications put O(box) entries on the seam of [D, X]; the
-    interior value excludes rows and columns touching the seam and is the one
-    certificates use.  ``interior`` equals ``full`` when no mask is given.
-    """
-
-    full: float
-    interior: float
-
-
 def _matrix_2norm(a: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
@@ -389,19 +377,26 @@ def _matrix_2norm(a: np.ndarray) -> float:
     return float(sla.svdvals(a)[0])
 
 
-def commutator_norm(d, x, interior_mask: np.ndarray | None = None) -> CommutatorNorm:
+def commutator_norm(d, x, interior_mask: np.ndarray | None = None) -> float:
+    """Operator norm of [D, X], restricted to interior_mask when given.
+
+    Periodic identifications put O(box) entries on the seam of [D, X]; the
+    interior mask excludes rows and columns touching the seam, and the
+    masked value is the one certificates use.  The product is formed sparse
+    and only the masked block is densified.
+    """
     dm = as_matrix(d)
     xm = np.asarray(x, dtype=np.complex128)
     if xm.shape != dm.shape:
         raise DimensionMismatch(
             "operand shapes differ: %s vs %s" % (dm.shape, xm.shape)
         )
-    comm = dm @ xm - xm @ dm
-    full = _matrix_2norm(comm)
-    if interior_mask is None:
-        return CommutatorNorm(full=full, interior=full)
-    mask = np.asarray(interior_mask, dtype=bool)
-    if mask.shape != (dm.shape[0],):
-        raise DimensionMismatch("interior mask length does not match matrix dimension")
-    interior = _matrix_2norm(comm[np.ix_(mask, mask)])
-    return CommutatorNorm(full=full, interior=interior)
+    ds, xs = sp.csr_matrix(dm), sp.csr_matrix(xm)
+    comm = ds @ xs - xs @ ds
+    if interior_mask is not None:
+        mask = np.asarray(interior_mask, dtype=bool)
+        if mask.shape != (dm.shape[0],):
+            raise DimensionMismatch("interior mask length does not match matrix dimension")
+        keep = np.flatnonzero(mask)
+        comm = comm[keep][:, keep]
+    return _matrix_2norm(comm.toarray())

@@ -179,14 +179,18 @@ class SpectralFlowResult:
     samples: int
 
 
-def _probe(path: OperatorPath, t: float, dim: int | None) -> tuple[int, float, int]:
+def _sample(path: OperatorPath, t: float, dim: int) -> np.ndarray:
     m = path.sample(t)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError("path sample at t=%.4f is not square" % t)
-    if dim is not None and m.shape[0] != dim:
+    if m.shape[0] != dim:
         raise DimensionMismatch("path dimension changed along the way")
-    w = np.linalg.eigvalsh(m)
-    return int(np.sum(w > 0)), float(np.min(np.abs(w))), m.shape[0]
+    return m
+
+
+def _counts(w: np.ndarray) -> tuple[int, float]:
+    # positive eigenvalue count and distance of the spectrum from zero
+    return int(np.sum(w > 0)), float(np.min(np.abs(w)))
 
 
 def sf_crossings(
@@ -198,32 +202,27 @@ def sf_crossings(
     crossing ledger localizes where the positive count changes.  Interior
     samples with an eigenvalue inside the tolerance are replaced by clean
     samples found by bisecting toward their clean neighbours; failure to find
-    one within max_depth raises RefinementLimit.
+    one within max_depth raises RefinementLimit.  Each grid point is sampled
+    and diagonalised once; ``samples`` counts grid and bisection points.
     """
     grid = path.grid
     first = path.sample(grid[0])
     HermitianOperator(first)  # validate once; later samples trusted Hermitian
     dim = first.shape[0]
 
-    w0 = np.linalg.eigvalsh(first)
-    wn = np.linalg.eigvalsh(path.sample(grid[-1]))
-    scale = max(float(np.max(np.abs(w0))), float(np.max(np.abs(wn))), 1e-300)
-    eps = zero_tol if zero_tol is not None else 1e-6 * scale
-
-    def probe(t):
-        npos, mingap, _ = _probe(path, t, dim)
-        return npos, mingap
-
-    # continuity screen: a grid step whose increment norm dwarfs the rest
+    # one pass over the grid: eigenvalues of every sample, plus the increment
+    # norms of the continuity screen (a step whose increment dwarfs the rest
     # signals a discontinuous evaluator, for which crossing counts are
-    # meaningless
+    # meaningless)
+    eigs = [np.linalg.eigvalsh(first)]
     slopes = []
     prev = first
     for i in range(1, len(grid)):
-        cur = path.sample(grid[i])
+        cur = _sample(path, grid[i], dim)
         slopes.append(
             float(np.linalg.norm(cur - prev)) / float(grid[i] - grid[i - 1])
         )
+        eigs.append(np.linalg.eigvalsh(cur))
         prev = cur
     top, typical = max(slopes), float(np.median(slopes))
     if typical > 0 and top > 100.0 * typical:
@@ -232,17 +231,22 @@ def sf_crossings(
             "discontinuous" % (top / typical)
         )
 
+    scale = max(float(np.max(np.abs(eigs[0]))), float(np.max(np.abs(eigs[-1]))), 1e-300)
+    eps = zero_tol if zero_tol is not None else 1e-6 * scale
+
+    def probe(t):
+        return _counts(np.linalg.eigvalsh(_sample(path, t, dim)))
+
     clean: list[tuple[float, int]] = []
-    n0, gap0 = probe(grid[0])
+    n0, gap0 = _counts(eigs[0])
     if gap0 <= eps:
         raise SingularMatrix("path start is singular at tolerance %.3e" % eps)
     clean.append((float(grid[0]), n0))
-    evaluations = 1
+    evaluations = len(grid)
 
     for i in range(1, len(grid)):
         t = float(grid[i])
-        npos, gap = probe(t)
-        evaluations += 1
+        npos, gap = _counts(eigs[i])
         if gap > eps:
             clean.append((t, npos))
             continue

@@ -414,24 +414,34 @@ def _localise_job(model: ModelInstance, kappa: float, rho: float, mode: str) -> 
     )
 
 
+# the model a pool worker was handed at start-up (set in worker processes only)
+_worker_model: ModelInstance | None = None
+
+
+def _init_worker(model: ModelInstance) -> None:
+    global _worker_model
+    _worker_model = model
+
+
 def _pool_job(args) -> JobRecord:
-    # jobs share nothing: each worker rebuilds the model from its spec
-    job, spec, kappa, rho, rest = args
-    return job(parse_model_spec(spec), kappa, rho, *rest)
+    # every job of a worker shares its model, and with it the model's cache
+    job, kappa, rho, rest = args
+    return job(_worker_model, kappa, rho, *rest)
 
 
 def _sweep(config: RunConfig, model: ModelInstance, job, *rest, pool_ok=True) -> list:
     """Run job(model, kappa, rho, *rest) over the sorted (kappa, rho) grid.
 
-    With more than one worker the jobs go to a process pool instead.
+    With more than one worker the jobs go to a process pool instead; each
+    worker is handed the model once, when it starts.
     """
     jobs = sorted((k, r) for k in config.kappas for r in config.rhos)
     workers = config.resolved_workers()
     if pool_ok and workers > 1 and len(jobs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(
-                pool.map(_pool_job, [(job, config.model, k, r, rest) for k, r in jobs])
-            )
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(model,)
+        ) as pool:
+            return list(pool.map(_pool_job, [(job, k, r, rest) for k, r in jobs]))
     return [job(model, k, r, *rest) for k, r in jobs]
 
 

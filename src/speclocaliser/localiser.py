@@ -163,7 +163,6 @@ class RegimeCertificate:
     kappa: float
     k_gap: float
     comm_interior: float
-    comm_full: float
     hypothesis_holds: bool
     theoretical_bound: float
     measured_gap: float | None
@@ -220,12 +219,12 @@ def validate_infinite_regime(
     """
     g = model.k_gap()
     comm = model.dirac_commutator()
-    holds = kappa * comm.interior < g * g
-    bound = math.sqrt(max(g * g - kappa * comm.interior, 0.0))
+    holds = kappa * comm < g * g
+    bound = math.sqrt(max(g * g - kappa * comm, 0.0))
     if mode == "strict" and not holds:
         raise HypothesisViolated(
             "kappa*||[D,K]|| = %.6g is not below g^2 = %.6g"
-            % (kappa * comm.interior, g * g)
+            % (kappa * comm, g * g)
         )
     measured = None
     if measure and holds:
@@ -236,8 +235,7 @@ def validate_infinite_regime(
     return RegimeCertificate(
         kappa=float(kappa),
         k_gap=g,
-        comm_interior=comm.interior,
-        comm_full=comm.full,
+        comm_interior=comm,
         hypothesis_holds=bool(holds),
         theoretical_bound=bound,
         measured_gap=measured,
@@ -263,7 +261,7 @@ def validate_truncation_params(
 
     certs = []
     if include_commutator:
-        comm = model.dirac_commutator().interior
+        comm = model.dirac_commutator()
         kappa_cap = math.inf if comm == 0 else g**3 / (12.0 * k_norm * comm)
         certs.append(
             _certificate("kappa_bound", kappa, kappa_cap, "<=", hard=True,

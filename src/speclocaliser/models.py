@@ -38,7 +38,6 @@ import yaml
 
 from . import mmio
 from .core import (
-    CommutatorNorm,
     HermitianOperator,
     commutator_norm,
     odd_block,
@@ -84,10 +83,6 @@ sz = np.array([[1, 0], [0, -1]], dtype=complex)
 # Safety margin (in lattice units) between the containment radius and the
 # last site unaffected by the periodic seam.
 _SAFETY_MARGIN = 2
-
-# Commutator norms shared between models that provably have the same [D, K]
-# (keyed per builder); only the norm pair is stored, never matrices.
-_SHARED_COMMUTATORS: dict = {}
 
 
 def _stable_order(w: np.ndarray) -> np.ndarray:
@@ -194,17 +189,22 @@ class ModelInstance:
     def __post_init__(self):
         if self.parity not in ("even", "odd"):
             raise ValidationError("parity must be 'even' or 'odd'")
-        self.dirac = HermitianOperator(self.dirac).matrix
+        if self.parity == "odd":
+            if self.grading is not None:
+                raise ValidationError("odd models carry no grading")
+            self.dirac = HermitianOperator(self.dirac).matrix
+        else:
+            if self.grading is None:
+                raise ValidationError("even models need a grading")
+            # validates hermiticity of D + anticommutation with the grading
+            graded = GradedOperator(self.dirac, self.grading)
+            self.cache["graded"] = graded
+            self.dirac, self.grading = graded.matrix, graded.grading
         self.k_rep = np.asarray(self.k_rep, dtype=np.complex128)
         if self.k_rep.shape != self.dirac.shape:
             raise DimensionMismatch("D and K must act on the same space")
         if self.parity == "even":
-            if self.grading is None:
-                raise ValidationError("even models need a grading")
-            # validates hermiticity of D + anticommutation with the grading
-            GradedOperator(self.dirac, self.grading)
             HermitianOperator(self.k_rep)
-            self.grading = np.asarray(self.grading, dtype=np.int8)
             # K must commute with the grading: its inter-sector block vanishes
             cross = self.k_rep[np.ix_(self.grading == 1, self.grading == -1)]
             defect = float(np.max(np.abs(cross))) if cross.size else 0.0
@@ -213,8 +213,6 @@ class ModelInstance:
                 raise ValidationError(
                     "K does not commute with the grading (defect %.3e)" % defect
                 )
-        elif self.grading is not None:
-            raise ValidationError("odd models carry no grading")
         self.interior_mask = np.asarray(self.interior_mask, dtype=bool)
         if self.interior_mask.shape != (self.dim,):
             raise DimensionMismatch("interior mask length does not match dimension")
@@ -231,8 +229,6 @@ class ModelInstance:
     def graded(self) -> GradedOperator:
         if self.parity != "even":
             raise ValidationError("model has no grading")
-        if "graded" not in self.cache:
-            self.cache["graded"] = GradedOperator(self.dirac, self.grading)
         return self.cache["graded"]
 
     def dirac_eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
@@ -297,16 +293,12 @@ class ModelInstance:
                 self.cache["k_gap"] = singular_gap(self.k_rep)
         return self.cache["k_gap"]
 
-    def dirac_commutator(self) -> CommutatorNorm:
+    def dirac_commutator(self) -> float:
+        """Interior norm ||[D, K]|| (see core.commutator_norm), cached."""
         if "dirac_commutator" not in self.cache:
-            shared = self.cache.get("commutator_shared_key")
-            if shared in _SHARED_COMMUTATORS:
-                self.cache["dirac_commutator"] = _SHARED_COMMUTATORS[shared]
-            else:
-                value = commutator_norm(self.dirac, self.k_rep, self.interior_mask)
-                self.cache["dirac_commutator"] = value
-                if shared is not None:
-                    _SHARED_COMMUTATORS[shared] = value
+            self.cache["dirac_commutator"] = commutator_norm(
+                self.dirac, self.k_rep, self.interior_mask
+            )
         return self.cache["dirac_commutator"]
 
     def describe(self) -> dict:
@@ -433,11 +425,16 @@ def _qwz_dvec_norms(mass: float, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sin(k1) ** 2 + np.sin(k2) ** 2 + (mass + c1 + c2) ** 2)
 
 
-def qwz_bloch_gap(mass: float, grid: int = 512) -> float:
-    """min_k |h(k)| over a uniform momentum grid (the bands sit at +/-|d(k)|)."""
+def _qwz_grid_norms(mass: float, grid: int) -> np.ndarray:
+    """|d(k)| on the uniform grid x grid momenta (the bands sit at +/-|d(k)|)."""
     ks = 2.0 * np.pi * np.arange(grid) / grid
     k1, k2 = np.meshgrid(ks, ks, indexing="ij")
-    return float(np.min(_qwz_dvec_norms(mass, k1, k2)))
+    return _qwz_dvec_norms(mass, k1, k2)
+
+
+def qwz_bloch_gap(mass: float, grid: int = 512) -> float:
+    """min_k |h(k)| over a uniform momentum grid."""
+    return float(np.min(_qwz_grid_norms(mass, grid)))
 
 
 def qwz_box_bloch_gap(mass: float, side: int) -> float:
@@ -514,13 +511,11 @@ def build_qwz_model(
         interior_mask=interior,
     )
     model.cache["eigensystem"] = _qwz_eigensystem(zdiag)
-    # K = h_int (x) I2: spectral data equals that of the half-size block
-    w_int = np.linalg.eigvalsh(h_int)
-    model.cache["k_norm"] = float(np.max(np.abs(w_int)))
-    model.cache["k_gap"] = float(np.min(np.abs(w_int)))
-    # the mass term is diagonal in the index D acts on, so [D, K] does not
-    # depend on mass: share the commutator norms across masses
-    model.cache["commutator_shared_key"] = ("qwz", int(box), str(offset))
+    # K = h_int (x) I2 and the periodic h_int is the Bloch symbol on the box
+    # momenta, so its spectrum is +/-|d(k)| there
+    norms = _qwz_grid_norms(mass, side)
+    model.cache["k_norm"] = float(np.max(norms))
+    model.cache["k_gap"] = float(np.min(norms))
     return model
 
 

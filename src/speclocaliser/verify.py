@@ -14,7 +14,6 @@ ten criteria and is the acceptance gate.
 from __future__ import annotations
 
 import dataclasses
-import gc
 import json
 import time
 from pathlib import Path
@@ -271,7 +270,6 @@ class VerifySession:
                 # the Chern models cost ~300 MB each; criteria 7-8 only
                 # need their recorded values, so drop the matrices now
                 self._artifacts["c4"]["models"] = None
-                gc.collect()
             return {"entries": entries}
 
         return self._artifact("c6_entries", build)["entries"]
@@ -511,12 +509,11 @@ class VerifySession:
                 checks += 1
             for mass in _QWZ_MASSES:
                 base = art4["results"][(mass, "half_integer")][(1.0, 6.5)].pairing
-                model = build_qwz_model(box=18, mass=mass)
                 grown = pairing(
-                    model, LocaliserParams(1.0, 6.5), certificates=False
+                    build_qwz_model(box=18, mass=mass),
+                    LocaliserParams(1.0, 6.5),
+                    certificates=False,
                 ).pairing
-                del model
-                gc.collect()
                 _check(grown == base,
                        "qwz m=%g: L 12->18 changed pairing %d -> %d"
                        % (mass, base, grown))

@@ -15,6 +15,8 @@ from speclocaliser import (
     ValidationError,
     build_even_localiser,
     build_odd_localiser,
+    build_qwz_model,
+    build_weighted_shift_dirac,
     commutator_norm,
     inertia,
     interval_spectral_projection,
@@ -212,13 +214,27 @@ class TestGapsAndNorms:
         assert operator_norm(np.eye(7)) == pytest.approx(1.0)
 
     def test_circle_commutator_interior(self, circle40):
-        comm = circle40.dirac_commutator()
-        assert comm.interior == pytest.approx(1.0, abs=1e-12)
+        assert circle40.dirac_commutator() == pytest.approx(1.0, abs=1e-12)
 
     def test_qwz_commutator_interior_bound(self, qwz9):
-        comm = qwz9.dirac_commutator()
         # hop amplitude 1, coordination 4
-        assert 0.0 < comm.interior <= 8.0
+        assert 0.0 < qwz9.dirac_commutator() <= 8.0
+
+    def test_commutator_norm_matches_dense_reference(self, circle40, qwz9):
+        models = [
+            circle40,
+            qwz9,
+            build_qwz_model(box=9, mass=1.0, offset="integer"),
+            build_weighted_shift_dirac(40, nu=2),
+        ]
+        cases = [(m.dirac, m.k_rep, m.interior_mask) for m in models]
+        # a non-Hermitian X takes the singular-value route
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
+        cases.append((random_hermitian(rng, 30), x, rng.random(30) < 0.7))
+        for d, x, mask in cases:
+            expected = np.linalg.norm((d @ x - x @ d)[mask][:, mask], 2)
+            assert commutator_norm(d, x, mask) == pytest.approx(expected, rel=1e-12)
 
     def test_commutator_dimension_mismatch(self):
         from speclocaliser import DimensionMismatch

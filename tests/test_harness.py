@@ -167,23 +167,35 @@ class TestLocaliseSweeps:
         assert a == b
 
     def test_worker_pool_matches_serial(self):
-        # integers must agree exactly; gap floats may differ in the last bit
-        # because each worker rebuilds the model and recomputes its windows
-        serial = RunConfig(model="shift:sites=20", kappas=[0.1, 0.2], rhos=[5.5, 8.5])
-        pooled = RunConfig(
-            model="shift:sites=20", kappas=[0.1, 0.2], rhos=[5.5, 8.5], workers=2
-        )
-        a = run_localise(serial).records
-        b = run_localise(pooled).records
-        assert len(a) == len(b) == 4
-        for ra, rb in zip(a, b):
-            assert (ra.kappa, ra.rho, ra.status) == (rb.kappa, rb.rho, rb.status)
-            assert ra.pairing == rb.pairing
-            assert ra.signature == rb.signature
-            assert ra.inertia == rb.inertia
-            assert ra.agreement is rb.agreement is True
-            assert ra.violations == rb.violations
-            assert ra.truncated_gap == pytest.approx(rb.truncated_gap, rel=1e-12)
+        # integers must agree exactly; floats may differ in the last bit,
+        # since each worker recomputes the windows and norms of the model it
+        # was handed at start-up (once per worker, not per job)
+        grids = [
+            ("shift:sites=20", [0.1, 0.2], [5.5, 8.5]),
+            # kappa_bound reads the [D, K] norm here
+            ("circle:modes=40", [0.02, 0.05], [20.5, 30.5]),
+        ]
+        for spec, kappas, rhos in grids:
+            serial = RunConfig(model=spec, kappas=kappas, rhos=rhos, workers=1)
+            pooled = RunConfig(model=spec, kappas=kappas, rhos=rhos, workers=2)
+            a = run_localise(serial).records
+            b = run_localise(pooled).records
+            assert len(a) == len(b) == 4
+            for ra, rb in zip(a, b):
+                assert (ra.kappa, ra.rho, ra.status) == (rb.kappa, rb.rho, rb.status)
+                assert ra.pairing == rb.pairing
+                assert ra.signature == rb.signature
+                assert ra.inertia == rb.inertia
+                assert ra.agreement is rb.agreement is True
+                assert ra.violations == rb.violations
+                assert ra.truncated_gap == pytest.approx(rb.truncated_gap, rel=1e-12)
+                assert [c["name"] for c in ra.certificates] == [
+                    c["name"] for c in rb.certificates
+                ]
+                for ca, cb in zip(ra.certificates, rb.certificates):
+                    assert ca["measured"] == pytest.approx(
+                        cb["measured"], rel=1e-12, nan_ok=True
+                    )
 
     def test_oracle_error_is_recorded(self, capsys):
         # 1 + z vanishes at theta = pi: the winding grid hits it, the box

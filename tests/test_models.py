@@ -47,7 +47,7 @@ class TestCircleModel:
     def test_interior_commutator_is_hop_weighted(self):
         # [D, G] acts as k * G_k per hop, so a single hop-1 symbol gives 1
         model = build_circle_model(60, {0: 0.5, 1: 1.0})
-        assert model.dirac_commutator().interior == pytest.approx(1.0, abs=1e-12)
+        assert model.dirac_commutator() == pytest.approx(1.0, abs=1e-12)
 
     def test_mirror_symbols_have_opposite_winding(self):
         from speclocaliser import winding_number
@@ -62,9 +62,12 @@ class TestCircleModel:
 
 class TestQwzModel:
     def test_box_gap_matches_bloch_oracle(self, qwz9):
-        # periodic box spectrum = Bloch spectrum on the discrete momenta
-        expected = qwz_box_bloch_gap(1.0, 2 * 9 + 1)
-        assert qwz9.k_gap() == pytest.approx(expected, rel=1e-9)
+        # build_qwz_model reads K's gap and norm off the Bloch symbol on the box
+        # momenta; check both against K's own spectrum
+        w = np.abs(np.linalg.eigvalsh(qwz9.k_rep))
+        assert qwz9.k_gap() == pytest.approx(w.min(), rel=1e-9)
+        assert qwz9.k_norm() == pytest.approx(w.max(), rel=1e-9)
+        assert qwz9.k_gap() == pytest.approx(qwz_box_bloch_gap(1.0, 2 * 9 + 1), rel=1e-9)
 
     def test_band_invariant_values(self):
         from speclocaliser import chern_number_fhs, qwz_bloch
