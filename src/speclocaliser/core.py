@@ -8,9 +8,13 @@ triangular factorization, and the two integer count triples must agree
 exactly; a mismatch raises :class:`~speclocaliser.errors.BackendDisagreement`
 rather than being averaged away.
 
-Dense storage, capped at ``DENSE_DIM_LIMIT`` rows; the models in this
-library stay well under it.  The one exception is the transient ``[D, X]``
-product inside ``commutator_norm``, formed sparse because D and K are.
+Model operators (D, K and D's eigenvectors) are stored sparse, as
+:class:`CsrOperator` arrays validated on their nonzeros by
+``hermitian_csr``, so a model costs O(nnz) at any size.  Everything else
+here is dense and capped at ``DENSE_DIM_LIMIT`` rows: localiser windows,
+their compressions and the reference helpers, which densify sparse input at
+their entry.  ``commutator_norm`` forms its product sparse and densifies
+only the masked block.
 """
 
 from __future__ import annotations
@@ -32,10 +36,13 @@ from .errors import (
 
 __all__ = [
     "DENSE_DIM_LIMIT",
+    "CsrOperator",
     "HermitianOperator",
     "Inertia",
     "Projection",
     "as_matrix",
+    "hermitian_csr",
+    "max_abs_entry",
     "inertia",
     "signature",
     "positive_spectral_projection",
@@ -48,6 +55,8 @@ __all__ = [
     "commutator_norm",
 ]
 
+# Caps every dense matrix: windows, their localisers and the dense reference
+# helpers.  Sparse model storage is not capped.
 DENSE_DIM_LIMIT = 10_000
 
 # Relative defaults.  zero_tol separates "invertible" from "kernel"; herm_tol
@@ -58,32 +67,76 @@ PROJ_TOL = 1e-10
 EIG_SEP_TOL = 1e-6
 
 
-def _validate_square(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch("expected a square matrix, got shape %s" % (m.shape,))
-    if m.shape[0] == 0:
+class CsrOperator(sp.csr_array):
+    """CSR storage of a model operator.
+
+    nbytes reports the stored footprint (data, indices and index pointers),
+    as ndarray.nbytes does for a dense matrix.
+    """
+
+    @property
+    def nbytes(self) -> int:
+        return int(self.data.nbytes + self.indices.nbytes + self.indptr.nbytes)
+
+
+def _as_array(m) -> np.ndarray:
+    # dense helpers take a dense copy of sparse (model) input
+    return m.toarray() if sp.issparse(m) else np.asarray(m)
+
+
+def _check_shape(shape: tuple) -> None:
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise DimensionMismatch("expected a square matrix, got shape %s" % (shape,))
+    if shape[0] == 0:
         raise ValidationError("empty matrix")
-    if m.shape[0] > DENSE_DIM_LIMIT:
-        raise ValidationError(
-            "dimension %d exceeds dense limit %d" % (m.shape[0], DENSE_DIM_LIMIT)
-        )
-    m = m.astype(np.complex128, copy=False)
-    if not np.all(np.isfinite(m.view(np.float64))):
+
+
+def _check_finite(values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values.view(np.float64))):
         raise ValidationError("matrix contains non-finite entries")
+
+
+def _validate_square(m) -> np.ndarray:
+    shape = m.shape if sp.issparse(m) else np.shape(m)
+    _check_shape(shape)
+    if shape[0] > DENSE_DIM_LIMIT:
+        raise ValidationError(
+            "dimension %d exceeds dense limit %d" % (shape[0], DENSE_DIM_LIMIT)
+        )
+    m = _as_array(m).astype(np.complex128, copy=False)
+    _check_finite(m)
     return m
 
 
-def _check_hermitian(m: np.ndarray, herm_tol: float | None) -> None:
+def max_abs_entry(m) -> float:
+    """Largest entry modulus; sparse input is read on its stored entries only."""
+    values = m.data if sp.issparse(m) else m
+    return float(np.max(np.abs(values), initial=0.0))
+
+
+def _check_hermitian(m, herm_tol: float | None) -> None:
     # Entrywise max defect against a max-entry scale; cheap and dimension-free.
-    scale = float(np.max(np.abs(m))) if m.size else 0.0
-    tol = herm_tol if herm_tol is not None else HERM_TOL_FACTOR * max(scale, 1.0)
-    defect = float(np.max(np.abs(m - m.conj().T)))
+    tol = herm_tol if herm_tol is not None else HERM_TOL_FACTOR * max(max_abs_entry(m), 1.0)
+    defect = max_abs_entry(m - m.conj().T)
     if defect > tol:
         raise ValidationError(
             "matrix is not Hermitian: max asymmetry %.3e exceeds tol %.3e"
             % (defect, tol)
         )
+
+
+def hermitian_csr(m) -> CsrOperator:
+    """Validate a Hermitian matrix, dense or sparse, into CSR storage.
+
+    The HermitianOperator contract (square, non-empty, finite, entrywise
+    asymmetry within the default tolerance) with no dimension cap; every
+    check reads the stored entries only.
+    """
+    m = CsrOperator(m, dtype=np.complex128)
+    _check_shape(m.shape)
+    _check_finite(m.data)
+    _check_hermitian(m, None)
+    return m
 
 
 @dataclasses.dataclass(eq=False)
@@ -118,7 +171,7 @@ class HermitianOperator:
 
 
 def as_matrix(op) -> np.ndarray:
-    """Accept an ndarray or HermitianOperator and return the raw array."""
+    """Accept a dense or sparse matrix or a HermitianOperator; return it dense."""
     if isinstance(op, HermitianOperator):
         return op.matrix
     return _validate_square(op)
@@ -345,9 +398,9 @@ def spectral_gap(op) -> float:
     return _hermitian_part(op).gap
 
 
-def singular_gap(a: np.ndarray) -> float:
+def singular_gap(a) -> float:
     """Smallest singular value; equals 1/||A^-1|| for invertible A."""
-    a = np.asarray(a, dtype=np.complex128)
+    a = _as_array(a).astype(np.complex128, copy=False)
     if a.ndim != 2:
         raise DimensionMismatch("expected a matrix, got shape %s" % (a.shape,))
     s = sla.svdvals(a)
@@ -358,7 +411,7 @@ def operator_norm(a) -> float:
     """Operator (2-)norm; uses the symmetric eigensolver for Hermitian input."""
     if isinstance(a, HermitianOperator):
         return a.norm
-    a = np.asarray(a, dtype=np.complex128)
+    a = _as_array(a).astype(np.complex128, copy=False)
     if a.ndim != 2:
         raise DimensionMismatch("expected a matrix, got shape %s" % (a.shape,))
     if a.shape[0] == a.shape[1] and np.array_equal(a, a.conj().T):
@@ -385,17 +438,16 @@ def commutator_norm(d, x, interior_mask: np.ndarray | None = None) -> float:
     masked value is the one certificates use.  The product is formed sparse
     and only the masked block is densified.
     """
-    dm = as_matrix(d)
-    xm = np.asarray(x, dtype=np.complex128)
-    if xm.shape != dm.shape:
+    ds = sp.csr_array(d.matrix if isinstance(d, HermitianOperator) else d)
+    xs = sp.csr_array(x)
+    if xs.shape != ds.shape:
         raise DimensionMismatch(
-            "operand shapes differ: %s vs %s" % (dm.shape, xm.shape)
+            "operand shapes differ: %s vs %s" % (ds.shape, xs.shape)
         )
-    ds, xs = sp.csr_matrix(dm), sp.csr_matrix(xm)
     comm = ds @ xs - xs @ ds
     if interior_mask is not None:
         mask = np.asarray(interior_mask, dtype=bool)
-        if mask.shape != (dm.shape[0],):
+        if mask.shape != (ds.shape[0],):
             raise DimensionMismatch("interior mask length does not match matrix dimension")
         keep = np.flatnonzero(mask)
         comm = comm[keep][:, keep]

@@ -25,11 +25,13 @@ import dataclasses
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .core import (
     EIG_SEP_TOL,
     HermitianOperator,
     Projection,
+    as_matrix,
     odd_block,
     signature,
     window_mask,
@@ -314,8 +316,8 @@ def suspension_even(
     chi.validate()
     gamma = model.grading.astype(float)
     if rho is None:
-        base = kappa * model.dirac
-        gamma_h = gamma[:, None] * model.k_rep
+        base = kappa * model.dirac.toarray()
+        gamma_h = gamma[:, None] * model.k_rep.toarray()
         gamma_diag = np.diag(gamma).astype(complex)
 
         def evaluate(t):
@@ -325,7 +327,7 @@ def suspension_even(
         window = model.window(rho)
         cols = model.dirac_eigensystem()[1][:, window.index]
         base = kappa * np.diag(window.eigs).astype(complex)
-        b_gamma = cols.conj().T @ (gamma[:, None] * cols)
+        b_gamma = (cols.conj().T @ sp.diags_array(gamma) @ cols).toarray()
         b_gamma = (b_gamma + b_gamma.conj().T) / 2.0
         b_h = window.k_part
 
@@ -356,8 +358,8 @@ def suspension_odd(
         raise ValidationError("odd suspension needs an odd model")
     chi.validate()
     if rho is None:
-        d = kappa * model.dirac
-        g = model.k_rep
+        d = kappa * model.dirac.toarray()
+        g = model.k_rep.toarray()
         eye = np.eye(model.dim, dtype=complex)
     else:
         window = model.window(rho)
@@ -389,7 +391,7 @@ def sf_conjugation(
     flowing; the compression cuts the seam modes whose flow would otherwise
     cancel the index on a finite periodic box.
     """
-    dm = np.asarray(dirac.matrix if hasattr(dirac, "matrix") else dirac, dtype=complex)
+    dm = as_matrix(getattr(dirac, "matrix", dirac))
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != dm.shape:
         raise DimensionMismatch("u and D must act on the same space")

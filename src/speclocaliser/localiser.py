@@ -13,7 +13,8 @@ and the K-part V* K~ V on the window.  The truncated block comes from the
 |D| <= rho window; the complement block and the seam-free regime block are
 sub-blocks of the containment window.  ``truncate`` and
 ``complement_block`` compress a dense localiser directly and serve as the
-reference those blocks are checked against.
+reference those blocks are checked against; they, and the
+``build_*_localiser`` helpers, densify the sparse model operators.
 
 Validity is tracked through certificates rather than asserted silently.  Hard
 conditions (the kappa bound, rho > 2*gap/kappa, containment of the window in
@@ -32,12 +33,14 @@ import dataclasses
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from .core import (
     EIG_SEP_TOL,
     ZERO_TOL_FACTOR,
     HermitianOperator,
     Inertia,
+    as_matrix,
     inertia,
     odd_block,
     spectral_gap,
@@ -191,7 +194,9 @@ def build_even_localiser(model: ModelInstance, kappa: float) -> HermitianOperato
     if kappa <= 0:
         raise ValidationError("kappa must be positive")
     gamma = model.grading.astype(np.float64)
-    return HermitianOperator(kappa * model.dirac + gamma[:, None] * model.k_rep)
+    return HermitianOperator(
+        kappa * model.dirac.toarray() + gamma[:, None] * model.k_rep.toarray()
+    )
 
 
 def build_odd_localiser(model: ModelInstance, kappa: float) -> HermitianOperator:
@@ -200,7 +205,7 @@ def build_odd_localiser(model: ModelInstance, kappa: float) -> HermitianOperator
         raise ValidationError("odd localiser needs an odd model")
     if kappa <= 0:
         raise ValidationError("kappa must be positive")
-    return HermitianOperator(odd_block(kappa * model.dirac, model.k_rep))
+    return HermitianOperator(odd_block(kappa * model.dirac.toarray(), model.k_rep.toarray()))
 
 
 def validate_infinite_regime(
@@ -315,9 +320,11 @@ class TruncatedLocaliser:
 
 
 def _resolve_eigensystem(dirac, eigensystem):
+    # the dense reference path: a model's sparse eigenvectors are densified
     if eigensystem is not None:
-        return eigensystem
-    d = HermitianOperator(np.asarray(dirac)) if not isinstance(dirac, HermitianOperator) else dirac
+        w, v = eigensystem
+        return w, v.toarray() if sp.issparse(v) else v
+    d = dirac if isinstance(dirac, HermitianOperator) else HermitianOperator(dirac)
     w, v = np.linalg.eigh(d.matrix)
     order = np.argsort(w, kind="stable")
     return w[order], v[:, order]
@@ -361,7 +368,7 @@ def truncate(
     BoundaryEigenvalue if an eigenvalue of D sits within eig_sep_tol of
     +/-rho.
     """
-    op_matrix = op.matrix if isinstance(op, HermitianOperator) else np.asarray(op)
+    op_matrix = as_matrix(op)
     w, v = _resolve_eigensystem(dirac, eigensystem)
     mask = window_mask(w, rho, eig_sep_tol)
     basis, doubled = _window_basis(op_matrix, mask, v)
@@ -405,7 +412,7 @@ def complement_block(
     measures the region that stands in for the infinite complement rather
     than the wrap rows of a periodic box.
     """
-    op_matrix = op.matrix if isinstance(op, HermitianOperator) else np.asarray(op)
+    op_matrix = as_matrix(op)
     w, v = _resolve_eigensystem(dirac, eigensystem)
     mask = ~window_mask(w, rho, eig_sep_tol)
     if outer is not None:

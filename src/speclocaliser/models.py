@@ -5,7 +5,10 @@ K that represents the class being paired against it: a Hermitian H for even
 models, an invertible G for odd ones.  Builders return fully validated
 :class:`ModelInstance` objects carrying the containment radius, the interior
 mask used for commutator norms, and the name of the oracle that predicts the
-pairing independently.
+pairing independently.  D, K and D's eigenvector matrix are stored sparse
+(``core.CsrOperator`` for D and K, a CSC array for the eigenvectors) and are
+validated on their nonzeros, so a model costs O(nnz) at any box size; only
+spectral windows are dense.
 
 Three builders are provided:
 
@@ -19,11 +22,13 @@ Three builders are provided:
   block has exact Fredholm index -nu at finite size, with scalar K = +/-1.
 
 Builders attach analytically known eigensystems of D where the structure
-makes them immediate (diagonal or site-block D); the generic dense path is
-used otherwise and the two are interchangeable up to basis choice inside
+makes them immediate (diagonal or site-block D, one or two nonzeros per
+eigenvector); the generic path (a dense ``eigh``, for small models only)
+is used otherwise and the two are interchangeable up to basis choice inside
 degenerate eigenspaces.  ``ModelInstance.window`` compresses K onto a
-spectral window of D in that eigenbasis once per radius; every localiser
-block the pairing reads is assembled from such a window.
+spectral window of D in that eigenbasis once per radius, touching only the
+rows the window's eigenvectors reach; every localiser block the pairing
+reads is assembled from such a window.
 """
 
 from __future__ import annotations
@@ -33,13 +38,16 @@ import math
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg as sla
+import scipy.sparse as sp
 import yaml
 
 from . import mmio
 from .core import (
+    CsrOperator,
     HermitianOperator,
     commutator_norm,
+    hermitian_csr,
+    max_abs_entry,
     odd_block,
     operator_norm,
     singular_gap,
@@ -90,26 +98,31 @@ def _stable_order(w: np.ndarray) -> np.ndarray:
     return np.argsort(w, kind="stable")
 
 
+def _graded_defect(m: sp.sparray, grading: np.ndarray, same_sector: bool) -> float:
+    """Largest stored entry of m between equal (or unequal) grading sectors."""
+    coo = m.tocoo()
+    sel = (grading[coo.row] == grading[coo.col]) == same_sector
+    return float(np.max(np.abs(coo.data[sel]), initial=0.0))
+
+
 @dataclasses.dataclass(eq=False)
 class GradedOperator:
-    """A Hermitian matrix anticommuting with a diagonal +/-1 grading."""
+    """A Hermitian matrix anticommuting with a diagonal +/-1 grading, stored CSR."""
 
-    matrix: np.ndarray
+    matrix: CsrOperator
     grading: np.ndarray
     odd_tol_factor: float = 1e-12
 
     def __post_init__(self):
-        h = HermitianOperator(self.matrix)
-        self.matrix = h.matrix
+        self.matrix = hermitian_csr(self.matrix)
         g = np.asarray(self.grading)
-        if g.shape != (h.dim,):
+        if g.shape != (self.dim,):
             raise DimensionMismatch("grading length does not match matrix dimension")
         if not np.all(np.isin(g, (-1, 1))):
             raise ValidationError("grading entries must be +1 or -1")
         self.grading = g.astype(np.int8)
-        same = np.equal.outer(self.grading, self.grading)
-        scale = max(float(np.max(np.abs(self.matrix))), 1.0)
-        defect = float(np.max(np.abs(self.matrix[same]))) if same.any() else 0.0
+        scale = max(max_abs_entry(self.matrix), 1.0)
+        defect = _graded_defect(self.matrix, self.grading, same_sector=True)
         if defect > self.odd_tol_factor * scale:
             raise ValidationError(
                 "matrix does not anticommute with the grading: "
@@ -129,9 +142,9 @@ class GradedOperator:
         return np.flatnonzero(self.grading == -1)
 
     @property
-    def block_plus(self) -> np.ndarray:
-        """The block mapping the +1 sector into the -1 sector."""
-        return self.matrix[np.ix_(self.minus_index, self.plus_index)]
+    def block_plus(self) -> sp.csr_array:
+        """The block mapping the +1 sector into the -1 sector (sparse)."""
+        return self.matrix[self.minus_index][:, self.plus_index]
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -177,9 +190,9 @@ class ModelInstance:
 
     kind: str
     parity: str
-    dirac: np.ndarray
+    dirac: CsrOperator
     grading: np.ndarray | None
-    k_rep: np.ndarray
+    k_rep: CsrOperator
     containment_radius: float
     oracle_ref: str
     params: dict
@@ -192,7 +205,7 @@ class ModelInstance:
         if self.parity == "odd":
             if self.grading is not None:
                 raise ValidationError("odd models carry no grading")
-            self.dirac = HermitianOperator(self.dirac).matrix
+            self.dirac = hermitian_csr(self.dirac)
         else:
             if self.grading is None:
                 raise ValidationError("even models need a grading")
@@ -200,19 +213,19 @@ class ModelInstance:
             graded = GradedOperator(self.dirac, self.grading)
             self.cache["graded"] = graded
             self.dirac, self.grading = graded.matrix, graded.grading
-        self.k_rep = np.asarray(self.k_rep, dtype=np.complex128)
-        if self.k_rep.shape != self.dirac.shape:
+        if np.shape(self.k_rep) != self.dirac.shape:
             raise DimensionMismatch("D and K must act on the same space")
         if self.parity == "even":
-            HermitianOperator(self.k_rep)
+            self.k_rep = hermitian_csr(self.k_rep)
             # K must commute with the grading: its inter-sector block vanishes
-            cross = self.k_rep[np.ix_(self.grading == 1, self.grading == -1)]
-            defect = float(np.max(np.abs(cross))) if cross.size else 0.0
+            defect = _graded_defect(self.k_rep, self.grading, same_sector=False)
             # relative to max(|K|, 1); the scale is only read past the floor
-            if defect > 1e-12 and defect > 1e-12 * float(np.max(np.abs(self.k_rep))):
+            if defect > 1e-12 and defect > 1e-12 * max_abs_entry(self.k_rep):
                 raise ValidationError(
                     "K does not commute with the grading (defect %.3e)" % defect
                 )
+        else:
+            self.k_rep = CsrOperator(self.k_rep, dtype=np.complex128)
         self.interior_mask = np.asarray(self.interior_mask, dtype=bool)
         if self.interior_mask.shape != (self.dim,):
             raise DimensionMismatch("interior mask length does not match dimension")
@@ -231,12 +244,16 @@ class ModelInstance:
             raise ValidationError("model has no grading")
         return self.cache["graded"]
 
-    def dirac_eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (ascending, stable ties) and eigenvector columns of D."""
+    def dirac_eigensystem(self) -> tuple[np.ndarray, sp.csc_array]:
+        """Eigenvalues (ascending, stable ties) and eigenvector columns of D.
+
+        The eigenvectors are a CSC array; builders attach closed forms, and
+        other models fall back to a dense eigh, stored the same way.
+        """
         if "eigensystem" not in self.cache:
-            w, v = np.linalg.eigh(self.dirac)
+            w, v = np.linalg.eigh(self.dirac.toarray())
             order = _stable_order(w)
-            self.cache["eigensystem"] = (w[order], v[:, order])
+            self.cache["eigensystem"] = (w[order], sp.csc_array(v[:, order]))
         return self.cache["eigensystem"]
 
     def window(self, rho: float) -> Window:
@@ -268,20 +285,19 @@ class ModelInstance:
         cols = v[:, index]
         # only rows in the support of the window's eigenvectors contribute;
         # closed-form eigensystems make that support as small as the window
-        rows = np.flatnonzero(np.any(cols, axis=1))
+        rows = np.unique(cols.indices)
         cols = cols[rows]
-        k_sub = self.k_rep if rows.size == self.dim else self.k_rep[np.ix_(rows, rows)]
-        k_cols = k_sub @ cols
+        k_sub = self.k_rep[rows][:, rows]
         if self.parity == "even":
-            k_part = (self.grading[rows, None] * cols).conj().T @ k_cols
+            k_sub = sp.diags_array(self.grading[rows].astype(np.float64)) @ k_sub
+        k_part = (cols.conj().T @ (k_sub @ cols)).toarray()
+        if self.parity == "even":
             k_part = (k_part + k_part.conj().T) / 2.0
-        else:
-            k_part = cols.conj().T @ k_cols
         return Window(index, w[index], k_part, radius, self.parity == "odd")
 
     def k_norm(self) -> float:
         if "k_norm" not in self.cache:
-            self.cache["k_norm"] = operator_norm(self.k_rep)
+            self.cache["k_norm"] = operator_norm(self.k_rep.toarray())
         return self.cache["k_norm"]
 
     def k_gap(self) -> float:
@@ -290,7 +306,7 @@ class ModelInstance:
             if self.parity == "even":
                 self.cache["k_gap"] = spectral_gap(HermitianOperator(self.k_rep))
             else:
-                self.cache["k_gap"] = singular_gap(self.k_rep)
+                self.cache["k_gap"] = singular_gap(self.k_rep.toarray())
         return self.cache["k_gap"]
 
     def dirac_commutator(self) -> float:
@@ -341,6 +357,12 @@ def circle_symbol_values(symbol, thetas: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _cyclic_shift(n: int, k: int) -> sp.csr_array:
+    """S^k on n sites: e_j -> e_{j+k mod n}."""
+    j = np.arange(n)
+    return sp.csr_array((np.ones(n), ((j + k) % n, j)), shape=(n, n))
+
+
 def build_circle_model(modes: int, symbol, offset: float = 0.0) -> ModelInstance:
     """Odd model on Fourier modes n in [-M, M].
 
@@ -356,12 +378,8 @@ def build_circle_model(modes: int, symbol, offset: float = 0.0) -> ModelInstance
     dim = 2 * modes + 1
     n = np.arange(-modes, modes + 1)
     dvals = (n + float(offset)).astype(complex)
-    dirac = np.diag(dvals)
-
-    eye = np.eye(dim, dtype=complex)
-    g = np.zeros((dim, dim), dtype=complex)
-    for k, c in coeffs.items():
-        g += c * np.roll(eye, k, axis=0)  # S^k: e_j -> e_{j+k} (cyclic)
+    dirac = sp.diags_array(dvals, format="csr")
+    g = sum(c * _cyclic_shift(dim, k) for k, c in coeffs.items())
 
     thetas = 2.0 * np.pi * np.arange(dim) / dim
     eigs = circle_symbol_values(coeffs, thetas)
@@ -396,7 +414,11 @@ def build_circle_model(modes: int, symbol, offset: float = 0.0) -> ModelInstance
         interior_mask=interior,
     )
     order = _stable_order(dvals.real)
-    model.cache["eigensystem"] = (dvals.real[order], eye[:, order])
+    # the coordinate basis, columns in eigenvalue order
+    eigvecs = sp.csc_array(
+        (np.ones(dim, dtype=complex), order, np.arange(dim + 1)), shape=(dim, dim)
+    )
+    model.cache["eigensystem"] = (dvals.real[order], eigvecs)
     # circulant G is normal; norm and gap come from the symbol on the grid
     model.cache["k_norm"] = max_eig
     model.cache["k_gap"] = min_eig
@@ -471,25 +493,25 @@ def build_qwz_model(
     x1 = np.repeat(coords, side)
     x2 = np.tile(coords, side)
 
-    roll = np.roll(np.eye(side), 1, axis=0)  # e_x -> e_{x+1} (periodic)
-    r1 = np.kron(roll, np.eye(side))
-    r2 = np.kron(np.eye(side), roll)
+    roll = _cyclic_shift(side, 1)  # e_x -> e_{x+1} (periodic)
+    r1 = sp.kron(roll, sp.eye_array(side))
+    r2 = sp.kron(sp.eye_array(side), roll)
     a1 = (sz - 1j * sx) / 2.0
     a2 = (sz - 1j * sy) / 2.0
     h_int = (
-        np.kron(r1, a1)
-        + np.kron(r1.T, a1.conj().T)
-        + np.kron(r2, a2)
-        + np.kron(r2.T, a2.conj().T)
-        + mass * np.kron(np.eye(n_sites), sz)
+        sp.kron(r1, a1)
+        + sp.kron(r1.T, a1.conj().T)
+        + sp.kron(r2, a2)
+        + sp.kron(r2.T, a2.conj().T)
+        + mass * sp.kron(sp.eye_array(n_sites), sz)
     )
-    k_rep = np.kron(h_int, np.eye(2))
+    k_rep = sp.kron(h_int, sp.eye_array(2), format="csr")
 
     o = 0.5 if offset == "half_integer" else 0.0
     z = (x1 - o) + 1j * (x2 - o)
     zdiag = np.repeat(z, 2)  # one dirac block per (site, internal) pair
     lower = np.array([[0, 0], [1, 0]], dtype=complex)
-    dirac = np.kron(np.diag(zdiag), lower)
+    dirac = sp.kron(sp.diags_array(zdiag), lower, format="csr")
     dirac = dirac + dirac.conj().T
 
     dim = 4 * n_sites
@@ -519,33 +541,34 @@ def build_qwz_model(
     return model
 
 
-def _qwz_eigensystem(zdiag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _qwz_eigensystem(zdiag: np.ndarray) -> tuple[np.ndarray, sp.csc_array]:
     """Closed-form eigensystem of the site-block Dirac matrix.
 
     Per dirac block [[0, zbar], [z, 0]]: eigenvalues -/+|z| with eigenvectors
-    (1, -/+ z/|z|)/sqrt(2); a zero block keeps the coordinate basis.
+    (1, -/+ z/|z|)/sqrt(2); a zero block keeps the coordinate basis.  Every
+    eigenvector lives on its block's two rows, so the CSC array stores two
+    entries per column.
     """
-    nblocks = zdiag.shape[0]
-    dim = 2 * nblocks
+    dim = 2 * zdiag.shape[0]
     r = np.abs(zdiag)
-    w = np.empty(dim)
-    v = np.zeros((dim, dim), dtype=complex)
+    zero = r == 0.0
+    phase = zdiag / np.where(zero, 1.0, r)
     inv = 1.0 / np.sqrt(2.0)
-    for b in range(nblocks):
-        i0, i1 = 2 * b, 2 * b + 1
-        if r[b] == 0.0:
-            w[i0], w[i1] = 0.0, 0.0
-            v[i0, i0] = 1.0
-            v[i1, i1] = 1.0
-        else:
-            phase = zdiag[b] / r[b]
-            w[i0], w[i1] = -r[b], r[b]
-            v[i0, i0] = inv
-            v[i1, i0] = -inv * phase
-            v[i0, i1] = inv
-            v[i1, i1] = inv * phase
+    w = np.stack([np.where(zero, 0.0, -r), r], axis=1).ravel()
+    # entries (top row, bottom row) of the -|z| and the +|z| eigenvector
+    top_minus = np.where(zero, 1.0, inv)
+    bot_minus = np.where(zero, 0.0, -inv * phase)
+    top_plus = np.where(zero, 0.0, inv)
+    bot_plus = np.where(zero, 1.0, inv * phase)
+    values = np.stack([top_minus, bot_minus, top_plus, bot_plus], axis=1).reshape(dim, 2)
+    rows = np.repeat(np.arange(0, dim, 2), 2)[:, None] + np.array([0, 1])
     order = _stable_order(w)
-    return w[order], v[:, order]
+    v = sp.csc_array(
+        (values[order].ravel(), rows[order].ravel(), np.arange(0, 2 * dim + 1, 2)),
+        shape=(dim, dim),
+    )
+    v.eliminate_zeros()
+    return w[order], v
 
 
 # ---------------------------------------------------------------------------
@@ -571,16 +594,17 @@ def build_weighted_shift_dirac(sites: int, nu: int = 1, sign: int = 1) -> ModelI
 
     npl, nmi = n_sites + 1, n_sites + 2
     copy_dim = npl + nmi
-    block = np.zeros((copy_dim, copy_dim), dtype=complex)
-    for n in range(n_sites + 1):
-        block[npl + n + 1, n] = n + 1  # e_n -> (n+1) f_{n+1}
+    n = np.arange(n_sites + 1)
+    block = sp.csr_array(
+        ((n + 1).astype(complex), (npl + n + 1, n)), shape=(copy_dim, copy_dim)
+    )  # e_n -> (n+1) f_{n+1}
     block = block + block.conj().T
     copy_grading = np.concatenate([np.ones(npl), -np.ones(nmi)]).astype(np.int8)
 
-    dirac = sla.block_diag(*([block] * nu))
+    dirac = sp.block_diag([block] * nu, format="csr")
     grading = np.tile(copy_grading, nu)
     dim = nu * copy_dim
-    k_rep = float(sign) * np.eye(dim, dtype=complex)
+    k_rep = float(sign) * sp.eye_array(dim, dtype=complex, format="csr")
 
     containment = float(n_sites - _SAFETY_MARGIN)
     model = ModelInstance(
@@ -631,8 +655,10 @@ def save_model(model: ModelInstance, directory) -> Path:
     """Write a manifest plus full-precision matrix files; returns the manifest path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    mmio.write_matrix(directory / "dirac.mtx", model.dirac, comment="position operator")
-    mmio.write_matrix(directory / "k_rep.mtx", model.k_rep, comment="class representative")
+    mmio.write_matrix(directory / "dirac.mtx", model.dirac.toarray(), comment="position operator")
+    mmio.write_matrix(
+        directory / "k_rep.mtx", model.k_rep.toarray(), comment="class representative"
+    )
     doc = {
         "schema": 1,
         "kind": model.kind,

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
-from .core import EIG_SEP_TOL, window_mask
+from .core import EIG_SEP_TOL, as_matrix, window_mask
 from .errors import (
     AmbiguousKernel,
     BoundaryEigenvalue,
@@ -102,18 +103,17 @@ def chern_number_fhs(
     return int(nearest)
 
 
-def _sector_radii(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sector_radii(gram: sp.sparray) -> tuple[np.ndarray, np.ndarray | None]:
     """|D| eigenvalues and eigenvectors within one grading sector.
 
-    gram is the sector block of D^2.  Site-diagonal models make it exactly
-    diagonal, in which case the eigensystem is immediate.
+    gram is the (sparse) sector block of D^2.  Site-diagonal models make it
+    exactly diagonal; the eigenvectors are then the coordinate basis,
+    returned as None.  Otherwise a dense eigh supplies them.
     """
-    n = gram.shape[0]
-    if not np.any(gram - np.diag(np.diagonal(gram))):
-        lam = np.diagonal(gram).real.copy()
-        vecs = np.eye(n, dtype=complex)
-    else:
-        lam, vecs = np.linalg.eigh(gram)
+    coo = gram.tocoo()
+    if not np.any(coo.data[coo.row != coo.col]):
+        return np.sqrt(np.clip(gram.diagonal().real, 0.0, None)), None
+    lam, vecs = np.linalg.eigh(gram.toarray())
     return np.sqrt(np.clip(lam, 0.0, None)), vecs
 
 
@@ -130,22 +130,23 @@ def fredholm_index_graded(
     those of D), so one sector may be empty but not both.
 
     Kernel dimensions are column counts minus ranks from singular values of
-    the window-restricted block.  Singular values inside the ambiguity decade
-    [tol/10, 10*tol] raise AmbiguousKernel; counting them either way would be
-    a silent guess.
+    the window-restricted block, the only part densified.  Singular values
+    inside the ambiguity decade [tol/10, 10*tol] raise AmbiguousKernel;
+    counting them either way would be a silent guess.
     """
     dplus = graded.block_plus
     if rho_window is None:
-        a = dplus
-        n_cols, n_rows = a.shape[1], a.shape[0]
+        a = dplus.toarray()
     else:
         r_plus, v_plus = _sector_radii(dplus.conj().T @ dplus)
         r_minus, v_minus = _sector_radii(dplus @ dplus.conj().T)
         keep = window_mask(np.concatenate([r_plus, r_minus]), rho_window, eig_sep_tol)
-        basis_plus = v_plus[:, keep[: r_plus.size]]
-        basis_minus = v_minus[:, keep[r_plus.size :]]
-        a = basis_minus.conj().T @ dplus @ basis_plus
-        n_cols, n_rows = basis_plus.shape[1], basis_minus.shape[1]
+        keep_plus, keep_minus = keep[: r_plus.size], keep[r_plus.size :]
+        # a coordinate basis selects by index, an eigenbasis is applied
+        a = dplus[keep_minus] if v_minus is None else v_minus[:, keep_minus].conj().T @ dplus
+        a = a[:, keep_plus] if v_plus is None else a @ v_plus[:, keep_plus]
+        a = a.toarray() if sp.issparse(a) else a
+    n_rows, n_cols = a.shape
 
     s = sla.svdvals(a) if min(a.shape) else np.array([])
     scale = float(s[0]) if s.size else 1.0
@@ -218,8 +219,7 @@ def toeplitz_index(
     defect = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
     if defect > 1e-10:
         raise NonUnitary("u fails unitarity by %.3e" % defect)
-    dm = np.asarray(dirac.matrix if hasattr(dirac, "matrix") else dirac)
-    w, v = np.linalg.eigh(dm)
+    w, v = np.linalg.eigh(as_matrix(getattr(dirac, "matrix", dirac)))
     first = _toeplitz_count(w, v, u, window, margin, tol, zero_tol, eig_sep_tol)
     second = _toeplitz_count(w, v, u, window - 2.0, margin, tol, zero_tol, eig_sep_tol)
     if first != second:

@@ -266,10 +266,6 @@ class VerifySession:
                     record["sf_" + chi.name] = flow.value
                     record["ends_" + chi.name] = ends
                 entries.append(record)
-            if not self.quick and "c4" in self._artifacts:
-                # the Chern models cost ~300 MB each; criteria 7-8 only
-                # need their recorded values, so drop the matrices now
-                self._artifacts["c4"]["models"] = None
             return {"entries": entries}
 
         return self._artifact("c6_entries", build)["entries"]

@@ -227,7 +227,7 @@ class TestGapsAndNorms:
             build_qwz_model(box=9, mass=1.0, offset="integer"),
             build_weighted_shift_dirac(40, nu=2),
         ]
-        cases = [(m.dirac, m.k_rep, m.interior_mask) for m in models]
+        cases = [(m.dirac.toarray(), m.k_rep.toarray(), m.interior_mask) for m in models]
         # a non-Hermitian X takes the singular-value route
         rng = np.random.default_rng(7)
         x = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))

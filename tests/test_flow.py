@@ -120,8 +120,8 @@ class TestSuspensions:
         susp = suspension_even(qwz9, kappa, num=9)
         gamma_diag = np.diag(qwz9.grading.astype(float))
         start = susp.sample(-1.0)
-        assert np.allclose(start, kappa * qwz9.dirac - gamma_diag, atol=1e-13)
-        assert np.allclose(susp.sample(0.0), kappa * qwz9.dirac, atol=1e-13)
+        assert np.allclose(start, kappa * qwz9.dirac.toarray() - gamma_diag, atol=1e-13)
+        assert np.allclose(susp.sample(0.0), kappa * qwz9.dirac.toarray(), atol=1e-13)
         end = susp.sample(1.0)
         assert np.allclose(end, build_even_localiser(qwz9, kappa).matrix, atol=1e-13)
 
@@ -131,7 +131,7 @@ class TestSuspensions:
         d = circle40.dim
         start = susp.sample(-1.0)
         assert np.allclose(start[:d, d:], np.eye(d), atol=1e-13)
-        assert np.allclose(start[:d, :d], kappa * circle40.dirac, atol=1e-13)
+        assert np.allclose(start[:d, :d], kappa * circle40.dirac.toarray(), atol=1e-13)
         end = susp.sample(1.0)
         assert np.allclose(end, build_odd_localiser(circle40, kappa).matrix, atol=1e-13)
 

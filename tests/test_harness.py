@@ -50,7 +50,7 @@ class TestModelSpecs:
         save_model(shift40, tmp_path / "m")
         model = parse_model_spec(str(tmp_path / "m"))
         assert model.kind == "weighted_shift"
-        assert np.array_equal(model.dirac, shift40.dirac)
+        assert np.array_equal(model.dirac.toarray(), shift40.dirac.toarray())
 
     @pytest.mark.parametrize(
         "bad",

@@ -36,7 +36,7 @@ class TestAssembly:
     def test_even_localiser_entrywise(self, qwz9):
         loc = build_even_localiser(qwz9, 0.5)
         gamma = qwz9.grading.astype(float)
-        expected = 0.5 * qwz9.dirac + gamma[:, None] * qwz9.k_rep
+        expected = 0.5 * qwz9.dirac.toarray() + gamma[:, None] * qwz9.k_rep.toarray()
         assert np.allclose(loc.matrix, expected, atol=1e-14)
         assert loc.dim == qwz9.dim
 
@@ -45,9 +45,9 @@ class TestAssembly:
         loc = build_odd_localiser(circle40, kappa)
         d = circle40.dim
         assert loc.dim == 2 * d
-        assert np.allclose(loc.matrix[:d, :d], kappa * circle40.dirac, atol=1e-14)
-        assert np.allclose(loc.matrix[d:, d:], -kappa * circle40.dirac, atol=1e-14)
-        assert np.allclose(loc.matrix[:d, d:], circle40.k_rep, atol=1e-14)
+        assert np.allclose(loc.matrix[:d, :d], kappa * circle40.dirac.toarray(), atol=1e-14)
+        assert np.allclose(loc.matrix[d:, d:], -kappa * circle40.dirac.toarray(), atol=1e-14)
+        assert np.allclose(loc.matrix[:d, d:], circle40.k_rep.toarray(), atol=1e-14)
 
     def test_identity_symbol_spectrum_in_closed_form(self):
         # G = I makes every 2x2 momentum block [[kn, 1], [1, -kn]]
@@ -225,7 +225,7 @@ class TestWindowBlocks:
         even = model.parity == "even"
         eigensystem = model.dirac_eigensystem()
         w, v = eigensystem
-        cols = v[:, np.abs(w) <= model.containment_radius + 1e-9]
+        cols = v.toarray()[:, np.abs(w) <= model.containment_radius + 1e-9]
         outer_basis = cols if even else sla.block_diag(cols, cols)
         outer = model.containment_window()
         for kappa in kappas:

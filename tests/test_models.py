@@ -1,15 +1,19 @@
 """Model builders: structural contracts and the lattice facts the pairings rest on."""
 
 import collections
+import pickle
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
 from speclocaliser import (
     ContainmentViolation,
     GaplessMass,
     GradedOperator,
+    LocaliserParams,
     ModelInstance,
     ValidationError,
     build_circle_model,
@@ -17,12 +21,16 @@ from speclocaliser import (
     build_weighted_shift_dirac,
     inertia,
     load_model,
+    oracle_pairing,
+    pairing,
     qwz_bloch_gap,
     qwz_box_bloch_gap,
     save_model,
     suggest_box,
 )
+from speclocaliser.core import DENSE_DIM_LIMIT
 from speclocaliser.errors import FormatError, SingularSymbol
+from speclocaliser.models import sx, sy, sz
 
 
 class TestCircleModel:
@@ -56,7 +64,7 @@ class TestCircleModel:
 
     def test_dirac_spectrum_is_shifted_integers(self):
         model = build_circle_model(10, {1: 1.0}, offset=0.25)
-        evals = np.sort(np.linalg.eigvalsh(model.dirac))
+        evals = np.sort(np.linalg.eigvalsh(model.dirac.toarray()))
         assert np.allclose(evals, np.arange(-10, 11) + 0.25, atol=1e-12)
 
 
@@ -64,7 +72,7 @@ class TestQwzModel:
     def test_box_gap_matches_bloch_oracle(self, qwz9):
         # build_qwz_model reads K's gap and norm off the Bloch symbol on the box
         # momenta; check both against K's own spectrum
-        w = np.abs(np.linalg.eigvalsh(qwz9.k_rep))
+        w = np.abs(np.linalg.eigvalsh(qwz9.k_rep.toarray()))
         assert qwz9.k_gap() == pytest.approx(w.min(), rel=1e-9)
         assert qwz9.k_norm() == pytest.approx(w.max(), rel=1e-9)
         assert qwz9.k_gap() == pytest.approx(qwz_box_bloch_gap(1.0, 2 * 9 + 1), rel=1e-9)
@@ -113,7 +121,7 @@ class TestQwzModel:
         # z = 0 at the central site; the internal factor doubles the kernel
         model = build_qwz_model(4, 1.0, offset="integer")
         graded = GradedOperator(model.dirac, model.grading)
-        sv = np.sort(np.linalg.svd(graded.block_plus, compute_uv=False))
+        sv = np.sort(np.linalg.svd(graded.block_plus.toarray(), compute_uv=False))
         assert np.allclose(sv[:2], 0.0, atol=1e-12)
         assert sv[2] > 0.5
 
@@ -123,7 +131,7 @@ class TestQwzModel:
 
     def test_half_integer_offset_position_invertible(self, qwz9):
         graded = GradedOperator(qwz9.dirac, qwz9.grading)
-        sv = np.linalg.svd(graded.block_plus, compute_uv=False)
+        sv = np.linalg.svd(graded.block_plus.toarray(), compute_uv=False)
         assert np.min(sv) > 0.5
 
     def test_dimensions_and_containment(self, qwz9):
@@ -135,7 +143,7 @@ class TestShiftModel:
     @pytest.mark.parametrize("nu", [1, 2, 3])
     def test_kernel_carries_negative_grading(self, nu):
         model = build_weighted_shift_dirac(12, nu=nu, sign=1)
-        evals, vecs = np.linalg.eigh(model.dirac)
+        evals, vecs = np.linalg.eigh(model.dirac.toarray())
         kernel = vecs[:, np.abs(evals) < 1e-9]
         assert kernel.shape[1] == nu
         compressed = kernel.conj().T @ np.diag(model.grading.astype(float)) @ kernel
@@ -143,7 +151,7 @@ class TestShiftModel:
         assert (counts.n_pos, counts.n_neg, counts.n_zero) == (0, nu, 0)
 
     def test_window_multiplicities(self, shift40):
-        evals = np.linalg.eigvalsh(shift40.dirac)
+        evals = np.linalg.eigvalsh(shift40.dirac.toarray())
         window = np.abs(evals[np.abs(evals) <= 10.5])
         counts = collections.Counter(np.round(window).astype(int))
         assert counts[0] == 1
@@ -152,9 +160,9 @@ class TestShiftModel:
     def test_sign_scales_class_representative(self):
         plus = build_weighted_shift_dirac(8, nu=1, sign=1)
         minus = build_weighted_shift_dirac(8, nu=1, sign=-1)
-        assert np.array_equal(plus.k_rep, -minus.k_rep)
+        assert np.array_equal(plus.k_rep.toarray(), -minus.k_rep.toarray())
         assert np.array_equal(plus.grading, minus.grading)
-        assert np.array_equal(plus.dirac, minus.dirac)
+        assert np.array_equal(plus.dirac.toarray(), minus.dirac.toarray())
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValidationError):
@@ -183,6 +191,181 @@ class TestGradingContract:
             )
 
 
+    # a valid graded pair on four sites: D swaps the sectors within two
+    # blocks, K = 1 commutes with the grading; every case below breaks one
+    # contract with a single sparse entry pair
+    _grading = np.array([1, -1, 1, -1])
+    _dirac = sp.csr_array(np.kron(np.eye(2), [[0, 1], [1, 0]]).astype(complex))
+    _k_rep = sp.eye_array(4, dtype=complex, format="csr")
+
+    @staticmethod
+    def _entry(i, j, value):
+        return sp.csr_array(([value], ([i], [j])), shape=(4, 4), dtype=complex)
+
+    def _model(self, parity, dirac, k_rep):
+        return ModelInstance(
+            kind="custom",
+            parity=parity,
+            dirac=dirac,
+            grading=self._grading if parity == "even" else None,
+            k_rep=k_rep,
+            containment_radius=1.0,
+            oracle_ref="fredholm_index_graded",
+            params={},
+            interior_mask=np.ones(4, dtype=bool),
+        )
+
+    def test_valid_sparse_pair_builds(self):
+        model = self._model("even", self._dirac, self._k_rep)
+        assert sp.issparse(model.dirac) and sp.issparse(model.k_rep)
+
+    def test_sparse_non_hermitian_dirac_rejected(self):
+        dirac = self._dirac + self._entry(0, 1, 0.5)  # D[0,1] != conj(D[1,0])
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            GradedOperator(dirac, self._grading)
+        for parity in ("even", "odd"):
+            with pytest.raises(ValidationError, match="not Hermitian"):
+                self._model(parity, dirac, self._k_rep)
+
+    def test_sparse_non_hermitian_k_rejected(self):
+        k_rep = self._k_rep + self._entry(0, 2, 0.5)  # within the +1 sector
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            self._model("even", self._dirac, k_rep)
+
+    def test_sparse_k_coupling_the_sectors_rejected(self):
+        k_rep = self._k_rep + self._entry(0, 1, 0.5) + self._entry(1, 0, 0.5)
+        with pytest.raises(ValidationError, match="commute with the grading"):
+            self._model("even", self._dirac, k_rep)
+
+    def test_sparse_dirac_within_a_sector_rejected(self):
+        dirac = self._dirac + self._entry(0, 2, 0.5) + self._entry(2, 0, 0.5)
+        with pytest.raises(ValidationError, match="anticommute"):
+            GradedOperator(dirac, self._grading)
+        with pytest.raises(ValidationError, match="anticommute"):
+            self._model("even", dirac, self._k_rep)
+
+
+def _dense_qwz(box, mass, offset):
+    """The dense construction of D and K that build_qwz_model stores sparse."""
+    side = 2 * box + 1
+    coords = np.arange(-box, box + 1)
+    x1, x2 = np.repeat(coords, side), np.tile(coords, side)
+    roll = np.roll(np.eye(side), 1, axis=0)
+    r1, r2 = np.kron(roll, np.eye(side)), np.kron(np.eye(side), roll)
+    a1, a2 = (sz - 1j * sx) / 2.0, (sz - 1j * sy) / 2.0
+    h_int = (
+        np.kron(r1, a1)
+        + np.kron(r1.T, a1.conj().T)
+        + np.kron(r2, a2)
+        + np.kron(r2.T, a2.conj().T)
+        + mass * np.kron(np.eye(side * side), sz)
+    )
+    o = 0.5 if offset == "half_integer" else 0.0
+    zdiag = np.repeat((x1 - o) + 1j * (x2 - o), 2)
+    dirac = np.kron(np.diag(zdiag), np.array([[0, 0], [1, 0]], dtype=complex))
+    return dirac + dirac.conj().T, np.kron(h_int, np.eye(2)), zdiag
+
+
+def _dense_qwz_eigensystem(zdiag):
+    """The per-block loop the vectorised closed form replaced."""
+    dim = 2 * zdiag.size
+    w, v = np.empty(dim), np.zeros((dim, dim), dtype=complex)
+    inv = 1.0 / np.sqrt(2.0)
+    radii = np.abs(zdiag)
+    for b, (z, r) in enumerate(zip(zdiag, radii)):
+        i0, i1 = 2 * b, 2 * b + 1
+        if r == 0.0:
+            w[i0], w[i1] = 0.0, 0.0
+            v[i0, i0] = v[i1, i1] = 1.0
+        else:
+            phase = z / r
+            w[i0], w[i1] = -r, r
+            v[i0, i0], v[i1, i0] = inv, -inv * phase
+            v[i0, i1], v[i1, i1] = inv, inv * phase
+    order = np.argsort(w, kind="stable")
+    return w[order], v[:, order]
+
+
+def _dense_circle(modes, symbol, offset=0.0):
+    dim = 2 * modes + 1
+    eye = np.eye(dim, dtype=complex)
+    g = np.zeros((dim, dim), dtype=complex)
+    for k, c in symbol.items():
+        g += c * np.roll(eye, k, axis=0)
+    return np.diag((np.arange(-modes, modes + 1) + offset).astype(complex)), g
+
+
+def _dense_shift(sites, nu, sign=1):
+    npl, nmi = sites + 1, sites + 2
+    block = np.zeros((npl + nmi, npl + nmi), dtype=complex)
+    for n in range(sites + 1):
+        block[npl + n + 1, n] = n + 1
+    block = block + block.conj().T
+    dim = nu * (npl + nmi)
+    return sla.block_diag(*([block] * nu)), float(sign) * np.eye(dim, dtype=complex)
+
+
+_SPARSE_CASES = [
+    ("qwz box 4", lambda: build_qwz_model(4, 1.0), lambda: _dense_qwz(4, 1.0, "half_integer")[:2]),
+    ("qwz box 4 integer", lambda: build_qwz_model(4, -1.0, offset="integer"),
+     lambda: _dense_qwz(4, -1.0, "integer")[:2]),
+    ("qwz box 9", lambda: build_qwz_model(9, 1.0), lambda: _dense_qwz(9, 1.0, "half_integer")[:2]),
+    ("qwz box 9 integer", lambda: build_qwz_model(9, 1.0, offset="integer"),
+     lambda: _dense_qwz(9, 1.0, "integer")[:2]),
+    ("circle 40", lambda: build_circle_model(40, {0: 0.5, 1: 1.0}),
+     lambda: _dense_circle(40, {0: 0.5, 1: 1.0})),
+    ("circle 40 offset", lambda: build_circle_model(40, {-2: 1.0, 0: 0.3, 1: 0.2j}, offset=0.25),
+     lambda: _dense_circle(40, {-2: 1.0, 0: 0.3, 1: 0.2j}, offset=0.25)),
+    ("shift 40 nu=2", lambda: build_weighted_shift_dirac(40, nu=2),
+     lambda: _dense_shift(40, 2)),
+]
+
+
+class TestSparseStorage:
+    """Models are stored sparse; every builder matches its dense construction."""
+
+    @pytest.mark.parametrize("name,build,dense", _SPARSE_CASES, ids=[c[0] for c in _SPARSE_CASES])
+    def test_builder_matches_dense_construction(self, name, build, dense):
+        model = build()
+        dirac, k_rep = dense()
+        assert sp.issparse(model.dirac) and sp.issparse(model.k_rep)
+        assert np.array_equal(model.dirac.toarray(), dirac)
+        assert np.array_equal(model.k_rep.toarray(), k_rep)
+
+    @pytest.mark.parametrize("name,build,dense", _SPARSE_CASES, ids=[c[0] for c in _SPARSE_CASES])
+    def test_eigensystem_diagonalises_dirac(self, name, build, dense):
+        model = build()
+        w, v = model.dirac_eigensystem()
+        assert sp.issparse(v)
+        v = v.toarray()
+        assert np.all(np.diff(w) >= 0)
+        assert np.max(np.abs(v.conj().T @ v - np.eye(model.dim))) <= 1e-12
+        assert np.max(np.abs((v * w) @ v.conj().T - dense()[0])) <= 1e-12
+
+    @pytest.mark.parametrize("offset", ["half_integer", "integer"])
+    def test_qwz_eigensystem_equals_blockwise_loop(self, offset):
+        model = build_qwz_model(9, 1.0, offset=offset)
+        w_ref, v_ref = _dense_qwz_eigensystem(_dense_qwz(9, 1.0, offset)[2])
+        w, v = model.dirac_eigensystem()
+        assert np.array_equal(w, w_ref)
+        assert np.array_equal(v.toarray(), v_ref)
+        # two stored entries per eigenvector, fewer only on a zero block
+        assert v.nnz <= 2 * model.dim
+
+    def test_model_beyond_the_dense_limit(self):
+        # dim 14,884: one dense copy of D would take 3.5 GB; only the
+        # |D| <= 6.5 window is ever densified
+        model = build_qwz_model(30, 1.0)
+        assert model.dim == 4 * 61 * 61 > DENSE_DIM_LIMIT
+        res = pairing(model, LocaliserParams(1.0, 6.5), certificates=False)
+        assert res.dim_trunc < DENSE_DIM_LIMIT
+        assert res.pairing == oracle_pairing(model)
+
+    def test_model_pickles_small(self):
+        # the sweep pool ships the model to every worker; dense it was ~64 MB
+        assert len(pickle.dumps(build_qwz_model(8, 1.0))) < 1_000_000
+
+
 class TestSuggestBox:
     @pytest.mark.parametrize(
         "kind,kappa,gap",
@@ -207,8 +390,8 @@ class TestPersistence:
     def test_round_trip_is_bitwise(self, tmp_path, shift40):
         save_model(shift40, tmp_path / "m")
         loaded = load_model(tmp_path / "m")
-        assert np.array_equal(loaded.dirac, shift40.dirac)
-        assert np.array_equal(loaded.k_rep, shift40.k_rep)
+        assert np.array_equal(loaded.dirac.toarray(), shift40.dirac.toarray())
+        assert np.array_equal(loaded.k_rep.toarray(), shift40.k_rep.toarray())
         assert np.array_equal(loaded.grading, shift40.grading)
         assert np.array_equal(loaded.interior_mask, shift40.interior_mask)
         assert loaded.containment_radius == shift40.containment_radius
@@ -217,7 +400,7 @@ class TestPersistence:
     def test_round_trip_even_model(self, tmp_path, qwz9):
         save_model(qwz9, tmp_path / "m")
         loaded = load_model(tmp_path / "m")
-        assert np.array_equal(loaded.dirac, qwz9.dirac)
+        assert np.array_equal(loaded.dirac.toarray(), qwz9.dirac.toarray())
         assert loaded.parity == "even"
 
     def test_tampered_matrix_fails_validation(self, tmp_path, shift40):

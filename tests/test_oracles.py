@@ -107,11 +107,36 @@ class TestBlockIndex:
         model = build_qwz_model(6, 1.0, offset=offset)
         assert fredholm_index_graded(model.graded(), rho_window=5.5) == 0
 
+    @pytest.mark.parametrize(
+        "build,rhos",
+        [
+            (lambda: build_qwz_model(9, 1.0), (3.5, 5.5, 6.5)),
+            (lambda: build_qwz_model(9, 1.0, offset="integer"), (3.5, 5.5, 6.5)),
+            (lambda: build_weighted_shift_dirac(40, nu=2), (0.5, 8.5, 10.5)),
+        ],
+    )
+    def test_windowed_index_matches_dense_svd(self, build, rhos):
+        # reference: dense plus block, dense eigenbases of both sector Grams,
+        # window |D| <= rho, kernel counts from a dense SVD
+        model = build()
+        d = model.dirac.toarray()
+        plus, minus = model.grading == 1, model.grading == -1
+        a = d[np.ix_(minus, plus)]
+        lam_p, v_p = np.linalg.eigh(a.conj().T @ a)
+        lam_m, v_m = np.linalg.eigh(a @ a.conj().T)
+        for rho in rhos:
+            keep_p = np.sqrt(np.clip(lam_p, 0.0, None)) <= rho
+            keep_m = np.sqrt(np.clip(lam_m, 0.0, None)) <= rho
+            s = sla.svdvals(v_m[:, keep_m].conj().T @ a @ v_p[:, keep_p])
+            rank = int(np.sum(s > 1e-6 * max(s[0] if s.size else 1.0, 1.0)))
+            expected = (int(keep_p.sum()) - rank) - (int(keep_m.sum()) - rank)
+            assert fredholm_index_graded(model.graded(), rho_window=rho) == expected
+
     def test_direct_sum_additivity(self):
         s1 = build_weighted_shift_dirac(8, nu=1)
         s2 = build_weighted_shift_dirac(8, nu=2)
         combined = GradedOperator(
-            sla.block_diag(s1.dirac, s2.dirac),
+            sla.block_diag(s1.dirac.toarray(), s2.dirac.toarray()),
             np.concatenate([s1.grading, s2.grading]),
         )
         assert fredholm_index_graded(combined) == -3
