@@ -28,7 +28,9 @@ def main() -> int:
     ap.add_argument("--masses", type=float, nargs="+",
                     default=[-3.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 3.0])
     ap.add_argument("--lean", action="store_true",
-                    help="skip the expensive certificates (recommended for box > 12)")
+                    help="skip the certificates that grow with the box: the "
+                         "containment-window eigensolves and the sparse [D,K] "
+                         "norm (recommended for box > 12)")
     args = ap.parse_args()
 
     params = LocaliserParams(kappa=args.kappa, rho=args.rho)

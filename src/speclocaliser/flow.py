@@ -128,14 +128,6 @@ class OperatorPath:
     def sample(self, t: float) -> np.ndarray:
         return np.asarray(self.evaluate(float(t)), dtype=np.complex128)
 
-    def endpoint_gaps(self) -> tuple[float, float]:
-        """Distance of the endpoint spectra from zero."""
-        gaps = []
-        for t in (self.grid[0], self.grid[-1]):
-            w = np.linalg.eigvalsh(self.sample(t))
-            gaps.append(float(np.min(np.abs(w))))
-        return gaps[0], gaps[1]
-
 
 def line_path(t0, t1, num: int = 33, name: str = "line") -> OperatorPath:
     a = np.asarray(t0.matrix if isinstance(t0, HermitianOperator) else t0, dtype=complex)

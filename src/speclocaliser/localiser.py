@@ -257,8 +257,8 @@ def validate_truncation_params(
     coupling (||K|| < (47/192)^(1/4) sqrt(g kappa rho)) and endpoint
     (max(1, ||K||) < kappa rho).  In strict mode a failed hard certificate
     raises; soft failures never raise.  include_commutator=False drops the
-    kappa_bound certificate, whose commutator norm is the one expensive
-    input on large lattice models; permissive-only.
+    kappa_bound certificate and its sparse Lanczos [D, K] norm, which grows
+    with the box rather than the window; permissive-only.
     """
     g = model.k_gap()
     k_norm = model.k_norm()

@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
     WindowInstability,
 )
-from .models import GradedOperator, circle_symbol_values
+from .models import GradedOperator, _normalize_symbol, circle_symbol_values
 
 __all__ = [
     "winding_number",
@@ -42,8 +42,10 @@ def winding_number(symbol, grid: int = 4096, residue_tol: float = 0.01) -> int:
 
     symbol: finite Fourier coefficients ({k: c}) or a callable returning a
     complex scalar or matrix per theta.  Raises SingularSymbol if the symbol
-    (nearly) vanishes on the grid and ResidueTooLarge if the increment sum is
-    not close to an integer multiple of 2*pi.
+    (nearly) vanishes on the grid, or, for coefficients, if the grid cannot
+    rule out a zero between samples: every theta lies within pi/grid of one,
+    and |g'| <= sum |k| |c_k|.  Raises ResidueTooLarge if the increment sum
+    is not close to an integer multiple of 2*pi.
     """
     thetas = 2.0 * np.pi * np.arange(grid) / grid
     if callable(symbol):
@@ -51,11 +53,14 @@ def winding_number(symbol, grid: int = 4096, residue_tol: float = 0.01) -> int:
         vals = np.array(
             [complex(r) if r.ndim == 0 else complex(np.linalg.det(r)) for r in raw]
         )
+        lipschitz = 0.0
     else:
         vals = circle_symbol_values(symbol, thetas)
+        lipschitz = sum(abs(k) * abs(c) for k, c in _normalize_symbol(symbol).items())
     mags = np.abs(vals)
-    if float(np.min(mags)) <= 1e-12 * max(float(np.max(mags)), 1.0):
-        raise SingularSymbol("symbol vanishes on the sampling grid")
+    floor = max(1e-12 * max(float(np.max(mags)), 1.0), lipschitz * np.pi / grid)
+    if float(np.min(mags)) <= floor:
+        raise SingularSymbol("symbol vanishes on or between the grid samples")
     increments = np.angle(vals[np.r_[1:grid, 0]] / vals)
     total = float(np.sum(increments)) / (2.0 * np.pi)
     nearest = round(total)

@@ -13,6 +13,7 @@ from speclocaliser import (
     LocaliserParams,
     SingularMatrix,
     ValidationError,
+    build_circle_model,
     build_even_localiser,
     build_odd_localiser,
     build_qwz_model,
@@ -216,9 +217,17 @@ class TestGapsAndNorms:
     def test_circle_commutator_interior(self, circle40):
         assert circle40.dirac_commutator() == pytest.approx(1.0, abs=1e-12)
 
-    def test_qwz_commutator_interior_bound(self, qwz9):
-        # hop amplitude 1, coordination 4
-        assert 0.0 < qwz9.dirac_commutator() <= 8.0
+    def test_qwz_commutator_interior_bound(self):
+        # the interior [D, K] compresses the operator with Bloch symbol
+        # d1 h (x) sigma_x + d2 h (x) sigma_y, of norm at most 2, and the
+        # mass term commutes with D: one value for every mass, at most 2
+        for offset in ("half_integer", "integer"):
+            values = [
+                build_qwz_model(box=9, mass=mass, offset=offset).dirac_commutator()
+                for mass in (1.0, -1.0, 3.0, 0.7)
+            ]
+            assert max(values) <= 2.0 * (1.0 + 1e-12)
+            assert values == pytest.approx([values[0]] * len(values), rel=1e-12)
 
     def test_commutator_norm_matches_dense_reference(self, circle40, qwz9):
         models = [
@@ -252,3 +261,66 @@ class TestGapsAndNorms:
         assert spectral_gap(rotated) == pytest.approx(
             spectral_gap(h), rel=1e-10, abs=1e-12
         )
+
+
+def _small_mask_case(rows):
+    rng = np.random.default_rng(rows)
+    x = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    mask = np.zeros(12, dtype=bool)
+    mask[rng.choice(12, rows, replace=False)] = True
+    return random_hermitian(rng, 12), x, mask
+
+
+def _model_case(model):
+    return model.dirac, model.k_rep, model.interior_mask
+
+
+# (D, X, interior mask) triples, built on demand: QWZ boxes where the dense
+# interior norm still runs, odd circle models (non-Hermitian K), a shift
+# model (K = +-I, zero commutator) and masks too small for Lanczos
+_COMMUTATOR_CASES = {
+    **{
+        "qwz%d-%s" % (box, offset): (
+            lambda box=box, offset=offset: _model_case(
+                build_qwz_model(box=box, mass=1.0, offset=offset)
+            )
+        )
+        for box in (8, 10, 12)
+        for offset in ("half_integer", "integer")
+    },
+    **{
+        "circle250-w%d" % w: (
+            lambda w=w: _model_case(build_circle_model(250, {0: 0.5, w: 1.0}))
+        )
+        for w in (1, -1, 2, -2)
+    },
+    "shift40-nu2": lambda: _model_case(build_weighted_shift_dirac(40, nu=2)),
+    **{"mask%d" % rows: (lambda rows=rows: _small_mask_case(rows)) for rows in (1, 2, 3)},
+}
+
+
+class TestLanczosCommutatorNorm:
+    """The Lanczos interior norm against the dense norm it replaced."""
+
+    @pytest.mark.parametrize("case", sorted(_COMMUTATOR_CASES))
+    def test_matches_dense_norm_and_never_undershoots(self, case):
+        d, x, mask = _COMMUTATOR_CASES[case]()
+        dd = d.toarray() if hasattr(d, "toarray") else d
+        xd = x.toarray() if hasattr(x, "toarray") else x
+        expected = float(np.linalg.norm((dd @ xd - xd @ dd)[mask][:, mask], 2))
+        got = commutator_norm(d, x, mask)
+        assert got == pytest.approx(expected, rel=1e-10, abs=0.0)
+        # the kappa_bound cap built on it must never get looser
+        assert got >= expected * (1.0 - 1e-13)
+
+    def test_zero_commutator_is_exactly_zero(self, rng):
+        shift = build_weighted_shift_dirac(40, nu=2)
+        assert commutator_norm(shift.dirac, shift.k_rep, shift.interior_mask) == 0.0
+        x = rng.standard_normal((60, 60))
+        assert commutator_norm(np.eye(60), x) == 0.0
+        assert commutator_norm(np.eye(60), x, np.zeros(60, dtype=bool)) == 0.0
+
+    def test_repeat_calls_are_bit_equal(self):
+        model = build_qwz_model(box=10, mass=1.0)
+        args = (model.dirac, model.k_rep, model.interior_mask)
+        assert commutator_norm(*args) == commutator_norm(*args)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from speclocaliser import (
     GradedOperator,
@@ -60,11 +60,18 @@ class TestWinding:
         with pytest.raises(SingularSymbol):
             winding_number({1: 1.0, 0: -1.0})
 
+    def test_zero_between_grid_samples_rejected(self):
+        # 1 + 2 cos(theta) vanishes at theta = 2 pi/3, off the 4096-point
+        # grid: the grid minimum 8.9e-4 is below the Lipschitz margin 1.5e-3
+        with pytest.raises(SingularSymbol):
+            winding_number({0: 1, -1: 1, 1: 1})
+
     def test_default_grid_resolves_high_windings(self):
         assert winding_number({5: 1.0}) == 5
         assert winding_number({-4: 1.0, 0: 0.3}) == -4
 
     @given(a=_symbol_coeffs, b=_symbol_coeffs)
+    @example(a={0: 1, -1: 1, 1: 1}, b={0: 1, 1: 0.5})
     def test_multiplicativity(self, a, b):
         try:
             wa, wb = winding_number(a), winding_number(b)
