@@ -6,7 +6,6 @@ from .core import (
     Projection,
     commutator_norm,
     inertia,
-    interval_spectral_projection,
     operator_norm,
     positive_spectral_projection,
     signature,
@@ -54,13 +53,9 @@ from .localiser import (
     LocaliserParams,
     PairingResult,
     RegimeCertificate,
-    build_even_localiser,
-    build_odd_localiser,
-    complement_block,
     pairing,
     pairing_even,
     pairing_odd,
-    truncate,
     validate_infinite_regime,
     validate_truncation_params,
 )
@@ -73,9 +68,7 @@ from .models import (
     load_model,
     qwz_bloch,
     qwz_bloch_gap,
-    qwz_box_bloch_gap,
     save_model,
-    suggest_box,
 )
 from .oracles import (
     chern_number_fhs,

@@ -11,10 +11,11 @@ rather than being averaged away.
 Model operators (D, K and D's eigenvectors) are stored sparse, as
 :class:`CsrOperator` arrays validated on their nonzeros by
 ``hermitian_csr``, so a model costs O(nnz) at any size.  Everything else
-here is dense and capped at ``DENSE_DIM_LIMIT`` rows: localiser windows,
-their compressions and the reference helpers, which densify sparse input at
-their entry.  ``commutator_norm`` stays sparse throughout: Lanczos on the
-Gram matrix of the masked commutator, padded by its residual.
+here is dense and capped at ``DENSE_DIM_LIMIT`` rows: the localisers of
+spectral windows, and the inputs of the small-model oracles and flows, which
+densify sparse input at their entry.  ``commutator_norm`` stays sparse
+throughout: Lanczos on the Gram matrix of the masked commutator, padded by
+its residual.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ __all__ = [
     "inertia",
     "signature",
     "positive_spectral_projection",
-    "interval_spectral_projection",
     "window_mask",
     "odd_block",
     "spectral_gap",
@@ -55,8 +55,8 @@ __all__ = [
     "commutator_norm",
 ]
 
-# Caps every dense matrix: windows, their localisers and the dense reference
-# helpers.  Sparse model storage is not capped.
+# Caps every dense matrix: window localisers and the inputs of the dense
+# small-model helpers.  Sparse model storage is not capped.
 DENSE_DIM_LIMIT = 10_000
 
 # Relative defaults.  zero_tol separates "invertible" from "kernel"; herm_tol
@@ -347,14 +347,12 @@ def positive_spectral_projection(op, zero_tol: float | None = None) -> Projectio
     return Projection(cols @ cols.conj().T)
 
 
-def window_mask(
-    w: np.ndarray, rho: float, eig_sep_tol: float = EIG_SEP_TOL, allow_empty: bool = False
-) -> np.ndarray:
+def window_mask(w: np.ndarray, rho: float, eig_sep_tol: float = EIG_SEP_TOL) -> np.ndarray:
     """The spectral window rule: mask of the eigenvalues w with |w| <= rho.
 
     Raises BoundaryEigenvalue if any eigenvalue lies within eig_sep_tol of
     +/-rho, since window membership must be unambiguous, and
-    ValidationError if the window is empty (unless allow_empty).
+    ValidationError if the window is empty.
     """
     dist = np.abs(np.abs(w) - rho)
     if np.any(dist < eig_sep_tol):
@@ -363,24 +361,9 @@ def window_mask(
             % (float(np.min(dist)), rho, eig_sep_tol)
         )
     mask = np.abs(w) <= rho
-    if not (allow_empty or mask.any()):
+    if not mask.any():
         raise ValidationError("empty window at rho=%.6g" % rho)
     return mask
-
-
-def interval_spectral_projection(
-    op, rho: float, eig_sep_tol: float = EIG_SEP_TOL
-) -> Projection:
-    """Spectral projection onto eigenvalues in [-rho, rho] (window_mask rule).
-
-    An empty window gives the zero projection.
-    """
-    if rho < 0:
-        raise ValidationError("rho must be non-negative")
-    h = _hermitian_part(op)
-    w, v = np.linalg.eigh(h.matrix)
-    cols = v[:, window_mask(w, rho, eig_sep_tol, allow_empty=True)]
-    return Projection(cols @ cols.conj().T)
 
 
 def odd_block(d: np.ndarray, g: np.ndarray) -> np.ndarray:

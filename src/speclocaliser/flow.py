@@ -11,10 +11,10 @@ counted either way.
 
 The suspension paths interpolate the localiser between a trivial reference
 and the model's class representative using an admissible cutoff pair
-(chi_minus, chi_plus); truncated variants compress every sample onto the
-|D| <= rho window, which is what the finite-volume pairing theorems are
-about.  Conjugation flow D -> u D u* is likewise computed on a spectral
-window of D: on the whole periodic box the endpoints are exactly unitarily
+(chi_minus, chi_plus), with every sample compressed onto the |D| <= rho
+window, which is what the finite-volume pairing theorems are about.
+Conjugation flow D -> u D u* is likewise computed on a spectral window of
+D: on the whole periodic box the endpoints are exactly unitarily
 equivalent and all flow cancels against the seam, while the windowed path
 recovers the index the compression is meant to expose.
 """
@@ -292,39 +292,30 @@ def sf_crossings(
 def suspension_even(
     model: ModelInstance,
     kappa: float,
+    rho: float,
     chi: ChiPair = CHI_CLAMP,
     num: int = 33,
-    rho: float | None = None,
 ) -> OperatorPath:
-    """Path t -> kappa D + Gamma S(t), S(t) = -chi_minus(t) + chi_plus(t) H.
+    """Path t -> kappa D + Gamma S(t), S(t) = -chi_minus(t) + chi_plus(t) H,
+    compressed onto the |D| <= rho window.
 
     Endpoints: kappa D - Gamma at t=-1 and the even localiser at t=+1.
-    With rho set, every sample is compressed onto the |D| <= rho window,
-    reusing the model's cached window K-part, so the t=+1 sample is the
-    truncated localiser that ``pairing`` reads.
+    Every sample reuses the model's cached window K-part, so the t=+1
+    sample is the truncated localiser that ``pairing`` reads.
     """
     if model.parity != "even":
         raise ValidationError("even suspension needs an even model")
     chi.validate()
     gamma = model.grading.astype(float)
-    if rho is None:
-        base = kappa * model.dirac.toarray()
-        gamma_h = gamma[:, None] * model.k_rep.toarray()
-        gamma_diag = np.diag(gamma).astype(complex)
+    window = model.window(rho)
+    cols = model.dirac_eigensystem()[1][:, window.index]
+    base = kappa * np.diag(window.eigs).astype(complex)
+    b_gamma = (cols.conj().T @ sp.diags_array(gamma) @ cols).toarray()
+    b_gamma = (b_gamma + b_gamma.conj().T) / 2.0
+    b_h = window.k_part
 
-        def evaluate(t):
-            return base - chi.minus(t) * gamma_diag + chi.plus(t) * gamma_h
-
-    else:
-        window = model.window(rho)
-        cols = model.dirac_eigensystem()[1][:, window.index]
-        base = kappa * np.diag(window.eigs).astype(complex)
-        b_gamma = (cols.conj().T @ sp.diags_array(gamma) @ cols).toarray()
-        b_gamma = (b_gamma + b_gamma.conj().T) / 2.0
-        b_h = window.k_part
-
-        def evaluate(t):
-            return base - chi.minus(t) * b_gamma + chi.plus(t) * b_h
+    def evaluate(t):
+        return base - chi.minus(t) * b_gamma + chi.plus(t) * b_h
 
     return OperatorPath(
         evaluate=evaluate,
@@ -336,28 +327,23 @@ def suspension_even(
 def suspension_odd(
     model: ModelInstance,
     kappa: float,
+    rho: float,
     chi: ChiPair = CHI_CLAMP,
     num: int = 33,
-    rho: float | None = None,
 ) -> OperatorPath:
-    """Path of odd localisers along G(t) = chi_minus(t) + chi_plus(t) G.
+    """Path of odd localisers along G(t) = chi_minus(t) + chi_plus(t) G,
+    compressed onto the |D| <= rho window.
 
     Endpoints: the trivial odd localiser (G = identity) at t=-1 and the
-    model's odd localiser at t=+1.  With rho set, every sample is compressed
-    onto the |D| <= rho window, as in ``suspension_even``.
+    model's odd localiser at t=+1, as in ``suspension_even``.
     """
     if model.parity != "odd":
         raise ValidationError("odd suspension needs an odd model")
     chi.validate()
-    if rho is None:
-        d = kappa * model.dirac.toarray()
-        g = model.k_rep.toarray()
-        eye = np.eye(model.dim, dtype=complex)
-    else:
-        window = model.window(rho)
-        d = kappa * np.diag(window.eigs).astype(complex)
-        g = window.k_part
-        eye = np.eye(window.dim, dtype=complex)
+    window = model.window(rho)
+    d = kappa * np.diag(window.eigs).astype(complex)
+    g = window.k_part
+    eye = np.eye(window.dim, dtype=complex)
 
     def evaluate(t):
         return odd_block(d, chi.minus(t) * eye + chi.plus(t) * g)

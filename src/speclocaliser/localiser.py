@@ -1,4 +1,4 @@
-"""Localiser assembly, truncation, validity certificates and pairings.
+"""Validity certificates and index pairings read off a model's windows.
 
 The even localiser for a graded model (D, Gamma, H) is kappa*D + Gamma*H; the
 odd localiser for (D, G) doubles the space to [[kappa*D, G], [G*, -kappa*D]].
@@ -11,10 +11,7 @@ of D added in the even case.
 the model's windows (``ModelInstance.window``), which hold D's eigenvalues
 and the K-part V* K~ V on the window.  The truncated block comes from the
 |D| <= rho window; the complement block and the seam-free regime block are
-sub-blocks of the containment window.  ``truncate`` and
-``complement_block`` compress a dense localiser directly and serve as the
-reference those blocks are checked against; they, and the
-``build_*_localiser`` helpers, densify the sparse model operators.
+sub-blocks of the containment window.
 
 Validity is tracked through certificates rather than asserted silently.  Hard
 conditions (the kappa bound, rho > 2*gap/kappa, containment of the window in
@@ -32,23 +29,9 @@ from __future__ import annotations
 import dataclasses
 import math
 
-import numpy as np
-import scipy.sparse as sp
-
-from .core import (
-    EIG_SEP_TOL,
-    ZERO_TOL_FACTOR,
-    HermitianOperator,
-    Inertia,
-    as_matrix,
-    inertia,
-    odd_block,
-    spectral_gap,
-    window_mask,
-)
+from .core import ZERO_TOL_FACTOR, Inertia, inertia, spectral_gap
 from .errors import (
     ContainmentViolation,
-    DimensionMismatch,
     HypothesisViolated,
     IntegerityViolation,
     SingularMatrix,
@@ -62,14 +45,9 @@ __all__ = [
     "LocaliserParams",
     "GapCertificate",
     "RegimeCertificate",
-    "TruncatedLocaliser",
     "PairingResult",
-    "build_even_localiser",
-    "build_odd_localiser",
     "validate_infinite_regime",
     "validate_truncation_params",
-    "truncate",
-    "complement_block",
     "pairing_even",
     "pairing_odd",
     "pairing",
@@ -187,27 +165,6 @@ class RegimeCertificate:
         )
 
 
-def build_even_localiser(model: ModelInstance, kappa: float) -> HermitianOperator:
-    """kappa*D + Gamma*H for a graded even model."""
-    if model.parity != "even":
-        raise ValidationError("even localiser needs an even model")
-    if kappa <= 0:
-        raise ValidationError("kappa must be positive")
-    gamma = model.grading.astype(np.float64)
-    return HermitianOperator(
-        kappa * model.dirac.toarray() + gamma[:, None] * model.k_rep.toarray()
-    )
-
-
-def build_odd_localiser(model: ModelInstance, kappa: float) -> HermitianOperator:
-    """[[kappa*D, G], [G*, -kappa*D]] for an odd model."""
-    if model.parity != "odd":
-        raise ValidationError("odd localiser needs an odd model")
-    if kappa <= 0:
-        raise ValidationError("kappa must be positive")
-    return HermitianOperator(odd_block(kappa * model.dirac.toarray(), model.k_rep.toarray()))
-
-
 def validate_infinite_regime(
     model: ModelInstance, kappa: float, mode: str = "permissive", measure: bool = True
 ) -> RegimeCertificate:
@@ -295,93 +252,6 @@ def validate_truncation_params(
     return certs
 
 
-@dataclasses.dataclass(eq=False)
-class TruncatedLocaliser:
-    """A localiser compressed onto the |D| <= rho window.
-
-    basis holds the orthonormal window columns in the full space (block
-    doubled for odd localisers); window_eigs the D eigenvalues kept.
-    """
-
-    operator: HermitianOperator
-    basis: np.ndarray
-    window_eigs: np.ndarray
-    rho: float
-    doubled: bool
-
-    @property
-    def dim(self) -> int:
-        return self.operator.dim
-
-    @property
-    def rank(self) -> int:
-        """Rank of the window projection the compression acts on."""
-        return self.operator.dim
-
-
-def _resolve_eigensystem(dirac, eigensystem):
-    # the dense reference path: a model's sparse eigenvectors are densified
-    if eigensystem is not None:
-        w, v = eigensystem
-        return w, v.toarray() if sp.issparse(v) else v
-    d = dirac if isinstance(dirac, HermitianOperator) else HermitianOperator(dirac)
-    w, v = np.linalg.eigh(d.matrix)
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
-
-
-def _compress(op_matrix: np.ndarray, basis: np.ndarray) -> HermitianOperator:
-    sub = basis.conj().T @ op_matrix @ basis
-    return HermitianOperator((sub + sub.conj().T) / 2.0)
-
-
-def _window_basis(
-    op_matrix: np.ndarray, mask: np.ndarray, v: np.ndarray
-) -> tuple[np.ndarray, bool]:
-    d_dim = v.shape[0]
-    cols = v[:, mask]
-    if op_matrix.shape[0] == d_dim:
-        return cols, False
-    if op_matrix.shape[0] == 2 * d_dim:
-        k = cols.shape[1]
-        basis = np.zeros((2 * d_dim, 2 * k), dtype=np.complex128)
-        basis[:d_dim, :k] = cols
-        basis[d_dim:, k:] = cols
-        return basis, True
-    raise DimensionMismatch(
-        "operator dimension %d is neither d nor 2d for d=%d"
-        % (op_matrix.shape[0], d_dim)
-    )
-
-
-def truncate(
-    op,
-    dirac,
-    rho: float,
-    eigensystem=None,
-    eig_sep_tol: float = EIG_SEP_TOL,
-) -> TruncatedLocaliser:
-    """Compress op onto the spectral window |D| <= rho.
-
-    op may live on the space of D or on its double (odd localisers); in the
-    doubled case the window projection acts blockwise.  Raises
-    BoundaryEigenvalue if an eigenvalue of D sits within eig_sep_tol of
-    +/-rho.
-    """
-    op_matrix = as_matrix(op)
-    w, v = _resolve_eigensystem(dirac, eigensystem)
-    mask = window_mask(w, rho, eig_sep_tol)
-    basis, doubled = _window_basis(op_matrix, mask, v)
-    compressed = _compress(op_matrix, basis)
-    return TruncatedLocaliser(
-        operator=compressed,
-        basis=basis,
-        window_eigs=w[mask],
-        rho=float(rho),
-        doubled=doubled,
-    )
-
-
 def _complement_certificate(op, kappa, rho, applicable) -> GapCertificate:
     return _certificate(
         "complement_gap",
@@ -393,38 +263,6 @@ def _complement_certificate(op, kappa, rho, applicable) -> GapCertificate:
         detail="complement block gap vs sqrt(47/48) kappa rho",
         slack=1e-9,
     )
-
-
-def complement_block(
-    op,
-    dirac,
-    rho: float,
-    kappa: float | None = None,
-    outer: float | None = None,
-    eigensystem=None,
-    eig_sep_tol: float = EIG_SEP_TOL,
-    applicable: bool = True,
-) -> tuple[HermitianOperator, GapCertificate | None]:
-    """Compress op onto |D| > rho and certify its gap against sqrt(47/48)*kappa*rho.
-
-    outer bounds the complement window from above (rho < |D| <= outer);
-    model-level callers pass the containment radius so the certificate
-    measures the region that stands in for the infinite complement rather
-    than the wrap rows of a periodic box.
-    """
-    op_matrix = as_matrix(op)
-    w, v = _resolve_eigensystem(dirac, eigensystem)
-    mask = ~window_mask(w, rho, eig_sep_tol)
-    if outer is not None:
-        mask &= np.abs(w) <= outer + 1e-9
-    if not mask.any():
-        raise ValidationError("empty complement at rho=%.6g" % rho)
-    basis, _ = _window_basis(op_matrix, mask, v)
-    compressed = _compress(op_matrix, basis)
-    cert = None
-    if kappa is not None:
-        cert = _complement_certificate(compressed, kappa, rho, applicable)
-    return compressed, cert
 
 
 @dataclasses.dataclass(frozen=True)
@@ -473,8 +311,8 @@ def pairing(
     The truncated block is kappa*diag(w) + V* K~ V on the |D| <= rho window
     (doubled for odd models).  The complement block rho < |D| <= containment
     and the seam-free regime block are sub-blocks of the containment
-    window; both match the dense ``truncate``/``complement_block``
-    compressions of the full localiser.
+    window; each equals the compression of the whole-box localiser onto
+    the same eigenvectors of D.
 
     certificates=False is a lean mode for sweeps on large models: it skips
     everything that needs the [D, K] commutator or an extra eigensolve (the

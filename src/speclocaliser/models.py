@@ -38,10 +38,10 @@ import math
 from pathlib import Path
 
 import numpy as np
+import scipy.io
 import scipy.sparse as sp
 import yaml
 
-from . import mmio
 from .core import (
     CsrOperator,
     HermitianOperator,
@@ -76,9 +76,7 @@ __all__ = [
     "build_weighted_shift_dirac",
     "qwz_bloch",
     "qwz_bloch_gap",
-    "qwz_box_bloch_gap",
     "circle_symbol_values",
-    "suggest_box",
     "save_model",
     "load_model",
 ]
@@ -226,6 +224,8 @@ class ModelInstance:
                 )
         else:
             self.k_rep = CsrOperator(self.k_rep, dtype=np.complex128)
+            if not np.all(np.isfinite(self.k_rep.data)):
+                raise ValidationError("K contains non-finite entries")
         self.interior_mask = np.asarray(self.interior_mask, dtype=bool)
         if self.interior_mask.shape != (self.dim,):
             raise DimensionMismatch("interior mask length does not match dimension")
@@ -459,11 +459,6 @@ def qwz_bloch_gap(mass: float, grid: int = 512) -> float:
     return float(np.min(_qwz_grid_norms(mass, grid)))
 
 
-def qwz_box_bloch_gap(mass: float, side: int) -> float:
-    """min |h(k)| over the discrete momenta of a periodic side x side box."""
-    return qwz_bloch_gap(mass, grid=side)
-
-
 def build_qwz_model(
     box: int, mass: float, offset: str = "half_integer"
 ) -> ModelInstance:
@@ -624,22 +619,6 @@ def build_weighted_shift_dirac(sites: int, nu: int = 1, sign: int = 1) -> ModelI
 
 
 # ---------------------------------------------------------------------------
-# sizing helper
-
-
-def suggest_box(kind: str, kappa: float, gap: float, hop: int = 1) -> int:
-    """Smallest box parameter keeping containment >= 1.2 * (2 gap / kappa)."""
-    need = 1.2 * (2.0 * gap / kappa)
-    if kind == "circle":
-        return int(math.ceil(need)) + hop + _SAFETY_MARGIN
-    if kind == "qwz":
-        return int(math.ceil(need)) + 3
-    if kind == "weighted_shift":
-        return int(math.ceil(need)) + _SAFETY_MARGIN
-    raise ValidationError("unknown model kind %r" % kind)
-
-
-# ---------------------------------------------------------------------------
 # persistence
 
 _BUILDERS = {
@@ -652,13 +631,20 @@ _BUILDERS = {
 
 
 def save_model(model: ModelInstance, directory) -> Path:
-    """Write a manifest plus full-precision matrix files; returns the manifest path."""
+    """Write a manifest plus full-precision matrix files; returns the manifest path.
+
+    D and K are written as coordinate Matrix Market files of their stored
+    entries, with 17 significant digits, which round-trips IEEE doubles
+    bitwise.  The symmetry is declared "general" so that a load reads every
+    entry as written and revalidates hermiticity itself.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    mmio.write_matrix(directory / "dirac.mtx", model.dirac.toarray(), comment="position operator")
-    mmio.write_matrix(
-        directory / "k_rep.mtx", model.k_rep.toarray(), comment="class representative"
-    )
+    for name, op in (("dirac", model.dirac), ("k_rep", model.k_rep)):
+        scipy.io.mmwrite(
+            directory / (name + ".mtx"), sp.coo_array(op),
+            field="complex", precision=17, symmetry="general",
+        )
     doc = {
         "schema": 1,
         "kind": model.kind,
@@ -714,8 +700,8 @@ def load_model(path) -> ModelInstance:
         return _BUILDERS[kind](doc.get("params", {}))
 
     try:
-        dirac = mmio.read_matrix(path.parent / doc["files"]["dirac"])
-        k_rep = mmio.read_matrix(path.parent / doc["files"]["k_rep"])
+        dirac = _read_matrix(path.parent / doc["files"]["dirac"])
+        k_rep = _read_matrix(path.parent / doc["files"]["k_rep"])
         grading = doc["grading"]
         model = ModelInstance(
             kind=str(doc["kind"]),
@@ -731,3 +717,11 @@ def load_model(path) -> ModelInstance:
     except KeyError as exc:
         raise FormatError("manifest %s is missing field %s" % (path, exc)) from exc
     return model
+
+
+def _read_matrix(path: Path):
+    # coordinate files load sparse; array files (older manifests) load dense
+    try:
+        return scipy.io.mmread(path)
+    except (OSError, ValueError) as exc:
+        raise FormatError("cannot read matrix file %s: %s" % (path, exc)) from exc

@@ -14,20 +14,17 @@ from speclocaliser import (
     SingularMatrix,
     ValidationError,
     build_circle_model,
-    build_even_localiser,
-    build_odd_localiser,
     build_qwz_model,
     build_weighted_shift_dirac,
     commutator_norm,
     inertia,
-    interval_spectral_projection,
     operator_norm,
     oracle_pairing,
     positive_spectral_projection,
     signature,
     spectral_gap,
-    truncate,
 )
+from speclocaliser.core import window_mask
 from conftest import random_hermitian
 
 st_dim = st.integers(1, 12)
@@ -65,9 +62,7 @@ class TestInertia:
 
     def test_truncated_circle_localiser_signature(self, circle40):
         # window signature reads off twice the pairing
-        loc = build_odd_localiser(circle40, 0.05)
-        trunc = truncate(loc, circle40.dirac, 30.5)
-        got = inertia(trunc.operator)
+        got = inertia(circle40.window(30.5).localiser(0.05))
         assert got.n_zero == 0
         assert got.signature == 2 * oracle_pairing(circle40)
 
@@ -101,13 +96,10 @@ class TestSignature:
         assert signature(-np.eye(3)) == -3
 
     def test_shift_dirac_minus_grading(self):
-        # kappa*D - Gamma truncated: signature exposes minus the D+ index
-        from speclocaliser import build_weighted_shift_dirac
-
+        # K = -1 makes the window localiser kappa*D - Gamma truncated: its
+        # signature exposes minus the D+ index
         model = build_weighted_shift_dirac(40, nu=1, sign=-1)
-        loc = build_even_localiser(model, 0.1)
-        trunc = truncate(loc, model.dirac, 10.5)
-        assert signature(trunc.operator) == 1
+        assert signature(model.window(10.5).localiser(0.1)) == 1
 
     def test_singular_raises(self):
         with pytest.raises(SingularMatrix):
@@ -159,34 +151,36 @@ class TestPositiveProjection:
 
 
 class TestIntervalProjection:
+    """The window rule: the range of the spectral projection onto [-rho, rho]."""
+
     def test_diagonal(self):
-        p = interval_spectral_projection(np.diag([-2.0, 0.0, 3.0]), 1.0)
-        assert_allclose(p.matrix, np.diag([0.0, 1.0, 0.0]), atol=1e-14)
+        mask = window_mask(np.array([-2.0, 0.0, 3.0]), 1.0)
+        assert mask.tolist() == [False, True, False]
 
     def test_circle_dirac_rank(self, circle40):
-        p = interval_spectral_projection(circle40.dirac, 30.5)
-        assert p.rank == 61
+        assert circle40.window(30.5).dim == 61
 
     def test_qwz_dirac_rank_counts_sites(self, qwz9):
         # every site inside the window keeps its 4 internal states
-        p = interval_spectral_projection(qwz9.dirac, 8.0)
         x = np.arange(-9, 10)
         x1, x2 = np.meshgrid(x, x, indexing="ij")
         sites = int(np.sum((x1 - 0.5) ** 2 + (x2 - 0.5) ** 2 <= 64.0))
-        assert p.rank == 4 * sites
+        assert qwz9.window(8.0).dim == 4 * sites
 
     def test_boundary_eigenvalue(self):
         with pytest.raises(BoundaryEigenvalue):
-            interval_spectral_projection(np.diag([-2.0, 1.0]), 1.0)
+            window_mask(np.array([-2.0, 1.0]), 1.0)
 
     @given(st.integers(2, 12), st.integers(0, 10_000), st.floats(0.1, 3.0))
     def test_complement_ranks_sum_to_dim(self, dim, seed, rho):
-        h = random_hermitian(np.random.default_rng(seed), dim)
+        w = np.linalg.eigvalsh(random_hermitian(np.random.default_rng(seed), dim))
         try:
-            inside = interval_spectral_projection(h, rho).rank
+            inside = int(np.sum(window_mask(w, rho)))
         except BoundaryEigenvalue:
             return
-        outside = int(np.sum(np.abs(np.linalg.eigvalsh(h)) > rho))
+        except ValidationError:  # the empty window
+            inside = 0
+        outside = int(np.sum(np.abs(w) > rho))
         assert inside + outside == dim
 
 

@@ -12,8 +12,6 @@ from speclocaliser import (
     OperatorPath,
     Projection,
     ValidationError,
-    build_even_localiser,
-    build_odd_localiser,
     line_path,
     odd_projection_unitary,
     path_trace,
@@ -33,6 +31,7 @@ from speclocaliser.errors import (
     SingularMatrix,
 )
 from speclocaliser.oracles import toeplitz_index
+from reference import compress, dense_localiser
 
 
 def _scalar_path(fn, grid):
@@ -116,30 +115,34 @@ class TestCrossings:
 
 class TestSuspensions:
     def test_even_endpoints_are_the_advertised_operators(self, qwz9):
-        kappa = 1.0
-        susp = suspension_even(qwz9, kappa, num=9)
-        gamma_diag = np.diag(qwz9.grading.astype(float))
-        start = susp.sample(-1.0)
-        assert np.allclose(start, kappa * qwz9.dirac.toarray() - gamma_diag, atol=1e-13)
-        assert np.allclose(susp.sample(0.0), kappa * qwz9.dirac.toarray(), atol=1e-13)
-        end = susp.sample(1.0)
-        assert np.allclose(end, build_even_localiser(qwz9, kappa).matrix, atol=1e-13)
+        # the window compressions of kappa D - Gamma, kappa D and the localiser
+        kappa, rho = 1.0, 6.5
+        susp = suspension_even(qwz9, kappa, rho, num=9)
+        cols = qwz9.window(rho).index
+        start = compress(dense_localiser(qwz9, kappa, -np.eye(qwz9.dim)), qwz9, cols)
+        assert np.allclose(susp.sample(-1.0), start.matrix, atol=1e-13)
+        middle = compress(kappa * qwz9.dirac.toarray(), qwz9, cols)
+        assert np.allclose(susp.sample(0.0), middle.matrix, atol=1e-13)
+        end = compress(dense_localiser(qwz9, kappa), qwz9, cols)
+        assert np.allclose(susp.sample(1.0), end.matrix, atol=1e-13)
 
     def test_odd_endpoints_are_the_advertised_operators(self, circle40):
-        kappa = 0.05
-        susp = suspension_odd(circle40, kappa, num=9)
-        d = circle40.dim
+        kappa, rho = 0.05, 30.5
+        susp = suspension_odd(circle40, kappa, rho, num=9)
+        cols = circle40.window(rho).index
+        d = cols.size
         start = susp.sample(-1.0)
         assert np.allclose(start[:d, d:], np.eye(d), atol=1e-13)
-        assert np.allclose(start[:d, :d], kappa * circle40.dirac.toarray(), atol=1e-13)
-        end = susp.sample(1.0)
-        assert np.allclose(end, build_odd_localiser(circle40, kappa).matrix, atol=1e-13)
+        trivial = dense_localiser(circle40, kappa, np.eye(circle40.dim))
+        assert np.allclose(start, compress(trivial, circle40, cols).matrix, atol=1e-13)
+        end = compress(dense_localiser(circle40, kappa), circle40, cols)
+        assert np.allclose(susp.sample(1.0), end.matrix, atol=1e-13)
 
     def test_parity_mismatch_rejected(self, circle40, qwz9):
         with pytest.raises(ValidationError):
-            suspension_even(circle40, 0.05)
+            suspension_even(circle40, 0.05, 30.5)
         with pytest.raises(ValidationError):
-            suspension_odd(qwz9, 1.0)
+            suspension_odd(qwz9, 1.0, 6.5)
 
     def test_reference_half_carries_no_flow(self, qwz9):
         # from kappa D - Gamma to kappa D the two terms anticommute, so the

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 
 from speclocaliser import (
     BoundaryEigenvalue,
@@ -13,11 +12,8 @@ from speclocaliser import (
     StrictModeViolation,
     ValidationError,
     build_circle_model,
-    build_even_localiser,
-    build_odd_localiser,
     build_qwz_model,
     build_weighted_shift_dirac,
-    complement_block,
     inertia,
     oracle_pairing,
     pairing,
@@ -26,43 +22,36 @@ from speclocaliser import (
     spectral_gap,
     suspension_even,
     suspension_odd,
-    truncate,
     validate_infinite_regime,
     validate_truncation_params,
 )
+from reference import compress, dense_localiser
 
 
 class TestAssembly:
-    def test_even_localiser_entrywise(self, qwz9):
-        loc = build_even_localiser(qwz9, 0.5)
-        gamma = qwz9.grading.astype(float)
-        expected = 0.5 * qwz9.dirac.toarray() + gamma[:, None] * qwz9.k_rep.toarray()
-        assert np.allclose(loc.matrix, expected, atol=1e-14)
-        assert loc.dim == qwz9.dim
-
     def test_odd_localiser_blocks(self, circle40):
+        # D is diagonal in the mode basis, so the odd window localiser is
+        # [[kappa n, G_W], [G_W*, -kappa n]] with G_W the window block of G
         kappa = 0.05
-        loc = build_odd_localiser(circle40, kappa)
-        d = circle40.dim
-        assert loc.dim == 2 * d
-        assert np.allclose(loc.matrix[:d, :d], kappa * circle40.dirac.toarray(), atol=1e-14)
-        assert np.allclose(loc.matrix[d:, d:], -kappa * circle40.dirac.toarray(), atol=1e-14)
-        assert np.allclose(loc.matrix[:d, d:], circle40.k_rep.toarray(), atol=1e-14)
+        window = circle40.window(30.5)
+        loc = window.localiser(kappa).matrix
+        d = window.dim
+        g_w = circle40.k_rep.toarray()[np.ix_(window.index, window.index)]
+        assert loc.shape == (2 * d, 2 * d)
+        assert np.allclose(loc[:d, :d], kappa * np.diag(window.eigs), atol=1e-14)
+        assert np.allclose(loc[d:, d:], -kappa * np.diag(window.eigs), atol=1e-14)
+        assert np.allclose(loc[:d, d:], g_w, atol=1e-14)
+        assert np.allclose(loc[d:, :d], g_w.conj().T, atol=1e-14)
 
     def test_identity_symbol_spectrum_in_closed_form(self):
-        # G = I makes every 2x2 momentum block [[kn, 1], [1, -kn]]
+        # G = I makes every 2x2 momentum block [[kn, 1], [1, -kn]]; the
+        # window |n| <= 10.5 keeps every mode
         model = build_circle_model(10, {0: 1.0})
-        loc = build_odd_localiser(model, 0.1)
+        loc = model.window(10.5).localiser(0.1)
         n = np.arange(-10, 11)
         branch = np.sqrt(0.01 * n**2 + 1.0)
         expected = np.sort(np.concatenate([branch, -branch]))
         assert np.allclose(np.sort(np.linalg.eigvalsh(loc.matrix)), expected, atol=1e-12)
-
-    def test_parity_builders_reject_mismatch(self, circle40, shift40):
-        with pytest.raises(ValidationError):
-            build_even_localiser(circle40, 0.1)
-        with pytest.raises(ValidationError):
-            build_odd_localiser(shift40, 0.1)
 
 
 class TestInfiniteRegime:
@@ -155,49 +144,43 @@ class TestTruncationCertificates:
 class TestTruncate:
     def test_window_rank_and_orthonormality(self):
         model = build_circle_model(200, {0: 0.5, 1: 1.0})
-        loc = build_odd_localiser(model, 0.05)
-        trunc = truncate(loc, model.dirac, 30.5)
-        assert trunc.dim == 2 * 61  # |n| <= 30 on both blocks
-        assert trunc.doubled
-        gram = trunc.basis.conj().T @ trunc.basis
-        assert np.allclose(gram, np.eye(trunc.dim), atol=1e-12)
-        assert np.max(np.abs(trunc.window_eigs)) <= 30.5
+        window = model.window(30.5)
+        assert window.dim == 61  # |n| <= 30
+        assert window.localiser(0.05).dim == 2 * 61  # doubled blocks
+        cols = model.dirac_eigensystem()[1][:, window.index].toarray()
+        assert np.allclose(cols.conj().T @ cols, np.eye(window.dim), atol=1e-12)
+        assert np.max(np.abs(window.eigs)) <= 30.5
 
     def test_boundary_eigenvalue_refused(self, circle40):
-        loc = build_odd_localiser(circle40, 0.05)
         with pytest.raises(BoundaryEigenvalue):
-            truncate(loc, circle40.dirac, 30.0)
+            circle40.window(30.0)
 
     def test_even_window_matches_interval_dimension(self, qwz9):
-        loc = build_even_localiser(qwz9, 0.5)
-        trunc = truncate(loc, qwz9.dirac, 5.5, eigensystem=qwz9.dirac_eigensystem())
+        window = qwz9.window(5.5)
         w = qwz9.dirac_eigensystem()[0]
-        assert trunc.dim == int(np.sum(np.abs(w) <= 5.5))
-        assert not trunc.doubled
+        assert window.dim == int(np.sum(np.abs(w) <= 5.5))
+        assert window.localiser(0.5).dim == window.dim  # not doubled
 
     def test_compression_preserves_hermiticity(self, shift40):
-        loc = build_even_localiser(shift40, 0.1)
-        trunc = truncate(loc, shift40.dirac, 10.5)
-        assert isinstance(trunc.operator, HermitianOperator)
+        assert isinstance(shift40.window(10.5).localiser(0.1), HermitianOperator)
 
 
 class TestComplementBlock:
     def test_shift_complement_gap_in_closed_form(self, shift40):
         # D and Gamma commute blockwise, so the complement eigenvalues are
         # +/- sqrt(kappa^2 d^2 + 1); the smallest |d| beyond 10.5 is 11
-        loc = build_even_localiser(shift40, 0.1)
-        comp, cert = complement_block(
-            loc, shift40.dirac, 10.5, kappa=0.1, outer=shift40.containment_radius
-        )
+        comp = shift40.containment_window().localiser(0.1, beyond=10.5)
         assert spectral_gap(comp) == pytest.approx(np.sqrt(0.01 * 121 + 1.0), rel=1e-12)
+        cert = pairing(shift40, LocaliserParams(0.1, 10.5)).certificate("complement_gap")
         assert cert.bound == pytest.approx(np.sqrt(47.0 / 48.0) * 0.1 * 10.5)
         assert cert.satisfied and cert.kind == "guarantee"
 
     def test_outer_cut_restricts_window(self, circle40):
-        loc = build_odd_localiser(circle40, 0.05)
-        comp, _ = complement_block(loc, circle40.dirac, 30.5, outer=35.0)
-        # modes 31..35 of each sign, doubled blocks
-        assert comp.dim == 2 * 10
+        # the containment radius 37 cuts the complement: modes 31..37 of
+        # each sign, doubled blocks
+        comp = circle40.containment_window().localiser(0.05, beyond=30.5)
+        assert circle40.containment_radius == 37.0
+        assert comp.dim == 2 * 14
 
 
 def _assert_same_block(block, reference):
@@ -223,29 +206,21 @@ class TestWindowBlocks:
         else:
             model = request.getfixturevalue(model_name)
         even = model.parity == "even"
-        eigensystem = model.dirac_eigensystem()
-        w, v = eigensystem
-        cols = v.toarray()[:, np.abs(w) <= model.containment_radius + 1e-9]
-        outer_basis = cols if even else sla.block_diag(cols, cols)
+        w = model.dirac_eigensystem()[0]
         outer = model.containment_window()
         for kappa in kappas:
-            loc = (build_even_localiser if even else build_odd_localiser)(model, kappa)
-            seam_free = outer_basis.conj().T @ loc.matrix @ outer_basis
-            seam_free = HermitianOperator((seam_free + seam_free.conj().T) / 2.0)
+            loc = dense_localiser(model, kappa)
+            seam_free = compress(loc, model, outer.index)
             _assert_same_block(outer.localiser(kappa), seam_free)
             for rho in rhos:
-                trunc = truncate(loc, model.dirac, rho, eigensystem=eigensystem).operator
-                comp, _ = complement_block(
-                    loc, model.dirac, rho, outer=model.containment_radius,
-                    eigensystem=eigensystem,
-                )
+                trunc = compress(loc, model, model.window(rho).index)
+                beyond = (np.abs(w) > rho) & (np.abs(w) <= model.containment_radius + 1e-9)
+                comp = compress(loc, model, np.flatnonzero(beyond))
                 block = model.window(rho).localiser(kappa)
                 _assert_same_block(block, trunc)
                 _assert_same_block(outer.localiser(kappa, beyond=rho), comp)
 
-                path = (suspension_even if even else suspension_odd)(
-                    model, kappa, num=3, rho=rho
-                )
+                path = (suspension_even if even else suspension_odd)(model, kappa, rho, num=3)
                 assert np.max(np.abs(path.sample(1.0) - trunc.matrix)) <= 1e-12
 
                 res = pairing(model, LocaliserParams(kappa, rho))

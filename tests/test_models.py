@@ -5,6 +5,7 @@ import pickle
 
 import numpy as np
 import pytest
+import scipy.io
 import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import given, strategies as st
@@ -19,14 +20,13 @@ from speclocaliser import (
     build_circle_model,
     build_qwz_model,
     build_weighted_shift_dirac,
+    export_model,
     inertia,
     load_model,
     oracle_pairing,
     pairing,
     qwz_bloch_gap,
-    qwz_box_bloch_gap,
     save_model,
-    suggest_box,
 )
 from speclocaliser.core import DENSE_DIM_LIMIT
 from speclocaliser.errors import FormatError, SingularSymbol
@@ -75,7 +75,7 @@ class TestQwzModel:
         w = np.abs(np.linalg.eigvalsh(qwz9.k_rep.toarray()))
         assert qwz9.k_gap() == pytest.approx(w.min(), rel=1e-9)
         assert qwz9.k_norm() == pytest.approx(w.max(), rel=1e-9)
-        assert qwz9.k_gap() == pytest.approx(qwz_box_bloch_gap(1.0, 2 * 9 + 1), rel=1e-9)
+        assert qwz9.k_gap() == pytest.approx(qwz_bloch_gap(1.0, grid=2 * 9 + 1), rel=1e-9)
 
     def test_band_invariant_values(self):
         from speclocaliser import chern_number_fhs, qwz_bloch
@@ -366,26 +366,6 @@ class TestSparseStorage:
         assert len(pickle.dumps(build_qwz_model(8, 1.0))) < 1_000_000
 
 
-class TestSuggestBox:
-    @pytest.mark.parametrize(
-        "kind,kappa,gap",
-        [("circle", 0.05, 0.5), ("qwz", 0.5, 1.0), ("weighted_shift", 0.1, 1.0)],
-    )
-    def test_containment_meets_margin(self, kind, kappa, gap):
-        box = suggest_box(kind, kappa, gap)
-        if kind == "circle":
-            model = build_circle_model(box, {1: 1.0})
-        elif kind == "qwz":
-            model = build_qwz_model(box, 1.0)
-        else:
-            model = build_weighted_shift_dirac(box, nu=1)
-        assert model.containment_radius >= 1.2 * (2.0 * gap / kappa) - 1e-9
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValidationError):
-            suggest_box("torus", 0.1, 1.0)
-
-
 class TestPersistence:
     def test_round_trip_is_bitwise(self, tmp_path, shift40):
         save_model(shift40, tmp_path / "m")
@@ -403,13 +383,27 @@ class TestPersistence:
         assert np.array_equal(loaded.dirac.toarray(), qwz9.dirac.toarray())
         assert loaded.parity == "even"
 
-    def test_tampered_matrix_fails_validation(self, tmp_path, shift40):
-        from speclocaliser import mmio
+    def test_box30_export_round_trip_is_bitwise(self, tmp_path):
+        # dim 14,884: dense files would hold two 3.5 GB arrays; coordinate
+        # files hold the stored entries only
+        manifest = export_model("qwz:box=30,mass=1.0", tmp_path / "m")
+        model = build_qwz_model(30, 1.0)
+        loaded = load_model(tmp_path / "m")
+        for got, want in ((loaded.dirac, model.dirac), (loaded.k_rep, model.k_rep)):
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
+        assert np.array_equal(loaded.grading, model.grading)
+        assert np.array_equal(loaded.interior_mask, model.interior_mask)
+        assert loaded.containment_radius == model.containment_radius
+        assert sum(f.stat().st_size for f in manifest.parent.iterdir()) < 20_000_000
 
+    def test_tampered_matrix_fails_validation(self, tmp_path, shift40):
         save_model(shift40, tmp_path / "m")
-        d = mmio.read_matrix(tmp_path / "m" / "dirac.mtx")
-        d[0, 1] += 0.5  # breaks hermiticity
-        mmio.write_matrix(tmp_path / "m" / "dirac.mtx", d)
+        path = tmp_path / "m" / "dirac.mtx"
+        d = sp.coo_array(scipy.io.mmread(path))
+        d.data[d.nnz // 2] += 0.5  # breaks hermiticity
+        scipy.io.mmwrite(path, d, field="complex", precision=17, symmetry="general")
         with pytest.raises(ValidationError):
             load_model(tmp_path / "m")
 
@@ -420,8 +414,6 @@ class TestPersistence:
         with open(path) as fh:
             doc = yaml.safe_load(fh)
         del doc["containment_radius"]
-        with open(path) as fh:
-            pass
         with open(path, "w") as fh:
             yaml.safe_dump(doc, fh)
         with pytest.raises(FormatError):
