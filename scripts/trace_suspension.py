@@ -15,8 +15,7 @@ from speclocaliser import (
     CHI_PAIRS,
     parse_model_spec,
     path_trace,
-    suspension_even,
-    suspension_odd,
+    suspension,
 )
 
 
@@ -32,8 +31,7 @@ def main() -> int:
     args = ap.parse_args()
 
     model = parse_model_spec(args.model)
-    build = suspension_even if model.parity == "even" else suspension_odd
-    path = build(model, args.kappa, chi=CHI_PAIRS[args.chi], num=args.grid, rho=args.rho)
+    path = suspension(model, args.kappa, args.rho, chi=CHI_PAIRS[args.chi], num=args.grid)
     grid, rows = path_trace(path)
 
     fh = sys.stdout if args.out == "-" else open(args.out, "w", newline="")

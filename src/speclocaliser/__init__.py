@@ -45,6 +45,7 @@ from .flow import (
     sf_conjugation,
     sf_crossings,
     sf_endpoints,
+    suspension,
     suspension_even,
     suspension_odd,
 )

@@ -35,7 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--chi", choices=("clamp", "smooth"))
         p.add_argument("--out", help="output directory for reports")
         p.add_argument("--workers", type=int, help="parallel job workers")
-        p.add_argument("--seed", type=int, help="seed for randomized checks")
         p.add_argument(
             "--trace", action="store_true", default=None,
             help="write eigenvalue traces alongside the report",
@@ -65,7 +64,6 @@ def _build_config(args) -> RunConfig:
         rhos=tuple(args.rho) if args.rho else None,
         mode=args.mode,
         out=args.out,
-        seed=args.seed,
         workers=args.workers,
         trace=args.trace,
         grid=getattr(args, "grid", None),

@@ -8,8 +8,10 @@ calibrated once on reference models (`derive_sign_convention`), written to
 load the frozen file so a regression in either the localiser or an oracle
 shows up as a mismatch instead of being absorbed into a recomputed sign.
 
-The graded-index route has no free sign: there the pairing and its oracle
-are both built from kernel counts of the same block.
+The graded-index route has no free sign: the pairing's index correction
+(the grading trace on the window) and its oracle (kernel counts of the
+whole-space plus block) both compute the index of D's plus block, whose
+orientation the grading fixes.
 """
 
 from __future__ import annotations

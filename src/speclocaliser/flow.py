@@ -9,10 +9,12 @@ samples via bisection toward its clean neighbours, and an eigenvalue that
 cannot be separated from zero raises RefinementLimit rather than being
 counted either way.
 
-The suspension paths interpolate the localiser between a trivial reference
-and the model's class representative using an admissible cutoff pair
-(chi_minus, chi_plus), with every sample compressed onto the |D| <= rho
-window, which is what the finite-volume pairing theorems are about.
+The suspension path interpolates the window localiser's K-part between a
+trivial reference (-Gamma for even models, the identity for odd ones) and
+the model's class representative using an admissible cutoff pair
+(chi_minus, chi_plus).  One builder serves both parities: every sample is
+the |D| <= rho window localiser, assembled as ``pairing`` assembles it,
+which is what the finite-volume pairing theorems are about.
 Conjugation flow D -> u D u* is likewise computed on a spectral window of
 D: on the whole periodic box the endpoints are exactly unitarily
 equivalent and all flow cancels against the seam, while the windowed path
@@ -25,14 +27,12 @@ import dataclasses
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import (
     EIG_SEP_TOL,
     HermitianOperator,
     Projection,
     as_matrix,
-    odd_block,
     signature,
     window_mask,
 )
@@ -58,6 +58,7 @@ __all__ = [
     "path_trace",
     "sf_endpoints",
     "sf_crossings",
+    "suspension",
     "suspension_even",
     "suspension_odd",
     "sf_conjugation",
@@ -289,70 +290,46 @@ def sf_crossings(
 # suspension paths
 
 
-def suspension_even(
+def suspension(
     model: ModelInstance,
     kappa: float,
     rho: float,
     chi: ChiPair = CHI_CLAMP,
     num: int = 33,
 ) -> OperatorPath:
-    """Path t -> kappa D + Gamma S(t), S(t) = -chi_minus(t) + chi_plus(t) H,
-    compressed onto the |D| <= rho window.
+    """Path of window localisers with K-part chi_plus(t) K_W + chi_minus(t) T_W
+    on the |D| <= rho window, for either parity.
 
-    Endpoints: kappa D - Gamma at t=-1 and the even localiser at t=+1.
-    Every sample reuses the model's cached window K-part, so the t=+1
-    sample is the truncated localiser that ``pairing`` reads.
+    K_W is the window's K-part and T_W the trivial reference: -Gamma for
+    even models, the identity for odd ones.  Endpoints: kappa D - Gamma
+    (even) or the trivial odd localiser with G = identity (odd) at t=-1,
+    and at t=+1 the truncated localiser that ``pairing`` reads.  Every
+    sample is assembled by ``Window.assemble``, as the window localiser is.
     """
+    chi.validate()
+    window = model.window(rho)
+    ref = np.eye(window.dim, dtype=complex) if window.odd else -window.gamma_part.toarray()
+
+    def evaluate(t):
+        return window.assemble(kappa, chi.plus(t) * window.k_part + chi.minus(t) * ref)
+
+    return OperatorPath(
+        evaluate=evaluate,
+        grid=np.linspace(-1.0, 1.0, num),
+        name="suspension_%s[%s]" % (model.parity, chi.name),
+    )
+
+
+def suspension_even(model, kappa, rho, chi=CHI_CLAMP, num=33) -> OperatorPath:
     if model.parity != "even":
         raise ValidationError("even suspension needs an even model")
-    chi.validate()
-    gamma = model.grading.astype(float)
-    window = model.window(rho)
-    cols = model.dirac_eigensystem()[1][:, window.index]
-    base = kappa * np.diag(window.eigs).astype(complex)
-    b_gamma = (cols.conj().T @ sp.diags_array(gamma) @ cols).toarray()
-    b_gamma = (b_gamma + b_gamma.conj().T) / 2.0
-    b_h = window.k_part
-
-    def evaluate(t):
-        return base - chi.minus(t) * b_gamma + chi.plus(t) * b_h
-
-    return OperatorPath(
-        evaluate=evaluate,
-        grid=np.linspace(-1.0, 1.0, num),
-        name="suspension_even[%s]" % chi.name,
-    )
+    return suspension(model, kappa, rho, chi=chi, num=num)
 
 
-def suspension_odd(
-    model: ModelInstance,
-    kappa: float,
-    rho: float,
-    chi: ChiPair = CHI_CLAMP,
-    num: int = 33,
-) -> OperatorPath:
-    """Path of odd localisers along G(t) = chi_minus(t) + chi_plus(t) G,
-    compressed onto the |D| <= rho window.
-
-    Endpoints: the trivial odd localiser (G = identity) at t=-1 and the
-    model's odd localiser at t=+1, as in ``suspension_even``.
-    """
+def suspension_odd(model, kappa, rho, chi=CHI_CLAMP, num=33) -> OperatorPath:
     if model.parity != "odd":
         raise ValidationError("odd suspension needs an odd model")
-    chi.validate()
-    window = model.window(rho)
-    d = kappa * np.diag(window.eigs).astype(complex)
-    g = window.k_part
-    eye = np.eye(window.dim, dtype=complex)
-
-    def evaluate(t):
-        return odd_block(d, chi.minus(t) * eye + chi.plus(t) * g)
-
-    return OperatorPath(
-        evaluate=evaluate,
-        grid=np.linspace(-1.0, 1.0, num),
-        name="suspension_odd[%s]" % chi.name,
-    )
+    return suspension(model, kappa, rho, chi=chi, num=num)
 
 
 def sf_conjugation(

@@ -29,10 +29,9 @@ from .flow import (
     path_trace,
     sf_crossings,
     sf_endpoints,
-    suspension_even,
-    suspension_odd,
+    suspension,
 )
-from .localiser import LocaliserParams, pairing
+from .localiser import LocaliserParams, PairingResult, pairing
 from .models import (
     ModelInstance,
     build_circle_model,
@@ -135,7 +134,7 @@ def parse_model_spec(spec: str) -> ModelInstance:
 
 
 _CONFIG_KEYS = (
-    "model", "kappas", "rhos", "mode", "out", "seed",
+    "model", "kappas", "rhos", "mode", "out",
     "grid", "workers", "trace", "chi",
 )
 
@@ -154,7 +153,6 @@ class RunConfig:
     rhos: tuple[float, ...]
     mode: str = "permissive"
     out: Optional[str] = None
-    seed: int = 0
     grid: int = DEFAULT_GRID
     workers: Optional[int] = None
     trace: bool = False
@@ -391,12 +389,7 @@ def _error_record(kappa, rho, mode, t0, exc) -> JobRecord:
     )
 
 
-def _localise_job(model: ModelInstance, kappa: float, rho: float, mode: str) -> JobRecord:
-    t0 = time.perf_counter()
-    try:
-        res = pairing(model, LocaliserParams(kappa=kappa, rho=rho, mode=mode))
-    except Exception as exc:
-        return _error_record(kappa, rho, mode, t0, exc)
+def _ok_record(kappa, rho, mode, t0, res: PairingResult, extra=None) -> JobRecord:
     return JobRecord(
         kappa=kappa,
         rho=rho,
@@ -411,7 +404,17 @@ def _localise_job(model: ModelInstance, kappa: float, rho: float, mode: str) -> 
         dim_trunc=res.dim_trunc,
         violations=tuple(res.violations),
         certificates=tuple(c.as_dict() for c in res.certificates),
+        extra=extra or {},
     )
+
+
+def _localise_job(model: ModelInstance, kappa: float, rho: float, mode: str) -> JobRecord:
+    t0 = time.perf_counter()
+    try:
+        res = pairing(model, LocaliserParams(kappa=kappa, rho=rho, mode=mode))
+    except Exception as exc:
+        return _error_record(kappa, rho, mode, t0, exc)
+    return _ok_record(kappa, rho, mode, t0, res)
 
 
 # the model a pool worker was handed at start-up (set in worker processes only)
@@ -480,8 +483,7 @@ def _sf_job(model, kappa, rho, mode, chi_name, grid, trace_dir) -> JobRecord:
     chi = CHI_PAIRS[chi_name]
     try:
         res = pairing(model, LocaliserParams(kappa=kappa, rho=rho, mode=mode))
-        build = suspension_even if model.parity == "even" else suspension_odd
-        path = build(model, kappa, chi=chi, num=grid, rho=rho)
+        path = suspension(model, kappa, rho, chi=chi, num=grid)
         flow = sf_crossings(path)
         endpoints = sf_endpoints(
             path.evaluate(path.grid[0]), path.evaluate(path.grid[-1])
@@ -497,20 +499,8 @@ def _sf_job(model, kappa, rho, mode, chi_name, grid, trace_dir) -> JobRecord:
     except Exception as exc:
         return _error_record(kappa, rho, mode, t0, exc)
     consistent = flow.value == endpoints == res.pairing
-    return JobRecord(
-        kappa=kappa,
-        rho=rho,
-        mode=mode,
-        status="ok",
-        seconds=time.perf_counter() - t0,
-        pairing=res.pairing,
-        signature=res.signature,
-        index_correction=res.index_correction,
-        inertia=(res.inertia.n_pos, res.inertia.n_neg, res.inertia.n_zero),
-        truncated_gap=res.truncated_gap,
-        dim_trunc=res.dim_trunc,
-        violations=tuple(res.violations),
-        certificates=tuple(c.as_dict() for c in res.certificates),
+    return _ok_record(
+        kappa, rho, mode, t0, res,
         extra={
             "sf_crossings": flow.value,
             "sf_endpoints": endpoints,

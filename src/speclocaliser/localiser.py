@@ -4,14 +4,18 @@ The even localiser for a graded model (D, Gamma, H) is kappa*D + Gamma*H; the
 odd localiser for (D, G) doubles the space to [[kappa*D, G], [G*, -kappa*D]].
 Truncation compresses onto the spectral window |D| <= rho, expressed in the
 eigenbasis of D ordered by eigenvalue (ties by original index).  The pairing
-is read off the truncated matrix as half its signature, with the graded index
-of D added in the even case.
+is read off the truncated matrix as half its signature, with the index of
+D's plus block on the window added in the even case.  The window is
+Gamma-invariant and that block maps its p_w plus-graded vectors to its m_w
+minus-graded ones, so by rank-nullity the index is p_w - m_w, the trace of
+the window's grading V* Gamma V; no kernel is counted.
 
 ``pairing`` never forms the full localiser: every block it needs is read off
-the model's windows (``ModelInstance.window``), which hold D's eigenvalues
-and the K-part V* K~ V on the window.  The truncated block comes from the
-|D| <= rho window; the complement block and the seam-free regime block are
-sub-blocks of the containment window.
+the model's windows (``ModelInstance.window``), which hold D's eigenvalues,
+the K-part V* K~ V and, for even models, the grading V* Gamma V on the
+window.  The truncated block comes from the |D| <= rho window; the
+complement block and the seam-free regime block are sub-blocks of the
+containment window.
 
 Validity is tracked through certificates rather than asserted silently.  Hard
 conditions (the kappa bound, rho > 2*gap/kappa, containment of the window in
@@ -39,7 +43,6 @@ from .errors import (
     ValidationError,
 )
 from .models import ModelInstance
-from .oracles import fredholm_index_graded
 
 __all__ = [
     "LocaliserParams",
@@ -166,7 +169,7 @@ class RegimeCertificate:
 
 
 def validate_infinite_regime(
-    model: ModelInstance, kappa: float, mode: str = "permissive", measure: bool = True
+    model: ModelInstance, kappa: float, mode: str = "permissive"
 ) -> RegimeCertificate:
     """Check kappa * ||[D, K]|| < g^2 and measure the untruncated localiser gap.
 
@@ -189,7 +192,7 @@ def validate_infinite_regime(
             % (kappa * comm, g * g)
         )
     measured = None
-    if measure and holds:
+    if holds:
         key = ("regime_gap", float(kappa))
         if key not in model.cache:
             model.cache[key] = spectral_gap(model.containment_window().localiser(kappa))
@@ -293,13 +296,6 @@ class PairingResult:
         return [c.name for c in self.certificates if c.violated]
 
 
-def _index_correction(model: ModelInstance, rho: float) -> int:
-    key = ("index_correction", float(rho))
-    if key not in model.cache:
-        model.cache[key] = fredholm_index_graded(model.graded(), rho_window=rho)
-    return model.cache[key]
-
-
 def pairing(
     model: ModelInstance,
     params: LocaliserParams,
@@ -309,7 +305,9 @@ def pairing(
     """Read off the index pairing for either parity from the model's windows.
 
     The truncated block is kappa*diag(w) + V* K~ V on the |D| <= rho window
-    (doubled for odd models).  The complement block rho < |D| <= containment
+    (doubled for odd models); for even models the index correction is the
+    trace of the window's grading, which must be within 1e-6 of an integer
+    or IntegerityViolation is raised.  The complement block rho < |D| <= containment
     and the seam-free regime block are sub-blocks of the containment
     window; each equals the compression of the whole-box localiser onto
     the same eigenvectors of D.
@@ -331,7 +329,8 @@ def pairing(
         regime = validate_infinite_regime(model, params.kappa, params.mode)
     assumption_ok = certificates and all(c.satisfied for c in certs if c.hard)
 
-    trunc_op = model.window(params.rho).localiser(params.kappa)
+    window = model.window(params.rho)
+    trunc_op = window.localiser(params.kappa)
     g = model.k_gap()
     trunc_gap = spectral_gap(trunc_op)
     certs.append(
@@ -376,7 +375,11 @@ def pairing(
     sig = inert.signature
 
     if model.parity == "even":
-        idx = _index_correction(model, params.rho)
+        # the index of the plus block on the window: Tr(V_W* Gamma V_W)
+        trace = float(window.gamma_part.trace().real)
+        idx = round(trace)
+        if abs(trace - idx) > 1e-6:
+            raise IntegerityViolation("window grading trace %.9g is not an integer" % trace)
         if (sig + idx) % 2:
             raise IntegerityViolation(
                 "signature %d plus index %d is odd; no integer pairing" % (sig, idx)

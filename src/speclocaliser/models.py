@@ -25,10 +25,11 @@ Builders attach analytically known eigensystems of D where the structure
 makes them immediate (diagonal or site-block D, one or two nonzeros per
 eigenvector); the generic path (a dense ``eigh``, for small models only)
 is used otherwise and the two are interchangeable up to basis choice inside
-degenerate eigenspaces.  ``ModelInstance.window`` compresses K onto a
-spectral window of D in that eigenbasis once per radius, touching only the
-rows the window's eigenvectors reach; every localiser block the pairing
-reads is assembled from such a window.
+degenerate eigenspaces.  ``ModelInstance.window`` compresses K (and, for
+even models, the grading) onto a spectral window of D in that eigenbasis
+once per radius, touching only the rows the window's eigenvectors reach;
+every localiser block the pairing and the suspension paths read is
+assembled from such a window.
 """
 
 from __future__ import annotations
@@ -85,6 +86,10 @@ s0 = np.array([[1, 0], [0, 1]], dtype=complex)
 sx = np.array([[0, 1], [1, 0]], dtype=complex)
 sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
 sz = np.array([[1, 0], [0, -1]], dtype=complex)
+
+# libyaml's parser when PyYAML was built with it: manifests list the grading
+# and interior mask entry by entry, which the pure-Python parser reads slowly
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 # Safety margin (in lattice units) between the containment radius and the
 # last site unaffected by the periodic seam.
@@ -151,7 +156,8 @@ class Window:
 
     index holds the kept positions of the ordered D eigensystem, eigs their
     D eigenvalues, and k_part the K-part V_W* K~ V_W, with K~ = Gamma K for
-    even models and G for odd ones.  radius is the selection radius.  Every
+    even models and G for odd ones.  gamma_part is the grading V_W* Gamma V_W
+    (sparse), None for odd models.  radius is the selection radius.  Every
     localiser block on the window or on a sub-window is read off these.
     """
 
@@ -159,27 +165,37 @@ class Window:
     eigs: np.ndarray
     k_part: np.ndarray
     radius: float
-    odd: bool
+    gamma_part: sp.csr_array | None
 
     @property
     def dim(self) -> int:
         return self.index.size
 
+    @property
+    def odd(self) -> bool:
+        return self.gamma_part is None
+
     def localiser(self, kappa: float, beyond: float | None = None) -> HermitianOperator | None:
         """The localiser on the window, or on its part with |D| > beyond.
 
-        kappa*diag(eigs) + k_part for even models, the odd double
-        [[kappa*diag(eigs), k_part], [k_part*, -kappa*diag(eigs)]] for odd
-        ones.  None when the part beyond is empty.
+        None when the part beyond is empty.
         """
-        w, k = self.eigs, self.k_part
-        if beyond is not None:
-            sel = np.flatnonzero((np.abs(w) > beyond) & (np.abs(w) <= self.radius))
-            if not sel.size:
-                return None
-            w, k = w[sel], k[np.ix_(sel, sel)]
-        d = np.diag(kappa * w).astype(np.complex128)
-        return HermitianOperator(odd_block(d, k) if self.odd else d + k)
+        if beyond is None:
+            return HermitianOperator(self.assemble(kappa, self.k_part))
+        w = np.abs(self.eigs)
+        sel = np.flatnonzero((w > beyond) & (w <= self.radius))
+        if not sel.size:
+            return None
+        return HermitianOperator(self.assemble(kappa, self.k_part[np.ix_(sel, sel)], sel))
+
+    def assemble(self, kappa: float, k_part: np.ndarray, sel=slice(None)) -> np.ndarray:
+        """kappa*diag(eigs) + k_part for even models, the odd double
+        [[kappa*diag(eigs), k_part], [k_part*, -kappa*diag(eigs)]] for odd
+        ones, with eigs taken at the window positions sel.  k_part is any
+        K-part on those positions.
+        """
+        d = np.diag(kappa * self.eigs[sel]).astype(np.complex128)
+        return odd_block(d, k_part) if self.odd else d + k_part
 
 
 @dataclasses.dataclass(eq=False)
@@ -288,12 +304,16 @@ class ModelInstance:
         rows = np.unique(cols.indices)
         cols = cols[rows]
         k_sub = self.k_rep[rows][:, rows]
+        gamma_part = None
         if self.parity == "even":
-            k_sub = sp.diags_array(self.grading[rows].astype(np.float64)) @ k_sub
+            gamma = sp.diags_array(self.grading[rows].astype(np.float64))
+            k_sub = gamma @ k_sub
+            gamma_part = cols.conj().T @ (gamma @ cols)
+            gamma_part = (gamma_part + gamma_part.conj().T) / 2.0
         k_part = (cols.conj().T @ (k_sub @ cols)).toarray()
         if self.parity == "even":
             k_part = (k_part + k_part.conj().T) / 2.0
-        return Window(index, w[index], k_part, radius, self.parity == "odd")
+        return Window(index, w[index], k_part, radius, gamma_part)
 
     def k_norm(self) -> float:
         if "k_norm" not in self.cache:
@@ -687,7 +707,7 @@ def load_model(path) -> ModelInstance:
         raise FormatError("no such model file: %s" % path)
     try:
         with open(path) as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise FormatError("cannot parse %s: %s" % (path, exc)) from exc
     if not isinstance(doc, dict):

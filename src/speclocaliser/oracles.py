@@ -3,8 +3,10 @@
 None of these touch the localiser machinery: the winding number integrates
 the symbol's phase around the circle, the lattice band invariant sums
 plaquette field strengths of the occupied-band projector, and the graded
-index counts kernel dimensions of the off-diagonal block directly.  Expected
-values in tests come from here, never from the code under test.
+index counts kernel dimensions of the whole-space plus block from its
+singular values, a route the pairing (which reads the window's grading
+trace) never takes.  Expected values in tests come from here, never from
+the code under test.
 
 Integer-valued outputs are rounded only when the residue is tiny; a residue
 above the tolerance raises ResidueTooLarge instead of returning a guess.
@@ -14,9 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
-from .core import EIG_SEP_TOL, as_matrix, window_mask
+from .core import EIG_SEP_TOL, as_matrix
 from .errors import (
     AmbiguousKernel,
     BoundaryEigenvalue,
@@ -108,49 +109,15 @@ def chern_number_fhs(
     return int(nearest)
 
 
-def _sector_radii(gram: sp.sparray) -> tuple[np.ndarray, np.ndarray | None]:
-    """|D| eigenvalues and eigenvectors within one grading sector.
-
-    gram is the (sparse) sector block of D^2.  Site-diagonal models make it
-    exactly diagonal; the eigenvectors are then the coordinate basis,
-    returned as None.  Otherwise a dense eigh supplies them.
-    """
-    coo = gram.tocoo()
-    if not np.any(coo.data[coo.row != coo.col]):
-        return np.sqrt(np.clip(gram.diagonal().real, 0.0, None)), None
-    lam, vecs = np.linalg.eigh(gram.toarray())
-    return np.sqrt(np.clip(lam, 0.0, None)), vecs
-
-
-def fredholm_index_graded(
-    graded: GradedOperator,
-    rho_window: float | None = None,
-    tol: float | None = None,
-    eig_sep_tol: float = EIG_SEP_TOL,
-) -> int:
-    """dim ker - dim coker of the plus block, restricted to the |D| window.
-
-    The window is |D| <= rho_window under the core.window_mask rule, applied
-    to both grading sectors at once (their |D| eigenvalues together are
-    those of D), so one sector may be empty but not both.
+def fredholm_index_graded(graded: GradedOperator, tol: float | None = None) -> int:
+    """dim ker - dim coker of the plus block of a graded operator.
 
     Kernel dimensions are column counts minus ranks from singular values of
-    the window-restricted block, the only part densified.  Singular values
-    inside the ambiguity decade [tol/10, 10*tol] raise AmbiguousKernel;
-    counting them either way would be a silent guess.
+    the plus block, densified whole.  Singular values inside the ambiguity
+    decade [tol/10, 10*tol] raise AmbiguousKernel; counting them either way
+    would be a silent guess.
     """
-    dplus = graded.block_plus
-    if rho_window is None:
-        a = dplus.toarray()
-    else:
-        r_plus, v_plus = _sector_radii(dplus.conj().T @ dplus)
-        r_minus, v_minus = _sector_radii(dplus @ dplus.conj().T)
-        keep = window_mask(np.concatenate([r_plus, r_minus]), rho_window, eig_sep_tol)
-        keep_plus, keep_minus = keep[: r_plus.size], keep[r_plus.size :]
-        # a coordinate basis selects by index, an eigenbasis is applied
-        a = dplus[keep_minus] if v_minus is None else v_minus[:, keep_minus].conj().T @ dplus
-        a = a[:, keep_plus] if v_plus is None else a @ v_plus[:, keep_plus]
-        a = a.toarray() if sp.issparse(a) else a
+    a = graded.block_plus.toarray()
     n_rows, n_cols = a.shape
 
     s = sla.svdvals(a) if min(a.shape) else np.array([])

@@ -30,8 +30,7 @@ from .flow import (
     relative_index_projections,
     sf_crossings,
     sf_endpoints,
-    suspension_even,
-    suspension_odd,
+    suspension,
 )
 from .localiser import LocaliserParams, pairing
 from .models import (
@@ -255,10 +254,9 @@ class VerifySession:
                          art4["models"][(mass, offset)], 1.0, 6.5, jobs[(1.0, 6.5)])
                     )
             for label, model, kap, rho, res in plan:
-                builder = suspension_even if model.parity == "even" else suspension_odd
                 record = {"label": label, "pairing": res.pairing}
                 for chi in (CHI_CLAMP, CHI_SMOOTH):
-                    path = builder(model, kap, chi=chi, rho=rho)
+                    path = suspension(model, kap, rho, chi=chi)
                     flow = sf_crossings(path)
                     ends = sf_endpoints(
                         path.evaluate(path.grid[0]), path.evaluate(path.grid[-1])

@@ -98,11 +98,10 @@ class TestRunConfig:
         path = tmp_path / "cfg.yaml"
         path.write_text(
             yaml.safe_dump(
-                {"model": "circle:modes=20", "kappas": [0.05], "rhos": [10.5], "seed": 7}
+                {"model": "circle:modes=20", "kappas": [0.05], "rhos": [10.5]}
             )
         )
         cfg = RunConfig.from_file(path)
-        assert cfg.seed == 7
         merged = cfg.merged(kappas=[0.02], mode="strict")
         assert list(merged.kappas) == [0.02]
         assert merged.mode == "strict"

@@ -9,6 +9,7 @@ from speclocaliser import (
     HermitianOperator,
     HypothesisViolated,
     LocaliserParams,
+    ModelInstance,
     StrictModeViolation,
     ValidationError,
     build_circle_model,
@@ -20,8 +21,7 @@ from speclocaliser import (
     pairing_even,
     pairing_odd,
     spectral_gap,
-    suspension_even,
-    suspension_odd,
+    suspension,
     validate_infinite_regime,
     validate_truncation_params,
 )
@@ -205,7 +205,6 @@ class TestWindowBlocks:
             model = build_weighted_shift_dirac(40, nu=2)
         else:
             model = request.getfixturevalue(model_name)
-        even = model.parity == "even"
         w = model.dirac_eigensystem()[0]
         outer = model.containment_window()
         for kappa in kappas:
@@ -220,7 +219,7 @@ class TestWindowBlocks:
                 _assert_same_block(block, trunc)
                 _assert_same_block(outer.localiser(kappa, beyond=rho), comp)
 
-                path = (suspension_even if even else suspension_odd)(model, kappa, rho, num=3)
+                path = suspension(model, kappa, rho, num=3)
                 assert np.max(np.abs(path.sample(1.0) - trunc.matrix)) <= 1e-12
 
                 res = pairing(model, LocaliserParams(kappa, rho))
@@ -252,6 +251,21 @@ class TestPairing:
         assert res.pairing == oracle_pairing(qwz9)
         assert abs(res.pairing) == 1
         assert (res.signature + res.index_correction) % 2 == 0
+
+    def test_near_singular_plus_block_pairs_to_zero(self):
+        # plus block diag(1, 1e-6): its singular value sits in the kernel
+        # ambiguity decade, but the window index is the grading trace 2 - 2
+        a = np.diag([1.0, 1e-6])
+        dirac = np.block([[np.zeros((2, 2)), a.T], [a, np.zeros((2, 2))]])
+        model = ModelInstance(
+            kind="custom", parity="even", dirac=dirac, grading=np.array([1, 1, -1, -1]),
+            k_rep=np.eye(4), containment_radius=10.0, oracle_ref="fredholm_index_graded",
+            params={}, interior_mask=np.ones(4, dtype=bool),
+        )
+        res = pairing(model, LocaliserParams(1.0, 2.5))
+        assert res.dim_trunc == 4
+        assert res.index_correction == 0
+        assert res.pairing == 0
 
     def test_parity_dispatch_enforced(self, circle40, qwz9):
         with pytest.raises(ValidationError):

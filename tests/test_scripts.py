@@ -1,5 +1,6 @@
 """Every script under scripts/ still imports what it needs and parses --help."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -11,13 +12,38 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
-@pytest.mark.parametrize("script", SCRIPTS, ids=[s.name for s in SCRIPTS])
-def test_help_exits_zero(script):
+def _run(script, *args):
     src = str(ROOT / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(script), "--help"],
+    return subprocess.run(
+        [sys.executable, str(script), *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=[s.name for s in SCRIPTS])
+def test_help_exits_zero(script):
+    proc = _run(script, "--help")
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "spec,kappa,rho,window_dim",
+    [
+        ("shift:sites=10", 0.1, 5.5, 11),  # |d| <= 5.5: 0 once, 1..5 twice
+        ("circle:modes=20", 0.05, 10.5, 2 * 21),  # 21 modes, doubled
+    ],
+)
+def test_trace_suspension_writes_one_row_per_sample(tmp_path, spec, kappa, rho, window_dim):
+    out = tmp_path / "trace.csv"
+    proc = _run(
+        ROOT / "scripts" / "trace_suspension.py", "--model", spec,
+        "--kappa", str(kappa), "--rho", str(rho), "--grid", "5", "--out", str(out),
+    )
+    assert proc.returncode == 0, proc.stderr
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["t"] + ["lam%d" % i for i in range(window_dim)]
+    assert [float(r[0]) for r in rows[1:]] == [-1.0, -0.5, 0.0, 0.5, 1.0]
+    assert all(len(r) == 1 + window_dim for r in rows[1:])
