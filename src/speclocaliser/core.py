@@ -1,21 +1,26 @@
 """Finite-dimensional spectral primitives.
 
 Everything downstream (localiser assembly, truncation, spectral flow) reduces
-to a handful of operations on dense Hermitian matrices: inertia counts,
-spectral projections, gaps and norms.  Inertia is computed by two independent
-routes, a full Hermitian eigendecomposition and a symmetric-indefinite
+to a handful of operations on Hermitian matrices: inertia counts, spectral
+projections, gaps and norms.  Inertia is computed by two independent routes,
+a full Hermitian eigendecomposition and Sylvester's law of inertia read off a
 triangular factorization, and the two integer count triples must agree
 exactly; a mismatch raises :class:`~speclocaliser.errors.BackendDisagreement`
-rather than being averaged away.
+rather than being averaged away.  The factorization is a sparse symmetric LU
+(SuperLU with a symmetric fill-reducing ordering and diagonal pivots); when it
+declines (a pivot left the diagonal or vanished), a dense symmetric-indefinite
+LDL^* factorization takes over.
 
 Model operators (D, K and D's eigenvectors) are stored sparse, as
 :class:`CsrOperator` arrays validated on their nonzeros by
-``hermitian_csr``, so a model costs O(nnz) at any size.  Everything else
-here is dense and capped at ``DENSE_DIM_LIMIT`` rows: the localisers of
-spectral windows, and the inputs of the small-model oracles and flows, which
-densify sparse input at their entry.  ``commutator_norm`` stays sparse
-throughout: Lanczos on the Gram matrix of the masked commutator, padded by
-its residual.
+``hermitian_csr``, so a model costs O(nnz) at any size.  The dense helpers
+are capped at ``DENSE_DIM_LIMIT`` rows: the truncated window localiser, and
+the inputs of the small-model oracles and flows, which densify sparse input
+at their entry.  Two primitives stay sparse throughout, each padded by its
+Lanczos residual in the safe direction: ``commutator_norm`` (Lanczos on the
+Gram matrix of the masked commutator, an upper bound) and ``certified_gap``
+(shift-invert Lanczos on the same LU, a lower bound confirmed by Sylvester
+counts).
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ __all__ = [
     "window_mask",
     "odd_block",
     "spectral_gap",
+    "certified_gap",
     "singular_gap",
     "operator_norm",
     "commutator_norm",
@@ -65,6 +71,10 @@ ZERO_TOL_FACTOR = 1e-8
 HERM_TOL_FACTOR = 1e-12
 PROJ_TOL = 1e-10
 EIG_SEP_TOL = 1e-6
+
+# certified_gap routes, named in the certificates they measure
+SPARSE_GAP_ROUTE = "sparse Lanczos, Sylvester-certified lower bound"
+DENSE_GAP_ROUTE = "dense eigvalsh fallback"
 
 # Lanczos basis size of commutator_norm: the top of the [D, K] Gram spectrum
 # is tightly clustered, and 40 vectors converge it fastest on QWZ boxes.
@@ -242,10 +252,11 @@ def _ldl_block_signs(d: np.ndarray) -> tuple[int, int, int]:
 
 
 def _inertia_factorization(m: np.ndarray, zero_tol: float) -> tuple[int, int, int]:
-    """Inertia via LDL^* and Sylvester's law, thresholded by shifting.
+    """Inertia via dense LDL^* and Sylvester's law, thresholded by shifting.
 
     n_pos counts eigenvalues > zero_tol, obtained as the positive count of
-    M - zero_tol*I; n_neg symmetrically from M + zero_tol*I.
+    M - zero_tol*I; n_neg symmetrically from M + zero_tol*I.  The fallback
+    of _inertia_sylvester.
     """
     n = m.shape[0]
     eye = np.eye(n)
@@ -257,6 +268,45 @@ def _inertia_factorization(m: np.ndarray, zero_tol: float) -> tuple[int, int, in
         _, d_plus, _ = sla.ldl(m + zero_tol * eye, hermitian=True)
         n_neg = _ldl_block_signs(d_plus)[1]
     return n_pos, n_neg, n - n_pos - n_neg
+
+
+def _symmetric_lu(a: sp.sparray, shift: float):
+    """Sparse LU of a - shift*I with symmetric ordering and diagonal pivots.
+
+    When every pivot stays on the diagonal (perm_r == perm_c), the factors
+    read P (A - shift I) P^T = L D L^* with D = diag(U), so by Sylvester's
+    law the signs of U's diagonal are the inertia of a - shift*I.  Returns
+    (lu, those signs), or None (a decline) when a pivot left the diagonal or
+    is zero, SuperLU's exactly-singular error included.
+    """
+    import scipy.sparse.linalg as spla  # deferred: only factorizations load SuperLU
+
+    m = a - shift * sp.eye_array(a.shape[0]) if shift else a
+    try:
+        lu = spla.splu(
+            sp.csc_array(m), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:
+        if "singular" not in str(exc):  # SuperLU: "Factor is exactly singular"
+            raise
+        return None
+    pivots = lu.U.diagonal().real
+    if not np.array_equal(lu.perm_r, lu.perm_c) or not np.all(pivots):
+        return None
+    return lu, np.sign(pivots)
+
+
+def _inertia_sylvester(a: sp.sparray, zero_tol: float) -> tuple[int, int, int] | None:
+    """Inertia from sparse LUs of a -/+ zero_tol*I, thresholded by shifting
+    as _inertia_factorization is; None when either factorization declines."""
+    minus = _symmetric_lu(a, zero_tol)
+    plus = _symmetric_lu(a, -zero_tol) if zero_tol else minus
+    if minus is None or plus is None:
+        return None
+    n_pos = int(np.sum(minus[1] > 0))
+    n_neg = int(np.sum(plus[1] < 0))
+    return n_pos, n_neg, a.shape[0] - n_pos - n_neg
 
 
 def _resolve_zero_tol(scale: float, zero_tol: float | None) -> float:
@@ -272,6 +322,8 @@ def inertia(op, zero_tol: float | None = None) -> Inertia:
 
     zero_tol defaults to 1e-8 times the operator norm.  Counts are strict:
     n_pos counts eigenvalues > zero_tol, n_zero those with |eig| <= zero_tol.
+    The eigenvalue counts must equal the factorization counts (sparse LU,
+    or dense LDL^* when the LU declines).
     """
     h = _hermitian_part(op)
     w = h.eigenvalues
@@ -281,7 +333,9 @@ def inertia(op, zero_tol: float | None = None) -> Inertia:
         int(np.sum(w < -tol)),
         int(np.sum(np.abs(w) <= tol)),
     )
-    factor_counts = _inertia_factorization(h.matrix, tol)
+    factor_counts = _inertia_sylvester(sp.csc_array(h.matrix), tol)
+    if factor_counts is None:
+        factor_counts = _inertia_factorization(h.matrix, tol)
     if eig_counts != factor_counts:
         raise BackendDisagreement(eig_counts, factor_counts, tol)
     return Inertia(*eig_counts)
@@ -366,20 +420,68 @@ def window_mask(w: np.ndarray, rho: float, eig_sep_tol: float = EIG_SEP_TOL) -> 
     return mask
 
 
-def odd_block(d: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The odd localiser layout [[d, g], [g*, -d]] on the doubled space."""
-    n = d.shape[0]
-    mat = np.empty((2 * n, 2 * n), dtype=np.complex128)
-    mat[:n, :n] = d
-    mat[n:, n:] = -d
-    mat[:n, n:] = g
-    mat[n:, :n] = g.conj().T
-    return mat
+def odd_block(d, g) -> sp.csr_array:
+    """The odd localiser layout [[d, g], [g*, -d]] on the doubled space, as CSR."""
+    d, g = sp.csr_array(d), sp.csr_array(g)
+    return sp.block_array([[d, g], [g.conj().T, -d]], format="csr")
 
 
 def spectral_gap(op) -> float:
     """min |eigenvalue| of a Hermitian matrix (0 iff singular)."""
     return _hermitian_part(op).gap
+
+
+def _seeded_start(n: int) -> np.ndarray:
+    # seeded, so reproducible; a constant start can miss a symmetric eigenspace
+    return [1.0, 1j] @ np.random.default_rng(0).standard_normal((2, n))
+
+
+def _sylvester_gap(a: sp.sparray) -> float | None:
+    """Certified lower bound on min |eigenvalue| of a, or None (a decline)."""
+    n = a.shape[0]
+    if n <= 2:  # complex ARPACK needs k = 1 < n - 1
+        return None
+    factored = _symmetric_lu(a, 0.0)
+    if factored is None:
+        return None
+    import scipy.sparse.linalg as spla  # deferred: only certificates load ARPACK
+
+    solve = spla.LinearOperator(a.shape, matvec=factored[0].solve, dtype=np.complex128)
+    try:
+        theta, y = spla.eigsh(a, k=1, sigma=0.0, OPinv=solve, v0=_seeded_start(n))
+    except spla.ArpackError:
+        return None
+    theta, y = theta[0], y[:, 0]
+    # residual bound, less three times the rounding level sqrt(n) eps ||A||_inf
+    # of an n-row factorization, so that it also holds under the rounding of
+    # the counting factorizations (and of a dense eigensolver)
+    rounding = 3.0 * np.sqrt(n) * np.finfo(float).eps * abs(a).sum(axis=1).max()
+    lower = abs(theta) - np.linalg.norm(a @ y - theta * y) - rounding
+    if not lower > 0:
+        return None
+    # n_neg(A - lower) - n_neg(A + lower) eigenvalues lie in [-lower, lower)
+    below, above = _symmetric_lu(a, lower), _symmetric_lu(a, -lower)
+    if below is None or above is None or np.sum(below[1] < 0) != np.sum(above[1] < 0):
+        return None
+    return float(lower)
+
+
+def certified_gap(a) -> tuple[float, str]:
+    """min |eigenvalue| of a sparse Hermitian matrix, as a certified lower bound.
+
+    Shift-invert Lanczos, with the sparse LU at shift 0 as the inverse,
+    finds the eigenpair (theta, y) nearest 0; the gap is reported as
+    |theta| - ||A y - theta y|| less a rounding margin, and accepted only
+    when Sylvester counts at -/+ that value show no eigenvalue between them.  A declined LU, an
+    ARPACK failure, a block of at most two rows or a failed count falls
+    back to the dense spectral_gap.  Returns the gap and the name of the
+    route that measured it (SPARSE_GAP_ROUTE or DENSE_GAP_ROUTE).
+    """
+    a = hermitian_csr(a)
+    lower = _sylvester_gap(a)
+    if lower is None:
+        return spectral_gap(a), DENSE_GAP_ROUTE
+    return lower, SPARSE_GAP_ROUTE
 
 
 def singular_gap(a) -> float:
@@ -432,9 +534,9 @@ def commutator_norm(d, x, interior_mask: np.ndarray | None = None) -> float:
         return 0.0
     if gram.shape[0] <= _LANCZOS_NCV:
         return float(np.sqrt(np.linalg.eigvalsh(gram.toarray())[-1]))
-    # seeded, so reproducible; a constant start can miss a symmetric top eigenspace
-    v0 = [1.0, 1j] @ np.random.default_rng(0).standard_normal((2, gram.shape[0]))
     import scipy.sparse.linalg as spla  # deferred: only certificates load ARPACK
-    theta, y = spla.eigsh(gram, k=1, which="LA", v0=v0, ncv=_LANCZOS_NCV, tol=1e-14)
+    theta, y = spla.eigsh(
+        gram, k=1, which="LA", v0=_seeded_start(gram.shape[0]), ncv=_LANCZOS_NCV, tol=1e-14
+    )
     residual = np.linalg.norm(gram @ y[:, 0] - theta[0] * y[:, 0])
     return float(np.sqrt(theta[0] + residual))

@@ -27,6 +27,7 @@ import dataclasses
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .core import (
     EIG_SEP_TOL,
@@ -304,14 +305,18 @@ def suspension(
     even models, the identity for odd ones.  Endpoints: kappa D - Gamma
     (even) or the trivial odd localiser with G = identity (odd) at t=-1,
     and at t=+1 the truncated localiser that ``pairing`` reads.  Every
-    sample is assembled by ``Window.assemble``, as the window localiser is.
+    sample is dense, for the eigensolves of the flow: kappa D, K_W and T_W
+    are laid out by ``Window.assemble``, as the window localiser is, and
+    densified once.
     """
     chi.validate()
     window = model.window(rho)
-    ref = np.eye(window.dim, dtype=complex) if window.odd else -window.gamma_part.toarray()
+    ref = sp.eye_array(window.dim, dtype=complex) if window.odd else -window.gamma_part
+    base = window.assemble(kappa, sp.csr_array(window.k_part.shape)).toarray()
+    k_w, t_w = (window.assemble(0.0, part).toarray() for part in (window.k_part, ref))
 
     def evaluate(t):
-        return window.assemble(kappa, chi.plus(t) * window.k_part + chi.minus(t) * ref)
+        return base + (chi.plus(t) * k_w + chi.minus(t) * t_w)
 
     return OperatorPath(
         evaluate=evaluate,

@@ -13,9 +13,12 @@ the window's grading V* Gamma V; no kernel is counted.
 ``pairing`` never forms the full localiser: every block it needs is read off
 the model's windows (``ModelInstance.window``), which hold D's eigenvalues,
 the K-part V* K~ V and, for even models, the grading V* Gamma V on the
-window.  The truncated block comes from the |D| <= rho window; the
-complement block and the seam-free regime block are sub-blocks of the
-containment window.
+window, all sparse.  The truncated block comes from the |D| <= rho window
+and is the only block densified: its eigenvalues give the truncated gap and
+the eigenvalue side of the inertia check.  The complement block and the
+seam-free regime block are sub-blocks of the containment window and stay
+sparse; their gaps are certified lower bounds (``core.certified_gap``), and
+each certificate's detail names the route that measured it.
 
 Validity is tracked through certificates rather than asserted silently.  Hard
 conditions (the kappa bound, rho > 2*gap/kappa, containment of the window in
@@ -33,7 +36,14 @@ from __future__ import annotations
 import dataclasses
 import math
 
-from .core import ZERO_TOL_FACTOR, Inertia, inertia, spectral_gap
+from .core import (
+    ZERO_TOL_FACTOR,
+    HermitianOperator,
+    Inertia,
+    certified_gap,
+    inertia,
+    spectral_gap,
+)
 from .errors import (
     ContainmentViolation,
     HypothesisViolated,
@@ -150,6 +160,7 @@ class RegimeCertificate:
     hypothesis_holds: bool
     theoretical_bound: float
     measured_gap: float | None
+    gap_route: str = ""
 
     def gap_certificate(self) -> GapCertificate:
         measured = self.measured_gap if self.measured_gap is not None else float("nan")
@@ -164,7 +175,8 @@ class RegimeCertificate:
             ),
             kind="guarantee",
             applicable=bool(self.hypothesis_holds and self.measured_gap is not None),
-            detail="seam-free localiser gap vs sqrt(g^2 - kappa*||[D,K]||)",
+            detail="seam-free localiser gap vs sqrt(g^2 - kappa*||[D,K]||)"
+            + (" (%s)" % self.gap_route if self.gap_route else ""),
         )
 
 
@@ -180,7 +192,8 @@ def validate_infinite_regime(
     parameters the lowest full-box eigenvector has all its mass on the wrap
     rows).  In strict mode a failed hypothesis raises HypothesisViolated.
     The gap is measured only when the hypothesis holds; that is the only
-    case where the theoretical bound makes a claim.
+    case where the theoretical bound makes a claim.  It is a certified lower
+    bound (``core.certified_gap``), and gap_route names the route.
     """
     g = model.k_gap()
     comm = model.dirac_commutator()
@@ -191,12 +204,12 @@ def validate_infinite_regime(
             "kappa*||[D,K]|| = %.6g is not below g^2 = %.6g"
             % (kappa * comm, g * g)
         )
-    measured = None
+    measured, route = None, ""
     if holds:
         key = ("regime_gap", float(kappa))
         if key not in model.cache:
-            model.cache[key] = spectral_gap(model.containment_window().localiser(kappa))
-        measured = model.cache[key]
+            model.cache[key] = certified_gap(model.containment_window().localiser(kappa))
+        measured, route = model.cache[key]
     return RegimeCertificate(
         kappa=float(kappa),
         k_gap=g,
@@ -204,6 +217,7 @@ def validate_infinite_regime(
         hypothesis_holds=bool(holds),
         theoretical_bound=bound,
         measured_gap=measured,
+        gap_route=route,
     )
 
 
@@ -256,14 +270,15 @@ def validate_truncation_params(
 
 
 def _complement_certificate(op, kappa, rho, applicable) -> GapCertificate:
+    gap, route = certified_gap(op)
     return _certificate(
         "complement_gap",
-        spectral_gap(op),
+        gap,
         _COMPLEMENT_FACTOR * kappa * rho,
         ">=",
         kind="guarantee",
         applicable=applicable,
-        detail="complement block gap vs sqrt(47/48) kappa rho",
+        detail="complement block gap vs sqrt(47/48) kappa rho (%s)" % route,
         slack=1e-9,
     )
 
@@ -330,7 +345,7 @@ def pairing(
     assumption_ok = certificates and all(c.satisfied for c in certs if c.hard)
 
     window = model.window(params.rho)
-    trunc_op = window.localiser(params.kappa)
+    trunc_op = HermitianOperator(window.localiser(params.kappa))
     g = model.k_gap()
     trunc_gap = spectral_gap(trunc_op)
     certs.append(

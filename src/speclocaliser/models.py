@@ -7,8 +7,8 @@ models, an invertible G for odd ones.  Builders return fully validated
 mask used for commutator norms, and the name of the oracle that predicts the
 pairing independently.  D, K and D's eigenvector matrix are stored sparse
 (``core.CsrOperator`` for D and K, a CSC array for the eigenvectors) and are
-validated on their nonzeros, so a model costs O(nnz) at any box size; only
-spectral windows are dense.
+validated on their nonzeros, so a model costs O(nnz) at any box size, and
+so are the spectral windows and the localiser blocks assembled from them.
 
 Three builders are provided:
 
@@ -87,9 +87,11 @@ sx = np.array([[0, 1], [1, 0]], dtype=complex)
 sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
 sz = np.array([[1, 0], [0, -1]], dtype=complex)
 
-# libyaml's parser when PyYAML was built with it: manifests list the grading
-# and interior mask entry by entry, which the pure-Python parser reads slowly
+# libyaml's parser and emitter when PyYAML was built with it: manifests list
+# the grading and interior mask entry by entry, which the pure-Python ones
+# read and write slowly
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 # Safety margin (in lattice units) between the containment radius and the
 # last site unaffected by the periodic seam.
@@ -155,15 +157,16 @@ class Window:
     """A spectral window of D, in D's eigenbasis.
 
     index holds the kept positions of the ordered D eigensystem, eigs their
-    D eigenvalues, and k_part the K-part V_W* K~ V_W, with K~ = Gamma K for
-    even models and G for odd ones.  gamma_part is the grading V_W* Gamma V_W
-    (sparse), None for odd models.  radius is the selection radius.  Every
-    localiser block on the window or on a sub-window is read off these.
+    D eigenvalues, and k_part the K-part V_W* K~ V_W (sparse), with
+    K~ = Gamma K for even models and G for odd ones.  gamma_part is the
+    grading V_W* Gamma V_W (sparse), None for odd models.  radius is the
+    selection radius.  Every localiser block on the window or on a
+    sub-window is read off these.
     """
 
     index: np.ndarray
     eigs: np.ndarray
-    k_part: np.ndarray
+    k_part: sp.csr_array
     radius: float
     gamma_part: sp.csr_array | None
 
@@ -175,27 +178,27 @@ class Window:
     def odd(self) -> bool:
         return self.gamma_part is None
 
-    def localiser(self, kappa: float, beyond: float | None = None) -> HermitianOperator | None:
-        """The localiser on the window, or on its part with |D| > beyond.
+    def localiser(self, kappa: float, beyond: float | None = None) -> CsrOperator | None:
+        """The localiser on the window, or on its part with |D| > beyond (sparse).
 
         None when the part beyond is empty.
         """
         if beyond is None:
-            return HermitianOperator(self.assemble(kappa, self.k_part))
+            return hermitian_csr(self.assemble(kappa, self.k_part))
         w = np.abs(self.eigs)
         sel = np.flatnonzero((w > beyond) & (w <= self.radius))
         if not sel.size:
             return None
-        return HermitianOperator(self.assemble(kappa, self.k_part[np.ix_(sel, sel)], sel))
+        return hermitian_csr(self.assemble(kappa, self.k_part[sel][:, sel], sel))
 
-    def assemble(self, kappa: float, k_part: np.ndarray, sel=slice(None)) -> np.ndarray:
+    def assemble(self, kappa: float, k_part: sp.sparray, sel=slice(None)) -> sp.csr_array:
         """kappa*diag(eigs) + k_part for even models, the odd double
         [[kappa*diag(eigs), k_part], [k_part*, -kappa*diag(eigs)]] for odd
         ones, with eigs taken at the window positions sel.  k_part is any
-        K-part on those positions.
+        sparse K-part on those positions.
         """
-        d = np.diag(kappa * self.eigs[sel]).astype(np.complex128)
-        return odd_block(d, k_part) if self.odd else d + k_part
+        d = sp.diags_array((kappa * self.eigs[sel]).astype(np.complex128))
+        return odd_block(d, k_part) if self.odd else (d + k_part).tocsr()
 
 
 @dataclasses.dataclass(eq=False)
@@ -310,7 +313,7 @@ class ModelInstance:
             k_sub = gamma @ k_sub
             gamma_part = cols.conj().T @ (gamma @ cols)
             gamma_part = (gamma_part + gamma_part.conj().T) / 2.0
-        k_part = (cols.conj().T @ (k_sub @ cols)).toarray()
+        k_part = (cols.conj().T @ (k_sub @ cols)).tocsr()
         if self.parity == "even":
             k_part = (k_part + k_part.conj().T) / 2.0
         return Window(index, w[index], k_part, radius, gamma_part)
@@ -678,7 +681,7 @@ def save_model(model: ModelInstance, directory) -> Path:
     }
     path = directory / "manifest.yaml"
     with open(path, "w") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=True)
+        yaml.dump(doc, fh, Dumper=_YAML_DUMPER, sort_keys=True)
     return path
 
 

@@ -22,7 +22,7 @@ def dense_localiser(model, kappa, k_rep=None) -> np.ndarray:
     k = model.k_rep.toarray() if k_rep is None else k_rep
     if model.parity == "even":
         return d + model.grading[:, None] * k
-    return odd_block(d, k)
+    return odd_block(d, k).toarray()
 
 
 def compress(op: np.ndarray, model, cols) -> HermitianOperator:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
@@ -24,7 +25,7 @@ from speclocaliser import (
     signature,
     spectral_gap,
 )
-from speclocaliser.core import window_mask
+from speclocaliser.core import certified_gap, window_mask
 from conftest import random_hermitian
 
 st_dim = st.integers(1, 12)
@@ -73,7 +74,7 @@ class TestInertia:
         def bad_backend(m, zero_tol):
             return (0, 0, m.shape[0])
 
-        monkeypatch.setattr(core, "_inertia_factorization", bad_backend)
+        monkeypatch.setattr(core, "_inertia_sylvester", bad_backend)
         with pytest.raises(BackendDisagreement) as exc:
             inertia(h)
         assert exc.value.eig_counts == (
@@ -86,6 +87,102 @@ class TestInertia:
         h = random_hermitian(np.random.default_rng(seed), dim)
         got = inertia(h)
         assert got.n_pos + got.n_neg + got.n_zero == dim
+
+
+# tier-1 fixture models with the kappas and rhos their window tests use
+_FIXTURE_WINDOWS = [
+    ("circle40", (0.02, 0.05), (20.5, 30.5)),
+    ("shift40_nu2", (0.1, 0.2), (8.5, 10.5)),
+    ("qwz9", (0.5, 1.0), (4.5, 5.5)),
+    ("qwz9_integer", (0.5, 1.0), (4.5, 5.5)),
+]
+
+
+def _eig_counts(w: np.ndarray, tol: float) -> tuple[int, int, int]:
+    return int(np.sum(w > tol)), int(np.sum(w < -tol)), int(np.sum(np.abs(w) <= tol))
+
+
+class TestSylvester:
+    """Sparse LU counts and certified gaps, each checked against eigvalsh."""
+
+    def test_off_diagonal_pivot_declines(self):
+        # SuperLU pivots off the zero diagonal; the dense LDL^* answers
+        m = np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert core._inertia_sylvester(sp.csc_array(m), 0.0) is None
+        got = inertia(m, zero_tol=0.0)
+        assert (got.n_pos, got.n_neg, got.n_zero) == (1, 1, 0)
+
+    def test_singular_shift_declines(self):
+        # the shift +zero_tol is exactly the eigenvalue 0.5: a singular factor
+        m = np.diag([2.0, -1.0, 0.5])
+        assert core._inertia_sylvester(sp.csc_array(m), 0.5) is None
+        got = inertia(m, zero_tol=0.5)
+        assert (got.n_pos, got.n_neg, got.n_zero) == (1, 1, 1)
+
+    def test_non_minimal_eigenpair_is_rejected(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        a = sp.diags_array([3.0, -2.0, 0.5, 4.0]).astype(complex)
+        assert certified_gap(a)[1] == core.SPARSE_GAP_ROUTE
+
+        def far_pair(m, k, **kwargs):
+            # an exact eigenpair, but not the one nearest 0
+            return np.array([3.0]), np.eye(4, 1, dtype=complex)
+
+        monkeypatch.setattr(spla, "eigsh", far_pair)
+        assert certified_gap(a) == (0.5, core.DENSE_GAP_ROUTE)
+
+    def test_residual_pads_an_inexact_eigenpair(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        a = sp.diags_array([3.0, -2.0, 0.5, 4.0]).astype(complex)
+        y = np.array([[0.01], [0.0], [1.0], [0.0]], dtype=complex)
+        y /= np.linalg.norm(y)
+        residual = np.linalg.norm(a @ y[:, 0] - 0.5 * y[:, 0])  # about 0.025
+        monkeypatch.setattr(spla, "eigsh", lambda m, k, **kwargs: (np.array([0.5]), y))
+        gap, route = certified_gap(a)
+        assert route == core.SPARSE_GAP_ROUTE
+        assert 0.5 - residual - 1e-12 <= gap <= 0.5 - residual
+
+    @pytest.mark.parametrize("name,kappas,rhos", _FIXTURE_WINDOWS)
+    def test_fixture_blocks_match_eigvalsh(self, request, name, kappas, rhos):
+        if name == "shift40_nu2":
+            model = build_weighted_shift_dirac(40, nu=2)
+        elif name == "qwz9_integer":
+            model = build_qwz_model(9, 1.0, offset="integer")
+        else:
+            model = request.getfixturevalue(name)
+        outer = model.containment_window()
+        for kappa in kappas:
+            blocks = [outer.localiser(kappa)]
+            for rho in rhos:
+                blocks += [model.window(rho).localiser(kappa), outer.localiser(kappa, beyond=rho)]
+            for block in blocks:
+                w = np.linalg.eigvalsh(block.toarray())
+                tol = core.ZERO_TOL_FACTOR * float(np.max(np.abs(w)))
+                assert core._inertia_sylvester(block, tol) == _eig_counts(w, tol)
+                dense = float(np.min(np.abs(w)))
+                gap, route = certified_gap(block)
+                assert route == core.SPARSE_GAP_ROUTE
+                assert dense * (1.0 - 1e-12) <= gap <= dense
+
+    @given(st.integers(2, 40), st.floats(0.05, 0.5), st.booleans(), st.integers(0, 10_000))
+    def test_random_sparse_hermitian(self, dim, density, add_diagonal, seed):
+        # without a full diagonal the LU at shift 0 mostly declines
+        rng = np.random.default_rng(seed)
+        m = np.where(rng.random((dim, dim)) < density, random_hermitian(rng, dim), 0.0)
+        m = (m + m.conj().T) / 2.0
+        if add_diagonal:
+            m += np.diag(rng.standard_normal(dim))
+        a = sp.csr_array(m)
+        w = np.linalg.eigvalsh(m)
+        norm = float(np.max(np.abs(w)))
+        tol = core.ZERO_TOL_FACTOR * norm
+        counts = core._inertia_sylvester(a, tol)
+        assert counts is None or counts == _eig_counts(w, tol)
+        dense = float(np.min(np.abs(w)))
+        gap, _ = certified_gap(a)
+        assert dense - 1e-10 * max(norm, 1.0) <= gap <= dense
 
 
 class TestSignature:

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+import speclocaliser.core as core
 from speclocaliser import (
     BoundaryEigenvalue,
     ContainmentViolation,
-    HermitianOperator,
     HypothesisViolated,
     LocaliserParams,
     ModelInstance,
@@ -34,7 +34,7 @@ class TestAssembly:
         # [[kappa n, G_W], [G_W*, -kappa n]] with G_W the window block of G
         kappa = 0.05
         window = circle40.window(30.5)
-        loc = window.localiser(kappa).matrix
+        loc = window.localiser(kappa).toarray()
         d = window.dim
         g_w = circle40.k_rep.toarray()[np.ix_(window.index, window.index)]
         assert loc.shape == (2 * d, 2 * d)
@@ -51,7 +51,7 @@ class TestAssembly:
         n = np.arange(-10, 11)
         branch = np.sqrt(0.01 * n**2 + 1.0)
         expected = np.sort(np.concatenate([branch, -branch]))
-        assert np.allclose(np.sort(np.linalg.eigvalsh(loc.matrix)), expected, atol=1e-12)
+        assert np.allclose(np.sort(np.linalg.eigvalsh(loc.toarray())), expected, atol=1e-12)
 
 
 class TestInfiniteRegime:
@@ -146,7 +146,7 @@ class TestTruncate:
         model = build_circle_model(200, {0: 0.5, 1: 1.0})
         window = model.window(30.5)
         assert window.dim == 61  # |n| <= 30
-        assert window.localiser(0.05).dim == 2 * 61  # doubled blocks
+        assert window.localiser(0.05).shape[0] == 2 * 61  # doubled blocks
         cols = model.dirac_eigensystem()[1][:, window.index].toarray()
         assert np.allclose(cols.conj().T @ cols, np.eye(window.dim), atol=1e-12)
         assert np.max(np.abs(window.eigs)) <= 30.5
@@ -159,10 +159,12 @@ class TestTruncate:
         window = qwz9.window(5.5)
         w = qwz9.dirac_eigensystem()[0]
         assert window.dim == int(np.sum(np.abs(w) <= 5.5))
-        assert window.localiser(0.5).dim == window.dim  # not doubled
+        assert window.localiser(0.5).shape[0] == window.dim  # not doubled
 
     def test_compression_preserves_hermiticity(self, shift40):
-        assert isinstance(shift40.window(10.5).localiser(0.1), HermitianOperator)
+        loc = shift40.window(10.5).localiser(0.1)
+        assert isinstance(loc, core.CsrOperator)  # validated by hermitian_csr
+        assert abs(loc - loc.conj().T).max() == 0.0
 
 
 class TestComplementBlock:
@@ -175,17 +177,29 @@ class TestComplementBlock:
         assert cert.bound == pytest.approx(np.sqrt(47.0 / 48.0) * 0.1 * 10.5)
         assert cert.satisfied and cert.kind == "guarantee"
 
+    def test_gap_certificates_name_their_route(self, monkeypatch):
+        # report.json carries as_dict(); its detail says which backend measured
+        params = LocaliserParams(0.05, 30.5)
+        for route in (core.SPARSE_GAP_ROUTE, core.DENSE_GAP_ROUTE):
+            if route == core.DENSE_GAP_ROUTE:
+                monkeypatch.setattr(core, "_sylvester_gap", lambda a: None)
+            res = pairing(build_circle_model(40, {0: 0.5, 1: 1.0}), params)
+            assert res.regime.hypothesis_holds
+            for name in ("regime_gap", "complement_gap"):
+                assert res.certificate(name).as_dict()["detail"].endswith("(%s)" % route)
+
     def test_outer_cut_restricts_window(self, circle40):
         # the containment radius 37 cuts the complement: modes 31..37 of
         # each sign, doubled blocks
         comp = circle40.containment_window().localiser(0.05, beyond=30.5)
         assert circle40.containment_radius == 37.0
-        assert comp.dim == 2 * 14
+        assert comp.shape[0] == 2 * 14
 
 
 def _assert_same_block(block, reference):
-    assert block.matrix.shape == reference.matrix.shape
-    assert np.max(np.abs(block.matrix - reference.matrix)) <= 1e-12
+    dense = block.toarray()
+    assert dense.shape == reference.matrix.shape
+    assert np.max(np.abs(dense - reference.matrix)) <= 1e-12
     assert inertia(block) == inertia(reference)
 
 

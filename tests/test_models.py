@@ -398,6 +398,15 @@ class TestPersistence:
         assert loaded.containment_radius == model.containment_radius
         assert sum(f.stat().st_size for f in manifest.parent.iterdir()) < 20_000_000
 
+    @pytest.mark.parametrize("name", ["circle40", "qwz9"])
+    def test_manifest_text_equals_pure_python_dump(self, request, tmp_path, name):
+        # the libyaml emitter writes what yaml.SafeDumper writes
+        import yaml
+
+        text = save_model(request.getfixturevalue(name), tmp_path / "m").read_text()
+        doc = yaml.safe_load(text)
+        assert yaml.dump(doc, Dumper=yaml.SafeDumper, sort_keys=True) == text
+
     def test_tampered_matrix_fails_validation(self, tmp_path, shift40):
         save_model(shift40, tmp_path / "m")
         path = tmp_path / "m" / "dirac.mtx"
