@@ -29,8 +29,9 @@ def main() -> int:
                     default=[-3.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 3.0])
     ap.add_argument("--lean", action="store_true",
                     help="skip the certificates that grow with the box: the "
-                         "containment-window eigensolves and the sparse [D,K] "
-                         "norm (recommended for box > 12)")
+                         "sparse regime and complement gaps on the containment "
+                         "window and the sparse [D,K] norm (recommended for "
+                         "box > 12)")
     args = ap.parse_args()
 
     params = LocaliserParams(kappa=args.kappa, rho=args.rho)

@@ -46,14 +46,11 @@ from .flow import (
     sf_crossings,
     sf_endpoints,
     suspension,
-    suspension_even,
-    suspension_odd,
 )
 from .localiser import (
     GapCertificate,
     LocaliserParams,
     PairingResult,
-    RegimeCertificate,
     pairing,
     pairing_even,
     pairing_odd,

@@ -24,24 +24,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_sweep_flags(p, with_grid=False):
+    def add_sweep_flags(p, flow=False):
         p.add_argument("--config", help="YAML run configuration file")
         p.add_argument("--model", help="model spec (kind:key=val,... or manifest path)")
         p.add_argument("--kappa", type=float, nargs="+", help="coupling values")
         p.add_argument("--rho", type=float, nargs="+", help="truncation radii")
         p.add_argument("--mode", choices=("strict", "permissive"))
-        if with_grid:
+        if flow:
             p.add_argument("--grid", type=int, help="path samples per sweep")
             p.add_argument("--chi", choices=("clamp", "smooth"))
+            p.add_argument(
+                "--trace", action="store_true", default=None,
+                help="write each job's eigenvalue trace alongside the report",
+            )
         p.add_argument("--out", help="output directory for reports")
         p.add_argument("--workers", type=int, help="parallel job workers")
-        p.add_argument(
-            "--trace", action="store_true", default=None,
-            help="write eigenvalue traces alongside the report",
-        )
 
     add_sweep_flags(sub.add_parser("localise", help="pairing sweep over (kappa, rho)"))
-    add_sweep_flags(sub.add_parser("sf", help="suspension spectral-flow sweep"), with_grid=True)
+    add_sweep_flags(sub.add_parser("sf", help="suspension spectral-flow sweep"), flow=True)
 
     p_oracle = sub.add_parser("oracle", help="print the convention-adjusted oracle value")
     p_oracle.add_argument("--model", required=True)
@@ -65,7 +65,7 @@ def _build_config(args) -> RunConfig:
         mode=args.mode,
         out=args.out,
         workers=args.workers,
-        trace=args.trace,
+        trace=getattr(args, "trace", None),
         grid=getattr(args, "grid", None),
         chi=getattr(args, "chi", None),
     )

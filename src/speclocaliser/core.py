@@ -65,8 +65,10 @@ __all__ = [
 # small-model helpers.  Sparse model storage is not capped.
 DENSE_DIM_LIMIT = 10_000
 
-# Relative defaults.  zero_tol separates "invertible" from "kernel"; herm_tol
-# bounds the allowed asymmetry of inputs; proj_tol bounds idempotency defects.
+# zero_tol (relative default) separates "invertible" from "kernel"; the
+# Hermitian tolerance (relative) bounds the allowed asymmetry of inputs;
+# PROJ_TOL bounds idempotency defects; EIG_SEP_TOL is the least distance of
+# a D eigenvalue from a window edge.
 ZERO_TOL_FACTOR = 1e-8
 HERM_TOL_FACTOR = 1e-12
 PROJ_TOL = 1e-10
@@ -128,9 +130,10 @@ def max_abs_entry(m) -> float:
     return float(np.max(np.abs(values), initial=0.0))
 
 
-def _check_hermitian(m, herm_tol: float | None) -> None:
+def _check_hermitian(m, tol: float | None = None) -> None:
     # Entrywise max defect against a max-entry scale; cheap and dimension-free.
-    tol = herm_tol if herm_tol is not None else HERM_TOL_FACTOR * max(max_abs_entry(m), 1.0)
+    if tol is None:
+        tol = HERM_TOL_FACTOR * max(max_abs_entry(m), 1.0)
     defect = max_abs_entry(m - m.conj().T)
     if defect > tol:
         raise ValidationError(
@@ -149,7 +152,7 @@ def hermitian_csr(m) -> CsrOperator:
     m = CsrOperator(m, dtype=np.complex128)
     _check_shape(m.shape)
     _check_finite(m.data)
-    _check_hermitian(m, None)
+    _check_hermitian(m)
     return m
 
 
@@ -158,11 +161,10 @@ class HermitianOperator:
     """A validated dense Hermitian matrix with cached spectral data."""
 
     matrix: np.ndarray
-    herm_tol: float | None = None
 
     def __post_init__(self):
         m = _validate_square(self.matrix)
-        _check_hermitian(m, self.herm_tol)
+        _check_hermitian(m)
         self.matrix = m
 
     @property
@@ -222,33 +224,20 @@ def _ldl_block_signs(d: np.ndarray) -> tuple[int, int, int]:
     computed in closed form.
     """
     n = d.shape[0]
-    pos = neg = zero = 0
+    lams = []
     i = 0
     while i < n:
         if i + 1 < n and d[i + 1, i] != 0:
-            a = d[i, i].real
-            c = d[i + 1, i + 1].real
-            b = abs(d[i + 1, i])
-            half_tr = 0.5 * (a + c)
-            disc = np.hypot(0.5 * (a - c), b)
-            for lam in (half_tr + disc, half_tr - disc):
-                if lam > 0:
-                    pos += 1
-                elif lam < 0:
-                    neg += 1
-                else:
-                    zero += 1
+            a, c, b = d[i, i].real, d[i + 1, i + 1].real, abs(d[i + 1, i])
+            half_tr, disc = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
+            lams += [half_tr + disc, half_tr - disc]
             i += 2
         else:
-            lam = d[i, i].real
-            if lam > 0:
-                pos += 1
-            elif lam < 0:
-                neg += 1
-            else:
-                zero += 1
+            lams.append(d[i, i].real)
             i += 1
-    return pos, neg, zero
+    lams = np.array(lams)
+    pos, neg = int(np.sum(lams > 0)), int(np.sum(lams < 0))
+    return pos, neg, lams.size - pos - neg
 
 
 def _inertia_factorization(m: np.ndarray, zero_tol: float) -> tuple[int, int, int]:
@@ -260,13 +249,8 @@ def _inertia_factorization(m: np.ndarray, zero_tol: float) -> tuple[int, int, in
     """
     n = m.shape[0]
     eye = np.eye(n)
-    _, d_minus, _ = sla.ldl(m - zero_tol * eye, hermitian=True)
-    n_pos = _ldl_block_signs(d_minus)[0]
-    if zero_tol == 0.0:
-        n_neg = _ldl_block_signs(d_minus)[1]
-    else:
-        _, d_plus, _ = sla.ldl(m + zero_tol * eye, hermitian=True)
-        n_neg = _ldl_block_signs(d_plus)[1]
+    n_pos = _ldl_block_signs(sla.ldl(m - zero_tol * eye, hermitian=True)[1])[0]
+    n_neg = _ldl_block_signs(sla.ldl(m + zero_tol * eye, hermitian=True)[1])[1]
     return n_pos, n_neg, n - n_pos - n_neg
 
 
@@ -361,17 +345,16 @@ class Projection:
     """A validated orthogonal projection matrix."""
 
     matrix: np.ndarray
-    proj_tol: float = PROJ_TOL
 
     def __post_init__(self):
         m = _validate_square(self.matrix)
-        _check_hermitian(m, self.proj_tol)
+        _check_hermitian(m, PROJ_TOL)
         w = np.linalg.eigvalsh(m)
         stray = float(np.max(np.minimum(np.abs(w), np.abs(w - 1.0)))) if w.size else 0.0
-        if stray > self.proj_tol:
+        if stray > PROJ_TOL:
             raise ValidationError(
                 "projection eigenvalues stray from {0,1} by %.3e (tol %.3e)"
-                % (stray, self.proj_tol)
+                % (stray, PROJ_TOL)
             )
         self.matrix = m
         self._rank = int(np.sum(w > 0.5))
@@ -401,18 +384,18 @@ def positive_spectral_projection(op, zero_tol: float | None = None) -> Projectio
     return Projection(cols @ cols.conj().T)
 
 
-def window_mask(w: np.ndarray, rho: float, eig_sep_tol: float = EIG_SEP_TOL) -> np.ndarray:
+def window_mask(w: np.ndarray, rho: float) -> np.ndarray:
     """The spectral window rule: mask of the eigenvalues w with |w| <= rho.
 
-    Raises BoundaryEigenvalue if any eigenvalue lies within eig_sep_tol of
+    Raises BoundaryEigenvalue if any eigenvalue lies within EIG_SEP_TOL of
     +/-rho, since window membership must be unambiguous, and
     ValidationError if the window is empty.
     """
     dist = np.abs(np.abs(w) - rho)
-    if np.any(dist < eig_sep_tol):
+    if np.any(dist < EIG_SEP_TOL):
         raise BoundaryEigenvalue(
             "eigenvalue within %.3e of the window edge +/-%.6g (eig_sep_tol %.3e)"
-            % (float(np.min(dist)), rho, eig_sep_tol)
+            % (float(np.min(dist)), rho, EIG_SEP_TOL)
         )
     mask = np.abs(w) <= rho
     if not mask.any():
@@ -459,9 +442,10 @@ def _sylvester_gap(a: sp.sparray) -> float | None:
     lower = abs(theta) - np.linalg.norm(a @ y - theta * y) - rounding
     if not lower > 0:
         return None
-    # n_neg(A - lower) - n_neg(A + lower) eigenvalues lie in [-lower, lower)
-    below, above = _symmetric_lu(a, lower), _symmetric_lu(a, -lower)
-    if below is None or above is None or np.sum(below[1] < 0) != np.sum(above[1] < 0):
+    # no eigenvalue in [-lower, lower]: the Sylvester count at +/-lower has
+    # an empty zero class
+    counts = _inertia_sylvester(a, lower)
+    if counts is None or counts[2]:
         return None
     return float(lower)
 

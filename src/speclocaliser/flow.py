@@ -1,8 +1,9 @@
 """Spectral flow along Hermitian paths, suspensions and projection indices.
 
-Spectral flow is computed two ways and cross-checked: from endpoint
-signatures (half their difference) and by walking the path and accumulating
-per-interval changes of the positive eigenvalue count.  Branches are matched
+Spectral flow is computed two ways from one walk, and callers cross-check
+them: by accumulating per-interval changes of the positive eigenvalue count
+along the path, and from the endpoint signatures (half their difference),
+read off the walk's first and last samples.  Branches are matched
 between samples by inertia counts, not eigenvector continuity; a sample where
 an eigenvalue sits inside the zero tolerance is replaced by nearby clean
 samples via bisection toward its clean neighbours, and an eigenvalue that
@@ -30,7 +31,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import (
-    EIG_SEP_TOL,
     HermitianOperator,
     Projection,
     as_matrix,
@@ -60,8 +60,6 @@ __all__ = [
     "sf_endpoints",
     "sf_crossings",
     "suspension",
-    "suspension_even",
-    "suspension_odd",
     "sf_conjugation",
     "relative_index_projections",
     "odd_projection_unitary",
@@ -168,11 +166,22 @@ def sf_endpoints(t0, t1, zero_tol: float | None = None) -> int:
     return diff // 2
 
 
+# bisection depth of sf_crossings, rank threshold of the relative index,
+# and the odd-projection defect bound of odd_projection_unitary
+_MAX_DEPTH = 20
+_RANK_TOL = 1e-8
+_ODD_PROJ_TOL = 1e-10
+
+
 @dataclasses.dataclass(frozen=True)
 class SpectralFlowResult:
+    """Crossing count (value, with its ledger) and sf_endpoints of the end
+    samples at its default tolerance; samples counts diagonalised points."""
+
     value: int
     crossings: tuple[tuple[float, float, int], ...]
     samples: int
+    endpoints: int
 
 
 def _sample(path: OperatorPath, t: float, dim: int) -> np.ndarray:
@@ -189,36 +198,36 @@ def _counts(w: np.ndarray) -> tuple[int, float]:
     return int(np.sum(w > 0)), float(np.min(np.abs(w)))
 
 
-def sf_crossings(
-    path: OperatorPath, zero_tol: float | None = None, max_depth: int = 20
-) -> SpectralFlowResult:
-    """Crossing-counted spectral flow along the path.
+def sf_crossings(path: OperatorPath, zero_tol: float | None = None) -> SpectralFlowResult:
+    """Crossing-counted spectral flow along the path, and its endpoint value.
 
-    Equals sf_endpoints of the endpoint samples for any continuous path; the
-    crossing ledger localizes where the positive count changes.  Interior
-    samples with an eigenvalue inside the tolerance are replaced by clean
-    samples found by bisecting toward their clean neighbours; failure to find
-    one within max_depth raises RefinementLimit.  Each grid point is sampled
-    and diagonalised once; ``samples`` counts grid and bisection points.
+    The crossing count equals sf_endpoints of the endpoint samples for any
+    continuous path; the crossing ledger localizes where the positive count
+    changes.  Interior samples with an eigenvalue inside the tolerance are
+    replaced by clean samples found by bisecting toward their clean
+    neighbours; failure to find one within _MAX_DEPTH steps raises
+    RefinementLimit.  Each grid point is sampled and diagonalised once; the
+    end samples are validated as HermitianOperators (the rest are trusted
+    Hermitian), and the endpoint route reuses their eigenvalues.
     """
     grid = path.grid
-    first = path.sample(grid[0])
-    HermitianOperator(first)  # validate once; later samples trusted Hermitian
-    dim = first.shape[0]
+    first = HermitianOperator(path.sample(grid[0]))
+    dim = first.dim
 
     # one pass over the grid: eigenvalues of every sample, plus the increment
     # norms of the continuity screen (a step whose increment dwarfs the rest
     # signals a discontinuous evaluator, for which crossing counts are
     # meaningless)
-    eigs = [np.linalg.eigvalsh(first)]
+    eigs = [first.eigenvalues]
     slopes = []
-    prev = first
+    prev = first.matrix
     for i in range(1, len(grid)):
         cur = _sample(path, grid[i], dim)
         slopes.append(
             float(np.linalg.norm(cur - prev)) / float(grid[i] - grid[i - 1])
         )
-        eigs.append(np.linalg.eigvalsh(cur))
+        last = HermitianOperator(cur) if i == len(grid) - 1 else None
+        eigs.append(np.linalg.eigvalsh(cur) if last is None else last.eigenvalues)
         prev = cur
     top, typical = max(slopes), float(np.median(slopes))
     if typical > 0 and top > 100.0 * typical:
@@ -258,7 +267,7 @@ def sf_crossings(
         ):
             found = False
             lo, hi = t_lo, t_hi
-            for _ in range(max_depth):
+            for _ in range(_MAX_DEPTH):
                 mid = 0.5 * (lo + hi)
                 npos_m, gap_m = probe(mid)
                 evaluations += 1
@@ -283,7 +292,8 @@ def sf_crossings(
             crossings.append((ta, tb, nb - na))
             total += nb - na
     return SpectralFlowResult(
-        value=int(total), crossings=tuple(crossings), samples=evaluations
+        value=int(total), crossings=tuple(crossings), samples=evaluations,
+        endpoints=sf_endpoints(first, last),
     )
 
 
@@ -325,25 +335,12 @@ def suspension(
     )
 
 
-def suspension_even(model, kappa, rho, chi=CHI_CLAMP, num=33) -> OperatorPath:
-    if model.parity != "even":
-        raise ValidationError("even suspension needs an even model")
-    return suspension(model, kappa, rho, chi=chi, num=num)
-
-
-def suspension_odd(model, kappa, rho, chi=CHI_CLAMP, num=33) -> OperatorPath:
-    if model.parity != "odd":
-        raise ValidationError("odd suspension needs an odd model")
-    return suspension(model, kappa, rho, chi=chi, num=num)
-
-
 def sf_conjugation(
     dirac,
     u: np.ndarray,
     window: float,
     num: int = 33,
     zero_tol: float | None = None,
-    eig_sep_tol: float = EIG_SEP_TOL,
 ) -> int:
     """Spectral flow of the windowed straight line from D to u D u*.
 
@@ -360,7 +357,7 @@ def sf_conjugation(
         raise NonUnitary("u fails unitarity by %.3e" % defect)
 
     w, v = np.linalg.eigh(dm)
-    sel = window_mask(w, window, eig_sep_tol)
+    sel = window_mask(w, window)
     cols = v[:, sel]
     start = np.diag(w[sel]).astype(complex)
     rot = u.conj().T @ cols
@@ -375,22 +372,22 @@ def sf_conjugation(
 # projections
 
 
-def relative_index_projections(p, q, rank_tol: float = 1e-8) -> int:
+def relative_index_projections(p, q) -> int:
     """rank P - rank Q, cross-checked against kernel counts of Q|ran P.
 
     The kernel route uses rank(QP) from singular values; values inside the
-    ambiguity decade around rank_tol raise RankAmbiguity.
+    ambiguity decade around _RANK_TOL raise RankAmbiguity.
     """
     pp = p if isinstance(p, Projection) else Projection(p)
     qq = q if isinstance(q, Projection) else Projection(q)
     if pp.dim != qq.dim:
         raise DimensionMismatch("projection dimensions differ")
     s = np.linalg.svd(qq.matrix @ pp.matrix, compute_uv=False)
-    if np.any((s >= rank_tol / 10.0) & (s <= 10.0 * rank_tol)):
+    if np.any((s >= _RANK_TOL / 10.0) & (s <= 10.0 * _RANK_TOL)):
         raise RankAmbiguity(
-            "singular values of QP inside the ambiguity decade around %.2e" % rank_tol
+            "singular values of QP inside the ambiguity decade around %.2e" % _RANK_TOL
         )
-    r_qp = int(np.sum(s > rank_tol))
+    r_qp = int(np.sum(s > _RANK_TOL))
     dim_ker = pp.rank - r_qp  # kernel of Q restricted to ran P
     dim_coker = qq.rank - r_qp
     if dim_ker < 0 or dim_coker < 0:
@@ -401,7 +398,7 @@ def relative_index_projections(p, q, rank_tol: float = 1e-8) -> int:
     return dim_ker - dim_coker
 
 
-def odd_projection_unitary(p, grading: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def odd_projection_unitary(p, grading: np.ndarray) -> np.ndarray:
     """Extract U from an odd projection P = (1/2) [[1, U*], [U, 1]].
 
     grading is the +/-1 vector defining the splitting.  Raises
@@ -423,9 +420,10 @@ def odd_projection_unitary(p, grading: np.ndarray, tol: float = 1e-10) -> np.nda
     x = 2.0 * pp.matrix - np.eye(pp.dim)
     same = np.equal.outer(g, g)
     defect = float(np.max(np.abs(x[same])))
-    if defect > tol:
+    if defect > _ODD_PROJ_TOL:
         raise NotOddProjection(
-            "2P - 1 has diagonal-block entries up to %.3e (tol %.3e)" % (defect, tol)
+            "2P - 1 has diagonal-block entries up to %.3e (tol %.3e)"
+            % (defect, _ODD_PROJ_TOL)
         )
     u = 2.0 * pp.matrix[np.ix_(neg, pos)]
     u_defect = float(np.max(np.abs(u.conj().T @ u - np.eye(pos.size))))

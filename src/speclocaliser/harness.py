@@ -24,13 +24,7 @@ import yaml
 
 from .convention import oracle_pairing
 from .errors import ConfigError
-from .flow import (
-    CHI_PAIRS,
-    path_trace,
-    sf_crossings,
-    sf_endpoints,
-    suspension,
-)
+from .flow import CHI_PAIRS, path_trace, sf_crossings, suspension
 from .localiser import LocaliserParams, PairingResult, pairing
 from .models import (
     ModelInstance,
@@ -432,7 +426,7 @@ def _pool_job(args) -> JobRecord:
     return job(_worker_model, kappa, rho, *rest)
 
 
-def _sweep(config: RunConfig, model: ModelInstance, job, *rest, pool_ok=True) -> list:
+def _sweep(config: RunConfig, model: ModelInstance, job, *rest) -> list:
     """Run job(model, kappa, rho, *rest) over the sorted (kappa, rho) grid.
 
     With more than one worker the jobs go to a process pool instead; each
@@ -440,7 +434,7 @@ def _sweep(config: RunConfig, model: ModelInstance, job, *rest, pool_ok=True) ->
     """
     jobs = sorted((k, r) for k in config.kappas for r in config.rhos)
     workers = config.resolved_workers()
-    if pool_ok and workers > 1 and len(jobs) > 1:
+    if workers > 1 and len(jobs) > 1:
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(model,)
         ) as pool:
@@ -472,6 +466,8 @@ def _finish_report(command, model, config, records) -> Report:
 
 def run_localise(config: RunConfig) -> Report:
     """Build, validate, truncate, certify and compare each (kappa, rho) job."""
+    if config.trace:
+        raise ConfigError("trace is an sf option; localise writes no eigenvalue trace")
     config.validate()
     model = parse_model_spec(config.model)
     records = _sweep(config, model, _localise_job, config.mode)
@@ -485,9 +481,6 @@ def _sf_job(model, kappa, rho, mode, chi_name, grid, trace_dir) -> JobRecord:
         res = pairing(model, LocaliserParams(kappa=kappa, rho=rho, mode=mode))
         path = suspension(model, kappa, rho, chi=chi, num=grid)
         flow = sf_crossings(path)
-        endpoints = sf_endpoints(
-            path.evaluate(path.grid[0]), path.evaluate(path.grid[-1])
-        )
         if trace_dir is not None:
             ts, eigs = path_trace(path)
             name = "trace_k%g_r%g.csv" % (kappa, rho)
@@ -498,12 +491,12 @@ def _sf_job(model, kappa, rho, mode, chi_name, grid, trace_dir) -> JobRecord:
                     writer.writerow([t] + list(row))
     except Exception as exc:
         return _error_record(kappa, rho, mode, t0, exc)
-    consistent = flow.value == endpoints == res.pairing
+    consistent = flow.value == flow.endpoints == res.pairing
     return _ok_record(
         kappa, rho, mode, t0, res,
         extra={
             "sf_crossings": flow.value,
-            "sf_endpoints": endpoints,
+            "sf_endpoints": flow.endpoints,
             "sf_consistent": bool(consistent),
             "crossing_count": len(flow.crossings),
             "chi": chi_name,
@@ -515,8 +508,11 @@ def run_sf(config: RunConfig) -> Report:
     """Suspension spectral flow per job plus the internal equality checks.
 
     Each record asserts sf_crossings = sf_endpoints = pairing via the
-    ``sf_consistent`` flag; the suspension runs on the same |D| <= rho
-    window that the pairing truncates to.
+    ``sf_consistent`` flag, both flow routes read off one walk; the
+    suspension runs on the same |D| <= rho window that the pairing
+    truncates to.  With trace set, every job writes its own eigenvalue
+    trace CSV into the output directory, so traced sweeps run in the pool
+    too.
     """
     config.validate()
     model = parse_model_spec(config.model)
@@ -524,8 +520,7 @@ def run_sf(config: RunConfig) -> Report:
     if trace_dir is not None:
         Path(trace_dir).mkdir(parents=True, exist_ok=True)
     records = _sweep(
-        config, model, _sf_job, config.mode, config.chi, config.grid, trace_dir,
-        pool_ok=trace_dir is None,
+        config, model, _sf_job, config.mode, config.chi, config.grid, trace_dir
     )
     return _finish_report("sf", model, config, records)
 

@@ -20,26 +20,30 @@ seam-free regime block are sub-blocks of the containment window and stay
 sparse; their gaps are certified lower bounds (``core.certified_gap``), and
 each certificate's detail names the route that measured it.
 
-Validity is tracked through certificates rather than asserted silently.  Hard
+Validity is tracked through certificates rather than asserted silently:
+every check, the untruncated-regime one included, is one
+:class:`GapCertificate` row of ``PairingResult.certificates``.  Hard
 conditions (the kappa bound, rho > 2*gap/kappa, containment of the window in
 the box) gate the truncation theorem and are enforced in strict mode.  The
 coupling and endpoint conditions from the block-decomposition argument are
 recorded but never enforced: they are sufficient-only and fail by a wide
 margin on standard parameter sets whose pairings are nevertheless exact, so
 they ship as diagnostics.  Guarantee certificates (truncated gap >= gap/2,
-complement gap, full-box gap >= theoretical bound) are marked applicable only
-when the hypotheses backing them hold.
+complement gap, seam-free regime gap >= sqrt(g^2 - kappa ||[D,K]||)) are
+marked applicable only when the hypotheses backing them hold.  Every cached
+spectral quantity (windows, norms, gaps) is owned by the model.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 
 from .core import (
-    ZERO_TOL_FACTOR,
     HermitianOperator,
     Inertia,
+    _resolve_zero_tol,
     certified_gap,
     inertia,
     spectral_gap,
@@ -57,7 +61,6 @@ from .models import ModelInstance
 __all__ = [
     "LocaliserParams",
     "GapCertificate",
-    "RegimeCertificate",
     "PairingResult",
     "validate_infinite_regime",
     "validate_truncation_params",
@@ -118,16 +121,7 @@ class GapCertificate:
         return d
 
 
-def _compare(measured: float, relation: str, bound: float) -> bool:
-    if relation == "<=":
-        return measured <= bound
-    if relation == "<":
-        return measured < bound
-    if relation == ">=":
-        return measured >= bound
-    if relation == ">":
-        return measured > bound
-    raise ValidationError("unknown relation %r" % relation)
+_RELATIONS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt}
 
 
 def _certificate(
@@ -142,7 +136,7 @@ def _certificate(
         measured=float(measured),
         bound=float(bound),
         relation=relation,
-        satisfied=_compare(measured, relation, effective),
+        satisfied=_RELATIONS[relation](measured, effective),
         kind=kind,
         hard=hard,
         applicable=applicable,
@@ -150,74 +144,41 @@ def _certificate(
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class RegimeCertificate:
-    """Invertibility data for the untruncated (full-box) localiser."""
-
-    kappa: float
-    k_gap: float
-    comm_interior: float
-    hypothesis_holds: bool
-    theoretical_bound: float
-    measured_gap: float | None
-    gap_route: str = ""
-
-    def gap_certificate(self) -> GapCertificate:
-        measured = self.measured_gap if self.measured_gap is not None else float("nan")
-        return GapCertificate(
-            name="regime_gap",
-            measured=measured,
-            bound=self.theoretical_bound,
-            relation=">=",
-            satisfied=bool(
-                self.measured_gap is not None
-                and self.measured_gap >= self.theoretical_bound - 1e-9
-            ),
-            kind="guarantee",
-            applicable=bool(self.hypothesis_holds and self.measured_gap is not None),
-            detail="seam-free localiser gap vs sqrt(g^2 - kappa*||[D,K]||)"
-            + (" (%s)" % self.gap_route if self.gap_route else ""),
-        )
-
-
 def validate_infinite_regime(
     model: ModelInstance, kappa: float, mode: str = "permissive"
-) -> RegimeCertificate:
-    """Check kappa * ||[D, K]|| < g^2 and measure the untruncated localiser gap.
+) -> GapCertificate:
+    """The regime_gap guarantee: kappa * ||[D, K]|| < g^2 and the untruncated gap.
 
     The commutator norm is the interior one, and the gap is measured on the
-    localiser compressed to the containment window of D: the periodic seam
-    of a finite box carries commutator entries of size O(box) and bound
-    eigenmodes with no infinite-volume counterpart (at strict circle
-    parameters the lowest full-box eigenvector has all its mass on the wrap
-    rows).  In strict mode a failed hypothesis raises HypothesisViolated.
-    The gap is measured only when the hypothesis holds; that is the only
-    case where the theoretical bound makes a claim.  It is a certified lower
-    bound (``core.certified_gap``), and gap_route names the route.
+    localiser compressed to the containment window of D
+    (``ModelInstance.regime_gap``): the periodic seam of a finite box
+    carries commutator entries of size O(box) and bound eigenmodes with no
+    infinite-volume counterpart (at strict circle parameters the lowest
+    full-box eigenvector has all its mass on the wrap rows).  In strict
+    mode a failed hypothesis raises HypothesisViolated.  The gap is measured
+    only when the hypothesis holds, the only case where the theoretical
+    bound sqrt(g^2 - kappa ||[D, K]||) makes a claim; otherwise the row is
+    inapplicable and its measured value is NaN.
     """
     g = model.k_gap()
     comm = model.dirac_commutator()
     holds = kappa * comm < g * g
-    bound = math.sqrt(max(g * g - kappa * comm, 0.0))
     if mode == "strict" and not holds:
         raise HypothesisViolated(
             "kappa*||[D,K]|| = %.6g is not below g^2 = %.6g"
             % (kappa * comm, g * g)
         )
-    measured, route = None, ""
-    if holds:
-        key = ("regime_gap", float(kappa))
-        if key not in model.cache:
-            model.cache[key] = certified_gap(model.containment_window().localiser(kappa))
-        measured, route = model.cache[key]
-    return RegimeCertificate(
-        kappa=float(kappa),
-        k_gap=g,
-        comm_interior=comm,
-        hypothesis_holds=bool(holds),
-        theoretical_bound=bound,
-        measured_gap=measured,
-        gap_route=route,
+    measured, route = model.regime_gap(kappa) if holds else (math.nan, "")
+    return _certificate(
+        "regime_gap",
+        measured,
+        math.sqrt(max(g * g - kappa * comm, 0.0)),
+        ">=",
+        kind="guarantee",
+        applicable=bool(holds),
+        detail="seam-free localiser gap vs sqrt(g^2 - kappa*||[D,K]||)"
+        + (" (%s)" % route if route else ""),
+        slack=1e-9,
     )
 
 
@@ -297,7 +258,6 @@ class PairingResult:
     dim_trunc: int
     truncated_gap: float
     certificates: tuple[GapCertificate, ...]
-    regime: RegimeCertificate | None
 
     def certificate(self, name: str) -> GapCertificate:
         for cert in self.certificates:
@@ -322,10 +282,10 @@ def pairing(
     The truncated block is kappa*diag(w) + V* K~ V on the |D| <= rho window
     (doubled for odd models); for even models the index correction is the
     trace of the window's grading, which must be within 1e-6 of an integer
-    or IntegerityViolation is raised.  The complement block rho < |D| <= containment
-    and the seam-free regime block are sub-blocks of the containment
-    window; each equals the compression of the whole-box localiser onto
-    the same eigenvectors of D.
+    or IntegerityViolation is raised.  The complement block
+    rho < |D| <= containment and the seam-free regime block are sub-blocks
+    of the containment window; each equals the compression of the whole-box
+    localiser onto the same eigenvectors of D.
 
     certificates=False is a lean mode for sweeps on large models: it skips
     everything that needs the [D, K] commutator or an extra eigensolve (the
@@ -336,28 +296,22 @@ def pairing(
     """
     if not certificates and params.mode == "strict":
         raise ValidationError("strict mode needs full certificates")
-    certs = validate_truncation_params(
-        model, params, include_commutator=certificates
+    certs = validate_truncation_params(model, params, include_commutator=certificates)
+    regime = (
+        validate_infinite_regime(model, params.kappa, params.mode) if certificates else None
     )
-    regime = None
-    if certificates:
-        regime = validate_infinite_regime(model, params.kappa, params.mode)
     assumption_ok = certificates and all(c.satisfied for c in certs if c.hard)
 
     window = model.window(params.rho)
     trunc_op = HermitianOperator(window.localiser(params.kappa))
     g = model.k_gap()
     trunc_gap = spectral_gap(trunc_op)
-    certs.append(
-        _certificate(
-            "truncated_gap", trunc_gap, 0.5 * g, ">=", kind="guarantee",
-            applicable=assumption_ok,
-            detail="truncated localiser gap vs g/2",
-            slack=1e-9,
-        )
-    )
+    certs.append(_certificate(
+        "truncated_gap", trunc_gap, 0.5 * g, ">=", kind="guarantee",
+        applicable=assumption_ok, detail="truncated localiser gap vs g/2", slack=1e-9,
+    ))
     if regime is not None:
-        certs.append(regime.gap_certificate())
+        certs.append(regime)
         comp = model.containment_window().localiser(params.kappa, beyond=params.rho)
         if comp is not None:
             certs.append(
@@ -374,7 +328,7 @@ def pairing(
 
     # the permissive acceptance criterion: the truncated matrix must be
     # numerically invertible regardless of which theoretical bounds applied
-    tol_resolved = zero_tol if zero_tol is not None else ZERO_TOL_FACTOR * trunc_op.norm
+    tol_resolved = _resolve_zero_tol(trunc_op.norm, zero_tol)
     certs.append(
         _certificate(
             "invertibility", trunc_gap, tol_resolved, ">", kind="guarantee",
@@ -419,7 +373,6 @@ def pairing(
         dim_trunc=trunc_op.dim,
         truncated_gap=trunc_gap,
         certificates=tuple(certs),
-        regime=regime,
     )
 
 

@@ -23,13 +23,13 @@ Three builders are provided:
 
 Builders attach analytically known eigensystems of D where the structure
 makes them immediate (diagonal or site-block D, one or two nonzeros per
-eigenvector); the generic path (a dense ``eigh``, for small models only)
-is used otherwise and the two are interchangeable up to basis choice inside
-degenerate eigenspaces.  ``ModelInstance.window`` compresses K (and, for
-even models, the grading) onto a spectral window of D in that eigenbasis
-once per radius, touching only the rows the window's eigenvectors reach;
-every localiser block the pairing and the suspension paths read is
-assembled from such a window.
+eigenvector), and K's norm and gap; the generic dense paths, capped at
+``core.DENSE_DIM_LIMIT``, are used otherwise, and the two eigensystems are
+interchangeable up to basis choice inside degenerate eigenspaces.
+``ModelInstance.window`` compresses K (and, for even models, the grading)
+onto a spectral window of D in that eigenbasis once per radius, touching
+only the rows the window's eigenvectors reach; every localiser block the
+pairing and the suspension paths read is assembled from such a window.
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ import yaml
 from .core import (
     CsrOperator,
     HermitianOperator,
+    as_matrix,
+    certified_gap,
     commutator_norm,
     hermitian_csr,
     max_abs_entry,
@@ -97,6 +99,9 @@ _YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 # last site unaffected by the periodic seam.
 _SAFETY_MARGIN = 2
 
+# Largest same-sector entry of a graded operator, relative to max(|entry|, 1).
+_ODD_TOL_FACTOR = 1e-12
+
 
 def _stable_order(w: np.ndarray) -> np.ndarray:
     # Ascending eigenvalue order; exact ties keep original index order.
@@ -116,7 +121,6 @@ class GradedOperator:
 
     matrix: CsrOperator
     grading: np.ndarray
-    odd_tol_factor: float = 1e-12
 
     def __post_init__(self):
         self.matrix = hermitian_csr(self.matrix)
@@ -128,10 +132,10 @@ class GradedOperator:
         self.grading = g.astype(np.int8)
         scale = max(max_abs_entry(self.matrix), 1.0)
         defect = _graded_defect(self.matrix, self.grading, same_sector=True)
-        if defect > self.odd_tol_factor * scale:
+        if defect > _ODD_TOL_FACTOR * scale:
             raise ValidationError(
                 "matrix does not anticommute with the grading: "
-                "diagonal-block entry %.3e exceeds %.3e" % (defect, self.odd_tol_factor * scale)
+                "diagonal-block entry %.3e exceeds %.3e" % (defect, _ODD_TOL_FACTOR * scale)
             )
 
     @property
@@ -267,10 +271,10 @@ class ModelInstance:
         """Eigenvalues (ascending, stable ties) and eigenvector columns of D.
 
         The eigenvectors are a CSC array; builders attach closed forms, and
-        other models fall back to a dense eigh, stored the same way.
+        other models fall back to a capped dense eigh, stored the same way.
         """
         if "eigensystem" not in self.cache:
-            w, v = np.linalg.eigh(self.dirac.toarray())
+            w, v = np.linalg.eigh(as_matrix(self.dirac))
             order = _stable_order(w)
             self.cache["eigensystem"] = (w[order], sp.csc_array(v[:, order]))
         return self.cache["eigensystem"]
@@ -320,7 +324,7 @@ class ModelInstance:
 
     def k_norm(self) -> float:
         if "k_norm" not in self.cache:
-            self.cache["k_norm"] = operator_norm(self.k_rep.toarray())
+            self.cache["k_norm"] = operator_norm(as_matrix(self.k_rep))
         return self.cache["k_norm"]
 
     def k_gap(self) -> float:
@@ -329,7 +333,7 @@ class ModelInstance:
             if self.parity == "even":
                 self.cache["k_gap"] = spectral_gap(HermitianOperator(self.k_rep))
             else:
-                self.cache["k_gap"] = singular_gap(self.k_rep.toarray())
+                self.cache["k_gap"] = singular_gap(as_matrix(self.k_rep))
         return self.cache["k_gap"]
 
     def dirac_commutator(self) -> float:
@@ -339,6 +343,14 @@ class ModelInstance:
                 self.dirac, self.k_rep, self.interior_mask
             )
         return self.cache["dirac_commutator"]
+
+    def regime_gap(self, kappa: float) -> tuple[float, str]:
+        """Seam-free localiser gap on the containment window and its route
+        (core.certified_gap), cached."""
+        key = ("regime_gap", float(kappa))
+        if key not in self.cache:
+            self.cache[key] = certified_gap(self.containment_window().localiser(kappa))
+        return self.cache[key]
 
     def describe(self) -> dict:
         return {

@@ -37,8 +37,17 @@ __all__ = [
     "toeplitz_index",
 ]
 
+# largest residue of an invariant from its nearest integer; the graded
+# index's relative kernel threshold; toeplitz_index's edge zone (in D
+# eigenvalues), singular-value threshold and least positive D eigenvalue
+_RESIDUE_TOL = 0.01
+_KERNEL_TOL_FACTOR = 1e-6
+_TOEPLITZ_MARGIN = 5.0
+_TOEPLITZ_TOL = 1e-8
+_TOEPLITZ_ZERO_TOL = 1e-8
 
-def winding_number(symbol, grid: int = 4096, residue_tol: float = 0.01) -> int:
+
+def winding_number(symbol, grid: int = 4096) -> int:
     """Winding of det g(theta) around 0, summed from phase increments.
 
     symbol: finite Fourier coefficients ({k: c}) or a callable returning a
@@ -65,17 +74,15 @@ def winding_number(symbol, grid: int = 4096, residue_tol: float = 0.01) -> int:
     increments = np.angle(vals[np.r_[1:grid, 0]] / vals)
     total = float(np.sum(increments)) / (2.0 * np.pi)
     nearest = round(total)
-    if abs(total - nearest) > residue_tol:
+    if abs(total - nearest) > _RESIDUE_TOL:
         raise ResidueTooLarge(
             "winding residue %.3e exceeds %.3e (grid too coarse?)"
-            % (abs(total - nearest), residue_tol)
+            % (abs(total - nearest), _RESIDUE_TOL)
         )
     return int(nearest)
 
 
-def chern_number_fhs(
-    bloch, grid: int = 48, residue_tol: float = 0.01
-) -> int:
+def chern_number_fhs(bloch, grid: int = 48) -> int:
     """Occupied(lower)-band Chern number via plaquette field strengths.
 
     bloch: callable (k1, k2) -> Hermitian 2x2 matrix.  Link variables are
@@ -102,28 +109,27 @@ def chern_number_fhs(
     plaq = u1 * np.roll(u2, -1, axis=0) * np.conj(np.roll(u1, -1, axis=1)) * np.conj(u2)
     total = float(np.sum(np.angle(plaq))) / (2.0 * np.pi)
     nearest = round(total)
-    if abs(total - nearest) > residue_tol:
+    if abs(total - nearest) > _RESIDUE_TOL:
         raise ResidueTooLarge(
-            "band-invariant residue %.3e exceeds %.3e" % (abs(total - nearest), residue_tol)
+            "band-invariant residue %.3e exceeds %.3e" % (abs(total - nearest), _RESIDUE_TOL)
         )
     return int(nearest)
 
 
-def fredholm_index_graded(graded: GradedOperator, tol: float | None = None) -> int:
+def fredholm_index_graded(graded: GradedOperator) -> int:
     """dim ker - dim coker of the plus block of a graded operator.
 
     Kernel dimensions are column counts minus ranks from singular values of
-    the plus block, densified whole.  Singular values inside the ambiguity
-    decade [tol/10, 10*tol] raise AmbiguousKernel; counting them either way
-    would be a silent guess.
+    the plus block, densified whole, at tol = 1e-6 max(s_max, 1).  Singular
+    values inside the ambiguity decade [tol/10, 10*tol] raise
+    AmbiguousKernel; counting them either way would be a silent guess.
     """
     a = graded.block_plus.toarray()
     n_rows, n_cols = a.shape
 
     s = sla.svdvals(a) if min(a.shape) else np.array([])
     scale = float(s[0]) if s.size else 1.0
-    if tol is None:
-        tol = 1e-6 * max(scale, 1.0)
+    tol = _KERNEL_TOL_FACTOR * max(scale, 1.0)
     if np.any((s >= tol / 10.0) & (s <= 10.0 * tol)):
         raise AmbiguousKernel(
             "singular values inside [%.2e, %.2e]; kernel dimension ill-defined"
@@ -133,36 +139,29 @@ def fredholm_index_graded(graded: GradedOperator, tol: float | None = None) -> i
     return (n_cols - rank) - (n_rows - rank)
 
 
-def _toeplitz_count(
-    w: np.ndarray,
-    v: np.ndarray,
-    u: np.ndarray,
-    window: float,
-    margin: float,
-    tol: float,
-    zero_tol: float,
-    eig_sep_tol: float,
-) -> int:
+def _toeplitz_count(w: np.ndarray, v: np.ndarray, u: np.ndarray, window: float) -> int:
     dist = np.abs(w - window)
-    if np.any(dist < eig_sep_tol):
+    if np.any(dist < EIG_SEP_TOL):
         raise BoundaryEigenvalue(
             "D eigenvalue within %.3e of the window edge %.6g"
             % (float(np.min(dist)), window)
         )
-    sel = (w > zero_tol) & (w <= window)
+    sel = (w > _TOEPLITZ_ZERO_TOL) & (w <= window)
     if not sel.any():
         raise ValidationError("empty positive window (0, %.6g]" % window)
     cols = v[:, sel]
     wsel = w[sel]
     a = cols.conj().T @ u @ cols
     uu, s, vh = np.linalg.svd(a)
-    if np.any((s >= tol / 10.0) & (s <= 10.0 * tol)):
-        raise AmbiguousKernel("singular values in the ambiguity decade around %.2e" % tol)
-    small = s < tol
+    if np.any((s >= _TOEPLITZ_TOL / 10.0) & (s <= 10.0 * _TOEPLITZ_TOL)):
+        raise AmbiguousKernel(
+            "singular values in the ambiguity decade around %.2e" % _TOEPLITZ_TOL
+        )
+    small = s < _TOEPLITZ_TOL
     # Vectors supported at the artificial cut near the window top are
     # compression artifacts; genuine kernel/cokernel modes live at the
     # spectral boundary near 0.
-    edge = wsel > window - margin
+    edge = wsel > window - _TOEPLITZ_MARGIN
     ker = coker = 0
     for col in np.flatnonzero(small):
         if float(np.sum(np.abs(vh[col]) ** 2 * edge)) <= 0.5:
@@ -172,28 +171,20 @@ def _toeplitz_count(
     return ker - coker
 
 
-def toeplitz_index(
-    u: np.ndarray,
-    dirac,
-    window: float,
-    margin: float = 5.0,
-    tol: float = 1e-8,
-    zero_tol: float = 1e-8,
-    eig_sep_tol: float = EIG_SEP_TOL,
-) -> int:
+def toeplitz_index(u: np.ndarray, dirac, window: float) -> int:
     """Index of the compression of a unitary to the positive-D window (0, W].
 
     The count is repeated on the shrunk window W-2 and must agree, otherwise
-    WindowInstability is raised.  margin sets the edge zone (in units of D
-    eigenvalues) used to discard compression artifacts at the top cut.
+    WindowInstability is raised.  Modes within _TOEPLITZ_MARGIN (in units of
+    D eigenvalues) of the top cut are discarded as compression artifacts.
     """
     u = np.asarray(u, dtype=np.complex128)
     defect = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
     if defect > 1e-10:
         raise NonUnitary("u fails unitarity by %.3e" % defect)
     w, v = np.linalg.eigh(as_matrix(getattr(dirac, "matrix", dirac)))
-    first = _toeplitz_count(w, v, u, window, margin, tol, zero_tol, eig_sep_tol)
-    second = _toeplitz_count(w, v, u, window - 2.0, margin, tol, zero_tol, eig_sep_tol)
+    first = _toeplitz_count(w, v, u, window)
+    second = _toeplitz_count(w, v, u, window - 2.0)
     if first != second:
         raise WindowInstability(
             "index changed from %d to %d when the window shrank from %.6g to %.6g"

@@ -20,8 +20,7 @@ from speclocaliser import (
     sf_conjugation,
     sf_crossings,
     sf_endpoints,
-    suspension_even,
-    suspension_odd,
+    suspension,
 )
 from speclocaliser.errors import (
     DimensionMismatch,
@@ -110,14 +109,16 @@ class TestCrossings:
         b = rng.normal(size=(n, n))
         b = b + b.T - (2 + n) * np.eye(n)
         path = line_path(a, b, num=21)
-        assert sf_crossings(path).value == sf_endpoints(a, b)
+        flow, ends = sf_crossings(path), sf_endpoints(a, b)
+        assert flow.value == ends
+        assert flow.endpoints == ends
 
 
 class TestSuspensions:
     def test_even_endpoints_are_the_advertised_operators(self, qwz9):
         # the window compressions of kappa D - Gamma, kappa D and the localiser
         kappa, rho = 1.0, 6.5
-        susp = suspension_even(qwz9, kappa, rho, num=9)
+        susp = suspension(qwz9, kappa, rho, num=9)
         cols = qwz9.window(rho).index
         start = compress(dense_localiser(qwz9, kappa, -np.eye(qwz9.dim)), qwz9, cols)
         assert np.allclose(susp.sample(-1.0), start.matrix, atol=1e-13)
@@ -128,7 +129,7 @@ class TestSuspensions:
 
     def test_odd_endpoints_are_the_advertised_operators(self, circle40):
         kappa, rho = 0.05, 30.5
-        susp = suspension_odd(circle40, kappa, rho, num=9)
+        susp = suspension(circle40, kappa, rho, num=9)
         cols = circle40.window(rho).index
         d = cols.size
         start = susp.sample(-1.0)
@@ -138,25 +139,19 @@ class TestSuspensions:
         end = compress(dense_localiser(circle40, kappa), circle40, cols)
         assert np.allclose(susp.sample(1.0), end.matrix, atol=1e-13)
 
-    def test_parity_mismatch_rejected(self, circle40, qwz9):
-        with pytest.raises(ValidationError):
-            suspension_even(circle40, 0.05, 30.5)
-        with pytest.raises(ValidationError):
-            suspension_odd(qwz9, 1.0, 6.5)
-
     def test_reference_half_carries_no_flow(self, qwz9):
         # from kappa D - Gamma to kappa D the two terms anticommute, so the
         # spectrum never touches zero
-        susp = suspension_even(qwz9, 1.0, rho=6.5)
+        susp = suspension(qwz9, 1.0, rho=6.5)
         segment = OperatorPath(evaluate=susp.evaluate, grid=np.linspace(-1.0, 0.0, 17))
         assert sf_crossings(segment).value == 0
 
     def test_windowed_suspension_matches_truncated_dimension(self, circle40):
-        susp = suspension_odd(circle40, 0.05, rho=30.5, num=5)
+        susp = suspension(circle40, 0.05, rho=30.5, num=5)
         assert susp.sample(0.5).shape == (2 * 61, 2 * 61)
 
     def test_path_trace_shape(self, circle40):
-        susp = suspension_odd(circle40, 0.05, rho=10.5, num=7)
+        susp = suspension(circle40, 0.05, rho=10.5, num=7)
         grid, rows = path_trace(susp)
         assert grid.shape == (7,)
         assert rows.shape == (7, susp.sample(0.0).shape[0])

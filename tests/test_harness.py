@@ -245,6 +245,38 @@ class TestFlowSweeps:
         header = traces[0].read_text().splitlines()[0]
         assert header.startswith("t,")
 
+    def test_pooled_trace_sweep_equals_serial(self, tmp_path):
+        # every traced job writes its own CSV, so the pool may run them
+        runs = {}
+        for workers in (1, 2):
+            out = tmp_path / ("w%d" % workers)
+            cfg = RunConfig(model="shift:sites=20", kappas=[0.1, 0.2], rhos=[5.5, 8.5],
+                            out=str(out), trace=True, grid=9, workers=workers)
+            run_sf(cfg)
+            report = _strip_timing(json.loads((out / "report.json").read_text()))
+            report["config"].pop("out")
+            report["config"].pop("workers")
+            traces = {p.name: p.read_bytes() for p in out.glob("trace_*.csv")}
+            runs[workers] = (report, traces)
+        assert runs[1][0] == runs[2][0]
+        assert len(runs[1][1]) == 4
+        assert runs[1][1] == runs[2][1]
+
+    def test_localise_rejects_trace(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({
+            "model": "shift:sites=20", "kappas": [0.1], "rhos": [5.5],
+            "out": str(tmp_path / "r"), "trace": True,
+        }))
+        with pytest.raises(ConfigError):
+            run_localise(RunConfig.from_file(path))
+        assert cli.main(["localise", "--config", str(path)]) == 2
+        assert not (tmp_path / "r" / "report.json").exists()
+        # --trace is an sf flag only: argparse rejects it with exit code 2
+        args = ["--model", "shift:sites=20", "--kappa", "0.1", "--rho", "5.5",
+                "--out", str(tmp_path / "r"), "--trace"]
+        assert cli.main(["localise"] + args) == 2
+
     def test_smooth_cutoff_agrees(self):
         clamp = RunConfig(model="shift:sites=20", kappas=[0.1], rhos=[5.5], chi="clamp")
         smooth = RunConfig(model="shift:sites=20", kappas=[0.1], rhos=[5.5], chi="smooth")

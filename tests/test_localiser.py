@@ -59,26 +59,29 @@ class TestInfiniteRegime:
         model = build_circle_model(60, {0: 0.5, 1: 1.0})
         cert = validate_infinite_regime(model, 0.2)
         g = model.k_gap()
-        assert cert.hypothesis_holds
-        assert cert.theoretical_bound == pytest.approx(np.sqrt(g * g - 0.2), abs=1e-12)
-        assert cert.measured_gap >= cert.theoretical_bound - 1e-9
+        assert cert.name == "regime_gap" and cert.kind == "guarantee"
+        assert cert.applicable and cert.satisfied
+        assert cert.bound == pytest.approx(np.sqrt(g * g - 0.2), abs=1e-12)
+        assert cert.measured >= cert.bound - 1e-9
+        # the gap is the model's cached seam-free gap
+        assert cert.measured == model.regime_gap(0.2)[0]
 
     def test_hypothesis_failure_permissive_vs_strict(self):
         # kappa ||[D,G]|| = 0.3 exceeds g^2 = 0.25
         model = build_circle_model(60, {0: 0.5, 1: 1.0})
         cert = validate_infinite_regime(model, 0.3)
-        assert not cert.hypothesis_holds
-        assert cert.measured_gap is None
-        assert not cert.gap_certificate().applicable
+        assert not cert.applicable and not cert.violated
+        assert np.isnan(cert.measured)
+        assert ("regime_gap", 0.3) not in model.cache
         with pytest.raises(HypothesisViolated):
             validate_infinite_regime(model, 0.3, mode="strict")
 
     def test_commuting_pair_keeps_full_margin(self, shift40):
         # K = identity commutes with D, so the bound stays at g itself
         cert = validate_infinite_regime(shift40, 0.1)
-        assert cert.comm_interior == 0.0
-        assert cert.theoretical_bound == pytest.approx(shift40.k_gap())
-        assert cert.measured_gap >= 1.0 - 1e-9
+        assert shift40.dirac_commutator() == 0.0
+        assert cert.bound == pytest.approx(shift40.k_gap())
+        assert cert.measured >= 1.0 - 1e-9
 
 
 class TestTruncationCertificates:
@@ -184,7 +187,7 @@ class TestComplementBlock:
             if route == core.DENSE_GAP_ROUTE:
                 monkeypatch.setattr(core, "_sylvester_gap", lambda a: None)
             res = pairing(build_circle_model(40, {0: 0.5, 1: 1.0}), params)
-            assert res.regime.hypothesis_holds
+            assert res.certificate("regime_gap").applicable
             for name in ("regime_gap", "complement_gap"):
                 assert res.certificate(name).as_dict()["detail"].endswith("(%s)" % route)
 
@@ -241,8 +244,9 @@ class TestWindowBlocks:
                 assert res.certificate("complement_gap").measured == pytest.approx(
                     spectral_gap(comp), rel=1e-12
                 )
-                if res.regime.hypothesis_holds:
-                    assert res.regime.measured_gap == pytest.approx(
+                regime = res.certificate("regime_gap")
+                if regime.applicable:
+                    assert regime.measured == pytest.approx(
                         spectral_gap(seam_free), rel=1e-12
                     )
 
@@ -302,7 +306,7 @@ class TestPairing:
             "invertibility",
         } <= names
         assert res.violations == []
-        assert res.regime is not None and res.regime.hypothesis_holds
+        assert res.certificate("regime_gap").applicable
 
     def test_lean_mode_skips_expensive_certificates(self, shift40):
         res = pairing(shift40, LocaliserParams(0.1, 10.5), certificates=False)
@@ -311,7 +315,6 @@ class TestPairing:
         assert "regime_gap" not in names
         assert "complement_gap" not in names
         assert "invertibility" in names and "truncated_gap" in names
-        assert res.regime is None
         # the pairing itself is unchanged
         full = pairing(shift40, LocaliserParams(0.1, 10.5))
         assert res.pairing == full.pairing

@@ -28,6 +28,7 @@ from speclocaliser import (
     qwz_bloch_gap,
     save_model,
 )
+import speclocaliser.core as core
 from speclocaliser.core import DENSE_DIM_LIMIT
 from speclocaliser.errors import FormatError, SingularSymbol
 from speclocaliser.models import sx, sy, sz
@@ -441,6 +442,17 @@ class TestPersistence:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError):
             load_model(tmp_path / "nope")
+
+    @pytest.mark.parametrize("method", ["dirac_eigensystem", "k_norm", "k_gap"])
+    def test_reloaded_model_caps_dense_copies(self, tmp_path, monkeypatch, method):
+        # a reloaded manifest carries no closed-form cache, so each of these
+        # takes the generic dense path, which must respect the dense limit
+        save_model(build_circle_model(60, {0: 0.5, 1: 1.0}), tmp_path / "m")
+        loaded = load_model(tmp_path / "m")
+        assert loaded.dim == 121
+        monkeypatch.setattr(core, "DENSE_DIM_LIMIT", 100)
+        with pytest.raises(ValidationError, match="dense limit"):
+            getattr(loaded, method)()
 
 
 @given(
