@@ -4,7 +4,8 @@
 The CSV has a ``t`` column followed by one column per (sorted) eigenvalue
 of the windowed suspension sample, which is the raw material behind the
 spectral-flow plots: crossings of zero between t=-1 and t=+1 count the
-pairing.
+pairing.  The rows are the grid eigenvalues of the spectral-flow walk
+(``sf_crossings``), so a path whose ends are singular is refused.
 """
 
 import argparse
@@ -14,7 +15,7 @@ import sys
 from speclocaliser import (
     CHI_PAIRS,
     parse_model_spec,
-    path_trace,
+    sf_crossings,
     suspension,
 )
 
@@ -32,7 +33,7 @@ def main() -> int:
 
     model = parse_model_spec(args.model)
     path = suspension(model, args.kappa, args.rho, chi=CHI_PAIRS[args.chi], num=args.grid)
-    grid, rows = path_trace(path)
+    grid, rows = path.grid, sf_crossings(path).trace
 
     fh = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
     try:

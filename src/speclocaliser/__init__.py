@@ -40,7 +40,6 @@ from .flow import (
     SpectralFlowResult,
     line_path,
     odd_projection_unitary,
-    path_trace,
     relative_index_projections,
     sf_conjugation,
     sf_crossings,

@@ -3,13 +3,13 @@
 Everything downstream (localiser assembly, truncation, spectral flow) reduces
 to a handful of operations on Hermitian matrices: inertia counts, spectral
 projections, gaps and norms.  Inertia is computed by two independent routes,
-a full Hermitian eigendecomposition and Sylvester's law of inertia read off a
-triangular factorization, and the two integer count triples must agree
-exactly; a mismatch raises :class:`~speclocaliser.errors.BackendDisagreement`
-rather than being averaged away.  The factorization is a sparse symmetric LU
-(SuperLU with a symmetric fill-reducing ordering and diagonal pivots); when it
-declines (a pivot left the diagonal or vanished), a dense symmetric-indefinite
-LDL^* factorization takes over.
+all eigenvalues (``hermitian_eigenvalues``, banded or dense by an
+``EigenRoute``) and Sylvester's law of inertia read off a triangular
+factorization; the two integer count triples must agree exactly, and a
+mismatch raises :class:`~speclocaliser.errors.BackendDisagreement`.  The
+factorization is a sparse symmetric LU (SuperLU, symmetric fill-reducing
+ordering, diagonal pivots); when it declines (a pivot left the diagonal or
+vanished), a dense symmetric-indefinite LDL^* factorization takes over.
 
 Model operators (D, K and D's eigenvectors) are stored sparse, as
 :class:`CsrOperator` arrays validated on their nonzeros by
@@ -43,11 +43,13 @@ from .errors import (
 __all__ = [
     "DENSE_DIM_LIMIT",
     "CsrOperator",
+    "EigenRoute",
     "HermitianOperator",
     "Inertia",
     "Projection",
     "as_matrix",
     "hermitian_csr",
+    "hermitian_eigenvalues",
     "max_abs_entry",
     "inertia",
     "signature",
@@ -77,6 +79,11 @@ EIG_SEP_TOL = 1e-6
 # certified_gap routes, named in the certificates they measure
 SPARSE_GAP_ROUTE = "sparse Lanczos, Sylvester-certified lower bound"
 DENSE_GAP_ROUTE = "dense eigvalsh fallback"
+
+# a pattern takes the banded eigenvalue route when BAND_RATIO times its
+# reverse Cuthill-McKee bandwidth is at most its dimension
+BAND_RATIO = 16
+DENSE_EIG_ROUTE = "dense eigvalsh"
 
 # Lanczos basis size of commutator_norm: the top of the [D, K] Gram spectrum
 # is tightly clustered, and 40 vectors converge it fastest on QWZ boxes.
@@ -112,13 +119,15 @@ def _check_finite(values: np.ndarray) -> None:
         raise ValidationError("matrix contains non-finite entries")
 
 
+def _check_dense_dim(n: int) -> None:
+    if n > DENSE_DIM_LIMIT:
+        raise ValidationError("dimension %d exceeds dense limit %d" % (n, DENSE_DIM_LIMIT))
+
+
 def _validate_square(m) -> np.ndarray:
     shape = m.shape if sp.issparse(m) else np.shape(m)
     _check_shape(shape)
-    if shape[0] > DENSE_DIM_LIMIT:
-        raise ValidationError(
-            "dimension %d exceeds dense limit %d" % (shape[0], DENSE_DIM_LIMIT)
-        )
+    _check_dense_dim(shape[0])
     m = _as_array(m).astype(np.complex128, copy=False)
     _check_finite(m)
     return m
@@ -156,16 +165,62 @@ def hermitian_csr(m) -> CsrOperator:
     return m
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class EigenRoute:
+    """Eigenvalue route of the matrices on one sparsity pattern: position[i], row i's
+    place in its reverse Cuthill-McKee order (None: dense route), and that bandwidth."""
+
+    position: np.ndarray | None
+    bandwidth: int
+
+    @classmethod
+    def of(cls, pattern) -> EigenRoute:
+        """Banded when BAND_RATIO * bandwidth <= dim; the diagonal is added."""
+        from scipy.sparse.csgraph import reverse_cuthill_mckee  # deferred: loads sparse.linalg
+        p = sp.csr_matrix(abs(sp.csr_array(pattern)) + sp.eye_array(pattern.shape[0]))
+        position = np.argsort(reverse_cuthill_mckee(p, symmetric_mode=True))
+        c = p.tocoo()
+        bandwidth = int(np.max(np.abs(position[c.row] - position[c.col])))
+        return cls(position if BAND_RATIO * bandwidth <= p.shape[0] else None, bandwidth)
+
+    @property
+    def name(self) -> str:
+        banded = "banded eigensolve, bandwidth %d" % self.bandwidth
+        return DENSE_EIG_ROUTE if self.position is None else banded
+
+
+def hermitian_eigenvalues(a, route: EigenRoute | None = None) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, the eigenvalue kernel: on a
+    banded route LAPACK's zhbevd on a's upper band in the route's ordering
+    (an entry outside it raises ValidationError), else eigvalsh (zheevd)."""
+    if route is None or route.position is None:  # dense input goes to eigvalsh as given
+        return np.linalg.eigvalsh(a if isinstance(a, np.ndarray) else _validate_square(a))
+    c = sp.csr_array(a).tocoo()
+    rows, cols = route.position[c.row], route.position[c.col]
+    upper = (rows <= cols) & (c.data != 0)
+    rows, cols = route.bandwidth + rows[upper] - cols[upper], cols[upper]
+    if np.any(rows < 0):
+        raise ValidationError("matrix has entries outside its eigenvalue route's band")
+    band = np.zeros((route.bandwidth + 1, c.shape[0]), dtype=np.complex128)
+    band[rows, cols] = c.data[upper]
+    return sla.eigvals_banded(band, lower=False, check_finite=False)
+
+
 @dataclasses.dataclass(eq=False)
 class HermitianOperator:
-    """A validated dense Hermitian matrix with cached spectral data."""
+    """A validated Hermitian matrix (at most DENSE_DIM_LIMIT rows) with cached
+    spectral data; sparse input given an eigenvalue route stays CSR."""
 
-    matrix: np.ndarray
+    matrix: np.ndarray | CsrOperator
+    route: EigenRoute | None = None
 
     def __post_init__(self):
-        m = _validate_square(self.matrix)
-        _check_hermitian(m)
-        self.matrix = m
+        if self.route is not None and sp.issparse(self.matrix):
+            self.matrix = hermitian_csr(self.matrix)
+            _check_dense_dim(self.dim)
+        else:
+            self.matrix = _validate_square(self.matrix)
+            _check_hermitian(self.matrix)
 
     @property
     def dim(self) -> int:
@@ -173,7 +228,7 @@ class HermitianOperator:
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        w = np.linalg.eigvalsh(self.matrix)
+        w = hermitian_eigenvalues(self.matrix, self.route)
         w.flags.writeable = False
         return w
 
@@ -188,9 +243,7 @@ class HermitianOperator:
 
 def as_matrix(op) -> np.ndarray:
     """Accept a dense or sparse matrix or a HermitianOperator; return it dense."""
-    if isinstance(op, HermitianOperator):
-        return op.matrix
-    return _validate_square(op)
+    return _validate_square(op.matrix if isinstance(op, HermitianOperator) else op)
 
 
 def _hermitian_part(op) -> HermitianOperator:
@@ -319,7 +372,7 @@ def inertia(op, zero_tol: float | None = None) -> Inertia:
     )
     factor_counts = _inertia_sylvester(sp.csc_array(h.matrix), tol)
     if factor_counts is None:
-        factor_counts = _inertia_factorization(h.matrix, tol)
+        factor_counts = _inertia_factorization(_as_array(h.matrix), tol)
     if eig_counts != factor_counts:
         raise BackendDisagreement(eig_counts, factor_counts, tol)
     return Inertia(*eig_counts)
@@ -373,8 +426,7 @@ def positive_spectral_projection(op, zero_tol: float | None = None) -> Projectio
 
     Raises SingularMatrix if any eigenvalue lies within zero_tol of 0.
     """
-    h = _hermitian_part(op)
-    w, v = np.linalg.eigh(h.matrix)
+    w, v = np.linalg.eigh(as_matrix(_hermitian_part(op)))
     tol = _resolve_zero_tol(float(np.max(np.abs(w))), zero_tol)
     if np.any(np.abs(w) <= tol):
         raise SingularMatrix(

@@ -31,9 +31,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import (
+    EigenRoute,
     HermitianOperator,
     Projection,
     as_matrix,
+    hermitian_eigenvalues,
     signature,
     window_mask,
 )
@@ -56,7 +58,6 @@ __all__ = [
     "OperatorPath",
     "SpectralFlowResult",
     "line_path",
-    "path_trace",
     "sf_endpoints",
     "sf_crossings",
     "suspension",
@@ -113,11 +114,12 @@ CHI_PAIRS = {"clamp": CHI_CLAMP, "smooth": CHI_SMOOTH}
 
 @dataclasses.dataclass(eq=False)
 class OperatorPath:
-    """A Hermitian-matrix-valued path t -> T(t) with a sampling grid."""
+    """A Hermitian path t -> T(t), a sampling grid and its samples' eigenvalue route."""
 
     evaluate: Callable[[float], np.ndarray]
     grid: np.ndarray
     name: str = ""
+    route: EigenRoute | None = None
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
@@ -126,7 +128,8 @@ class OperatorPath:
         self.grid = g
 
     def sample(self, t: float) -> np.ndarray:
-        return np.asarray(self.evaluate(float(t)), dtype=np.complex128)
+        m = self.evaluate(float(t))
+        return m if sp.issparse(m) else np.asarray(m, dtype=np.complex128)
 
 
 def line_path(t0, t1, num: int = 33, name: str = "line") -> OperatorPath:
@@ -139,12 +142,6 @@ def line_path(t0, t1, num: int = 33, name: str = "line") -> OperatorPath:
         grid=np.linspace(0.0, 1.0, num),
         name=name,
     )
-
-
-def path_trace(path: OperatorPath) -> tuple[np.ndarray, np.ndarray]:
-    """(grid, eigenvalues) with one ascending row of eigenvalues per sample."""
-    rows = [np.linalg.eigvalsh(path.sample(t)) for t in path.grid]
-    return path.grid.copy(), np.vstack(rows)
 
 
 def sf_endpoints(t0, t1, zero_tol: float | None = None) -> int:
@@ -175,13 +172,14 @@ _ODD_PROJ_TOL = 1e-10
 
 @dataclasses.dataclass(frozen=True)
 class SpectralFlowResult:
-    """Crossing count (value, with its ledger) and sf_endpoints of the end
-    samples at its default tolerance; samples counts diagonalised points."""
+    """Crossing count (value, with its ledger), sf_endpoints of the end samples
+    at its default tolerance, samples diagonalised, eigenvalue rows per grid point."""
 
     value: int
     crossings: tuple[tuple[float, float, int], ...]
     samples: int
     endpoints: int
+    trace: np.ndarray = dataclasses.field(compare=False, repr=False)
 
 
 def _sample(path: OperatorPath, t: float, dim: int) -> np.ndarray:
@@ -206,12 +204,12 @@ def sf_crossings(path: OperatorPath, zero_tol: float | None = None) -> SpectralF
     changes.  Interior samples with an eigenvalue inside the tolerance are
     replaced by clean samples found by bisecting toward their clean
     neighbours; failure to find one within _MAX_DEPTH steps raises
-    RefinementLimit.  Each grid point is sampled and diagonalised once; the
-    end samples are validated as HermitianOperators (the rest are trusted
-    Hermitian), and the endpoint route reuses their eigenvalues.
+    RefinementLimit.  Each grid point is sampled and diagonalised once, on the
+    path's route; the end samples are validated as HermitianOperators (the
+    rest are trusted Hermitian), and the endpoint route reuses them.
     """
-    grid = path.grid
-    first = HermitianOperator(path.sample(grid[0]))
+    grid, route = path.grid, path.route
+    first = HermitianOperator(path.sample(grid[0]), route)
     dim = first.dim
 
     # one pass over the grid: eigenvalues of every sample, plus the increment
@@ -219,17 +217,16 @@ def sf_crossings(path: OperatorPath, zero_tol: float | None = None) -> SpectralF
     # signals a discontinuous evaluator, for which crossing counts are
     # meaningless)
     eigs = [first.eigenvalues]
-    slopes = []
+    steps = []
     prev = first.matrix
     for i in range(1, len(grid)):
         cur = _sample(path, grid[i], dim)
-        slopes.append(
-            float(np.linalg.norm(cur - prev)) / float(grid[i] - grid[i - 1])
-        )
-        last = HermitianOperator(cur) if i == len(grid) - 1 else None
-        eigs.append(np.linalg.eigvalsh(cur) if last is None else last.eigenvalues)
+        steps.append(np.linalg.norm((cur - prev).data if sp.issparse(prev) else cur - prev))
+        last = HermitianOperator(cur, route) if i == len(grid) - 1 else None
+        eigs.append(hermitian_eigenvalues(cur, route) if last is None else last.eigenvalues)
         prev = cur
-    top, typical = max(slopes), float(np.median(slopes))
+    slopes = np.divide(steps, np.diff(grid))
+    top, typical = float(np.max(slopes)), float(np.median(slopes))
     if typical > 0 and top > 100.0 * typical:
         raise ValidationError(
             "path increment at one step is %.1fx the median; evaluator looks "
@@ -240,60 +237,43 @@ def sf_crossings(path: OperatorPath, zero_tol: float | None = None) -> SpectralF
     eps = zero_tol if zero_tol is not None else 1e-6 * scale
 
     def probe(t):
-        return _counts(np.linalg.eigvalsh(_sample(path, t, dim)))
+        return _counts(hermitian_eigenvalues(_sample(path, t, dim), route))
 
     clean: list[tuple[float, int]] = []
-    n0, gap0 = _counts(eigs[0])
-    if gap0 <= eps:
-        raise SingularMatrix("path start is singular at tolerance %.3e" % eps)
-    clean.append((float(grid[0]), n0))
     evaluations = len(grid)
-
-    for i in range(1, len(grid)):
-        t = float(grid[i])
+    for i, t in enumerate(map(float, grid)):
         npos, gap = _counts(eigs[i])
         if gap > eps:
             clean.append((t, npos))
             continue
-        if i == len(grid) - 1:
-            raise SingularMatrix("path end is singular at tolerance %.3e" % eps)
+        if i in (0, len(grid) - 1):
+            raise SingularMatrix("path %s is singular at tolerance %.3e"
+                                 % ("end" if i else "start", eps))
         # replace the dirty sample by clean ones bisected toward each
         # neighbour; the skipped degeneracy contributes its net crossing
         # count across the enclosing interval
-        left_anchor = clean[-1][0]
-        for t_lo, t_hi, towards_left in (
-            (left_anchor, t, True),
-            (t, float(grid[i + 1]), False),
-        ):
-            found = False
-            lo, hi = t_lo, t_hi
+        for lo, hi, towards_left in ((clean[-1][0], t, True), (t, float(grid[i + 1]), False)):
             for _ in range(_MAX_DEPTH):
                 mid = 0.5 * (lo + hi)
                 npos_m, gap_m = probe(mid)
                 evaluations += 1
                 if gap_m > eps:
                     clean.append((mid, npos_m))
-                    found = True
                     break
                 # keep bisecting toward the side known (or soon checked) clean
+                lo, hi = (lo, mid) if towards_left else (mid, hi)
+            else:
+                # the right side may stay dirty if the degeneracy extends to
+                # the next grid point; that sample is handled on its own turn
                 if towards_left:
-                    hi = mid
-                else:
-                    lo = mid
-            if not found and towards_left:
-                raise RefinementLimit(lo, hi)
-            # the right side may stay dirty if the degeneracy extends to the
-            # next grid point; that sample will be handled on its own turn
+                    raise RefinementLimit(lo, hi)
 
-    crossings = []
-    total = 0
-    for (ta, na), (tb, nb) in zip(clean, clean[1:]):
-        if nb != na:
-            crossings.append((ta, tb, nb - na))
-            total += nb - na
+    crossings = [
+        (ta, tb, nb - na) for (ta, na), (tb, nb) in zip(clean, clean[1:]) if nb != na
+    ]
     return SpectralFlowResult(
-        value=int(total), crossings=tuple(crossings), samples=evaluations,
-        endpoints=sf_endpoints(first, last),
+        value=sum(c[2] for c in crossings), crossings=tuple(crossings),
+        samples=evaluations, endpoints=sf_endpoints(first, last), trace=np.vstack(eigs),
     )
 
 
@@ -314,16 +294,18 @@ def suspension(
     K_W is the window's K-part and T_W the trivial reference: -Gamma for
     even models, the identity for odd ones.  Endpoints: kappa D - Gamma
     (even) or the trivial odd localiser with G = identity (odd) at t=-1,
-    and at t=+1 the truncated localiser that ``pairing`` reads.  Every
-    sample is dense, for the eigensolves of the flow: kappa D, K_W and T_W
-    are laid out by ``Window.assemble``, as the window localiser is, and
-    densified once.
+    and at t=+1 the truncated localiser that ``pairing`` reads.  kappa D,
+    K_W and T_W are laid out by ``Window.assemble``, as the window localiser
+    is, and the path takes the window's eigenvalue route: every sample is
+    sparse on a banded route, and dense (the parts densified once) else.
     """
     chi.validate()
     window = model.window(rho)
     ref = sp.eye_array(window.dim, dtype=complex) if window.odd else -window.gamma_part
-    base = window.assemble(kappa, sp.csr_array(window.k_part.shape)).toarray()
-    k_w, t_w = (window.assemble(0.0, part).toarray() for part in (window.k_part, ref))
+    base = window.assemble(kappa, sp.csr_array(window.k_part.shape))
+    k_w, t_w = (window.assemble(0.0, part) for part in (window.k_part, ref))
+    if window.eigen_route.position is None:
+        base, k_w, t_w = base.toarray(), k_w.toarray(), t_w.toarray()
 
     def evaluate(t):
         return base + (chi.plus(t) * k_w + chi.minus(t) * t_w)
@@ -332,6 +314,7 @@ def suspension(
         evaluate=evaluate,
         grid=np.linspace(-1.0, 1.0, num),
         name="suspension_%s[%s]" % (model.parity, chi.name),
+        route=window.eigen_route,
     )
 
 

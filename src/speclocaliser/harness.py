@@ -24,7 +24,7 @@ import yaml
 
 from .convention import oracle_pairing
 from .errors import ConfigError
-from .flow import CHI_PAIRS, path_trace, sf_crossings, suspension
+from .flow import CHI_PAIRS, sf_crossings, suspension
 from .localiser import LocaliserParams, PairingResult, pairing
 from .models import (
     ModelInstance,
@@ -482,12 +482,11 @@ def _sf_job(model, kappa, rho, mode, chi_name, grid, trace_dir) -> JobRecord:
         path = suspension(model, kappa, rho, chi=chi, num=grid)
         flow = sf_crossings(path)
         if trace_dir is not None:
-            ts, eigs = path_trace(path)
             name = "trace_k%g_r%g.csv" % (kappa, rho)
             with open(Path(trace_dir) / name, "w", newline="") as fh:
                 writer = csv.writer(fh)
-                writer.writerow(["t"] + ["eig%d" % i for i in range(eigs.shape[1])])
-                for t, row in zip(ts, eigs):
+                writer.writerow(["t"] + ["eig%d" % i for i in range(flow.trace.shape[1])])
+                for t, row in zip(path.grid, flow.trace):
                     writer.writerow([t] + list(row))
     except Exception as exc:
         return _error_record(kappa, rho, mode, t0, exc)

@@ -13,12 +13,12 @@ the window's grading V* Gamma V; no kernel is counted.
 ``pairing`` never forms the full localiser: every block it needs is read off
 the model's windows (``ModelInstance.window``), which hold D's eigenvalues,
 the K-part V* K~ V and, for even models, the grading V* Gamma V on the
-window, all sparse.  The truncated block comes from the |D| <= rho window
-and is the only block densified: its eigenvalues give the truncated gap and
-the eigenvalue side of the inertia check.  The complement block and the
-seam-free regime block are sub-blocks of the containment window and stay
-sparse; their gaps are certified lower bounds (``core.certified_gap``), and
-each certificate's detail names the route that measured it.
+window, all sparse.  The truncated block (|D| <= rho) stays CSR; the window's
+eigenvalue route, banded or dense (then the only block densified), gives the
+truncated gap and the eigenvalue side of the inertia check.  The complement
+block and the seam-free regime block are sub-blocks of the containment window
+and stay sparse; their gaps are certified lower bounds (``core.certified_gap``),
+and each certificate's detail names the route that measured it.
 
 Validity is tracked through certificates rather than asserted silently:
 every check, the untruncated-regime one included, is one
@@ -303,12 +303,13 @@ def pairing(
     assumption_ok = certificates and all(c.satisfied for c in certs if c.hard)
 
     window = model.window(params.rho)
-    trunc_op = HermitianOperator(window.localiser(params.kappa))
+    trunc_op = HermitianOperator(window.localiser(params.kappa), window.eigen_route)
     g = model.k_gap()
     trunc_gap = spectral_gap(trunc_op)
     certs.append(_certificate(
         "truncated_gap", trunc_gap, 0.5 * g, ">=", kind="guarantee",
-        applicable=assumption_ok, detail="truncated localiser gap vs g/2", slack=1e-9,
+        applicable=assumption_ok, slack=1e-9,
+        detail="truncated localiser gap vs g/2 (%s)" % window.eigen_route.name,
     ))
     if regime is not None:
         certs.append(regime)

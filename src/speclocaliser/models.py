@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,7 @@ import yaml
 
 from .core import (
     CsrOperator,
-    HermitianOperator,
+    EigenRoute,
     as_matrix,
     certified_gap,
     commutator_norm,
@@ -165,7 +166,7 @@ class Window:
     K~ = Gamma K for even models and G for odd ones.  gamma_part is the
     grading V_W* Gamma V_W (sparse), None for odd models.  radius is the
     selection radius.  Every localiser block on the window or on a
-    sub-window is read off these.
+    sub-window is read off these.  eigen_route is chosen once per window.
     """
 
     index: np.ndarray
@@ -181,6 +182,12 @@ class Window:
     @property
     def odd(self) -> bool:
         return self.gamma_part is None
+
+    @cached_property
+    def eigen_route(self) -> EigenRoute:
+        """The route of the localiser and its suspension (reference I or -Gamma)."""
+        ref = sp.eye_array(self.dim) if self.odd else self.gamma_part
+        return EigenRoute.of(sum(abs(self.assemble(1.0, abs(p))) for p in (self.k_part, ref)))
 
     def localiser(self, kappa: float, beyond: float | None = None) -> CsrOperator | None:
         """The localiser on the window, or on its part with |D| > beyond (sparse).
@@ -331,7 +338,7 @@ class ModelInstance:
         """Invertibility margin of K: spectral gap (even) or sigma_min (odd)."""
         if "k_gap" not in self.cache:
             if self.parity == "even":
-                self.cache["k_gap"] = spectral_gap(HermitianOperator(self.k_rep))
+                self.cache["k_gap"] = spectral_gap(self.k_rep)
             else:
                 self.cache["k_gap"] = singular_gap(as_matrix(self.k_rep))
         return self.cache["k_gap"]

@@ -1,14 +1,16 @@
-"""Dense whole-box references for small models.
+"""Dense references for small models.
 
 The library reads every localiser block off a model's spectral windows
 (``ModelInstance.window``).  Tests check those blocks against the dense
-localiser of the whole box, compressed onto the same eigenvectors of D.
+localiser of the whole box, compressed onto the same eigenvectors of D,
+and banded-route suspension paths against the same path sampled dense.
 """
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
-from speclocaliser import HermitianOperator
+from speclocaliser import HermitianOperator, OperatorPath
 from speclocaliser.core import odd_block
 
 
@@ -35,3 +37,15 @@ def compress(op: np.ndarray, model, cols) -> HermitianOperator:
     basis = v if model.parity == "even" else sla.block_diag(v, v)
     sub = basis.conj().T @ op @ basis
     return HermitianOperator((sub + sub.conj().T) / 2.0)
+
+
+def dense_path(path: OperatorPath) -> OperatorPath:
+    """path with every sample dense and no eigenvalue route: np.linalg.eigvalsh
+    per sample, as every suspension sample was diagonalised before the banded
+    route."""
+
+    def evaluate(t):
+        m = path.evaluate(t)
+        return m.toarray() if sp.issparse(m) else m
+
+    return OperatorPath(evaluate=evaluate, grid=path.grid, name=path.name)

@@ -1,5 +1,7 @@
 """Hermitian primitives: inertia, signature, projections, gaps, norms."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -21,6 +23,7 @@ from speclocaliser import (
     inertia,
     operator_norm,
     oracle_pairing,
+    pairing,
     positive_spectral_projection,
     signature,
     spectral_gap,
@@ -183,6 +186,93 @@ class TestSylvester:
         dense = float(np.min(np.abs(w)))
         gap, _ = certified_gap(a)
         assert dense - 1e-10 * max(norm, 1.0) <= gap <= dense
+
+
+# odd circle windows (windings +-1, +-2, 3; integer and offset modes) and
+# even shift windows (nu 1-3, both signs of K), with a kappa and two radii
+_BANDED_WINDOWS = {
+    **{
+        "circle60-w%d-offset%g" % (w, offset): (
+            lambda w=w, offset=offset: build_circle_model(60, {0: 0.5, w: 1.0}, offset=offset),
+            0.05, (20.5, 30.5),
+        )
+        for w in (-2, -1, 1, 2, 3)
+        for offset in (0.0, 0.25)
+    },
+    **{
+        "shift40-nu%d-sign%+d" % (nu, sign): (
+            lambda nu=nu, sign=sign: build_weighted_shift_dirac(40, nu=nu, sign=sign),
+            0.1, (8.5, 10.5),
+        )
+        for nu in (1, 2, 3)
+        for sign in (1, -1)
+    },
+}
+
+
+class TestEigenvalueKernel:
+    """The banded eigenvalue route against np.linalg.eigvalsh."""
+
+    @pytest.mark.parametrize("case", sorted(_BANDED_WINDOWS))
+    def test_banded_windows_match_eigvalsh(self, case):
+        build, kappa, rhos = _BANDED_WINDOWS[case]
+        model = build()
+        for rho in rhos:
+            window = model.window(rho)
+            route = window.eigen_route
+            assert route.name.startswith("banded eigensolve")
+            loc = window.localiser(kappa)
+            dense = np.linalg.eigvalsh(loc.toarray())
+            got = core.hermitian_eigenvalues(loc, route)
+            norm = float(np.max(np.abs(dense)))
+            assert np.max(np.abs(got - dense)) <= 1e-12 * norm
+            assert inertia(HermitianOperator(loc, route)) == inertia(loc.toarray())
+
+    @given(st.integers(2, 64), st.integers(0, 3), st.integers(0, 10_000))
+    def test_permuted_band_matches_eigvalsh(self, dim, width, seed):
+        # a random Hermitian band under a random symmetric permutation; the
+        # ratio is lowered so that every such pattern takes the banded route
+        rng = np.random.default_rng(seed)
+        offsets = np.subtract.outer(np.arange(dim), np.arange(dim))
+        keep = (np.abs(offsets) <= width) & (rng.random((dim, dim)) < 0.8)
+        m = np.where(keep | keep.T, random_hermitian(rng, dim), 0.0)
+        perm = rng.permutation(dim)
+        m = m[perm][:, perm]
+        with mock.patch.object(core, "BAND_RATIO", 1):
+            route = core.EigenRoute.of(sp.csr_array(m))
+        assert route.position is not None
+        dense = np.linalg.eigvalsh(m)
+        got = core.hermitian_eigenvalues(sp.csr_array(m), route)
+        assert np.max(np.abs(got - dense)) <= 1e-12 * max(float(np.max(np.abs(dense))), 1.0)
+
+    def test_entry_outside_the_band_is_refused(self):
+        route = core.EigenRoute.of(sp.eye_array(40))
+        assert route.bandwidth == 0 and route.position is not None
+        with pytest.raises(ValidationError):
+            core.hermitian_eigenvalues(sp.csr_array(np.ones((40, 40))), route)
+
+    def test_qwz_window_takes_the_dense_route(self):
+        route = build_qwz_model(box=10, mass=1.0).window(5.5).eigen_route
+        assert route.position is None
+        assert route.name == core.DENSE_EIG_ROUTE
+        assert core.BAND_RATIO * route.bandwidth > 352
+
+    def test_flipped_kernel_eigenvalue_is_caught(self, monkeypatch, circle40):
+        # a wrong banded eigenvalue must not pass the inertia cross-check
+        window = circle40.window(30.5)
+        kernel = core.hermitian_eigenvalues
+
+        def flipped(a, route=None):
+            w = kernel(a, route).copy()
+            top = int(np.argmax(np.abs(w)))
+            w[top] = -w[top]
+            return np.sort(w)
+
+        monkeypatch.setattr(core, "hermitian_eigenvalues", flipped)
+        with pytest.raises(BackendDisagreement):
+            inertia(HermitianOperator(window.localiser(0.05), window.eigen_route))
+        with pytest.raises(BackendDisagreement):
+            pairing(circle40, LocaliserParams(0.05, 30.5))
 
 
 class TestSignature:

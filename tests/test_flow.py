@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, strategies as st
 from scipy.linalg import polar
 
@@ -12,9 +13,10 @@ from speclocaliser import (
     OperatorPath,
     Projection,
     ValidationError,
+    build_circle_model,
+    build_weighted_shift_dirac,
     line_path,
     odd_projection_unitary,
-    path_trace,
     positive_spectral_projection,
     relative_index_projections,
     sf_conjugation,
@@ -29,8 +31,9 @@ from speclocaliser.errors import (
     RefinementLimit,
     SingularMatrix,
 )
+from speclocaliser.core import hermitian_eigenvalues
 from speclocaliser.oracles import toeplitz_index
-from reference import compress, dense_localiser
+from reference import compress, dense_localiser, dense_path
 
 
 def _scalar_path(fn, grid):
@@ -128,16 +131,18 @@ class TestSuspensions:
         assert np.allclose(susp.sample(1.0), end.matrix, atol=1e-13)
 
     def test_odd_endpoints_are_the_advertised_operators(self, circle40):
+        # circle windows take the banded route, so their samples are sparse
         kappa, rho = 0.05, 30.5
         susp = suspension(circle40, kappa, rho, num=9)
+        assert sp.issparse(susp.sample(-1.0))
         cols = circle40.window(rho).index
         d = cols.size
-        start = susp.sample(-1.0)
+        start = susp.sample(-1.0).toarray()
         assert np.allclose(start[:d, d:], np.eye(d), atol=1e-13)
         trivial = dense_localiser(circle40, kappa, np.eye(circle40.dim))
         assert np.allclose(start, compress(trivial, circle40, cols).matrix, atol=1e-13)
         end = compress(dense_localiser(circle40, kappa), circle40, cols)
-        assert np.allclose(susp.sample(1.0), end.matrix, atol=1e-13)
+        assert np.allclose(susp.sample(1.0).toarray(), end.matrix, atol=1e-13)
 
     def test_reference_half_carries_no_flow(self, qwz9):
         # from kappa D - Gamma to kappa D the two terms anticommute, so the
@@ -150,12 +155,38 @@ class TestSuspensions:
         susp = suspension(circle40, 0.05, rho=30.5, num=5)
         assert susp.sample(0.5).shape == (2 * 61, 2 * 61)
 
-    def test_path_trace_shape(self, circle40):
+    def test_walk_trace_shape(self, circle40):
         susp = suspension(circle40, 0.05, rho=10.5, num=7)
-        grid, rows = path_trace(susp)
-        assert grid.shape == (7,)
+        rows = sf_crossings(susp).trace
         assert rows.shape == (7, susp.sample(0.0).shape[0])
         assert np.all(np.diff(rows, axis=1) >= 0)
+        # the rows are the walk's own grid eigenvalues, through the path's route
+        for t, row in zip(susp.grid, rows):
+            assert np.array_equal(row, hermitian_eigenvalues(susp.sample(t), susp.route))
+
+
+# (model, kappa, rho): the circle40 and shift40 fixture models, and the
+# strict circle of acceptance criterion 1
+_FLOW_PARITY_CASES = {
+    "circle40": (lambda: build_circle_model(40, {0: 0.5, 1: 1.0}), 0.05, 30.5),
+    "shift40": (lambda: build_weighted_shift_dirac(40, nu=1, sign=1), 0.1, 10.5),
+    "circle200-strict": (lambda: build_circle_model(200, {0: 0.5, 1: 1.0}), 1.0 / 144.0, 145.5),
+}
+
+
+@pytest.mark.parametrize("chi", [CHI_CLAMP, CHI_SMOOTH], ids=["clamp", "smooth"])
+@pytest.mark.parametrize("case", sorted(_FLOW_PARITY_CASES))
+def test_banded_flow_matches_dense_samples(case, chi):
+    build, kappa, rho = _FLOW_PARITY_CASES[case]
+    susp = suspension(build(), kappa, rho, chi=chi)
+    assert susp.route.position is not None  # the banded route is the one under test
+    flow, dense = sf_crossings(susp), sf_crossings(dense_path(susp))
+    assert (flow.value, flow.endpoints, flow.crossings) == (
+        dense.value, dense.endpoints, dense.crossings,
+    )
+    assert flow.samples == dense.samples
+    scale = float(np.max(np.abs(dense.trace)))
+    assert np.max(np.abs(flow.trace - dense.trace)) <= 1e-12 * scale
 
 
 class TestChiPairs:

@@ -191,6 +191,15 @@ class TestComplementBlock:
             for name in ("regime_gap", "complement_gap"):
                 assert res.certificate(name).as_dict()["detail"].endswith("(%s)" % route)
 
+    def test_truncated_gap_names_its_eigen_route(self, circle40):
+        params = LocaliserParams(0.05, 30.5)
+        detail = pairing(circle40, params).certificate("truncated_gap").detail
+        assert detail.endswith("(banded eigensolve, bandwidth %d)"
+                               % circle40.window(30.5).eigen_route.bandwidth)
+        qwz = build_qwz_model(box=10, mass=1.0)
+        res = pairing(qwz, LocaliserParams(1.0, 5.5), certificates=False)
+        assert res.certificate("truncated_gap").detail.endswith("(dense eigvalsh)")
+
     def test_outer_cut_restricts_window(self, circle40):
         # the containment radius 37 cuts the complement: modes 31..37 of
         # each sign, doubled blocks
