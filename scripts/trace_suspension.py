@@ -4,8 +4,10 @@
 The CSV has a ``t`` column followed by one column per (sorted) eigenvalue
 of the windowed suspension sample, which is the raw material behind the
 spectral-flow plots: crossings of zero between t=-1 and t=+1 count the
-pairing.  The rows are the grid eigenvalues of the spectral-flow walk
-(``sf_crossings``), so a path whose ends are singular is refused.
+pairing.  The rows are the grid eigenvalues of a traced spectral-flow walk
+(``sf_crossings(path, trace=True)``, which also checks every row's counts
+against the walk's Sylvester counts), so a path whose ends are singular is
+refused.
 """
 
 import argparse
@@ -33,7 +35,7 @@ def main() -> int:
 
     model = parse_model_spec(args.model)
     path = suspension(model, args.kappa, args.rho, chi=CHI_PAIRS[args.chi], num=args.grid)
-    grid, rows = path.grid, sf_crossings(path).trace
+    grid, rows = path.grid, sf_crossings(path, trace=True).trace
 
     fh = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
     try:

@@ -4,11 +4,11 @@ Spectral flow is computed two ways from one walk, and callers cross-check
 them: by accumulating per-interval changes of the positive eigenvalue count
 along the path, and from the endpoint signatures (half their difference),
 read off the walk's first and last samples.  Branches are matched
-between samples by inertia counts, not eigenvector continuity; a sample where
-an eigenvalue sits inside the zero tolerance is replaced by nearby clean
-samples via bisection toward its clean neighbours, and an eigenvalue that
-cannot be separated from zero raises RefinementLimit rather than being
-counted either way.
+between samples by inertia counts (Sylvester's law on sparse LUs, except at
+the two ends), not eigenvector continuity; a sample with an eigenvalue inside
+the zero tolerance is replaced by clean samples bisected toward its clean
+neighbours, and an eigenvalue that cannot be separated from zero raises
+RefinementLimit rather than being counted either way.
 
 The suspension path interpolates the window localiser's K-part between a
 trivial reference (-Gamma for even models, the identity for odd ones) and
@@ -30,6 +30,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
+from . import core
 from .core import (
     EigenRoute,
     HermitianOperator,
@@ -40,6 +41,7 @@ from .core import (
     window_mask,
 )
 from .errors import (
+    BackendDisagreement,
     DimensionMismatch,
     IntegerityViolation,
     NonUnitary,
@@ -172,14 +174,15 @@ _ODD_PROJ_TOL = 1e-10
 
 @dataclasses.dataclass(frozen=True)
 class SpectralFlowResult:
-    """Crossing count (value, with its ledger), sf_endpoints of the end samples
-    at its default tolerance, samples diagonalised, eigenvalue rows per grid point."""
+    """Crossing count (value, with its ledger), sf_endpoints of the end samples at its
+    default tolerance, samples counted (fallbacks: LU declined), traced eigenvalues."""
 
     value: int
     crossings: tuple[tuple[float, float, int], ...]
     samples: int
     endpoints: int
-    trace: np.ndarray = dataclasses.field(compare=False, repr=False)
+    fallbacks: int
+    trace: np.ndarray | None = dataclasses.field(default=None, compare=False, repr=False)
 
 
 def _sample(path: OperatorPath, t: float, dim: int) -> np.ndarray:
@@ -191,12 +194,13 @@ def _sample(path: OperatorPath, t: float, dim: int) -> np.ndarray:
     return m
 
 
-def _counts(w: np.ndarray) -> tuple[int, float]:
-    # positive eigenvalue count and distance of the spectrum from zero
-    return int(np.sum(w > 0)), float(np.min(np.abs(w)))
+def _eig_inertia(w: np.ndarray, eps: float) -> tuple[int, int, int]:
+    return int(np.sum(w > eps)), int(np.sum(w < -eps)), int(np.sum(np.abs(w) <= eps))
 
 
-def sf_crossings(path: OperatorPath, zero_tol: float | None = None) -> SpectralFlowResult:
+def sf_crossings(
+    path: OperatorPath, zero_tol: float | None = None, trace: bool = False
+) -> SpectralFlowResult:
     """Crossing-counted spectral flow along the path, and its endpoint value.
 
     The crossing count equals sf_endpoints of the endpoint samples for any
@@ -204,27 +208,50 @@ def sf_crossings(path: OperatorPath, zero_tol: float | None = None) -> SpectralF
     changes.  Interior samples with an eigenvalue inside the tolerance are
     replaced by clean samples found by bisecting toward their clean
     neighbours; failure to find one within _MAX_DEPTH steps raises
-    RefinementLimit.  Each grid point is sampled and diagonalised once, on the
-    path's route; the end samples are validated as HermitianOperators (the
-    rest are trusted Hermitian), and the endpoint route reuses them.
+    RefinementLimit.  The end samples are validated as HermitianOperators and
+    diagonalised on the path's route, for the endpoint route too; the rest are
+    trusted Hermitian and counted by Sylvester's law, and a traced walk
+    requires their grid eigenvalues to agree (BackendDisagreement).
     """
     grid, route = path.grid, path.route
     first = HermitianOperator(path.sample(grid[0]), route)
     dim = first.dim
+    last = HermitianOperator(_sample(path, grid[-1], dim), route)
+    eps = zero_tol if zero_tol is not None else 1e-6 * max(first.norm, last.norm, 1e-300)
+    fallbacks = 0
 
-    # one pass over the grid: eigenvalues of every sample, plus the increment
+    def counts(m, w=None):
+        # Sylvester counts at +/-eps, shifting the stored diagonal (a sparse sum
+        # costs as much as the LU); eigenvalues on a decline; checked against w
+        nonlocal fallbacks
+        a = sp.csc_array(m, dtype=np.complex128, copy=True)
+        d, lus = a.diagonal(), []
+        for shift in (eps, -eps):
+            a.setdiag(d - shift)
+            lus.append(core._inertia_sylvester(a, 0.0))
+        if None in lus:
+            fallbacks += 1
+            return _eig_inertia(hermitian_eigenvalues(m, route) if w is None else w, eps)
+        got = lus[0][0], lus[1][1], dim - lus[0][0] - lus[1][1]
+        if w is not None and _eig_inertia(w, eps) != got:
+            raise BackendDisagreement(_eig_inertia(w, eps), got, eps)
+        return got
+
+    # one pass over the grid: counts of every sample, plus the increment
     # norms of the continuity screen (a step whose increment dwarfs the rest
     # signals a discontinuous evaluator, for which crossing counts are
     # meaningless)
-    eigs = [first.eigenvalues]
-    steps = []
-    prev = first.matrix
-    for i in range(1, len(grid)):
-        cur = _sample(path, grid[i], dim)
-        steps.append(np.linalg.norm((cur - prev).data if sp.issparse(prev) else cur - prev))
-        last = HermitianOperator(cur, route) if i == len(grid) - 1 else None
-        eigs.append(hermitian_eigenvalues(cur, route) if last is None else last.eigenvalues)
+    rows, status, steps, prev = [first.eigenvalues], [], [], first.matrix
+    for t in grid[1:]:
+        cur = _sample(path, t, dim) if t < grid[-1] else last.matrix
+        diff = cur - prev
+        steps.append(np.linalg.norm(diff.data if sp.issparse(diff) else diff))
+        if t < grid[-1]:
+            rows.append(hermitian_eigenvalues(cur, route) if trace else None)
+            status.append(counts(cur, rows[-1]))
         prev = cur
+    rows.append(last.eigenvalues)
+    status = [_eig_inertia(rows[0], eps)] + status + [_eig_inertia(rows[-1], eps)]
     slopes = np.divide(steps, np.diff(grid))
     top, typical = float(np.max(slopes)), float(np.median(slopes))
     if typical > 0 and top > 100.0 * typical:
@@ -233,17 +260,11 @@ def sf_crossings(path: OperatorPath, zero_tol: float | None = None) -> SpectralF
             "discontinuous" % (top / typical)
         )
 
-    scale = max(float(np.max(np.abs(eigs[0]))), float(np.max(np.abs(eigs[-1]))), 1e-300)
-    eps = zero_tol if zero_tol is not None else 1e-6 * scale
-
-    def probe(t):
-        return _counts(hermitian_eigenvalues(_sample(path, t, dim), route))
-
     clean: list[tuple[float, int]] = []
     evaluations = len(grid)
     for i, t in enumerate(map(float, grid)):
-        npos, gap = _counts(eigs[i])
-        if gap > eps:
+        npos, _, nzero = status[i]
+        if not nzero:
             clean.append((t, npos))
             continue
         if i in (0, len(grid) - 1):
@@ -255,9 +276,9 @@ def sf_crossings(path: OperatorPath, zero_tol: float | None = None) -> SpectralF
         for lo, hi, towards_left in ((clean[-1][0], t, True), (t, float(grid[i + 1]), False)):
             for _ in range(_MAX_DEPTH):
                 mid = 0.5 * (lo + hi)
-                npos_m, gap_m = probe(mid)
+                npos_m, _, nzero_m = counts(_sample(path, mid, dim))
                 evaluations += 1
-                if gap_m > eps:
+                if not nzero_m:
                     clean.append((mid, npos_m))
                     break
                 # keep bisecting toward the side known (or soon checked) clean
@@ -273,7 +294,8 @@ def sf_crossings(path: OperatorPath, zero_tol: float | None = None) -> SpectralF
     ]
     return SpectralFlowResult(
         value=sum(c[2] for c in crossings), crossings=tuple(crossings),
-        samples=evaluations, endpoints=sf_endpoints(first, last), trace=np.vstack(eigs),
+        samples=evaluations, endpoints=sf_endpoints(first, last), fallbacks=fallbacks,
+        trace=np.vstack(rows) if trace else None,
     )
 
 
@@ -296,16 +318,14 @@ def suspension(
     (even) or the trivial odd localiser with G = identity (odd) at t=-1,
     and at t=+1 the truncated localiser that ``pairing`` reads.  kappa D,
     K_W and T_W are laid out by ``Window.assemble``, as the window localiser
-    is, and the path takes the window's eigenvalue route: every sample is
-    sparse on a banded route, and dense (the parts densified once) else.
+    is, and the path takes the window's eigenvalue route; every sample is
+    sparse, on every route.
     """
     chi.validate()
     window = model.window(rho)
     ref = sp.eye_array(window.dim, dtype=complex) if window.odd else -window.gamma_part
     base = window.assemble(kappa, sp.csr_array(window.k_part.shape))
     k_w, t_w = (window.assemble(0.0, part) for part in (window.k_part, ref))
-    if window.eigen_route.position is None:
-        base, k_w, t_w = base.toarray(), k_w.toarray(), t_w.toarray()
 
     def evaluate(t):
         return base + (chi.plus(t) * k_w + chi.minus(t) * t_w)
@@ -347,8 +367,7 @@ def sf_conjugation(
     end = rot.conj().T @ dm @ rot
     end = (end + end.conj().T) / 2.0
     path = line_path(start, end, num=num, name="conjugation")
-    result = sf_crossings(path, zero_tol=zero_tol)
-    return result.value
+    return sf_crossings(path, zero_tol=zero_tol).value
 
 
 # ---------------------------------------------------------------------------

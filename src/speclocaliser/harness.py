@@ -480,7 +480,7 @@ def _sf_job(model, kappa, rho, mode, chi_name, grid, trace_dir) -> JobRecord:
     try:
         res = pairing(model, LocaliserParams(kappa=kappa, rho=rho, mode=mode))
         path = suspension(model, kappa, rho, chi=chi, num=grid)
-        flow = sf_crossings(path)
+        flow = sf_crossings(path, trace=trace_dir is not None)
         if trace_dir is not None:
             name = "trace_k%g_r%g.csv" % (kappa, rho)
             with open(Path(trace_dir) / name, "w", newline="") as fh:
@@ -498,6 +498,7 @@ def _sf_job(model, kappa, rho, mode, chi_name, grid, trace_dir) -> JobRecord:
             "sf_endpoints": flow.endpoints,
             "sf_consistent": bool(consistent),
             "crossing_count": len(flow.crossings),
+            "sample_fallbacks": flow.fallbacks,
             "chi": chi_name,
         },
     )
@@ -509,9 +510,9 @@ def run_sf(config: RunConfig) -> Report:
     Each record asserts sf_crossings = sf_endpoints = pairing via the
     ``sf_consistent`` flag, both flow routes read off one walk; the
     suspension runs on the same |D| <= rho window that the pairing
-    truncates to.  With trace set, every job writes its own eigenvalue
-    trace CSV into the output directory, so traced sweeps run in the pool
-    too.
+    truncates to.  With trace set, every job also checks its grid eigenvalues
+    against their Sylvester counts and writes them to its own CSV in the
+    output directory, so traced sweeps run in the pool too.
     """
     config.validate()
     model = parse_model_spec(config.model)

@@ -40,9 +40,9 @@ def compress(op: np.ndarray, model, cols) -> HermitianOperator:
 
 
 def dense_path(path: OperatorPath) -> OperatorPath:
-    """path with every sample dense and no eigenvalue route: np.linalg.eigvalsh
-    per sample, as every suspension sample was diagonalised before the banded
-    route."""
+    """path with every sample dense and no eigenvalue route, so whatever
+    sf_crossings diagonalises (its ends, and its grid when traced) goes to
+    np.linalg.eigvalsh."""
 
     def evaluate(t):
         m = path.evaluate(t)

@@ -14,6 +14,7 @@ from speclocaliser import (
     Projection,
     ValidationError,
     build_circle_model,
+    build_qwz_model,
     build_weighted_shift_dirac,
     line_path,
     odd_projection_unitary,
@@ -24,7 +25,9 @@ from speclocaliser import (
     sf_endpoints,
     suspension,
 )
+from speclocaliser import core, flow as flow_module
 from speclocaliser.errors import (
+    BackendDisagreement,
     DimensionMismatch,
     NotOddProjection,
     RankAmbiguity,
@@ -124,11 +127,12 @@ class TestSuspensions:
         susp = suspension(qwz9, kappa, rho, num=9)
         cols = qwz9.window(rho).index
         start = compress(dense_localiser(qwz9, kappa, -np.eye(qwz9.dim)), qwz9, cols)
-        assert np.allclose(susp.sample(-1.0), start.matrix, atol=1e-13)
+        assert sp.issparse(susp.sample(-1.0))  # sparse on the dense eigenvalue route too
+        assert np.allclose(susp.sample(-1.0).toarray(), start.matrix, atol=1e-13)
         middle = compress(kappa * qwz9.dirac.toarray(), qwz9, cols)
-        assert np.allclose(susp.sample(0.0), middle.matrix, atol=1e-13)
+        assert np.allclose(susp.sample(0.0).toarray(), middle.matrix, atol=1e-13)
         end = compress(dense_localiser(qwz9, kappa), qwz9, cols)
-        assert np.allclose(susp.sample(1.0), end.matrix, atol=1e-13)
+        assert np.allclose(susp.sample(1.0).toarray(), end.matrix, atol=1e-13)
 
     def test_odd_endpoints_are_the_advertised_operators(self, circle40):
         # circle windows take the banded route, so their samples are sparse
@@ -157,7 +161,8 @@ class TestSuspensions:
 
     def test_walk_trace_shape(self, circle40):
         susp = suspension(circle40, 0.05, rho=10.5, num=7)
-        rows = sf_crossings(susp).trace
+        assert sf_crossings(susp).trace is None  # only a traced walk diagonalises the grid
+        rows = sf_crossings(susp, trace=True).trace
         assert rows.shape == (7, susp.sample(0.0).shape[0])
         assert np.all(np.diff(rows, axis=1) >= 0)
         # the rows are the walk's own grid eigenvalues, through the path's route
@@ -180,13 +185,97 @@ def test_banded_flow_matches_dense_samples(case, chi):
     build, kappa, rho = _FLOW_PARITY_CASES[case]
     susp = suspension(build(), kappa, rho, chi=chi)
     assert susp.route.position is not None  # the banded route is the one under test
-    flow, dense = sf_crossings(susp), sf_crossings(dense_path(susp))
+    flow, dense = sf_crossings(susp, trace=True), sf_crossings(dense_path(susp), trace=True)
     assert (flow.value, flow.endpoints, flow.crossings) == (
         dense.value, dense.endpoints, dense.crossings,
     )
     assert flow.samples == dense.samples
     scale = float(np.max(np.abs(dense.trace)))
     assert np.max(np.abs(flow.trace - dense.trace)) <= 1e-12 * scale
+
+
+# (model, kappa, rho) of the Sylvester-count parity walks: the sf-sweep
+# benchmark's QWZ box 8 across three masses and both of its radii, QWZ box 9
+# at both offsets, and the banded-route cases above
+_SYLVESTER_PARITY_CASES = {
+    **{
+        "qwz8-m%g-r%g" % (mass, rho): (lambda mass=mass: build_qwz_model(8, mass), 1.0, rho)
+        for mass in (1.0, -1.0, 3.0)
+        for rho in (3.5, 4.5)
+    },
+    **{
+        "qwz9-" + offset: (lambda offset=offset: build_qwz_model(9, 1.0, offset), 1.0, 6.5)
+        for offset in ("integer", "half_integer")
+    },
+    **_FLOW_PARITY_CASES,
+}
+
+
+def _eigenvalue_walk(monkeypatch, path):
+    # every LU declines, so every sample is counted from its eigenvalues
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "_inertia_sylvester", lambda a, zero_tol: None)
+        return sf_crossings(path)
+
+
+@pytest.mark.parametrize("chi", [CHI_CLAMP, CHI_SMOOTH], ids=["clamp", "smooth"])
+@pytest.mark.parametrize("case", sorted(_SYLVESTER_PARITY_CASES))
+def test_sylvester_walk_matches_eigenvalue_walk(case, chi, monkeypatch):
+    build, kappa, rho = _SYLVESTER_PARITY_CASES[case]
+    susp = suspension(build(), kappa, rho, chi=chi)
+    flow, eig = sf_crossings(susp), _eigenvalue_walk(monkeypatch, susp)
+    assert (flow.value, flow.endpoints, flow.crossings, flow.samples) == (
+        eig.value, eig.endpoints, eig.crossings, eig.samples,
+    )
+    assert flow.fallbacks == 0
+    assert eig.fallbacks == eig.samples - 2  # all but the two end samples
+
+
+def test_untraced_walk_diagonalises_only_its_ends(qwz9, monkeypatch):
+    calls = []
+    kernel = core.hermitian_eigenvalues
+
+    def counted(a, route=None):
+        calls.append(a.shape[0])
+        return kernel(a, route)
+
+    susp = suspension(qwz9, 1.0, 6.5)
+    monkeypatch.setattr(core, "hermitian_eigenvalues", counted)
+    monkeypatch.setattr(flow_module, "hermitian_eigenvalues", counted)
+    res = sf_crossings(susp)
+    assert res.samples == len(susp.grid) and res.trace is None
+    assert len(calls) == 2
+    calls.clear()
+    assert sf_crossings(susp, trace=True).trace.shape[0] == len(calls) == len(susp.grid)
+
+
+def test_flipped_interior_count_is_caught_by_trace_and_leaves_value(qwz9, monkeypatch):
+    # one eigenvalue miscounted as positive at one interior grid sample: the
+    # traced walk's eigenvalue rows refuse it; untraced, it adds a spurious
+    # crossing pair to the ledger while value still telescopes to the end counts
+    susp = suspension(qwz9, 1.0, 6.5, num=17)
+    honest = sf_crossings(susp)
+    lu_counts = core._inertia_sylvester
+    calls = []
+
+    def flipped(a, zero_tol):
+        n_pos, n_neg, n_zero = lu_counts(a, zero_tol)
+        calls.append(None)
+        # grid sample 8 of 0..16 is the walk's 8th Sylvester sample, counted
+        # from its LUs at -eps (call 15, n_pos) and +eps (call 16, n_neg)
+        if len(calls) in (15, 16):
+            n_pos, n_neg = n_pos + 1, n_neg - 1
+        return n_pos, n_neg, n_zero
+
+    monkeypatch.setattr(core, "_inertia_sylvester", flipped)
+    with pytest.raises(BackendDisagreement):
+        sf_crossings(susp, trace=True)
+    calls.clear()
+    mutant = sf_crossings(susp)
+    assert honest.samples == mutant.samples == len(susp.grid)
+    assert mutant.crossings != honest.crossings
+    assert len(mutant.crossings) == len(honest.crossings) + 2
+    assert mutant.value == honest.value
 
 
 class TestChiPairs:

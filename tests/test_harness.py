@@ -240,6 +240,7 @@ class TestFlowSweeps:
         assert rec.passed
         assert rec.extra["sf_consistent"] is True
         assert rec.extra["sf_crossings"] == rec.extra["sf_endpoints"] == rec.pairing
+        assert rec.extra["sample_fallbacks"] == 0  # every interior sample by Sylvester
         traces = list(out.glob("trace_*.csv"))
         assert len(traces) == 1
         header = traces[0].read_text().splitlines()[0]
