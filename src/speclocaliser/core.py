@@ -128,7 +128,9 @@ def _validate_square(m) -> np.ndarray:
     shape = m.shape if sp.issparse(m) else np.shape(m)
     _check_shape(shape)
     _check_dense_dim(shape[0])
-    m = _as_array(m).astype(np.complex128, copy=False)
+    # C order: the dense copy of a CSC array is Fortran-ordered, and the
+    # finiteness check reads it as a float view
+    m = np.ascontiguousarray(_as_array(m), dtype=np.complex128)
     _check_finite(m)
     return m
 
@@ -307,21 +309,20 @@ def _inertia_factorization(m: np.ndarray, zero_tol: float) -> tuple[int, int, in
     return n_pos, n_neg, n - n_pos - n_neg
 
 
-def _symmetric_lu(a: sp.sparray, shift: float):
-    """Sparse LU of a - shift*I with symmetric ordering and diagonal pivots.
+def _symmetric_lu(a: sp.sparray):
+    """Sparse LU of a with symmetric ordering and diagonal pivots.
 
     When every pivot stays on the diagonal (perm_r == perm_c), the factors
-    read P (A - shift I) P^T = L D L^* with D = diag(U), so by Sylvester's
-    law the signs of U's diagonal are the inertia of a - shift*I.  Returns
-    (lu, those signs), or None (a decline) when a pivot left the diagonal or
-    is zero, SuperLU's exactly-singular error included.
+    read P A P^T = L D L^* with D = diag(U), so by Sylvester's law the signs
+    of U's diagonal are the inertia of a.  Returns (lu, those signs), or
+    None (a decline) when a pivot left the diagonal or is zero, SuperLU's
+    exactly-singular error included.
     """
     import scipy.sparse.linalg as spla  # deferred: only factorizations load SuperLU
 
-    m = a - shift * sp.eye_array(a.shape[0]) if shift else a
     try:
         lu = spla.splu(
-            sp.csc_array(m), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            sp.csc_array(a), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )
     except RuntimeError as exc:
@@ -336,14 +337,24 @@ def _symmetric_lu(a: sp.sparray, shift: float):
 
 def _inertia_sylvester(a: sp.sparray, zero_tol: float) -> tuple[int, int, int] | None:
     """Inertia from sparse LUs of a -/+ zero_tol*I, thresholded by shifting
-    as _inertia_factorization is; None when either factorization declines."""
-    minus = _symmetric_lu(a, zero_tol)
-    plus = _symmetric_lu(a, -zero_tol) if zero_tol else minus
-    if minus is None or plus is None:
-        return None
-    n_pos = int(np.sum(minus[1] > 0))
-    n_neg = int(np.sum(plus[1] < 0))
-    return n_pos, n_neg, a.shape[0] - n_pos - n_neg
+    as _inertia_factorization is; None when either factorization declines.
+
+    The shifts are written into the stored diagonal of one complex CSC copy
+    of a: a sparse sum with zero_tol*I costs as much as the factorization.
+    """
+    m = sp.csc_array(a, dtype=np.complex128, copy=True)
+    d = m.diagonal()
+    signs = []
+    for shift in (zero_tol, -zero_tol) if zero_tol else (0.0,):
+        if shift:
+            m.setdiag(d - shift)
+        factored = _symmetric_lu(m)
+        if factored is None:
+            return None
+        signs.append(factored[1])
+    n_pos = int(np.sum(signs[0] > 0))
+    n_neg = int(np.sum(signs[-1] < 0))
+    return n_pos, n_neg, m.shape[0] - n_pos - n_neg
 
 
 def _resolve_zero_tol(scale: float, zero_tol: float | None) -> float:
@@ -370,7 +381,7 @@ def inertia(op, zero_tol: float | None = None) -> Inertia:
         int(np.sum(w < -tol)),
         int(np.sum(np.abs(w) <= tol)),
     )
-    factor_counts = _inertia_sylvester(sp.csc_array(h.matrix), tol)
+    factor_counts = _inertia_sylvester(h.matrix, tol)
     if factor_counts is None:
         factor_counts = _inertia_factorization(_as_array(h.matrix), tol)
     if eig_counts != factor_counts:
@@ -476,7 +487,7 @@ def _sylvester_gap(a: sp.sparray) -> float | None:
     n = a.shape[0]
     if n <= 2:  # complex ARPACK needs k = 1 < n - 1
         return None
-    factored = _symmetric_lu(a, 0.0)
+    factored = _symmetric_lu(a)
     if factored is None:
         return None
     import scipy.sparse.linalg as spla  # deferred: only certificates load ARPACK

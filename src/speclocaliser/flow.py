@@ -221,18 +221,12 @@ def sf_crossings(
     fallbacks = 0
 
     def counts(m, w=None):
-        # Sylvester counts at +/-eps, shifting the stored diagonal (a sparse sum
-        # costs as much as the LU); eigenvalues on a decline; checked against w
+        # Sylvester counts at +/-eps; eigenvalues on a decline; checked against w
         nonlocal fallbacks
-        a = sp.csc_array(m, dtype=np.complex128, copy=True)
-        d, lus = a.diagonal(), []
-        for shift in (eps, -eps):
-            a.setdiag(d - shift)
-            lus.append(core._inertia_sylvester(a, 0.0))
-        if None in lus:
+        got = core._inertia_sylvester(m, eps)
+        if got is None:
             fallbacks += 1
             return _eig_inertia(hermitian_eigenvalues(m, route) if w is None else w, eps)
-        got = lus[0][0], lus[1][1], dim - lus[0][0] - lus[1][1]
         if w is not None and _eig_inertia(w, eps) != got:
             raise BackendDisagreement(_eig_inertia(w, eps), got, eps)
         return got

@@ -149,7 +149,8 @@ def validate_infinite_regime(
 ) -> GapCertificate:
     """The regime_gap guarantee: kappa * ||[D, K]|| < g^2 and the untruncated gap.
 
-    The commutator norm is the interior one, and the gap is measured on the
+    The commutator norm is the interior one (ModelInstance.dirac_commutator:
+    a builder's closed-form bound, or measured), and the gap is measured on the
     localiser compressed to the containment window of D
     (``ModelInstance.regime_gap``): the periodic seam of a finite box
     carries commutator entries of size O(box) and bound eigenmodes with no
@@ -161,7 +162,7 @@ def validate_infinite_regime(
     inapplicable and its measured value is NaN.
     """
     g = model.k_gap()
-    comm = model.dirac_commutator()
+    comm, source = model.dirac_commutator()
     holds = kappa * comm < g * g
     if mode == "strict" and not holds:
         raise HypothesisViolated(
@@ -176,8 +177,8 @@ def validate_infinite_regime(
         ">=",
         kind="guarantee",
         applicable=bool(holds),
-        detail="seam-free localiser gap vs sqrt(g^2 - kappa*||[D,K]||)"
-        + (" (%s)" % route if route else ""),
+        detail="seam-free localiser gap vs sqrt(g^2 - kappa*||[D,K]||), ||[D,K]||: %s"
+        % source + (" (%s)" % route if route else ""),
         slack=1e-9,
     )
 
@@ -191,9 +192,12 @@ def validate_truncation_params(
     (rho > 2g/kappa), containment (rho <= containment radius).  Soft:
     coupling (||K|| < (47/192)^(1/4) sqrt(g kappa rho)) and endpoint
     (max(1, ||K||) < kappa rho).  In strict mode a failed hard certificate
-    raises; soft failures never raise.  include_commutator=False drops the
-    kappa_bound certificate and its sparse Lanczos [D, K] norm, which grows
-    with the box rather than the window; permissive-only.
+    raises; soft failures never raise.  The kappa_bound detail names the
+    source of ||[D,K]|| (ModelInstance.dirac_commutator).
+    include_commutator=False drops the kappa_bound certificate and its
+    [D, K] norm, which a model without a builder's closed-form bound
+    measures by Lanczos over the whole box rather than the window;
+    permissive-only.
     """
     g = model.k_gap()
     k_norm = model.k_norm()
@@ -201,11 +205,11 @@ def validate_truncation_params(
 
     certs = []
     if include_commutator:
-        comm = model.dirac_commutator()
+        comm, source = model.dirac_commutator()
         kappa_cap = math.inf if comm == 0 else g**3 / (12.0 * k_norm * comm)
         certs.append(
             _certificate("kappa_bound", kappa, kappa_cap, "<=", hard=True,
-                         detail="kappa <= g^3 / (12 ||K|| ||[D,K]||)")
+                         detail="kappa <= g^3 / (12 ||K|| ||[D,K]||) (%s)" % source)
         )
     elif params.mode == "strict":
         raise ValidationError("strict mode requires the commutator certificate")
@@ -288,11 +292,12 @@ def pairing(
     localiser onto the same eigenvectors of D.
 
     certificates=False is a lean mode for sweeps on large models: it skips
-    everything that needs the [D, K] commutator or an extra eigensolve (the
-    kappa_bound condition, the untruncated-regime gap, the complement
-    block), leaving the cheap geometric conditions plus the measured window
-    gap.  Lean results carry no applicable theorem guarantees, so the mode
-    is permissive-only.
+    the [D, K] commutator (a closed form for builder models, a whole-box
+    Lanczos norm otherwise) and every extra eigensolve (the kappa_bound
+    condition, the untruncated-regime gap, the complement block), leaving
+    the cheap geometric conditions plus the measured window gap.  Lean
+    results carry no applicable theorem guarantees, so the mode is
+    permissive-only.
     """
     if not certificates and params.mode == "strict":
         raise ValidationError("strict mode needs full certificates")

@@ -23,9 +23,11 @@ Three builders are provided:
 
 Builders attach analytically known eigensystems of D where the structure
 makes them immediate (diagonal or site-block D, one or two nonzeros per
-eigenvector), and K's norm and gap; the generic dense paths, capped at
-``core.DENSE_DIM_LIMIT``, are used otherwise, and the two eigensystems are
-interchangeable up to basis choice inside degenerate eigenspaces.
+eigenvector), K's norm and gap, and a closed-form bound on the interior
+[D, K] norm; the generic paths (dense ones capped at
+``core.DENSE_DIM_LIMIT``, the Lanczos commutator norm) are used otherwise,
+and the two eigensystems are interchangeable up to basis choice inside
+degenerate eigenspaces.
 ``ModelInstance.window`` compresses K (and, for even models, the grading)
 onto a spectral window of D in that eigenbasis once per radius, touching
 only the rows the window's eigenvectors reach; every localiser block the
@@ -343,11 +345,19 @@ class ModelInstance:
                 self.cache["k_gap"] = singular_gap(as_matrix(self.k_rep))
         return self.cache["k_gap"]
 
-    def dirac_commutator(self) -> float:
-        """Interior norm ||[D, K]|| (see core.commutator_norm), cached."""
+    def dirac_commutator(self) -> tuple[float, str]:
+        """An upper bound on the interior norm ||[D, K]|| and its source, cached.
+
+        The interior mask keeps no row or column touching the seam, so the
+        masked commutator compresses the infinite-volume one: builders cache
+        its closed-form bound from the symbol.  Every other model, a
+        reloaded manifest included, measures it by core.commutator_norm
+        (Lanczos on the masked commutator over the whole box).
+        """
         if "dirac_commutator" not in self.cache:
-            self.cache["dirac_commutator"] = commutator_norm(
-                self.dirac, self.k_rep, self.interior_mask
+            self.cache["dirac_commutator"] = (
+                commutator_norm(self.dirac, self.k_rep, self.interior_mask),
+                "interior Lanczos",
             )
         return self.cache["dirac_commutator"]
 
@@ -464,6 +474,11 @@ def build_circle_model(modes: int, symbol, offset: float = 0.0) -> ModelInstance
     # circulant G is normal; norm and gap come from the symbol on the grid
     model.cache["k_norm"] = max_eig
     model.cache["k_gap"] = min_eig
+    # [D, G] = sum_k k c_k S^k off the seam, the symbol's derivative
+    model.cache["dirac_commutator"] = (
+        float(sum(abs(k) * abs(c) for k, c in coeffs.items())),
+        "symbol bound sum|k||c_k|",
+    )
     return model
 
 
@@ -575,6 +590,9 @@ def build_qwz_model(
     norms = _qwz_grid_norms(mass, side)
     model.cache["k_norm"] = float(np.max(norms))
     model.cache["k_gap"] = float(np.min(norms))
+    # off the seam [D, K] = [x1, H] (x) sigma_x + [x2, H] (x) sigma_y (the mass
+    # term commutes with D), with Bloch symbols d_k1 h and d_k2 h of norm 1
+    model.cache["dirac_commutator"] = (2.0, "Bloch symbol bound")
     return model
 
 
@@ -657,6 +675,7 @@ def build_weighted_shift_dirac(sites: int, nu: int = 1, sign: int = 1) -> ModelI
     )
     model.cache["k_norm"] = 1.0
     model.cache["k_gap"] = 1.0
+    model.cache["dirac_commutator"] = (0.0, "commuting pair")  # K = +/-I
     return model
 
 

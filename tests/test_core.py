@@ -1,5 +1,6 @@
 """Hermitian primitives: inertia, signature, projections, gaps, norms."""
 
+import functools
 from unittest import mock
 
 import numpy as np
@@ -49,6 +50,13 @@ class TestHermitianOperator:
         m = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValidationError):
             HermitianOperator(m)
+
+    def test_csc_input_on_the_dense_route(self, rng):
+        # the dense copy of a CSC array is Fortran-ordered
+        h = random_hermitian(rng, 6)
+        want = np.linalg.eigvalsh(h)
+        assert_allclose(HermitianOperator(sp.csc_array(h)).eigenvalues, want, atol=1e-12)
+        assert_allclose(core.hermitian_eigenvalues(sp.csc_array(h)), want, atol=1e-12)
 
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
@@ -183,6 +191,10 @@ class TestSylvester:
         tol = core.ZERO_TOL_FACTOR * norm
         counts = core._inertia_sylvester(a, tol)
         assert counts is None or counts == _eig_counts(w, tol)
+        # the shifts are written into a copy, not into a CSC input
+        c = sp.csc_array(m)
+        assert core._inertia_sylvester(c, tol) == counts
+        assert np.array_equal(c.toarray(), m)
         dense = float(np.min(np.abs(w)))
         gap, _ = certified_gap(a)
         assert dense - 1e-10 * max(norm, 1.0) <= gap <= dense
@@ -396,17 +408,22 @@ class TestGapsAndNorms:
         assert operator_norm(np.eye(7)) == pytest.approx(1.0)
 
     def test_circle_commutator_interior(self, circle40):
-        assert circle40.dirac_commutator() == pytest.approx(1.0, abs=1e-12)
+        # measured, not the builder's cached bound
+        norm = commutator_norm(circle40.dirac, circle40.k_rep, circle40.interior_mask)
+        assert norm == pytest.approx(1.0, abs=1e-12)
 
     def test_qwz_commutator_interior_bound(self):
         # the interior [D, K] compresses the operator with Bloch symbol
         # d1 h (x) sigma_x + d2 h (x) sigma_y, of norm at most 2, and the
-        # mass term commutes with D: one value for every mass, at most 2
+        # mass term commutes with D: one measured value for every mass, at
+        # most 2, the bound the builder caches
         for offset in ("half_integer", "integer"):
-            values = [
-                build_qwz_model(box=9, mass=mass, offset=offset).dirac_commutator()
+            models = [
+                build_qwz_model(box=9, mass=mass, offset=offset)
                 for mass in (1.0, -1.0, 3.0, 0.7)
             ]
+            values = [commutator_norm(*_model_case(m)) for m in models]
+            assert {m.dirac_commutator() for m in models} == {(2.0, "Bloch symbol bound")}
             assert max(values) <= 2.0 * (1.0 + 1e-12)
             assert values == pytest.approx([values[0]] * len(values), rel=1e-12)
 
@@ -456,28 +473,40 @@ def _model_case(model):
     return model.dirac, model.k_rep, model.interior_mask
 
 
-# (D, X, interior mask) triples, built on demand: QWZ boxes where the dense
-# interior norm still runs, odd circle models (non-Hermitian K), a shift
-# model (K = +-I, zero commutator) and masks too small for Lanczos
-_COMMUTATOR_CASES = {
+# builder models, built on demand: QWZ boxes where the dense interior norm
+# still runs, odd circle models (non-Hermitian K) and a shift model (K = +-I,
+# zero commutator)
+_BUILDER_CASES = {
     **{
         "qwz%d-%s" % (box, offset): (
-            lambda box=box, offset=offset: _model_case(
-                build_qwz_model(box=box, mass=1.0, offset=offset)
-            )
+            lambda box=box, offset=offset: build_qwz_model(box=box, mass=1.0, offset=offset)
         )
         for box in (8, 10, 12)
         for offset in ("half_integer", "integer")
     },
     **{
-        "circle250-w%d" % w: (
-            lambda w=w: _model_case(build_circle_model(250, {0: 0.5, w: 1.0}))
-        )
+        "circle250-w%d" % w: (lambda w=w: build_circle_model(250, {0: 0.5, w: 1.0}))
         for w in (1, -1, 2, -2)
     },
-    "shift40-nu2": lambda: _model_case(build_weighted_shift_dirac(40, nu=2)),
+    "shift40-nu2": lambda: build_weighted_shift_dirac(40, nu=2),
+}
+
+# (D, X, interior mask) triples of the builder models, and masks too small
+# for Lanczos
+_COMMUTATOR_CASES = {
+    **{name: (lambda build=build: _model_case(build())) for name, build in _BUILDER_CASES.items()},
     **{"mask%d" % rows: (lambda rows=rows: _small_mask_case(rows)) for rows in (1, 2, 3)},
 }
+
+
+@functools.cache
+def _dense_commutator_norm(case: str) -> float:
+    # the 2-norm of the dense masked commutator, once per case (QWZ box 12
+    # takes an SVD of a 2,500-dim matrix)
+    d, x, mask = _COMMUTATOR_CASES[case]()
+    dd = d.toarray() if hasattr(d, "toarray") else d
+    xd = x.toarray() if hasattr(x, "toarray") else x
+    return float(np.linalg.norm((dd @ xd - xd @ dd)[mask][:, mask], 2))
 
 
 class TestLanczosCommutatorNorm:
@@ -486,13 +515,21 @@ class TestLanczosCommutatorNorm:
     @pytest.mark.parametrize("case", sorted(_COMMUTATOR_CASES))
     def test_matches_dense_norm_and_never_undershoots(self, case):
         d, x, mask = _COMMUTATOR_CASES[case]()
-        dd = d.toarray() if hasattr(d, "toarray") else d
-        xd = x.toarray() if hasattr(x, "toarray") else x
-        expected = float(np.linalg.norm((dd @ xd - xd @ dd)[mask][:, mask], 2))
+        expected = _dense_commutator_norm(case)
         got = commutator_norm(d, x, mask)
         assert got == pytest.approx(expected, rel=1e-10, abs=0.0)
         # the kappa_bound cap built on it must never get looser
         assert got >= expected * (1.0 - 1e-13)
+
+    @pytest.mark.parametrize("case", sorted(_BUILDER_CASES))
+    def test_builder_bound_bounds_the_dense_norm(self, case):
+        # the closed form each builder caches is an upper bound at every
+        # box size, and tight for these symbols (one hop term for circle)
+        bound, source = _BUILDER_CASES[case]().dirac_commutator()
+        assert source != "interior Lanczos"
+        expected = _dense_commutator_norm(case)
+        assert expected <= bound * (1.0 + 1e-12)
+        assert expected == pytest.approx(bound, rel=1e-3)
 
     def test_zero_commutator_is_exactly_zero(self, rng):
         shift = build_weighted_shift_dirac(40, nu=2)

@@ -261,9 +261,9 @@ def test_flipped_interior_count_is_caught_by_trace_and_leaves_value(qwz9, monkey
     def flipped(a, zero_tol):
         n_pos, n_neg, n_zero = lu_counts(a, zero_tol)
         calls.append(None)
-        # grid sample 8 of 0..16 is the walk's 8th Sylvester sample, counted
-        # from its LUs at -eps (call 15, n_pos) and +eps (call 16, n_neg)
-        if len(calls) in (15, 16):
+        # grid sample 8 of 0..16 is the walk's 8th Sylvester sample, one
+        # call counting its LUs at -eps (n_pos) and +eps (n_neg)
+        if len(calls) == 8:
             n_pos, n_neg = n_pos + 1, n_neg - 1
         return n_pos, n_neg, n_zero
 

@@ -167,11 +167,11 @@ class TestLocaliseSweeps:
 
     def test_worker_pool_matches_serial(self):
         # integers must agree exactly; floats may differ in the last bit,
-        # since each worker recomputes the windows and norms of the model it
+        # since each worker recomputes the windows and gaps of the model it
         # was handed at start-up (once per worker, not per job)
         grids = [
             ("shift:sites=20", [0.1, 0.2], [5.5, 8.5]),
-            # kappa_bound reads the [D, K] norm here
+            # kappa_bound reads the builder's [D, K] bound sum|k||c_k| here
             ("circle:modes=40", [0.02, 0.05], [20.5, 30.5]),
         ]
         for spec, kappas, rhos in grids:

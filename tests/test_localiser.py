@@ -79,7 +79,7 @@ class TestInfiniteRegime:
     def test_commuting_pair_keeps_full_margin(self, shift40):
         # K = identity commutes with D, so the bound stays at g itself
         cert = validate_infinite_regime(shift40, 0.1)
-        assert shift40.dirac_commutator() == 0.0
+        assert shift40.dirac_commutator() == (0.0, "commuting pair")
         assert cert.bound == pytest.approx(shift40.k_gap())
         assert cert.measured >= 1.0 - 1e-9
 

@@ -20,6 +20,7 @@ from speclocaliser import (
     build_circle_model,
     build_qwz_model,
     build_weighted_shift_dirac,
+    commutator_norm,
     export_model,
     inertia,
     load_model,
@@ -56,7 +57,9 @@ class TestCircleModel:
     def test_interior_commutator_is_hop_weighted(self):
         # [D, G] acts as k * G_k per hop, so a single hop-1 symbol gives 1
         model = build_circle_model(60, {0: 0.5, 1: 1.0})
-        assert model.dirac_commutator() == pytest.approx(1.0, abs=1e-12)
+        norm = commutator_norm(model.dirac, model.k_rep, model.interior_mask)
+        assert norm == pytest.approx(1.0, abs=1e-12)
+        assert model.dirac_commutator() == (1.0, "symbol bound sum|k||c_k|")
 
     def test_mirror_symbols_have_opposite_winding(self):
         from speclocaliser import winding_number
@@ -383,6 +386,25 @@ class TestPersistence:
         loaded = load_model(tmp_path / "m")
         assert np.array_equal(loaded.dirac.toarray(), qwz9.dirac.toarray())
         assert loaded.parity == "even"
+
+    def test_reloaded_manifest_measures_its_commutator(self, tmp_path, qwz9):
+        # a reloaded file is not trusted to be its builder's output: its
+        # [D, K] norm is measured, just under the Bloch bound of the builder
+        save_model(qwz9, tmp_path / "m")
+        loaded = load_model(tmp_path / "m")
+        params = LocaliserParams(1.0, 5.5)
+        built, back = pairing(qwz9, params), pairing(loaded, params)
+        for field in ("pairing", "signature", "index_correction", "inertia", "dim_trunc"):
+            assert getattr(back, field) == getattr(built, field)
+        assert [(c.name, c.satisfied, c.applicable) for c in back.certificates] == [
+            (c.name, c.satisfied, c.applicable) for c in built.certificates
+        ]
+        cap, built_cap = back.certificate("kappa_bound"), built.certificate("kappa_bound")
+        assert loaded.dirac_commutator()[1] == "interior Lanczos"
+        assert cap.detail.endswith("(interior Lanczos)")
+        assert built_cap.detail.endswith("(Bloch symbol bound)")
+        assert built_cap.bound <= cap.bound
+        assert cap.bound == pytest.approx(built_cap.bound, rel=1.3e-4)
 
     def test_box30_export_round_trip_is_bitwise(self, tmp_path):
         # dim 14,884: dense files would hold two 3.5 GB arrays; coordinate
