@@ -9,8 +9,6 @@ oracle; disagreements are flagged.  Masses near the gap closings at
 import argparse
 import sys
 
-import numpy as np
-
 from speclocaliser import (
     LocaliserParams,
     build_qwz_model,
@@ -28,10 +26,9 @@ def main() -> int:
     ap.add_argument("--masses", type=float, nargs="+",
                     default=[-3.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 3.0])
     ap.add_argument("--lean", action="store_true",
-                    help="skip the certificates that grow with the box: the "
-                         "sparse regime and complement gaps on the containment "
-                         "window and the sparse [D,K] norm (recommended for "
-                         "box > 12)")
+                    help="skip the kappa_bound row and the regime and complement "
+                         "gaps; the gaps are sparse solves on the containment "
+                         "window, which grows with the box (recommended for box > 12)")
     args = ap.parse_args()
 
     params = LocaliserParams(kappa=args.kappa, rho=args.rho)

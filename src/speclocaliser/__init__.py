@@ -39,9 +39,7 @@ from .flow import (
     OperatorPath,
     SpectralFlowResult,
     line_path,
-    odd_projection_unitary,
     relative_index_projections,
-    sf_conjugation,
     sf_crossings,
     sf_endpoints,
     suspension,
@@ -70,7 +68,6 @@ from .models import (
 from .oracles import (
     chern_number_fhs,
     fredholm_index_graded,
-    toeplitz_index,
     winding_number,
 )
 

@@ -51,6 +51,7 @@ __all__ = [
     "hermitian_csr",
     "hermitian_eigenvalues",
     "max_abs_entry",
+    "eigenvalue_counts",
     "inertia",
     "signature",
     "positive_spectral_projection",
@@ -357,12 +358,9 @@ def _inertia_sylvester(a: sp.sparray, zero_tol: float) -> tuple[int, int, int] |
     return n_pos, n_neg, m.shape[0] - n_pos - n_neg
 
 
-def _resolve_zero_tol(scale: float, zero_tol: float | None) -> float:
-    if zero_tol is not None:
-        if zero_tol < 0:
-            raise ValidationError("zero_tol must be non-negative")
-        return float(zero_tol)
-    return ZERO_TOL_FACTOR * scale
+def eigenvalue_counts(w: np.ndarray, eps: float) -> tuple[int, int, int]:
+    """Counts of the eigenvalues w above eps, below -eps and within [-eps, eps]."""
+    return int(np.sum(w > eps)), int(np.sum(w < -eps)), int(np.sum(np.abs(w) <= eps))
 
 
 def inertia(op, zero_tol: float | None = None) -> Inertia:
@@ -374,13 +372,10 @@ def inertia(op, zero_tol: float | None = None) -> Inertia:
     or dense LDL^* when the LU declines).
     """
     h = _hermitian_part(op)
-    w = h.eigenvalues
-    tol = _resolve_zero_tol(h.norm, zero_tol)
-    eig_counts = (
-        int(np.sum(w > tol)),
-        int(np.sum(w < -tol)),
-        int(np.sum(np.abs(w) <= tol)),
-    )
+    if zero_tol is not None and zero_tol < 0:
+        raise ValidationError("zero_tol must be non-negative")
+    tol = ZERO_TOL_FACTOR * h.norm if zero_tol is None else float(zero_tol)
+    eig_counts = eigenvalue_counts(h.eigenvalues, tol)
     factor_counts = _inertia_sylvester(h.matrix, tol)
     if factor_counts is None:
         factor_counts = _inertia_factorization(_as_array(h.matrix), tol)
@@ -432,13 +427,14 @@ class Projection:
         return self._rank
 
 
-def positive_spectral_projection(op, zero_tol: float | None = None) -> Projection:
+def positive_spectral_projection(op) -> Projection:
     """Spectral projection onto eigenvalues > 0 of an invertible Hermitian matrix.
 
-    Raises SingularMatrix if any eigenvalue lies within zero_tol of 0.
+    Raises SingularMatrix if any eigenvalue lies within ZERO_TOL_FACTOR
+    times the largest |eigenvalue| of 0.
     """
     w, v = np.linalg.eigh(as_matrix(_hermitian_part(op)))
-    tol = _resolve_zero_tol(float(np.max(np.abs(w))), zero_tol)
+    tol = ZERO_TOL_FACTOR * float(np.max(np.abs(w)))
     if np.any(np.abs(w) <= tol):
         raise SingularMatrix(
             "eigenvalue %.3e within zero_tol %.3e of 0" % (float(np.min(np.abs(w))), tol)

@@ -23,13 +23,10 @@ __all__ = [
     "ContainmentViolation",
     "IntegerityViolation",
     "RefinementLimit",
-    "NonUnitary",
-    "NotOddProjection",
     "RankAmbiguity",
     "AmbiguousKernel",
     "ResidueTooLarge",
     "GapClosure",
-    "WindowInstability",
 ]
 
 
@@ -117,14 +114,6 @@ class RefinementLimit(SpecLocaliserError):
         super().__init__(msg)
 
 
-class NonUnitary(ValidationError):
-    """A matrix required to be unitary is not, beyond tolerance."""
-
-
-class NotOddProjection(ValidationError):
-    """A projection is not odd with respect to the given grading."""
-
-
 class RankAmbiguity(SpecLocaliserError):
     """Singular values cluster at the rank threshold; the rank is ill-defined."""
 
@@ -139,7 +128,3 @@ class ResidueTooLarge(SpecLocaliserError):
 
 class GapClosure(SpecLocaliserError):
     """Band eigenvalues touch on the sampling grid; the band invariant is undefined."""
-
-
-class WindowInstability(SpecLocaliserError):
-    """An index count changed when the counting window was shrunk; untrusted."""

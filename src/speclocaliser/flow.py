@@ -1,4 +1,4 @@
-"""Spectral flow along Hermitian paths, suspensions and projection indices.
+"""Spectral flow along Hermitian paths, suspensions and the relative index.
 
 Spectral flow is computed two ways from one walk, and callers cross-check
 them: by accumulating per-interval changes of the positive eigenvalue count
@@ -16,10 +16,6 @@ the model's class representative using an admissible cutoff pair
 (chi_minus, chi_plus).  One builder serves both parities: every sample is
 the |D| <= rho window localiser, assembled as ``pairing`` assembles it,
 which is what the finite-volume pairing theorems are about.
-Conjugation flow D -> u D u* is likewise computed on a spectral window of
-D: on the whole periodic box the endpoints are exactly unitarily
-equivalent and all flow cancels against the seam, while the windowed path
-recovers the index the compression is meant to expose.
 """
 
 from __future__ import annotations
@@ -35,17 +31,14 @@ from .core import (
     EigenRoute,
     HermitianOperator,
     Projection,
-    as_matrix,
+    eigenvalue_counts,
     hermitian_eigenvalues,
     signature,
-    window_mask,
 )
 from .errors import (
     BackendDisagreement,
     DimensionMismatch,
     IntegerityViolation,
-    NonUnitary,
-    NotOddProjection,
     RankAmbiguity,
     RefinementLimit,
     SingularMatrix,
@@ -63,9 +56,7 @@ __all__ = [
     "sf_endpoints",
     "sf_crossings",
     "suspension",
-    "sf_conjugation",
     "relative_index_projections",
-    "odd_projection_unitary",
 ]
 
 
@@ -120,7 +111,6 @@ class OperatorPath:
 
     evaluate: Callable[[float], np.ndarray]
     grid: np.ndarray
-    name: str = ""
     route: EigenRoute | None = None
 
     def __post_init__(self):
@@ -134,7 +124,7 @@ class OperatorPath:
         return m if sp.issparse(m) else np.asarray(m, dtype=np.complex128)
 
 
-def line_path(t0, t1, num: int = 33, name: str = "line") -> OperatorPath:
+def line_path(t0, t1, num: int = 33) -> OperatorPath:
     a = np.asarray(t0.matrix if isinstance(t0, HermitianOperator) else t0, dtype=complex)
     b = np.asarray(t1.matrix if isinstance(t1, HermitianOperator) else t1, dtype=complex)
     if a.shape != b.shape:
@@ -142,18 +132,18 @@ def line_path(t0, t1, num: int = 33, name: str = "line") -> OperatorPath:
     return OperatorPath(
         evaluate=lambda t: (1.0 - t) * a + t * b,
         grid=np.linspace(0.0, 1.0, num),
-        name=name,
     )
 
 
-def sf_endpoints(t0, t1, zero_tol: float | None = None) -> int:
-    """Half the signature difference between two invertible endpoints."""
+def sf_endpoints(t0, t1) -> int:
+    """Half the signature difference between two invertible endpoints, at zero
+    tolerance core.ZERO_TOL_FACTOR times the larger endpoint norm."""
     h0 = t0 if isinstance(t0, HermitianOperator) else HermitianOperator(t0)
     h1 = t1 if isinstance(t1, HermitianOperator) else HermitianOperator(t1)
     if h0.dim != h1.dim:
         raise DimensionMismatch("endpoint dimensions differ")
     scale = max(h0.norm, h1.norm, 1e-300)
-    tol = zero_tol if zero_tol is not None else 1e-8 * scale
+    tol = core.ZERO_TOL_FACTOR * scale
     for h, which in ((h0, "start"), (h1, "end")):
         if h.gap <= tol:
             raise SingularMatrix(
@@ -165,11 +155,9 @@ def sf_endpoints(t0, t1, zero_tol: float | None = None) -> int:
     return diff // 2
 
 
-# bisection depth of sf_crossings, rank threshold of the relative index,
-# and the odd-projection defect bound of odd_projection_unitary
+# bisection depth of sf_crossings and rank threshold of the relative index
 _MAX_DEPTH = 20
 _RANK_TOL = 1e-8
-_ODD_PROJ_TOL = 1e-10
 
 
 @dataclasses.dataclass(frozen=True)
@@ -192,10 +180,6 @@ def _sample(path: OperatorPath, t: float, dim: int) -> np.ndarray:
     if m.shape[0] != dim:
         raise DimensionMismatch("path dimension changed along the way")
     return m
-
-
-def _eig_inertia(w: np.ndarray, eps: float) -> tuple[int, int, int]:
-    return int(np.sum(w > eps)), int(np.sum(w < -eps)), int(np.sum(np.abs(w) <= eps))
 
 
 def sf_crossings(
@@ -226,9 +210,10 @@ def sf_crossings(
         got = core._inertia_sylvester(m, eps)
         if got is None:
             fallbacks += 1
-            return _eig_inertia(hermitian_eigenvalues(m, route) if w is None else w, eps)
-        if w is not None and _eig_inertia(w, eps) != got:
-            raise BackendDisagreement(_eig_inertia(w, eps), got, eps)
+            w = hermitian_eigenvalues(m, route) if w is None else w
+            return eigenvalue_counts(w, eps)
+        if w is not None and eigenvalue_counts(w, eps) != got:
+            raise BackendDisagreement(eigenvalue_counts(w, eps), got, eps)
         return got
 
     # one pass over the grid: counts of every sample, plus the increment
@@ -245,7 +230,8 @@ def sf_crossings(
             status.append(counts(cur, rows[-1]))
         prev = cur
     rows.append(last.eigenvalues)
-    status = [_eig_inertia(rows[0], eps)] + status + [_eig_inertia(rows[-1], eps)]
+    status = ([eigenvalue_counts(rows[0], eps)] + status
+              + [eigenvalue_counts(rows[-1], eps)])
     slopes = np.divide(steps, np.diff(grid))
     top, typical = float(np.max(slopes)), float(np.median(slopes))
     if typical > 0 and top > 100.0 * typical:
@@ -327,41 +313,8 @@ def suspension(
     return OperatorPath(
         evaluate=evaluate,
         grid=np.linspace(-1.0, 1.0, num),
-        name="suspension_%s[%s]" % (model.parity, chi.name),
         route=window.eigen_route,
     )
-
-
-def sf_conjugation(
-    dirac,
-    u: np.ndarray,
-    window: float,
-    num: int = 33,
-    zero_tol: float | None = None,
-) -> int:
-    """Spectral flow of the windowed straight line from D to u D u*.
-
-    Both endpoints are compressed onto the |D| <= window eigenspace before
-    flowing; the compression cuts the seam modes whose flow would otherwise
-    cancel the index on a finite periodic box.
-    """
-    dm = as_matrix(getattr(dirac, "matrix", dirac))
-    u = np.asarray(u, dtype=np.complex128)
-    if u.shape != dm.shape:
-        raise DimensionMismatch("u and D must act on the same space")
-    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-    if defect > 1e-10:
-        raise NonUnitary("u fails unitarity by %.3e" % defect)
-
-    w, v = np.linalg.eigh(dm)
-    sel = window_mask(w, window)
-    cols = v[:, sel]
-    start = np.diag(w[sel]).astype(complex)
-    rot = u.conj().T @ cols
-    end = rot.conj().T @ dm @ rot
-    end = (end + end.conj().T) / 2.0
-    path = line_path(start, end, num=num, name="conjugation")
-    return sf_crossings(path, zero_tol=zero_tol).value
 
 
 # ---------------------------------------------------------------------------
@@ -392,37 +345,3 @@ def relative_index_projections(p, q) -> int:
             % (r_qp, pp.rank, qq.rank)
         )
     return dim_ker - dim_coker
-
-
-def odd_projection_unitary(p, grading: np.ndarray) -> np.ndarray:
-    """Extract U from an odd projection P = (1/2) [[1, U*], [U, 1]].
-
-    grading is the +/-1 vector defining the splitting.  Raises
-    NotOddProjection if 2P - 1 fails to anticommute with the grading and
-    NonUnitary if the extracted block is not unitary.
-    """
-    pp = p if isinstance(p, Projection) else Projection(p)
-    g = np.asarray(grading)
-    if g.shape != (pp.dim,):
-        raise DimensionMismatch("grading length does not match projection dimension")
-    if not np.all(np.isin(g, (-1, 1))):
-        raise ValidationError("grading entries must be +1 or -1")
-    pos = np.flatnonzero(g == 1)
-    neg = np.flatnonzero(g == -1)
-    if pos.size != neg.size:
-        raise NotOddProjection(
-            "graded sectors have unequal dimensions %d vs %d" % (pos.size, neg.size)
-        )
-    x = 2.0 * pp.matrix - np.eye(pp.dim)
-    same = np.equal.outer(g, g)
-    defect = float(np.max(np.abs(x[same])))
-    if defect > _ODD_PROJ_TOL:
-        raise NotOddProjection(
-            "2P - 1 has diagonal-block entries up to %.3e (tol %.3e)"
-            % (defect, _ODD_PROJ_TOL)
-        )
-    u = 2.0 * pp.matrix[np.ix_(neg, pos)]
-    u_defect = float(np.max(np.abs(u.conj().T @ u - np.eye(pos.size))))
-    if u_defect > 1e-10:
-        raise NonUnitary("extracted block fails unitarity by %.3e" % u_defect)
-    return u

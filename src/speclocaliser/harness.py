@@ -127,6 +127,10 @@ def parse_model_spec(spec: str) -> ModelInstance:
 # configuration
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 _CONFIG_KEYS = (
     "model", "kappas", "rhos", "mode", "out",
     "grid", "workers", "trace", "chi",
@@ -153,8 +157,14 @@ class RunConfig:
     chi: str = "clamp"
 
     def __post_init__(self):
-        self.kappas = tuple(float(k) for k in self.kappas)
-        self.rhos = tuple(float(r) for r in self.rhos)
+        for key in ("kappas", "rhos"):
+            values = getattr(self, key)
+            if not isinstance(values, (list, tuple)):
+                raise ConfigError("%s must be a list of numbers, got %r" % (key, values))
+            try:
+                setattr(self, key, tuple(float(v) for v in values))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError("%s must be a list of numbers: %s" % (key, exc)) from exc
 
     def validate(self) -> None:
         if not str(self.model).strip():
@@ -169,23 +179,23 @@ class RunConfig:
             raise ConfigError("all rho values must be positive")
         if self.mode not in ("strict", "permissive"):
             raise ConfigError("mode must be 'strict' or 'permissive'")
-        if int(self.grid) < 2:
-            raise ConfigError("grid must have at least 2 samples")
-        if self.workers is not None and int(self.workers) < 1:
-            raise ConfigError("workers must be >= 1")
-        if self.chi not in CHI_PAIRS:
+        if not _is_int(self.grid) or self.grid < 2:
+            raise ConfigError("grid must be an integer >= 2, got %r" % (self.grid,))
+        if self.workers is not None and (not _is_int(self.workers) or self.workers < 1):
+            raise ConfigError("workers must be an integer >= 1, got %r" % (self.workers,))
+        if not isinstance(self.chi, str) or self.chi not in CHI_PAIRS:
             raise ConfigError("chi must be one of %s" % sorted(CHI_PAIRS))
         if self.trace and not self.out:
             raise ConfigError("trace output needs an output directory")
         if self.out:
-            target = Path(self.out)
             try:
+                target = Path(self.out)
                 target.mkdir(parents=True, exist_ok=True)
                 probe = target / ".write_probe"
                 probe.touch()
                 probe.unlink()
-            except OSError as exc:
-                raise ConfigError("output directory not writable: %s" % exc) from exc
+            except (OSError, TypeError) as exc:
+                raise ConfigError("output directory not usable: %s" % exc) from exc
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":

@@ -41,9 +41,9 @@ import math
 import operator
 
 from .core import (
+    ZERO_TOL_FACTOR,
     HermitianOperator,
     Inertia,
-    _resolve_zero_tol,
     certified_gap,
     inertia,
     spectral_gap,
@@ -278,7 +278,6 @@ class PairingResult:
 def pairing(
     model: ModelInstance,
     params: LocaliserParams,
-    zero_tol: float | None = None,
     certificates: bool = True,
 ) -> PairingResult:
     """Read off the index pairing for either parity from the model's windows.
@@ -334,15 +333,12 @@ def pairing(
 
     # the permissive acceptance criterion: the truncated matrix must be
     # numerically invertible regardless of which theoretical bounds applied
-    tol_resolved = _resolve_zero_tol(trunc_op.norm, zero_tol)
-    certs.append(
-        _certificate(
-            "invertibility", trunc_gap, tol_resolved, ">", kind="guarantee",
-            detail="truncated localiser gap vs numerical zero tolerance",
-        )
-    )
+    certs.append(_certificate(
+        "invertibility", trunc_gap, ZERO_TOL_FACTOR * trunc_op.norm, ">",
+        kind="guarantee", detail="truncated localiser gap vs numerical zero tolerance",
+    ))
 
-    inert = inertia(trunc_op, zero_tol=zero_tol)
+    inert = inertia(trunc_op)
     if inert.n_zero:
         raise SingularMatrix(
             "truncated localiser has %d numerical zero eigenvalue(s)" % inert.n_zero
@@ -382,13 +378,13 @@ def pairing(
     )
 
 
-def pairing_even(model, params, zero_tol=None, certificates=True) -> PairingResult:
+def pairing_even(model, params, certificates=True) -> PairingResult:
     if model.parity != "even":
         raise ValidationError("pairing_even needs an even model")
-    return pairing(model, params, zero_tol=zero_tol, certificates=certificates)
+    return pairing(model, params, certificates=certificates)
 
 
-def pairing_odd(model, params, zero_tol=None, certificates=True) -> PairingResult:
+def pairing_odd(model, params, certificates=True) -> PairingResult:
     if model.parity != "odd":
         raise ValidationError("pairing_odd needs an odd model")
-    return pairing(model, params, zero_tol=zero_tol, certificates=certificates)
+    return pairing(model, params, certificates=certificates)

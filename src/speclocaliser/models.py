@@ -739,7 +739,9 @@ def load_model(path) -> ModelInstance:
     """Load a model from a manifest directory/file or a {kind, params} config.
 
     Manifest loads revalidate every structural contract; a tampered file
-    fails loudly rather than producing a quietly inconsistent model.
+    fails loudly rather than producing a quietly inconsistent model: a
+    missing or malformed field raises FormatError naming the file, and a
+    value a builder or ModelInstance rejects raises its ValidationError.
     """
     path = Path(path)
     if path.is_dir():
@@ -754,13 +756,12 @@ def load_model(path) -> ModelInstance:
     if not isinstance(doc, dict):
         raise FormatError("%s does not contain a mapping" % path)
 
-    if "files" not in doc:
-        kind = doc.get("kind")
-        if kind not in _BUILDERS:
-            raise FormatError("unknown model kind %r in %s" % (kind, path))
-        return _BUILDERS[kind](doc.get("params", {}))
-
     try:
+        if "files" not in doc:
+            kind = doc.get("kind")
+            if kind not in _BUILDERS:
+                raise FormatError("unknown model kind %r in %s" % (kind, path))
+            return _BUILDERS[kind](doc.get("params", {}))
         dirac = _read_matrix(path.parent / doc["files"]["dirac"])
         k_rep = _read_matrix(path.parent / doc["files"]["k_rep"])
         grading = doc["grading"]
@@ -777,6 +778,8 @@ def load_model(path) -> ModelInstance:
         )
     except KeyError as exc:
         raise FormatError("manifest %s is missing field %s" % (path, exc)) from exc
+    except (TypeError, ValueError) as exc:
+        raise FormatError("manifest %s has a malformed field: %s" % (path, exc)) from exc
     return model
 
 

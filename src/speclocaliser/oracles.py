@@ -17,56 +17,33 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
-from .core import EIG_SEP_TOL, as_matrix
-from .errors import (
-    AmbiguousKernel,
-    BoundaryEigenvalue,
-    GapClosure,
-    NonUnitary,
-    ResidueTooLarge,
-    SingularSymbol,
-    ValidationError,
-    WindowInstability,
-)
+from .errors import AmbiguousKernel, GapClosure, ResidueTooLarge, SingularSymbol
 from .models import GradedOperator, _normalize_symbol, circle_symbol_values
 
 __all__ = [
     "winding_number",
     "chern_number_fhs",
     "fredholm_index_graded",
-    "toeplitz_index",
 ]
 
-# largest residue of an invariant from its nearest integer; the graded
-# index's relative kernel threshold; toeplitz_index's edge zone (in D
-# eigenvalues), singular-value threshold and least positive D eigenvalue
+# largest residue of an invariant from its nearest integer, and the graded
+# index's relative kernel threshold
 _RESIDUE_TOL = 0.01
 _KERNEL_TOL_FACTOR = 1e-6
-_TOEPLITZ_MARGIN = 5.0
-_TOEPLITZ_TOL = 1e-8
-_TOEPLITZ_ZERO_TOL = 1e-8
 
 
 def winding_number(symbol, grid: int = 4096) -> int:
-    """Winding of det g(theta) around 0, summed from phase increments.
+    """Winding of the scalar loop symbol g(theta) around 0, summed from phase increments.
 
-    symbol: finite Fourier coefficients ({k: c}) or a callable returning a
-    complex scalar or matrix per theta.  Raises SingularSymbol if the symbol
-    (nearly) vanishes on the grid, or, for coefficients, if the grid cannot
-    rule out a zero between samples: every theta lies within pi/grid of one,
-    and |g'| <= sum |k| |c_k|.  Raises ResidueTooLarge if the increment sum
-    is not close to an integer multiple of 2*pi.
+    symbol: finite Fourier coefficients {k: c}.  Raises SingularSymbol if
+    the symbol (nearly) vanishes on the grid, or if the grid cannot rule out
+    a zero between samples: every theta lies within pi/grid of one, and
+    |g'| <= sum |k| |c_k|.  Raises ResidueTooLarge if the increment sum is
+    not close to an integer multiple of 2*pi.
     """
     thetas = 2.0 * np.pi * np.arange(grid) / grid
-    if callable(symbol):
-        raw = [np.asarray(symbol(t)) for t in thetas]
-        vals = np.array(
-            [complex(r) if r.ndim == 0 else complex(np.linalg.det(r)) for r in raw]
-        )
-        lipschitz = 0.0
-    else:
-        vals = circle_symbol_values(symbol, thetas)
-        lipschitz = sum(abs(k) * abs(c) for k, c in _normalize_symbol(symbol).items())
+    vals = circle_symbol_values(symbol, thetas)
+    lipschitz = sum(abs(k) * abs(c) for k, c in _normalize_symbol(symbol).items())
     mags = np.abs(vals)
     floor = max(1e-12 * max(float(np.max(mags)), 1.0), lipschitz * np.pi / grid)
     if float(np.min(mags)) <= floor:
@@ -137,57 +114,3 @@ def fredholm_index_graded(graded: GradedOperator) -> int:
         )
     rank = int(np.sum(s > tol))
     return (n_cols - rank) - (n_rows - rank)
-
-
-def _toeplitz_count(w: np.ndarray, v: np.ndarray, u: np.ndarray, window: float) -> int:
-    dist = np.abs(w - window)
-    if np.any(dist < EIG_SEP_TOL):
-        raise BoundaryEigenvalue(
-            "D eigenvalue within %.3e of the window edge %.6g"
-            % (float(np.min(dist)), window)
-        )
-    sel = (w > _TOEPLITZ_ZERO_TOL) & (w <= window)
-    if not sel.any():
-        raise ValidationError("empty positive window (0, %.6g]" % window)
-    cols = v[:, sel]
-    wsel = w[sel]
-    a = cols.conj().T @ u @ cols
-    uu, s, vh = np.linalg.svd(a)
-    if np.any((s >= _TOEPLITZ_TOL / 10.0) & (s <= 10.0 * _TOEPLITZ_TOL)):
-        raise AmbiguousKernel(
-            "singular values in the ambiguity decade around %.2e" % _TOEPLITZ_TOL
-        )
-    small = s < _TOEPLITZ_TOL
-    # Vectors supported at the artificial cut near the window top are
-    # compression artifacts; genuine kernel/cokernel modes live at the
-    # spectral boundary near 0.
-    edge = wsel > window - _TOEPLITZ_MARGIN
-    ker = coker = 0
-    for col in np.flatnonzero(small):
-        if float(np.sum(np.abs(vh[col]) ** 2 * edge)) <= 0.5:
-            ker += 1
-        if float(np.sum(np.abs(uu[:, col]) ** 2 * edge)) <= 0.5:
-            coker += 1
-    return ker - coker
-
-
-def toeplitz_index(u: np.ndarray, dirac, window: float) -> int:
-    """Index of the compression of a unitary to the positive-D window (0, W].
-
-    The count is repeated on the shrunk window W-2 and must agree, otherwise
-    WindowInstability is raised.  Modes within _TOEPLITZ_MARGIN (in units of
-    D eigenvalues) of the top cut are discarded as compression artifacts.
-    """
-    u = np.asarray(u, dtype=np.complex128)
-    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-    if defect > 1e-10:
-        raise NonUnitary("u fails unitarity by %.3e" % defect)
-    w, v = np.linalg.eigh(as_matrix(getattr(dirac, "matrix", dirac)))
-    first = _toeplitz_count(w, v, u, window)
-    second = _toeplitz_count(w, v, u, window - 2.0)
-    if first != second:
-        raise WindowInstability(
-            "index changed from %d to %d when the window shrank from %.6g to %.6g"
-            % (first, second, window, window - 2.0)
-        )
-    return first

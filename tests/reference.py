@@ -48,4 +48,4 @@ def dense_path(path: OperatorPath) -> OperatorPath:
         m = path.evaluate(t)
         return m.toarray() if sp.issparse(m) else m
 
-    return OperatorPath(evaluate=evaluate, grid=path.grid, name=path.name)
+    return OperatorPath(evaluate=evaluate, grid=path.grid)

@@ -4,23 +4,18 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, strategies as st
-from scipy.linalg import polar
 
 from speclocaliser import (
     CHI_CLAMP,
     CHI_SMOOTH,
     ChiPair,
     OperatorPath,
-    Projection,
     ValidationError,
     build_circle_model,
     build_qwz_model,
     build_weighted_shift_dirac,
     line_path,
-    odd_projection_unitary,
-    positive_spectral_projection,
     relative_index_projections,
-    sf_conjugation,
     sf_crossings,
     sf_endpoints,
     suspension,
@@ -29,13 +24,11 @@ from speclocaliser import core, flow as flow_module
 from speclocaliser.errors import (
     BackendDisagreement,
     DimensionMismatch,
-    NotOddProjection,
     RankAmbiguity,
     RefinementLimit,
     SingularMatrix,
 )
 from speclocaliser.core import hermitian_eigenvalues
-from speclocaliser.oracles import toeplitz_index
 from reference import compress, dense_localiser, dense_path
 
 
@@ -300,32 +293,6 @@ class TestChiPairs:
             OperatorPath(evaluate=lambda t: np.eye(2), grid=np.array([0.0]))
 
 
-class TestConjugation:
-    def test_identity_flows_zero(self):
-        from speclocaliser import build_circle_model
-
-        # offset keeps 0 out of spec(D): the windowed line needs invertible ends
-        model = build_circle_model(40, {0: 0.5, 1: 1.0}, offset=0.25)
-        u = np.eye(model.dim, dtype=complex)
-        assert sf_conjugation(model.dirac, u, 20.5) == 0
-
-    def test_translation_flow_matches_compression_index(self):
-        from speclocaliser import build_circle_model
-
-        model = build_circle_model(40, {0: 0.5, 1: 1.0}, offset=0.25)
-        u = np.roll(np.eye(model.dim), 1, axis=0).astype(complex)
-        flow_count = sf_conjugation(model.dirac, u, 20.5)
-        assert flow_count == -1
-        assert flow_count == toeplitz_index(u, model.dirac, 20.5)
-        assert sf_conjugation(model.dirac, u @ u, 20.5) == -2
-
-    def test_non_unitary_rejected(self, circle40):
-        from speclocaliser.errors import NonUnitary
-
-        with pytest.raises(NonUnitary):
-            sf_conjugation(circle40.dirac, 2.0 * np.eye(circle40.dim), 20.5)
-
-
 class TestProjectionIndices:
     def test_rank_difference(self):
         p = np.diag([1.0, 1.0, 0.0])
@@ -354,28 +321,3 @@ class TestProjectionIndices:
             assert relative_index_projections(p, q) == rp - rq
         except RankAmbiguity:
             pass  # random ranges can land in the tolerance decade
-
-
-class TestOddProjectionUnitary:
-    def test_half_ones_is_trivial(self):
-        p = 0.5 * np.ones((2, 2))
-        u = odd_projection_unitary(p, np.array([1, -1]))
-        assert np.allclose(u, np.eye(1))
-
-    def test_positive_projection_extracts_polar_phase(self, rng):
-        g = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)) + 3 * np.eye(5)
-        loc = np.block([[np.zeros((5, 5)), g], [g.conj().T, np.zeros((5, 5))]])
-        proj = positive_spectral_projection(loc)
-        grading = np.concatenate([np.ones(5), -np.ones(5)]).astype(int)
-        u = odd_projection_unitary(proj.matrix, grading)
-        phase, _ = polar(g.conj().T)
-        assert np.max(np.abs(u - phase)) < 1e-10
-
-    def test_even_projection_rejected(self):
-        with pytest.raises(NotOddProjection):
-            odd_projection_unitary(np.diag([1.0, 0.0]), np.array([1, -1]))
-
-    def test_unequal_sectors_rejected(self):
-        p = Projection(np.diag([1.0, 0.0, 0.0]))
-        with pytest.raises(NotOddProjection):
-            odd_projection_unitary(p, np.array([1, 1, -1]))

@@ -322,6 +322,29 @@ class TestCli:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["localise", "sf"])
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"kappas": 0.05},  # a scalar, not a list
+            {"kappas": ["abc"]},
+            {"rhos": [5.5, None]},
+            {"grid": "abc"},
+            {"grid": 2.5},
+            {"workers": "two"},
+            {"workers": 1.5},
+            {"chi": ["clamp"]},
+            {"out": 5},
+        ],
+    )
+    def test_malformed_config_file_exits_two(self, tmp_path, capsys, command, fields):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(
+            {"model": "shift:sites=20", "kappas": [0.1], "rhos": [5.5], **fields}
+        ))
+        assert cli.main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_sf_subcommand(self, capsys):
         code = cli.main(
             ["sf", "--model", "shift:sites=20", "--kappa", "0.1", "--rho", "5.5", "--grid", "17"]

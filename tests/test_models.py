@@ -430,6 +430,33 @@ class TestPersistence:
         doc = yaml.safe_load(text)
         assert yaml.dump(doc, Dumper=yaml.SafeDumper, sort_keys=True) == text
 
+    @pytest.mark.parametrize(
+        "fields,whole,error",
+        [
+            ({"files": "dirac.mtx"}, False, FormatError),
+            ({"containment_radius": "big"}, False, FormatError),
+            ({"grading": "x"}, False, FormatError),
+            ({"params": [1, 2]}, False, FormatError),
+            # {kind, params} configs: a missing or malformed builder argument
+            ({"kind": "qwz", "params": {}}, True, FormatError),
+            ({"kind": "qwz", "params": {"box": "big", "mass": 1.0}}, True, FormatError),
+            # a value the builder rejects keeps the builder's error
+            ({"kind": "qwz", "params": {"box": 2, "mass": 1.0}}, True, ValidationError),
+        ],
+    )
+    def test_malformed_field_names_the_file(self, tmp_path, shift40, fields, whole, error):
+        import yaml
+
+        path = save_model(shift40, tmp_path / "m")
+        doc = {} if whole else yaml.safe_load(path.read_text())
+        doc.update(fields)
+        path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(error) as info:
+            load_model(tmp_path / "m")
+        assert type(info.value) is error
+        if error is FormatError:
+            assert str(path) in str(info.value)
+
     def test_tampered_matrix_fails_validation(self, tmp_path, shift40):
         save_model(shift40, tmp_path / "m")
         path = tmp_path / "m" / "dirac.mtx"

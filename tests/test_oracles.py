@@ -10,20 +10,17 @@ from hypothesis import example, given, strategies as st
 from speclocaliser import (
     GradedOperator,
     LocaliserParams,
-    build_circle_model,
     build_qwz_model,
     build_weighted_shift_dirac,
     chern_number_fhs,
     fredholm_index_graded,
     pairing,
     qwz_bloch,
-    toeplitz_index,
     winding_number,
 )
 from speclocaliser.errors import (
     AmbiguousKernel,
     GapClosure,
-    NonUnitary,
     SingularSymbol,
 )
 
@@ -56,9 +53,6 @@ class TestWinding:
     )
     def test_known_values(self, symbol, expected):
         assert winding_number(symbol) == expected
-
-    def test_callable_symbol(self):
-        assert winding_number(lambda t: np.exp(2j * t) + 0.5) == 2
 
     def test_singular_symbol_rejected(self):
         with pytest.raises(SingularSymbol):
@@ -171,23 +165,3 @@ class TestBlockIndex:
         graded = GradedOperator(dirac, np.array([1, 1, -1, -1]))
         with pytest.raises(AmbiguousKernel):
             fredholm_index_graded(graded)
-
-
-class TestCompressionIndex:
-    def setup_method(self):
-        self.model = build_circle_model(40, {0: 0.5, 1: 1.0}, offset=0.25)
-        self.shift = np.roll(np.eye(self.model.dim), 1, axis=0).astype(complex)
-
-    def test_identity_compression(self):
-        assert toeplitz_index(np.eye(self.model.dim, dtype=complex), self.model.dirac, 20.5) == 0
-
-    def test_translation_and_adjoint(self):
-        assert toeplitz_index(self.shift, self.model.dirac, 20.5) == -1
-        assert toeplitz_index(self.shift.conj().T, self.model.dirac, 20.5) == 1
-
-    def test_powers_accumulate(self):
-        assert toeplitz_index(self.shift @ self.shift, self.model.dirac, 20.5) == -2
-
-    def test_non_unitary_rejected(self):
-        with pytest.raises(NonUnitary):
-            toeplitz_index(0.5 * self.shift, self.model.dirac, 20.5)

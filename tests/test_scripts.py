@@ -1,4 +1,5 @@
-"""Every script under scripts/ still imports what it needs and parses --help."""
+"""Every script under scripts/ still imports what it needs and parses --help;
+the cheap ones also run end to end."""
 
 import csv
 import os
@@ -47,3 +48,14 @@ def test_trace_suspension_writes_one_row_per_sample(tmp_path, spec, kappa, rho, 
     assert rows[0] == ["t"] + ["lam%d" % i for i in range(window_dim)]
     assert [float(r[0]) for r in rows[1:]] == [-1.0, -0.5, 0.0, 0.5, 1.0]
     assert all(len(r) == 1 + window_dim for r in rows[1:])
+
+
+def test_phase_scan_lean_mode_agrees_with_the_oracle():
+    proc = _run(
+        ROOT / "scripts" / "qwz_phase_scan.py", "--lean", "--box", "9", "--masses", "1.0", "3.0"
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+    assert [(r[0], r[2], r[3], r[4]) for r in rows] == [
+        ("1.000", "1", "1", "yes"), ("3.000", "0", "0", "yes"),
+    ]
