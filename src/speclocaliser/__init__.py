@@ -12,14 +12,6 @@ from .core import (
     singular_gap,
     spectral_gap,
 )
-from .convention import (
-    SignConvention,
-    derive_sign_convention,
-    load_sign_convention,
-    oracle_pairing,
-    oracle_value,
-    save_sign_convention,
-)
 from .errors import *  # noqa: F401,F403  re-export the exception hierarchy
 from .harness import (
     JobRecord,
@@ -66,8 +58,12 @@ from .models import (
     save_model,
 )
 from .oracles import (
+    EVEN_SIGN,
+    ODD_SIGN,
     chern_number_fhs,
     fredholm_index_graded,
+    oracle_pairing,
+    oracle_value,
     winding_number,
 )
 

@@ -11,7 +11,9 @@ import sys
 
 from . import __version__
 from .errors import ConfigError, SpecLocaliserError
+from .flow import CHI_PAIRS
 from .harness import RunConfig, export_model, run_localise, run_oracle, run_sf
+from .localiser import MODES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -29,10 +31,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", help="model spec (kind:key=val,... or manifest path)")
         p.add_argument("--kappa", type=float, nargs="+", help="coupling values")
         p.add_argument("--rho", type=float, nargs="+", help="truncation radii")
-        p.add_argument("--mode", choices=("strict", "permissive"))
+        p.add_argument("--mode", choices=MODES)
         if flow:
             p.add_argument("--grid", type=int, help="path samples per sweep")
-            p.add_argument("--chi", choices=("clamp", "smooth"))
+            p.add_argument("--chi", choices=sorted(CHI_PAIRS))
             p.add_argument(
                 "--trace", action="store_true", default=None,
                 help="write each job's eigenvalue trace alongside the report",
@@ -43,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_sweep_flags(sub.add_parser("localise", help="pairing sweep over (kappa, rho)"))
     add_sweep_flags(sub.add_parser("sf", help="suspension spectral-flow sweep"), flow=True)
 
-    p_oracle = sub.add_parser("oracle", help="print the convention-adjusted oracle value")
+    p_oracle = sub.add_parser("oracle", help="print the pairing the model's oracle predicts")
     p_oracle.add_argument("--model", required=True)
     p_oracle.add_argument("--out", help="optional directory for oracle.json")
 

@@ -69,10 +69,9 @@ class ChiPair:
     minus: Callable[[float], float]
     name: str = "custom"
 
-    def validate(self, samples: np.ndarray | None = None) -> None:
-        ts = samples if samples is not None else np.linspace(-1.0, 1.0, 201)
+    def validate(self) -> None:
         tol = 1e-12
-        for t in ts:
+        for t in np.linspace(-1.0, 1.0, 201):
             cp, cm = float(self.plus(t)), float(self.minus(t))
             if cp < -tol or cp > 1 + tol or cm < -tol or cm > 1 + tol:
                 raise ValidationError("chi values leave [0, 1] at t=%.4f" % t)
@@ -182,26 +181,25 @@ def _sample(path: OperatorPath, t: float, dim: int) -> np.ndarray:
     return m
 
 
-def sf_crossings(
-    path: OperatorPath, zero_tol: float | None = None, trace: bool = False
-) -> SpectralFlowResult:
+def sf_crossings(path: OperatorPath, trace: bool = False) -> SpectralFlowResult:
     """Crossing-counted spectral flow along the path, and its endpoint value.
 
     The crossing count equals sf_endpoints of the endpoint samples for any
     continuous path; the crossing ledger localizes where the positive count
-    changes.  Interior samples with an eigenvalue inside the tolerance are
-    replaced by clean samples found by bisecting toward their clean
-    neighbours; failure to find one within _MAX_DEPTH steps raises
-    RefinementLimit.  The end samples are validated as HermitianOperators and
-    diagonalised on the path's route, for the endpoint route too; the rest are
-    trusted Hermitian and counted by Sylvester's law, and a traced walk
-    requires their grid eigenvalues to agree (BackendDisagreement).
+    changes.  Interior samples with an eigenvalue inside the tolerance (1e-6
+    times the larger endpoint norm) are replaced by clean samples found by
+    bisecting toward their clean neighbours; failure to find one within
+    _MAX_DEPTH steps raises RefinementLimit.  The end samples are validated
+    as HermitianOperators and diagonalised on the path's route, for the
+    endpoint route too; the rest are trusted Hermitian and counted by
+    Sylvester's law, and a traced walk requires their grid eigenvalues to
+    agree (BackendDisagreement).
     """
     grid, route = path.grid, path.route
     first = HermitianOperator(path.sample(grid[0]), route)
     dim = first.dim
     last = HermitianOperator(_sample(path, grid[-1], dim), route)
-    eps = zero_tol if zero_tol is not None else 1e-6 * max(first.norm, last.norm, 1e-300)
+    eps = 1e-6 * max(first.norm, last.norm, 1e-300)
     fallbacks = 0
 
     def counts(m, w=None):

@@ -19,21 +19,21 @@ import time
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
 import yaml
 
-from .convention import oracle_pairing
 from .errors import ConfigError
 from .flow import CHI_PAIRS, sf_crossings, suspension
-from .localiser import LocaliserParams, PairingResult, pairing
+from .localiser import MODES, LocaliserParams, PairingResult, pairing
 from .models import (
     ModelInstance,
+    _sanitize,
     build_circle_model,
     build_qwz_model,
     build_weighted_shift_dirac,
     load_model,
     save_model,
 )
+from .oracles import oracle_pairing
 
 __all__ = [
     "RunConfig",
@@ -131,12 +131,6 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-_CONFIG_KEYS = (
-    "model", "kappas", "rhos", "mode", "out",
-    "grid", "workers", "trace", "chi",
-)
-
-
 @dataclasses.dataclass
 class RunConfig:
     """One sweep: a model against a (kappa, rho) grid.
@@ -173,12 +167,12 @@ class RunConfig:
             raise ConfigError("kappa list must be non-empty")
         if not self.rhos:
             raise ConfigError("rho list must be non-empty")
-        if any(k <= 0 for k in self.kappas):
-            raise ConfigError("all kappa values must be positive")
-        if any(r <= 0 for r in self.rhos):
-            raise ConfigError("all rho values must be positive")
-        if self.mode not in ("strict", "permissive"):
-            raise ConfigError("mode must be 'strict' or 'permissive'")
+        if not all(math.isfinite(k) and k > 0 for k in self.kappas):
+            raise ConfigError("all kappa values must be finite and positive")
+        if not all(math.isfinite(r) and r > 0 for r in self.rhos):
+            raise ConfigError("all rho values must be finite and positive")
+        if self.mode not in MODES:
+            raise ConfigError("mode must be one of %s" % (MODES,))
         if not _is_int(self.grid) or self.grid < 2:
             raise ConfigError("grid must be an integer >= 2, got %r" % (self.grid,))
         if self.workers is not None and (not _is_int(self.workers) or self.workers < 1):
@@ -208,7 +202,7 @@ class RunConfig:
             raise ConfigError("config file is not valid YAML: %s" % exc) from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a mapping")
-        unknown = sorted(set(data) - set(_CONFIG_KEYS))
+        unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
         if unknown:
             raise ConfigError("unknown config keys: %s" % unknown)
         missing = [k for k in ("model", "kappas", "rhos") if k not in data]
@@ -243,23 +237,6 @@ class RunConfig:
 
 # ---------------------------------------------------------------------------
 # records and reports
-
-
-def _sanitize(obj):
-    """JSON-safe copy: numpy scalars to python, NaN/inf to None."""
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        obj = float(obj)
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
 
 
 @dataclasses.dataclass
@@ -443,8 +420,9 @@ def _sweep(config: RunConfig, model: ModelInstance, job, *rest) -> list:
     worker is handed the model once, when it starts.
     """
     jobs = sorted((k, r) for k in config.kappas for r in config.rhos)
-    workers = config.resolved_workers()
-    if workers > 1 and len(jobs) > 1:
+    # a fork pool starts all its workers at the first submit: never more than jobs
+    workers = min(config.resolved_workers(), len(jobs))
+    if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(model,)
         ) as pool:
@@ -536,7 +514,7 @@ def run_sf(config: RunConfig) -> Report:
 
 
 def run_oracle(model_spec: str, out=None) -> dict:
-    """Convention-adjusted oracle value for a model, as a small report dict."""
+    """The oracle's predicted pairing for a model, as a small report dict."""
     model = parse_model_spec(model_spec)
     result = {
         "command": "oracle",

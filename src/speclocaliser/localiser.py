@@ -59,6 +59,7 @@ from .errors import (
 from .models import ModelInstance
 
 __all__ = [
+    "MODES",
     "LocaliserParams",
     "GapCertificate",
     "PairingResult",
@@ -74,6 +75,9 @@ _COUPLING_FACTOR = (47.0 / 192.0) ** 0.25
 # sqrt(47/48): prefactor of kappa*rho in the complement gap bound.
 _COMPLEMENT_FACTOR = math.sqrt(47.0 / 48.0)
 
+# strict mode enforces the hard conditions and guarantees; permissive records them
+MODES = ("strict", "permissive")
+
 
 @dataclasses.dataclass(frozen=True)
 class LocaliserParams:
@@ -82,12 +86,12 @@ class LocaliserParams:
     mode: str = "permissive"
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise ValidationError("kappa must be positive")
-        if self.rho <= 0:
-            raise ValidationError("rho must be positive")
-        if self.mode not in ("strict", "permissive"):
-            raise ValidationError("mode must be 'strict' or 'permissive'")
+        if not (math.isfinite(self.kappa) and self.kappa > 0):
+            raise ValidationError("kappa must be finite and positive")
+        if not (math.isfinite(self.rho) and self.rho > 0):
+            raise ValidationError("rho must be finite and positive")
+        if self.mode not in MODES:
+            raise ValidationError("mode must be one of %s" % (MODES,))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -712,7 +712,7 @@ def save_model(model: ModelInstance, directory) -> Path:
         "parity": model.parity,
         "oracle_ref": model.oracle_ref,
         "containment_radius": float(model.containment_radius),
-        "params": _jsonable(model.params),
+        "params": _sanitize(model.params),
         "grading": None if model.grading is None else [int(g) for g in model.grading],
         "interior_mask": [int(b) for b in model.interior_mask],
         "files": {"dirac": "dirac.mtx", "k_rep": "k_rep.mtx"},
@@ -723,15 +723,20 @@ def save_model(model: ModelInstance, directory) -> Path:
     return path
 
 
-def _jsonable(obj):
+def _sanitize(obj):
+    """JSON-safe copy: numpy scalars to python, NaN/inf to None."""
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return [_sanitize(v) for v in obj]
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.floating,)):
-        return float(obj)
+        obj = float(obj)
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, (np.bool_,)):
+        return bool(obj)
     return obj
 
 

@@ -1,12 +1,13 @@
-"""Independent oracles predicting each model's pairing.
+"""Independent oracles and the pairing each one predicts for a model.
 
-None of these touch the localiser machinery: the winding number integrates
-the symbol's phase around the circle, the lattice band invariant sums
-plaquette field strengths of the occupied-band projector, and the graded
-index counts kernel dimensions of the whole-space plus block from its
+None of the invariants touch the localiser machinery: the winding number
+integrates the symbol's phase around the circle, the lattice band invariant
+sums plaquette field strengths of the occupied-band projector, and the
+graded index counts kernel dimensions of the whole-space plus block from its
 singular values, a route the pairing (which reads the window's grading
 trace) never takes.  Expected values in tests come from here, never from
-the code under test.
+the code under test.  ``oracle_pairing`` turns a model's invariant into the
+pairing the localiser must return, through two constant signs.
 
 Integer-valued outputs are rounded only when the residue is tiny; a residue
 above the tolerance raises ResidueTooLarge instead of returning a guess.
@@ -17,14 +18,42 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import AmbiguousKernel, GapClosure, ResidueTooLarge, SingularSymbol
-from .models import GradedOperator, _normalize_symbol, circle_symbol_values
+from .errors import (
+    AmbiguousKernel,
+    GapClosure,
+    ResidueTooLarge,
+    SingularSymbol,
+    ValidationError,
+)
+from .models import (
+    GradedOperator,
+    ModelInstance,
+    _normalize_symbol,
+    circle_symbol_values,
+    qwz_bloch,
+)
 
 __all__ = [
+    "EVEN_SIGN",
+    "ODD_SIGN",
     "winding_number",
     "chern_number_fhs",
     "fredholm_index_graded",
+    "oracle_value",
+    "oracle_pairing",
 ]
+
+# Basis ordering, grading orientation and the direction of the phase around
+# the circle fix two signs the theory leaves free: pairing = EVEN_SIGN *
+# Chern number and pairing = ODD_SIGN * winding number.  Calibrated on QWZ
+# box 9, mass 1 (pairing +1 against Chern +1) and on circle 40, symbol
+# 0.5 + z (pairing -1 against winding +1); the calibration test re-checks
+# both.  The graded-index route has no free sign: the pairing's index
+# correction (the grading trace on the window) and its oracle (kernel counts
+# of the whole-space plus block) both compute the index of D's plus block,
+# whose orientation the grading fixes.
+EVEN_SIGN = 1
+ODD_SIGN = -1
 
 # largest residue of an invariant from its nearest integer, and the graded
 # index's relative kernel threshold
@@ -114,3 +143,26 @@ def fredholm_index_graded(graded: GradedOperator) -> int:
         )
     rank = int(np.sum(s > tol))
     return (n_cols - rank) - (n_rows - rank)
+
+
+def oracle_value(model: ModelInstance) -> int:
+    """The raw oracle integer for the model, before any sign."""
+    if model.oracle_ref == "winding_number":
+        return winding_number(model.params["symbol"])
+    if model.oracle_ref == "chern_number_fhs":
+        return chern_number_fhs(qwz_bloch(float(model.params["mass"])))
+    if model.oracle_ref == "fredholm_index_graded":
+        return fredholm_index_graded(model.graded())
+    raise ValidationError("no oracle registered under %r" % model.oracle_ref)
+
+
+def oracle_pairing(model: ModelInstance) -> int:
+    """The oracle's prediction for ``pairing(model, ...)``."""
+    raw = oracle_value(model)
+    if model.oracle_ref == "winding_number":
+        return ODD_SIGN * raw
+    if model.oracle_ref == "chern_number_fhs":
+        return EVEN_SIGN * raw
+    # graded index: pairing with K = +1 is the index itself, with K = -1 the
+    # signature and correction cancel exactly
+    return raw if int(model.params.get("sign", 1)) == 1 else 0

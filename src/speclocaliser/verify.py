@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .convention import oracle_pairing
 from .core import operator_norm, positive_spectral_projection
 from .errors import SpecLocaliserError
 from .flow import (
@@ -37,6 +36,7 @@ from .models import (
     build_qwz_model,
     build_weighted_shift_dirac,
 )
+from .oracles import oracle_pairing
 
 __all__ = ["CriterionResult", "VerifySession", "run_verify", "CRITERION_NAMES"]
 

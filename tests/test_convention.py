@@ -1,44 +1,22 @@
-"""The frozen sign convention and the oracle dispatch built on it."""
+"""The two frozen signs and the oracle dispatch built on them."""
 
 import pytest
 
 from speclocaliser import (
-    SignConvention,
+    EVEN_SIGN,
+    ODD_SIGN,
+    LocaliserParams,
     ValidationError,
     build_circle_model,
     build_qwz_model,
     build_weighted_shift_dirac,
-    load_sign_convention,
+    chern_number_fhs,
     oracle_pairing,
     oracle_value,
-    save_sign_convention,
+    pairing,
+    qwz_bloch,
+    winding_number,
 )
-from speclocaliser.errors import FormatError
-
-
-class TestFrozenFile:
-    def test_packaged_signs(self):
-        conv = load_sign_convention()
-        assert conv.even_sign == 1
-        assert conv.odd_sign == -1
-        assert "calibrations" in conv.metadata
-
-    def test_round_trip(self, tmp_path):
-        conv = SignConvention(even_sign=-1, odd_sign=1, metadata={"note": "flipped"})
-        save_sign_convention(conv, tmp_path / "conv.yaml")
-        loaded = load_sign_convention(tmp_path / "conv.yaml")
-        assert loaded == conv
-
-    def test_missing_field_rejected(self, tmp_path):
-        (tmp_path / "bad.yaml").write_text("even_sign: 1\n")
-        with pytest.raises(FormatError):
-            load_sign_convention(tmp_path / "bad.yaml")
-
-    def test_invalid_signs_rejected(self):
-        with pytest.raises(ValidationError):
-            SignConvention(even_sign=2, odd_sign=1)
-        with pytest.raises(ValidationError):
-            SignConvention(even_sign=1, odd_sign=0)
 
 
 class TestOracleDispatch:
@@ -63,11 +41,6 @@ class TestOracleDispatch:
         # K = -identity: signature and index correction cancel exactly
         assert oracle_pairing(minus) == 0
 
-    def test_flipped_convention_changes_prediction(self):
-        circle = build_circle_model(20, {1: 1.0, 0: 0.3})
-        flipped = SignConvention(even_sign=1, odd_sign=1)
-        assert oracle_pairing(circle) == -oracle_pairing(circle, flipped)
-
     def test_unknown_oracle_rejected(self):
         model = build_circle_model(10, {1: 1.0})
         model.oracle_ref = "nonexistent"
@@ -77,9 +50,11 @@ class TestOracleDispatch:
 
 class TestCalibration:
     def test_derivation_matches_the_frozen_file(self):
-        from speclocaliser import derive_sign_convention
+        # the signs frozen in oracles.py reproduce the pairings they were calibrated on
+        circle = build_circle_model(modes=40, symbol={0: 0.5, 1: 1.0})
+        res = pairing(circle, LocaliserParams(kappa=0.05, rho=25.5))
+        assert res.pairing == ODD_SIGN * winding_number(circle.params["symbol"]) == -1
 
-        derived = derive_sign_convention()
-        packaged = load_sign_convention()
-        assert derived.even_sign == packaged.even_sign
-        assert derived.odd_sign == packaged.odd_sign
+        qwz = build_qwz_model(box=9, mass=1.0)
+        res = pairing(qwz, LocaliserParams(kappa=0.75, rho=5.5))
+        assert res.pairing == EVEN_SIGN * chern_number_fhs(qwz_bloch(1.0)) == 1

@@ -83,9 +83,11 @@ class TestCrossings:
         assert first + second == total
 
     def test_refinement_limit_on_hopeless_tolerance(self):
-        path = _scalar_path(lambda t: t, np.linspace(-1, 1, 11))
+        # |t|^(2^30) sits below the default tolerance everywhere but within
+        # ~1e-8 of t = -1, closer than _MAX_DEPTH bisections of a grid step reach
+        path = _scalar_path(lambda t: abs(t) ** (2**30), np.linspace(-1, 1, 11))
         with pytest.raises(RefinementLimit):
-            sf_crossings(path, zero_tol=1 - 1e-9)
+            sf_crossings(path)
 
     def test_discontinuous_evaluator_rejected(self):
         path = _scalar_path(

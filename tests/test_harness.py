@@ -17,7 +17,7 @@ from speclocaliser import (
     run_sf,
     save_model,
 )
-from speclocaliser import cli
+from speclocaliser import cli, harness
 
 
 def _strip_timing(report_dict):
@@ -87,6 +87,10 @@ class TestRunConfig:
             dict(kappas=[0.05], rhos=[10.5], chi="triangle"),
             dict(kappas=[0.05], rhos=[10.5], trace=True),  # trace needs out
             dict(kappas=[0.05], rhos=[10.5], grid=1),
+            dict(kappas=[float("nan")], rhos=[10.5]),
+            dict(kappas=[float("inf")], rhos=[10.5]),
+            dict(kappas=[0.05], rhos=[float("nan")]),
+            dict(kappas=[0.05], rhos=[10.5, float("inf")]),
         ],
     )
     def test_validate_rejects(self, kwargs):
@@ -195,6 +199,33 @@ class TestLocaliseSweeps:
                     assert ca["measured"] == pytest.approx(
                         cb["measured"], rel=1e-12, nan_ok=True
                     )
+
+    def test_pool_never_outnumbers_jobs(self, monkeypatch):
+        # a fork pool starts every worker at the first submit, so the cap
+        # must be set before the pool exists; the stand-in starts no process
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                seen.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "_worker_model", None)
+        monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        cfg = RunConfig(model="shift:sites=20", kappas=[0.1, 0.2], rhos=[5.5], workers=8)
+        model = parse_model_spec(cfg.model)
+        got = harness._sweep(cfg, model, lambda m, k, r: (m is model, k, r))
+        assert seen == [2]
+        assert got == [(True, 0.1, 5.5), (True, 0.2, 5.5)]
 
     def test_oracle_error_is_recorded(self, capsys):
         # 1 + z vanishes at theta = pi: the winding grid hits it, the box
@@ -343,6 +374,15 @@ class TestCli:
             {"model": "shift:sites=20", "kappas": [0.1], "rhos": [5.5], **fields}
         ))
         assert cli.main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--kappa", "nan"), ("--kappa", "inf"), ("--rho", "nan"), ("--rho", "inf")]
+    )
+    def test_non_finite_kappa_or_rho_exits_two(self, capsys, flag, value):
+        # the last of a repeated flag wins
+        argv = ["localise", "--model", "circle:modes=40", "--kappa", "0.05", "--rho", "25.5"]
+        assert cli.main(argv + [flag, value]) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
     def test_sf_subcommand(self, capsys):

@@ -85,6 +85,15 @@ class TestInfiniteRegime:
 
 
 class TestTruncationCertificates:
+    @pytest.mark.parametrize(
+        "kappa,rho",
+        [(float("nan"), 25.5), (float("inf"), 25.5), (0.05, float("nan")),
+         (0.05, float("inf")), (0.0, 25.5), (0.05, -1.0)],
+    )
+    def test_params_must_be_finite_and_positive(self, kappa, rho):
+        with pytest.raises(ValidationError):
+            LocaliserParams(kappa, rho)
+
     def test_kappa_cap_value(self):
         model = build_circle_model(200, {0: 0.5, 1: 1.0})
         certs = validate_truncation_params(model, LocaliserParams(1.0 / 144.0, 145.5))
