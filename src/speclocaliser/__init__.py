@@ -3,13 +3,9 @@
 from .core import (
     HermitianOperator,
     Inertia,
-    Projection,
     commutator_norm,
     inertia,
-    operator_norm,
-    positive_spectral_projection,
     signature,
-    singular_gap,
     spectral_gap,
 )
 from .errors import *  # noqa: F401,F403  re-export the exception hierarchy
@@ -31,7 +27,6 @@ from .flow import (
     OperatorPath,
     SpectralFlowResult,
     line_path,
-    relative_index_projections,
     sf_crossings,
     sf_endpoints,
     suspension,

@@ -1,22 +1,23 @@
 """Finite-dimensional spectral primitives.
 
 Everything downstream (localiser assembly, truncation, spectral flow) reduces
-to a handful of operations on Hermitian matrices: inertia counts, spectral
-projections, gaps and norms.  Inertia is computed by two independent routes,
-all eigenvalues (``hermitian_eigenvalues``, banded or dense by an
-``EigenRoute``) and Sylvester's law of inertia read off a triangular
-factorization; the two integer count triples must agree exactly, and a
-mismatch raises :class:`~speclocaliser.errors.BackendDisagreement`.  The
-factorization is a sparse symmetric LU (SuperLU, symmetric fill-reducing
-ordering, diagonal pivots); when it declines (a pivot left the diagonal or
-vanished), a dense symmetric-indefinite LDL^* factorization takes over.
+to a handful of operations on Hermitian matrices: inertia counts, gaps and
+norms.  Inertia is computed by two independent routes, all eigenvalues
+(``hermitian_eigenvalues``, banded or dense by an ``EigenRoute``) and
+Sylvester's law of inertia read off a triangular factorization; the two
+integer count triples must agree exactly, and a mismatch raises
+:class:`~speclocaliser.errors.BackendDisagreement`.  The factorization is a
+sparse symmetric LU (SuperLU, symmetric fill-reducing ordering, diagonal
+pivots); when it declines (a pivot left the diagonal or vanished), a dense
+symmetric-indefinite LDL^* factorization takes over.
 
 Model operators (D, K and D's eigenvectors) are stored sparse, as
 :class:`CsrOperator` arrays validated on their nonzeros by
 ``hermitian_csr``, so a model costs O(nnz) at any size.  The dense helpers
-are capped at ``DENSE_DIM_LIMIT`` rows: the truncated window localiser, and
-the inputs of the small-model oracles and flows, which densify sparse input
-at their entry.  Two primitives stay sparse throughout, each padded by its
+are capped at ``DENSE_DIM_LIMIT`` rows: the truncated window localiser, the
+D eigensystem and K spectrum of a model without closed forms, and the inputs
+of the small-model oracles and flows, which densify sparse input at their
+entry.  Two primitives stay sparse throughout, each padded by its
 Lanczos residual in the safe direction: ``commutator_norm`` (Lanczos on the
 Gram matrix of the masked commutator, an upper bound) and ``certified_gap``
 (shift-invert Lanczos on the same LU, a lower bound confirmed by Sylvester
@@ -46,7 +47,6 @@ __all__ = [
     "EigenRoute",
     "HermitianOperator",
     "Inertia",
-    "Projection",
     "as_matrix",
     "hermitian_csr",
     "hermitian_eigenvalues",
@@ -54,13 +54,10 @@ __all__ = [
     "eigenvalue_counts",
     "inertia",
     "signature",
-    "positive_spectral_projection",
     "window_mask",
     "odd_block",
     "spectral_gap",
     "certified_gap",
-    "singular_gap",
-    "operator_norm",
     "commutator_norm",
 ]
 
@@ -70,11 +67,9 @@ DENSE_DIM_LIMIT = 10_000
 
 # zero_tol (relative default) separates "invertible" from "kernel"; the
 # Hermitian tolerance (relative) bounds the allowed asymmetry of inputs;
-# PROJ_TOL bounds idempotency defects; EIG_SEP_TOL is the least distance of
-# a D eigenvalue from a window edge.
+# EIG_SEP_TOL is the least distance of a D eigenvalue from a window edge.
 ZERO_TOL_FACTOR = 1e-8
 HERM_TOL_FACTOR = 1e-12
-PROJ_TOL = 1e-10
 EIG_SEP_TOL = 1e-6
 
 # certified_gap routes, named in the certificates they measure
@@ -125,7 +120,9 @@ def _check_dense_dim(n: int) -> None:
         raise ValidationError("dimension %d exceeds dense limit %d" % (n, DENSE_DIM_LIMIT))
 
 
-def _validate_square(m) -> np.ndarray:
+def as_matrix(m) -> np.ndarray:
+    """A validated dense copy of a dense or sparse square matrix (square,
+    non-empty, at most DENSE_DIM_LIMIT rows, finite)."""
     shape = m.shape if sp.issparse(m) else np.shape(m)
     _check_shape(shape)
     _check_dense_dim(shape[0])
@@ -142,10 +139,9 @@ def max_abs_entry(m) -> float:
     return float(np.max(np.abs(values), initial=0.0))
 
 
-def _check_hermitian(m, tol: float | None = None) -> None:
+def _check_hermitian(m) -> None:
     # Entrywise max defect against a max-entry scale; cheap and dimension-free.
-    if tol is None:
-        tol = HERM_TOL_FACTOR * max(max_abs_entry(m), 1.0)
+    tol = HERM_TOL_FACTOR * max(max_abs_entry(m), 1.0)
     defect = max_abs_entry(m - m.conj().T)
     if defect > tol:
         raise ValidationError(
@@ -197,7 +193,7 @@ def hermitian_eigenvalues(a, route: EigenRoute | None = None) -> np.ndarray:
     banded route LAPACK's zhbevd on a's upper band in the route's ordering
     (an entry outside it raises ValidationError), else eigvalsh (zheevd)."""
     if route is None or route.position is None:  # dense input goes to eigvalsh as given
-        return np.linalg.eigvalsh(a if isinstance(a, np.ndarray) else _validate_square(a))
+        return np.linalg.eigvalsh(a if isinstance(a, np.ndarray) else as_matrix(a))
     c = sp.csr_array(a).tocoo()
     rows, cols = route.position[c.row], route.position[c.col]
     upper = (rows <= cols) & (c.data != 0)
@@ -222,7 +218,7 @@ class HermitianOperator:
             self.matrix = hermitian_csr(self.matrix)
             _check_dense_dim(self.dim)
         else:
-            self.matrix = _validate_square(self.matrix)
+            self.matrix = as_matrix(self.matrix)
             _check_hermitian(self.matrix)
 
     @property
@@ -242,11 +238,6 @@ class HermitianOperator:
     @cached_property
     def gap(self) -> float:
         return float(np.min(np.abs(self.eigenvalues)))
-
-
-def as_matrix(op) -> np.ndarray:
-    """Accept a dense or sparse matrix or a HermitianOperator; return it dense."""
-    return _validate_square(op.matrix if isinstance(op, HermitianOperator) else op)
 
 
 def _hermitian_part(op) -> HermitianOperator:
@@ -399,50 +390,6 @@ def signature(op, zero_tol: float | None = None) -> int:
     return counts.signature
 
 
-@dataclasses.dataclass(eq=False)
-class Projection:
-    """A validated orthogonal projection matrix."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = _validate_square(self.matrix)
-        _check_hermitian(m, PROJ_TOL)
-        w = np.linalg.eigvalsh(m)
-        stray = float(np.max(np.minimum(np.abs(w), np.abs(w - 1.0)))) if w.size else 0.0
-        if stray > PROJ_TOL:
-            raise ValidationError(
-                "projection eigenvalues stray from {0,1} by %.3e (tol %.3e)"
-                % (stray, PROJ_TOL)
-            )
-        self.matrix = m
-        self._rank = int(np.sum(w > 0.5))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def rank(self) -> int:
-        return self._rank
-
-
-def positive_spectral_projection(op) -> Projection:
-    """Spectral projection onto eigenvalues > 0 of an invertible Hermitian matrix.
-
-    Raises SingularMatrix if any eigenvalue lies within ZERO_TOL_FACTOR
-    times the largest |eigenvalue| of 0.
-    """
-    w, v = np.linalg.eigh(as_matrix(_hermitian_part(op)))
-    tol = ZERO_TOL_FACTOR * float(np.max(np.abs(w)))
-    if np.any(np.abs(w) <= tol):
-        raise SingularMatrix(
-            "eigenvalue %.3e within zero_tol %.3e of 0" % (float(np.min(np.abs(w))), tol)
-        )
-    cols = v[:, w > tol]
-    return Projection(cols @ cols.conj().T)
-
-
 def window_mask(w: np.ndarray, rho: float) -> np.ndarray:
     """The spectral window rule: mask of the eigenvalues w with |w| <= rho.
 
@@ -527,28 +474,6 @@ def certified_gap(a) -> tuple[float, str]:
     return lower, SPARSE_GAP_ROUTE
 
 
-def singular_gap(a) -> float:
-    """Smallest singular value; equals 1/||A^-1|| for invertible A."""
-    a = _as_array(a).astype(np.complex128, copy=False)
-    if a.ndim != 2:
-        raise DimensionMismatch("expected a matrix, got shape %s" % (a.shape,))
-    s = sla.svdvals(a)
-    return float(s[-1]) if s.size else 0.0
-
-
-def operator_norm(a) -> float:
-    """Operator (2-)norm; uses the symmetric eigensolver for Hermitian input."""
-    if isinstance(a, HermitianOperator):
-        return a.norm
-    a = _as_array(a).astype(np.complex128, copy=False)
-    if a.ndim != 2:
-        raise DimensionMismatch("expected a matrix, got shape %s" % (a.shape,))
-    if a.shape[0] == a.shape[1] and np.array_equal(a, a.conj().T):
-        return float(np.max(np.abs(np.linalg.eigvalsh(a))))
-    s = sla.svdvals(a)
-    return float(s[0]) if s.size else 0.0
-
-
 def commutator_norm(d, x, interior_mask: np.ndarray | None = None) -> float:
     """Operator norm of [D, X], restricted to interior_mask when given.
 
@@ -559,7 +484,7 @@ def commutator_norm(d, x, interior_mask: np.ndarray | None = None) -> float:
     sqrt(theta + ||G y - theta y||) so that it cannot loosen a cap built on
     it; blocks too small for ARPACK take a dense eigensolve.
     """
-    ds = sp.csr_array(d.matrix if isinstance(d, HermitianOperator) else d)
+    ds = sp.csr_array(d)
     xs = sp.csr_array(x)
     if xs.shape != ds.shape:
         raise DimensionMismatch(

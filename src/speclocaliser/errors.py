@@ -23,7 +23,6 @@ __all__ = [
     "ContainmentViolation",
     "IntegerityViolation",
     "RefinementLimit",
-    "RankAmbiguity",
     "AmbiguousKernel",
     "ResidueTooLarge",
     "GapClosure",
@@ -112,10 +111,6 @@ class RefinementLimit(SpecLocaliserError):
         if message:
             msg += ": " + message
         super().__init__(msg)
-
-
-class RankAmbiguity(SpecLocaliserError):
-    """Singular values cluster at the rank threshold; the rank is ill-defined."""
 
 
 class AmbiguousKernel(SpecLocaliserError):

@@ -1,4 +1,4 @@
-"""Spectral flow along Hermitian paths, suspensions and the relative index.
+"""Spectral flow along Hermitian paths and suspensions.
 
 Spectral flow is computed two ways from one walk, and callers cross-check
 them: by accumulating per-interval changes of the positive eigenvalue count
@@ -30,7 +30,6 @@ from . import core
 from .core import (
     EigenRoute,
     HermitianOperator,
-    Projection,
     eigenvalue_counts,
     hermitian_eigenvalues,
     signature,
@@ -39,7 +38,6 @@ from .errors import (
     BackendDisagreement,
     DimensionMismatch,
     IntegerityViolation,
-    RankAmbiguity,
     RefinementLimit,
     SingularMatrix,
     ValidationError,
@@ -56,7 +54,6 @@ __all__ = [
     "sf_endpoints",
     "sf_crossings",
     "suspension",
-    "relative_index_projections",
 ]
 
 
@@ -114,8 +111,8 @@ class OperatorPath:
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
-        if g.ndim != 1 or g.size < 2 or np.any(np.diff(g) <= 0):
-            raise ValidationError("grid must be strictly increasing with >= 2 points")
+        if g.ndim != 1 or g.size < 2 or not np.all(np.isfinite(g)) or np.any(np.diff(g) <= 0):
+            raise ValidationError("grid must be finite, strictly increasing, >= 2 points")
         self.grid = g
 
     def sample(self, t: float) -> np.ndarray:
@@ -124,8 +121,7 @@ class OperatorPath:
 
 
 def line_path(t0, t1, num: int = 33) -> OperatorPath:
-    a = np.asarray(t0.matrix if isinstance(t0, HermitianOperator) else t0, dtype=complex)
-    b = np.asarray(t1.matrix if isinstance(t1, HermitianOperator) else t1, dtype=complex)
+    a, b = np.asarray(t0, dtype=complex), np.asarray(t1, dtype=complex)
     if a.shape != b.shape:
         raise DimensionMismatch("endpoint shapes differ: %s vs %s" % (a.shape, b.shape))
     return OperatorPath(
@@ -154,9 +150,8 @@ def sf_endpoints(t0, t1) -> int:
     return diff // 2
 
 
-# bisection depth of sf_crossings and rank threshold of the relative index
+# bisection depth of sf_crossings
 _MAX_DEPTH = 20
-_RANK_TOL = 1e-8
 
 
 @dataclasses.dataclass(frozen=True)
@@ -313,33 +308,3 @@ def suspension(
         grid=np.linspace(-1.0, 1.0, num),
         route=window.eigen_route,
     )
-
-
-# ---------------------------------------------------------------------------
-# projections
-
-
-def relative_index_projections(p, q) -> int:
-    """rank P - rank Q, cross-checked against kernel counts of Q|ran P.
-
-    The kernel route uses rank(QP) from singular values; values inside the
-    ambiguity decade around _RANK_TOL raise RankAmbiguity.
-    """
-    pp = p if isinstance(p, Projection) else Projection(p)
-    qq = q if isinstance(q, Projection) else Projection(q)
-    if pp.dim != qq.dim:
-        raise DimensionMismatch("projection dimensions differ")
-    s = np.linalg.svd(qq.matrix @ pp.matrix, compute_uv=False)
-    if np.any((s >= _RANK_TOL / 10.0) & (s <= 10.0 * _RANK_TOL)):
-        raise RankAmbiguity(
-            "singular values of QP inside the ambiguity decade around %.2e" % _RANK_TOL
-        )
-    r_qp = int(np.sum(s > _RANK_TOL))
-    dim_ker = pp.rank - r_qp  # kernel of Q restricted to ran P
-    dim_coker = qq.rank - r_qp
-    if dim_ker < 0 or dim_coker < 0:
-        raise RankAmbiguity(
-            "rank(QP)=%d exceeds rank(P)=%d or rank(Q)=%d"
-            % (r_qp, pp.rank, qq.rank)
-        )
-    return dim_ker - dim_coker

@@ -43,6 +43,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.io
+import scipy.linalg as sla
 import scipy.sparse as sp
 import yaml
 
@@ -55,9 +56,6 @@ from .core import (
     hermitian_csr,
     max_abs_entry,
     odd_block,
-    operator_norm,
-    singular_gap,
-    spectral_gap,
     window_mask,
 )
 from .errors import (
@@ -261,6 +259,10 @@ class ModelInstance:
         self.interior_mask = np.asarray(self.interior_mask, dtype=bool)
         if self.interior_mask.shape != (self.dim,):
             raise DimensionMismatch("interior mask length does not match dimension")
+        if not math.isfinite(self.containment_radius):
+            raise ValidationError(
+                "containment radius %r is not finite" % self.containment_radius
+            )
         if self.containment_radius <= 0:
             raise ContainmentViolation(
                 "containment radius %.3g is not positive; box too small for the "
@@ -332,18 +334,23 @@ class ModelInstance:
         return Window(index, w[index], k_part, radius, gamma_part)
 
     def k_norm(self) -> float:
+        """Operator norm of K, from _k_spectrum unless a builder cached it."""
         if "k_norm" not in self.cache:
-            self.cache["k_norm"] = operator_norm(as_matrix(self.k_rep))
+            self._k_spectrum()
         return self.cache["k_norm"]
 
     def k_gap(self) -> float:
         """Invertibility margin of K: spectral gap (even) or sigma_min (odd)."""
         if "k_gap" not in self.cache:
-            if self.parity == "even":
-                self.cache["k_gap"] = spectral_gap(self.k_rep)
-            else:
-                self.cache["k_gap"] = singular_gap(as_matrix(self.k_rep))
+            self._k_spectrum()
         return self.cache["k_gap"]
+
+    def _k_spectrum(self) -> None:
+        # one capped dense spectrum caches both: |eigenvalues| of the
+        # Hermitian K (even) or singular values of G (odd)
+        k = as_matrix(self.k_rep)
+        s = np.abs(np.linalg.eigvalsh(k)) if self.parity == "even" else sla.svdvals(k)
+        self.cache["k_norm"], self.cache["k_gap"] = float(np.max(s)), float(np.min(s))
 
     def dirac_commutator(self) -> tuple[float, str]:
         """An upper bound on the interior norm ||[D, K]|| and its source, cached.

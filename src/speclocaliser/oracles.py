@@ -97,16 +97,15 @@ def chern_number_fhs(bloch, grid: int = 48) -> int:
     gap.  Raises GapClosure if the bands touch on the grid.
     """
     ks = 2.0 * np.pi * np.arange(grid) / grid
-    vecs = np.empty((grid, grid, 2), dtype=complex)
-    for i, k1 in enumerate(ks):
-        for j, k2 in enumerate(ks):
-            h = np.asarray(bloch(k1, k2), dtype=complex)
-            w, v = np.linalg.eigh(h)
-            if w[1] - w[0] < 1e-8:
-                raise GapClosure(
-                    "bands touch at k=(%.4f, %.4f); invariant undefined" % (k1, k2)
-                )
-            vecs[i, j] = v[:, 0]
+    h = np.array([[bloch(k1, k2) for k2 in ks] for k1 in ks], dtype=complex)
+    w, v = np.linalg.eigh(h)  # one stacked call over the (grid, grid, 2, 2) array
+    touching = np.argwhere(w[..., 1] - w[..., 0] < 1e-8)
+    if touching.size:
+        i, j = touching[0]  # the first in row-major order
+        raise GapClosure(
+            "bands touch at k=(%.4f, %.4f); invariant undefined" % (ks[i], ks[j])
+        )
+    vecs = v[..., 0]
 
     u1 = np.einsum("ijc,ijc->ij", vecs.conj(), np.roll(vecs, -1, axis=0))
     u2 = np.einsum("ijc,ijc->ij", vecs.conj(), np.roll(vecs, -1, axis=1))

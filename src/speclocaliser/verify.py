@@ -2,10 +2,12 @@
 
 Ten numbered criteria cover the pairing theorems end to end: strict and
 permissive pairings against independent oracles, certificate audits,
-spectral-flow consistency, parameter/box/chi stability, and the two
-projection lemmas.  ``VerifySession`` caches shared artifacts (models and
-sweep results) so criteria can reuse each other's jobs; each criterion
-returns a :class:`CriterionResult` with one pass/fail line of detail.
+spectral-flow consistency, parameter/box/chi stability, and random checks
+of the two projection lemmas, whose spectral projections are built here
+with ``numpy.linalg.eigh``: no pairing, flow or sweep path needs one.
+``VerifySession`` caches shared artifacts (models and sweep results) so
+criteria can reuse each other's jobs; each criterion returns a
+:class:`CriterionResult` with one pass/fail line of detail.
 
 The quick profile runs the sub-minute subset; the full profile runs all
 ten criteria and is the acceptance gate.
@@ -20,16 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import operator_norm, positive_spectral_projection
 from .errors import SpecLocaliserError
-from .flow import (
-    CHI_CLAMP,
-    CHI_SMOOTH,
-    line_path,
-    relative_index_projections,
-    sf_crossings,
-    suspension,
-)
+from .flow import CHI_CLAMP, CHI_SMOOTH, line_path, sf_crossings, suspension
 from .localiser import LocaliserParams, pairing
 from .models import (
     build_circle_model,
@@ -107,6 +101,26 @@ def _random_invertible_hermitian(rng, dim: int) -> np.ndarray:
         h = _random_hermitian(rng, dim)
         if float(np.min(np.abs(np.linalg.eigvalsh(h)))) > _MIN_GAP:
             return h
+
+
+def _positive_projection(h: np.ndarray) -> tuple[np.ndarray, int]:
+    """The projection onto the positive eigenspace of an invertible Hermitian
+    h, and its rank.  Checks that no eigenvalue of h lies within 1e-8 of 0
+    relative to the largest, and that the projection is Hermitian and its
+    eigenvalues lie within 1e-10 of {0, 1}."""
+    w, v = np.linalg.eigh(h)
+    tol = 1e-8 * float(np.max(np.abs(w)))
+    _check(np.all(np.abs(w) > tol), "dim %d: eigenvalue %.3e within zero_tol %.3e of 0"
+           % (w.size, float(np.min(np.abs(w))), tol))
+    cols = v[:, w > tol]
+    p = cols @ cols.conj().T
+    wp = np.linalg.eigvalsh(p)
+    asymmetry = float(np.max(np.abs(p - p.conj().T)))
+    stray = float(np.max(np.minimum(np.abs(wp), np.abs(wp - 1.0))))
+    _check(max(asymmetry, stray) <= 1e-10,
+           "dim %d: projection asymmetry %.3e, eigenvalues stray from {0,1} by %.3e"
+           % (w.size, asymmetry, stray))
+    return p, int(np.sum(wp > 0.5))
 
 
 class VerifySession:
@@ -534,10 +548,10 @@ class VerifySession:
                 top = np.block(
                     [[np.zeros((dim, dim)), g], [g.conj().T, np.zeros((dim, dim))]]
                 )
-                p = positive_spectral_projection(top).matrix
+                p, _ = _positive_projection(top)
                 eye = np.eye(dim)
                 target = 0.5 * np.block([[eye, u], [u.conj().T, eye]])
-                defect = operator_norm(p - target)
+                defect = float(np.linalg.norm(p - target, 2))
                 worst = max(worst, defect)
                 _check(defect <= 1e-9,
                        "dim %d: ||P - (1/2)[[1,u],[u*,1]]|| = %.3e > 1e-9"
@@ -555,10 +569,20 @@ class VerifySession:
                 eye = np.eye(dim)
                 s_end = -CHI_CLAMP.minus(1.0) * eye + CHI_CLAMP.plus(1.0) * h
                 s_start = -CHI_CLAMP.minus(-1.0) * eye + CHI_CLAMP.plus(-1.0) * h
-                p_end = positive_spectral_projection(s_end)
-                p_start = positive_spectral_projection(s_start)
-                rank_p = positive_spectral_projection(h).rank
-                relind = relative_index_projections(p_end, p_start)
+                p_end, rank_end = _positive_projection(s_end)
+                p_start, rank_start = _positive_projection(s_start)
+                rank_p = _positive_projection(h)[1]
+                # relind(P, Q) = dim ker(Q|ran P) - dim coker, with rank(QP)
+                # read off singular values at threshold 1e-8
+                s = np.linalg.svd(p_start @ p_end, compute_uv=False)
+                _check(not np.any((s >= 1e-9) & (s <= 1e-7)),
+                       "dim %d: singular values of QP inside the rank ambiguity "
+                       "decade [1e-9, 1e-7]" % dim)
+                r_qp = int(np.sum(s > 1e-8))
+                _check(r_qp <= min(rank_end, rank_start),
+                       "dim %d: rank(QP)=%d exceeds rank(P)=%d or rank(Q)=%d"
+                       % (dim, r_qp, rank_end, rank_start))
+                relind = (rank_end - r_qp) - (rank_start - r_qp)
                 _check(
                     relind == rank_p,
                     "dim %d: relind %d != rank p = %d" % (dim, relind, rank_p),

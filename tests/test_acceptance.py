@@ -6,9 +6,11 @@ across criteria, so this file is also the cheapest way to run the whole
 gate: ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
-from speclocaliser.verify import VerifySession
+from speclocaliser.verify import CheckFailure, VerifySession, _positive_projection
 
 
 @pytest.fixture(scope="module")
@@ -61,3 +63,22 @@ def test_criterion_09_projection_unitary_roundtrip(session):
 
 def test_criterion_10_suspension_vs_projection_index(session):
     _run(session, 10)
+
+
+@pytest.mark.parametrize(
+    "h,expected",
+    [
+        (np.diag([2.0, -3.0]), np.diag([1.0, 0.0])),
+        (np.array([[0.0, 2.0], [2.0, 0.0]]), 0.5 * np.ones((2, 2))),
+    ],
+    ids=["diagonal", "off_diagonal"],
+)
+def test_positive_projection_of_criteria_9_10(h, expected):
+    p, rank = _positive_projection(h)
+    assert_allclose(p, expected, atol=1e-14)
+    assert rank == 1
+
+
+def test_positive_projection_fails_on_a_kernel():
+    with pytest.raises(CheckFailure, match="within zero_tol"):
+        _positive_projection(np.diag([1.0, 0.0]))

@@ -1,4 +1,4 @@
-"""Spectral flow: endpoint counts, crossing counts, suspensions, projections."""
+"""Spectral flow: endpoint counts, crossing counts, suspensions."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,6 @@ from speclocaliser import (
     build_qwz_model,
     build_weighted_shift_dirac,
     line_path,
-    relative_index_projections,
     sf_crossings,
     sf_endpoints,
     suspension,
@@ -24,7 +23,6 @@ from speclocaliser import core, flow as flow_module
 from speclocaliser.errors import (
     BackendDisagreement,
     DimensionMismatch,
-    RankAmbiguity,
     RefinementLimit,
     SingularMatrix,
 )
@@ -293,33 +291,5 @@ class TestChiPairs:
             OperatorPath(evaluate=lambda t: np.eye(2), grid=np.array([1.0, 0.5]))
         with pytest.raises(ValidationError):
             OperatorPath(evaluate=lambda t: np.eye(2), grid=np.array([0.0]))
-
-
-class TestProjectionIndices:
-    def test_rank_difference(self):
-        p = np.diag([1.0, 1.0, 0.0])
-        q = np.diag([1.0, 0.0, 0.0])
-        assert relative_index_projections(p, q) == 1
-        assert relative_index_projections(q, p) == -1
-        assert relative_index_projections(p, p) == 0
-
-    def test_ambiguous_overlap_rejected(self):
-        e1 = np.zeros(3)
-        e1[0] = 1.0
-        v = np.array([1e-8, np.sqrt(1.0 - 1e-16), 0.0])
-        with pytest.raises(RankAmbiguity):
-            relative_index_projections(np.outer(v, v), np.outer(e1, e1))
-
-    @given(st.integers(min_value=0, max_value=2**31 - 1))
-    def test_random_projections_count_ranks(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 8))
-        rp, rq = int(rng.integers(0, n + 1)), int(rng.integers(0, n + 1))
-        qa, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        qb, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        p = qa[:, :rp] @ qa[:, :rp].T
-        q = qb[:, :rq] @ qb[:, :rq].T
-        try:
-            assert relative_index_projections(p, q) == rp - rq
-        except RankAmbiguity:
-            pass  # random ranges can land in the tolerance decade
+        with pytest.raises(ValidationError):  # np.diff(...) <= 0 is False at NaN
+            OperatorPath(evaluate=lambda t: np.eye(2), grid=np.array([0.0, np.nan, 1.0]))

@@ -2,6 +2,7 @@
 
 import collections
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -406,6 +407,23 @@ class TestPersistence:
         assert built_cap.bound <= cap.bound
         assert cap.bound == pytest.approx(built_cap.bound, rel=1.3e-4)
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: build_circle_model(40, {0: 0.5, 1: 1.0}), lambda: build_qwz_model(5, -1.0)],
+        ids=["circle40", "qwz5"],
+    )
+    def test_reloaded_k_norm_and_gap_equal_closed_forms(self, tmp_path, build):
+        # builders cache closed forms from the symbol; a reloaded model reads
+        # both values off one dense spectrum of K
+        model = build()
+        save_model(model, tmp_path / "m")
+        loaded = load_model(tmp_path / "m")
+        with mock.patch.object(ModelInstance, "_k_spectrum", autospec=True,
+                               side_effect=ModelInstance._k_spectrum) as spectrum:
+            got = (loaded.k_norm(), loaded.k_gap())
+        assert spectrum.call_count == 1
+        assert got == pytest.approx((model.k_norm(), model.k_gap()), rel=1e-12, abs=0)
+
     def test_box30_export_round_trip_is_bitwise(self, tmp_path):
         # dim 14,884: dense files would hold two 3.5 GB arrays; coordinate
         # files hold the stored entries only
@@ -442,6 +460,10 @@ class TestPersistence:
             ({"kind": "qwz", "params": {"box": "big", "mass": 1.0}}, True, FormatError),
             # a value the builder rejects keeps the builder's error
             ({"kind": "qwz", "params": {"box": 2, "mass": 1.0}}, True, ValidationError),
+            # a non-finite radius would make the containment window the whole
+            # box (NaN) or hold containment at every rho (inf)
+            ({"containment_radius": float("nan")}, False, ValidationError),
+            ({"containment_radius": float("inf")}, False, ValidationError),
         ],
     )
     def test_malformed_field_names_the_file(self, tmp_path, shift40, fields, whole, error):
