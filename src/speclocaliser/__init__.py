@@ -1,13 +1,6 @@
 """Finite-volume index pairings from truncated spectral localisers."""
 
-from .core import (
-    HermitianOperator,
-    Inertia,
-    commutator_norm,
-    inertia,
-    signature,
-    spectral_gap,
-)
+from .core import Inertia, commutator_norm, inertia
 from .errors import *  # noqa: F401,F403  re-export the exception hierarchy
 from .harness import (
     JobRecord,
@@ -28,7 +21,6 @@ from .flow import (
     SpectralFlowResult,
     line_path,
     sf_crossings,
-    sf_endpoints,
     suspension,
 )
 from .localiser import (

@@ -2,14 +2,17 @@
 
 Everything downstream (localiser assembly, truncation, spectral flow) reduces
 to a handful of operations on Hermitian matrices: inertia counts, gaps and
-norms.  Inertia is computed by two independent routes, all eigenvalues
-(``hermitian_eigenvalues``, banded or dense by an ``EigenRoute``) and
-Sylvester's law of inertia read off a triangular factorization; the two
-integer count triples must agree exactly, and a mismatch raises
-:class:`~speclocaliser.errors.BackendDisagreement`.  The factorization is a
-sparse symmetric LU (SuperLU, symmetric fill-reducing ordering, diagonal
-pivots); when it declines (a pivot left the diagonal or vanished), a dense
-symmetric-indefinite LDL^* factorization takes over.
+norms.  One kernel diagonalises, ``hermitian_eigenvalues`` (banded or dense
+by an ``EigenRoute``); it validates its input (square, non-empty, finite,
+Hermitian within HERM_TOL_FACTOR, at most DENSE_DIM_LIMIT rows), sparse
+input on its stored entries.  Inertia is computed by two independent
+routes: ``inertia`` counts the eigenvalues its caller already holds against
+Sylvester's law of inertia read off a triangular factorization of the matrix
+itself; the two integer count triples must agree exactly, and a mismatch
+raises :class:`~speclocaliser.errors.BackendDisagreement`.  The
+factorization is a sparse symmetric LU (SuperLU, symmetric fill-reducing
+ordering, diagonal pivots); when it declines (a pivot left the diagonal or
+vanished), a dense symmetric-indefinite LDL^* factorization takes over.
 
 Model operators (D, K and D's eigenvectors) are stored sparse, as
 :class:`CsrOperator` arrays validated on their nonzeros by
@@ -27,7 +30,7 @@ counts).
 from __future__ import annotations
 
 import dataclasses
-from functools import cached_property
+import math
 
 import numpy as np
 import scipy.linalg as sla
@@ -37,7 +40,6 @@ from .errors import (
     BackendDisagreement,
     BoundaryEigenvalue,
     DimensionMismatch,
-    SingularMatrix,
     ValidationError,
 )
 
@@ -45,7 +47,6 @@ __all__ = [
     "DENSE_DIM_LIMIT",
     "CsrOperator",
     "EigenRoute",
-    "HermitianOperator",
     "Inertia",
     "as_matrix",
     "hermitian_csr",
@@ -53,10 +54,7 @@ __all__ = [
     "max_abs_entry",
     "eigenvalue_counts",
     "inertia",
-    "signature",
     "window_mask",
-    "odd_block",
-    "spectral_gap",
     "certified_gap",
     "commutator_norm",
 ]
@@ -153,7 +151,7 @@ def _check_hermitian(m) -> None:
 def hermitian_csr(m) -> CsrOperator:
     """Validate a Hermitian matrix, dense or sparse, into CSR storage.
 
-    The HermitianOperator contract (square, non-empty, finite, entrywise
+    The eigenvalue kernel's contract (square, non-empty, finite, entrywise
     asymmetry within the default tolerance) with no dimension cap; every
     check reads the stored entries only.
     """
@@ -189,11 +187,23 @@ class EigenRoute:
 
 
 def hermitian_eigenvalues(a, route: EigenRoute | None = None) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, the eigenvalue kernel: on a
-    banded route LAPACK's zhbevd on a's upper band in the route's ordering
-    (an entry outside it raises ValidationError), else eigvalsh (zheevd)."""
-    if route is None or route.position is None:  # dense input goes to eigvalsh as given
-        return np.linalg.eigvalsh(a if isinstance(a, np.ndarray) else as_matrix(a))
+    """Ascending eigenvalues of a Hermitian matrix, the eigenvalue kernel.
+
+    The input must be square, non-empty, finite, Hermitian within
+    HERM_TOL_FACTOR and at most DENSE_DIM_LIMIT rows (ValidationError, or
+    DimensionMismatch for a non-square one); sparse input is checked on its
+    stored entries and densified only for eigvalsh.  On a banded route,
+    LAPACK's zhbevd runs on a's upper band in the route's ordering (an entry
+    outside it raises ValidationError); otherwise eigvalsh (zheevd).
+    """
+    if sp.issparse(a):
+        a = hermitian_csr(a)
+        _check_dense_dim(a.shape[0])
+    else:
+        a = as_matrix(a)
+        _check_hermitian(a)
+    if route is None or route.position is None:
+        return np.linalg.eigvalsh(a.toarray() if sp.issparse(a) else a)
     c = sp.csr_array(a).tocoo()
     rows, cols = route.position[c.row], route.position[c.col]
     upper = (rows <= cols) & (c.data != 0)
@@ -205,47 +215,6 @@ def hermitian_eigenvalues(a, route: EigenRoute | None = None) -> np.ndarray:
     return sla.eigvals_banded(band, lower=False, check_finite=False)
 
 
-@dataclasses.dataclass(eq=False)
-class HermitianOperator:
-    """A validated Hermitian matrix (at most DENSE_DIM_LIMIT rows) with cached
-    spectral data; sparse input given an eigenvalue route stays CSR."""
-
-    matrix: np.ndarray | CsrOperator
-    route: EigenRoute | None = None
-
-    def __post_init__(self):
-        if self.route is not None and sp.issparse(self.matrix):
-            self.matrix = hermitian_csr(self.matrix)
-            _check_dense_dim(self.dim)
-        else:
-            self.matrix = as_matrix(self.matrix)
-            _check_hermitian(self.matrix)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        w = hermitian_eigenvalues(self.matrix, self.route)
-        w.flags.writeable = False
-        return w
-
-    @cached_property
-    def norm(self) -> float:
-        return float(np.max(np.abs(self.eigenvalues)))
-
-    @cached_property
-    def gap(self) -> float:
-        return float(np.min(np.abs(self.eigenvalues)))
-
-
-def _hermitian_part(op) -> HermitianOperator:
-    if isinstance(op, HermitianOperator):
-        return op
-    return HermitianOperator(op)
-
-
 @dataclasses.dataclass(frozen=True)
 class Inertia:
     """Signed eigenvalue counts of a Hermitian matrix at a given zero_tol."""
@@ -253,10 +222,6 @@ class Inertia:
     n_pos: int
     n_neg: int
     n_zero: int
-
-    @property
-    def dim(self) -> int:
-        return self.n_pos + self.n_neg + self.n_zero
 
     @property
     def signature(self) -> int:
@@ -354,40 +319,30 @@ def eigenvalue_counts(w: np.ndarray, eps: float) -> tuple[int, int, int]:
     return int(np.sum(w > eps)), int(np.sum(w < -eps)), int(np.sum(np.abs(w) <= eps))
 
 
-def inertia(op, zero_tol: float | None = None) -> Inertia:
-    """Eigenvalue sign counts, cross-checked between two backends.
+def inertia(a, eigenvalues: np.ndarray, zero_tol: float | None = None) -> Inertia:
+    """Sign counts of the eigenvalues of a, cross-checked between two backends.
 
-    zero_tol defaults to 1e-8 times the operator norm.  Counts are strict:
-    n_pos counts eigenvalues > zero_tol, n_zero those with |eig| <= zero_tol.
-    The eigenvalue counts must equal the factorization counts (sparse LU,
-    or dense LDL^* when the LU declines).
+    eigenvalues are a's, from hermitian_eigenvalues; zero_tol defaults to
+    1e-8 times their largest modulus.  Counts are strict: n_pos counts
+    eigenvalues > zero_tol, n_zero those with |eig| <= zero_tol.  They must
+    equal the factorization counts of a itself (sparse LU, or dense LDL^*
+    when the LU declines), or BackendDisagreement is raised.
     """
-    h = _hermitian_part(op)
-    if zero_tol is not None and zero_tol < 0:
-        raise ValidationError("zero_tol must be non-negative")
-    tol = ZERO_TOL_FACTOR * h.norm if zero_tol is None else float(zero_tol)
-    eig_counts = eigenvalue_counts(h.eigenvalues, tol)
-    factor_counts = _inertia_sylvester(h.matrix, tol)
+    if zero_tol is not None and not (math.isfinite(zero_tol) and zero_tol >= 0):
+        raise ValidationError("zero_tol must be finite and non-negative, got %r" % zero_tol)
+    n = a.shape[0]
+    if np.shape(eigenvalues) != (n,):
+        raise DimensionMismatch("%d eigenvalues for %d rows" % (np.size(eigenvalues), n))
+    if zero_tol is None:
+        zero_tol = ZERO_TOL_FACTOR * float(np.max(np.abs(eigenvalues)))
+    tol = float(zero_tol)
+    eig_counts = eigenvalue_counts(eigenvalues, tol)
+    factor_counts = _inertia_sylvester(a, tol)
     if factor_counts is None:
-        factor_counts = _inertia_factorization(_as_array(h.matrix), tol)
+        factor_counts = _inertia_factorization(_as_array(a), tol)
     if eig_counts != factor_counts:
         raise BackendDisagreement(eig_counts, factor_counts, tol)
     return Inertia(*eig_counts)
-
-
-def signature(op, zero_tol: float | None = None) -> int:
-    """Signature n_pos - n_neg with the dual-backend inertia check.
-
-    Only defined for invertible matrices: a signature read off a singular
-    matrix is meaningless, so a zero count raises instead of guessing.
-    """
-    counts = inertia(op, zero_tol=zero_tol)
-    if counts.n_zero:
-        raise SingularMatrix(
-            "%d eigenvalue(s) within zero_tol of 0; signature undefined"
-            % counts.n_zero
-        )
-    return counts.signature
 
 
 def window_mask(w: np.ndarray, rho: float) -> np.ndarray:
@@ -407,17 +362,6 @@ def window_mask(w: np.ndarray, rho: float) -> np.ndarray:
     if not mask.any():
         raise ValidationError("empty window at rho=%.6g" % rho)
     return mask
-
-
-def odd_block(d, g) -> sp.csr_array:
-    """The odd localiser layout [[d, g], [g*, -d]] on the doubled space, as CSR."""
-    d, g = sp.csr_array(d), sp.csr_array(g)
-    return sp.block_array([[d, g], [g.conj().T, -d]], format="csr")
-
-
-def spectral_gap(op) -> float:
-    """min |eigenvalue| of a Hermitian matrix (0 iff singular)."""
-    return _hermitian_part(op).gap
 
 
 def _seeded_start(n: int) -> np.ndarray:
@@ -464,13 +408,14 @@ def certified_gap(a) -> tuple[float, str]:
     |theta| - ||A y - theta y|| less a rounding margin, and accepted only
     when Sylvester counts at -/+ that value show no eigenvalue between them.  A declined LU, an
     ARPACK failure, a block of at most two rows or a failed count falls
-    back to the dense spectral_gap.  Returns the gap and the name of the
-    route that measured it (SPARSE_GAP_ROUTE or DENSE_GAP_ROUTE).
+    back to the least eigenvalue modulus from hermitian_eigenvalues.  Returns
+    the gap and the name of the route that measured it (SPARSE_GAP_ROUTE or
+    DENSE_GAP_ROUTE).
     """
     a = hermitian_csr(a)
     lower = _sylvester_gap(a)
     if lower is None:
-        return spectral_gap(a), DENSE_GAP_ROUTE
+        return float(np.min(np.abs(hermitian_eigenvalues(a)))), DENSE_GAP_ROUTE
     return lower, SPARSE_GAP_ROUTE
 
 

@@ -3,12 +3,14 @@
 Spectral flow is computed two ways from one walk, and callers cross-check
 them: by accumulating per-interval changes of the positive eigenvalue count
 along the path, and from the endpoint signatures (half their difference),
-read off the walk's first and last samples.  Branches are matched
-between samples by inertia counts (Sylvester's law on sparse LUs, except at
-the two ends), not eigenvector continuity; a sample with an eigenvalue inside
-the zero tolerance is replaced by clean samples bisected toward its clean
-neighbours, and an eigenvalue that cannot be separated from zero raises
-RefinementLimit rather than being counted either way.
+read off the walk's first and last samples: the only two it diagonalises
+unless traced, each inertia-checked against its own Sylvester counts.
+Branches are matched between samples by inertia counts (Sylvester's law on
+sparse LUs, except at the two ends), not eigenvector continuity; a sample
+with an eigenvalue inside the zero tolerance is replaced by clean samples
+bisected toward its clean neighbours, and an eigenvalue that cannot be
+separated from zero raises RefinementLimit rather than being counted either
+way.
 
 The suspension path interpolates the window localiser's K-part between a
 trivial reference (-Gamma for even models, the identity for odd ones) and
@@ -27,13 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import core
-from .core import (
-    EigenRoute,
-    HermitianOperator,
-    eigenvalue_counts,
-    hermitian_eigenvalues,
-    signature,
-)
+from .core import EigenRoute, eigenvalue_counts, hermitian_eigenvalues, inertia
 from .errors import (
     BackendDisagreement,
     DimensionMismatch,
@@ -51,7 +47,6 @@ __all__ = [
     "OperatorPath",
     "SpectralFlowResult",
     "line_path",
-    "sf_endpoints",
     "sf_crossings",
     "suspension",
 ]
@@ -130,34 +125,14 @@ def line_path(t0, t1, num: int = 33) -> OperatorPath:
     )
 
 
-def sf_endpoints(t0, t1) -> int:
-    """Half the signature difference between two invertible endpoints, at zero
-    tolerance core.ZERO_TOL_FACTOR times the larger endpoint norm."""
-    h0 = t0 if isinstance(t0, HermitianOperator) else HermitianOperator(t0)
-    h1 = t1 if isinstance(t1, HermitianOperator) else HermitianOperator(t1)
-    if h0.dim != h1.dim:
-        raise DimensionMismatch("endpoint dimensions differ")
-    scale = max(h0.norm, h1.norm, 1e-300)
-    tol = core.ZERO_TOL_FACTOR * scale
-    for h, which in ((h0, "start"), (h1, "end")):
-        if h.gap <= tol:
-            raise SingularMatrix(
-                "%s endpoint has an eigenvalue at %.3e (tol %.3e)" % (which, h.gap, tol)
-            )
-    diff = signature(h1, zero_tol=tol) - signature(h0, zero_tol=tol)
-    if diff % 2:
-        raise IntegerityViolation("signature difference %d is odd" % diff)
-    return diff // 2
-
-
 # bisection depth of sf_crossings
 _MAX_DEPTH = 20
 
 
 @dataclasses.dataclass(frozen=True)
 class SpectralFlowResult:
-    """Crossing count (value, with its ledger), sf_endpoints of the end samples at its
-    default tolerance, samples counted (fallbacks: LU declined), traced eigenvalues."""
+    """Crossing count (value, with its ledger), half the signature difference of the
+    end samples (endpoints), samples counted (fallbacks: LU declined), traced eigenvalues."""
 
     value: int
     crossings: tuple[tuple[float, float, int], ...]
@@ -179,22 +154,26 @@ def _sample(path: OperatorPath, t: float, dim: int) -> np.ndarray:
 def sf_crossings(path: OperatorPath, trace: bool = False) -> SpectralFlowResult:
     """Crossing-counted spectral flow along the path, and its endpoint value.
 
-    The crossing count equals sf_endpoints of the endpoint samples for any
-    continuous path; the crossing ledger localizes where the positive count
-    changes.  Interior samples with an eigenvalue inside the tolerance (1e-6
-    times the larger endpoint norm) are replaced by clean samples found by
-    bisecting toward their clean neighbours; failure to find one within
-    _MAX_DEPTH steps raises RefinementLimit.  The end samples are validated
-    as HermitianOperators and diagonalised on the path's route, for the
-    endpoint route too; the rest are trusted Hermitian and counted by
-    Sylvester's law, and a traced walk requires their grid eigenvalues to
-    agree (BackendDisagreement).
+    For any continuous path the crossing count equals the endpoint value,
+    half the signature difference of the end samples at core.ZERO_TOL_FACTOR
+    times the larger end norm; the crossing ledger localizes where the
+    positive count changes.  Interior samples with an eigenvalue inside the
+    tolerance (1e-6 times the larger end norm) are replaced by clean samples
+    found by bisecting toward their clean neighbours; failure to find one
+    within _MAX_DEPTH steps raises RefinementLimit.  The end samples are
+    validated and diagonalised by hermitian_eigenvalues on the path's route,
+    and their signatures are inertia-checked; the rest are trusted Hermitian
+    and counted by Sylvester's law, and a traced walk requires their grid
+    eigenvalues to agree (BackendDisagreement).
     """
     grid, route = path.grid, path.route
-    first = HermitianOperator(path.sample(grid[0]), route)
-    dim = first.dim
-    last = HermitianOperator(_sample(path, grid[-1], dim), route)
-    eps = 1e-6 * max(first.norm, last.norm, 1e-300)
+    first = path.sample(grid[0])
+    w_first = hermitian_eigenvalues(first, route)
+    dim = first.shape[0]
+    last = _sample(path, grid[-1], dim)
+    w_last = hermitian_eigenvalues(last, route)
+    scale = max(float(np.max(np.abs(w_first))), float(np.max(np.abs(w_last))), 1e-300)
+    eps = 1e-6 * scale
     fallbacks = 0
 
     def counts(m, w=None):
@@ -213,16 +192,16 @@ def sf_crossings(path: OperatorPath, trace: bool = False) -> SpectralFlowResult:
     # norms of the continuity screen (a step whose increment dwarfs the rest
     # signals a discontinuous evaluator, for which crossing counts are
     # meaningless)
-    rows, status, steps, prev = [first.eigenvalues], [], [], first.matrix
+    rows, status, steps, prev = [w_first], [], [], first
     for t in grid[1:]:
-        cur = _sample(path, t, dim) if t < grid[-1] else last.matrix
+        cur = _sample(path, t, dim) if t < grid[-1] else last
         diff = cur - prev
         steps.append(np.linalg.norm(diff.data if sp.issparse(diff) else diff))
         if t < grid[-1]:
             rows.append(hermitian_eigenvalues(cur, route) if trace else None)
             status.append(counts(cur, rows[-1]))
         prev = cur
-    rows.append(last.eigenvalues)
+    rows.append(w_last)
     status = ([eigenvalue_counts(rows[0], eps)] + status
               + [eigenvalue_counts(rows[-1], eps)])
     slopes = np.divide(steps, np.diff(grid))
@@ -265,9 +244,14 @@ def sf_crossings(path: OperatorPath, trace: bool = False) -> SpectralFlowResult:
     crossings = [
         (ta, tb, nb - na) for (ta, na), (tb, nb) in zip(clean, clean[1:]) if nb != na
     ]
+    # both ends are clean at eps, so neither has an eigenvalue within tol < eps
+    tol = core.ZERO_TOL_FACTOR * scale
+    ends = inertia(last, w_last, tol).signature - inertia(first, w_first, tol).signature
+    if ends % 2:
+        raise IntegerityViolation("signature difference %d is odd" % ends)
     return SpectralFlowResult(
         value=sum(c[2] for c in crossings), crossings=tuple(crossings),
-        samples=evaluations, endpoints=sf_endpoints(first, last), fallbacks=fallbacks,
+        samples=evaluations, endpoints=ends // 2, fallbacks=fallbacks,
         trace=np.vstack(rows) if trace else None,
     )
 

@@ -67,9 +67,12 @@ def _pop(kv: dict, key: str, cast, default=None, required: bool = False):
     if key in kv:
         raw = kv.pop(key)
         try:
-            return cast(raw)
+            value = cast(raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError("model spec key %s=%r: %s" % (key, raw, exc)) from exc
+        if cast is float and not math.isfinite(value):
+            raise ConfigError("model spec key %s=%r is not finite" % (key, raw))
+        return value
     if required:
         raise ConfigError("model spec is missing required key %r" % key)
     return default

@@ -13,12 +13,14 @@ the window's grading V* Gamma V; no kernel is counted.
 ``pairing`` never forms the full localiser: every block it needs is read off
 the model's windows (``ModelInstance.window``), which hold D's eigenvalues,
 the K-part V* K~ V and, for even models, the grading V* Gamma V on the
-window, all sparse.  The truncated block (|D| <= rho) stays CSR; the window's
-eigenvalue route, banded or dense (then the only block densified), gives the
-truncated gap and the eigenvalue side of the inertia check.  The complement
-block and the seam-free regime block are sub-blocks of the containment window
-and stay sparse; their gaps are certified lower bounds (``core.certified_gap``),
-and each certificate's detail names the route that measured it.
+window, all sparse.  The truncated block (|D| <= rho) stays CSR and is
+diagonalised once, on the window's eigenvalue route, banded or dense (then
+the only block densified); those eigenvalues give the truncated gap, the
+invertibility tolerance and the eigenvalue side of the inertia check.  The
+complement block and the seam-free regime block are sub-blocks of the
+containment window and stay sparse; their gaps are certified lower bounds
+(``core.certified_gap``), and each certificate's detail names the route that
+measured it.
 
 Validity is tracked through certificates rather than asserted silently:
 every check, the untruncated-regime one included, is one
@@ -40,13 +42,14 @@ import dataclasses
 import math
 import operator
 
+import numpy as np
+
 from .core import (
     ZERO_TOL_FACTOR,
-    HermitianOperator,
     Inertia,
     certified_gap,
+    hermitian_eigenvalues,
     inertia,
-    spectral_gap,
 )
 from .errors import (
     ContainmentViolation,
@@ -311,9 +314,10 @@ def pairing(
     assumption_ok = certificates and all(c.satisfied for c in certs if c.hard)
 
     window = model.window(params.rho)
-    trunc_op = HermitianOperator(window.localiser(params.kappa), window.eigen_route)
+    trunc_op = window.localiser(params.kappa)
+    w = hermitian_eigenvalues(trunc_op, window.eigen_route)
     g = model.k_gap()
-    trunc_gap = spectral_gap(trunc_op)
+    trunc_gap = float(np.min(np.abs(w)))
     certs.append(_certificate(
         "truncated_gap", trunc_gap, 0.5 * g, ">=", kind="guarantee",
         applicable=assumption_ok, slack=1e-9,
@@ -338,11 +342,11 @@ def pairing(
     # the permissive acceptance criterion: the truncated matrix must be
     # numerically invertible regardless of which theoretical bounds applied
     certs.append(_certificate(
-        "invertibility", trunc_gap, ZERO_TOL_FACTOR * trunc_op.norm, ">",
+        "invertibility", trunc_gap, ZERO_TOL_FACTOR * float(np.max(np.abs(w))), ">",
         kind="guarantee", detail="truncated localiser gap vs numerical zero tolerance",
     ))
 
-    inert = inertia(trunc_op)
+    inert = inertia(trunc_op, w)
     if inert.n_zero:
         raise SingularMatrix(
             "truncated localiser has %d numerical zero eigenvalue(s)" % inert.n_zero
@@ -376,7 +380,7 @@ def pairing(
         rho=params.rho,
         mode=params.mode,
         dim_full=model.dim if model.parity == "even" else 2 * model.dim,
-        dim_trunc=trunc_op.dim,
+        dim_trunc=trunc_op.shape[0],
         truncated_gap=trunc_gap,
         certificates=tuple(certs),
     )

@@ -55,7 +55,6 @@ from .core import (
     commutator_norm,
     hermitian_csr,
     max_abs_entry,
-    odd_block,
     window_mask,
 )
 from .errors import (
@@ -209,7 +208,10 @@ class Window:
         sparse K-part on those positions.
         """
         d = sp.diags_array((kappa * self.eigs[sel]).astype(np.complex128))
-        return odd_block(d, k_part) if self.odd else (d + k_part).tocsr()
+        if not self.odd:
+            return (d + k_part).tocsr()
+        d, k_part = sp.csr_array(d), sp.csr_array(k_part)
+        return sp.block_array([[d, k_part], [k_part.conj().T, -d]], format="csr")
 
 
 @dataclasses.dataclass(eq=False)

@@ -1,4 +1,4 @@
-"""Hermitian primitives: inertia, signature, window rule, gaps, norms."""
+"""Hermitian primitives: the eigenvalue kernel, inertia, window rule, gaps, norms."""
 
 import functools
 from unittest import mock
@@ -13,7 +13,7 @@ import speclocaliser.core as core
 from speclocaliser import (
     BackendDisagreement,
     BoundaryEigenvalue,
-    HermitianOperator,
+    DimensionMismatch,
     LocaliserParams,
     SingularMatrix,
     ValidationError,
@@ -22,12 +22,13 @@ from speclocaliser import (
     build_weighted_shift_dirac,
     commutator_norm,
     inertia,
+    line_path,
     oracle_pairing,
     pairing,
-    signature,
-    spectral_gap,
+    sf_crossings,
 )
-from speclocaliser.core import certified_gap, window_mask
+from speclocaliser import localiser
+from speclocaliser.core import DENSE_DIM_LIMIT, certified_gap, hermitian_eigenvalues, window_mask
 from conftest import random_hermitian
 
 st_dim = st.integers(1, 12)
@@ -39,53 +40,86 @@ def _random_unitary(rng, dim):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-class TestHermitianOperator:
+def _inertia(m, zero_tol=None):
+    # the inertia of m, its eigenvalues from the kernel
+    return inertia(m, hermitian_eigenvalues(m), zero_tol)
+
+
+def _gap(m) -> float:
+    return float(np.min(np.abs(hermitian_eigenvalues(m))))
+
+
+class TestKernelContract:
+    """hermitian_eigenvalues validates its input, dense or sparse, on every route."""
+
     def test_accepts_hermitian(self, rng):
-        h = HermitianOperator(random_hermitian(rng, 6))
-        assert h.dim == 6
+        h = random_hermitian(rng, 6)
+        assert_allclose(hermitian_eigenvalues(h), np.linalg.eigvalsh(h), atol=1e-12)
 
     def test_rejects_non_hermitian(self):
         m = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValidationError):
-            HermitianOperator(m)
+        for a in (m, sp.csr_array(m)):
+            with pytest.raises(ValidationError):
+                hermitian_eigenvalues(a)
+        with pytest.raises(DimensionMismatch):
+            hermitian_eigenvalues(np.ones((2, 3)))
 
     def test_csc_input_on_the_dense_route(self, rng):
         # the dense copy of a CSC array is Fortran-ordered
         h = random_hermitian(rng, 6)
         want = np.linalg.eigvalsh(h)
-        assert_allclose(HermitianOperator(sp.csc_array(h)).eigenvalues, want, atol=1e-12)
-        assert_allclose(core.hermitian_eigenvalues(sp.csc_array(h)), want, atol=1e-12)
+        assert_allclose(hermitian_eigenvalues(sp.csc_array(h)), want, atol=1e-12)
 
     def test_rejects_empty(self):
-        with pytest.raises(ValidationError):
-            HermitianOperator(np.zeros((0, 0)))
+        for a in (np.zeros((0, 0)), sp.csr_array((0, 0))):
+            with pytest.raises(ValidationError):
+                hermitian_eigenvalues(a)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite(self, value):
+        m = np.diag([1.0, value, 2.0])
+        banded = core.EigenRoute.of(sp.eye_array(3))
+        assert banded.position is not None
+        for a, route in ((m, None), (sp.csr_array(m), None), (sp.csr_array(m), banded)):
+            with pytest.raises(ValidationError):
+                hermitian_eigenvalues(a, route)
+
+    def test_rejects_sparse_input_over_the_dense_cap(self):
+        # refused on its stored entries: a densified copy would take 1.6 GB
+        big = sp.eye_array(DENSE_DIM_LIMIT + 1, dtype=complex, format="csr")
+        banded = core.EigenRoute.of(big)
+        assert banded.position is not None
+        with mock.patch.object(sp.csr_array, "toarray", side_effect=AssertionError("densified")):
+            for route in (None, banded):
+                with pytest.raises(ValidationError, match="exceeds dense limit"):
+                    hermitian_eigenvalues(big, route)
 
 
 class TestInertia:
     def test_identity(self):
-        got = inertia(np.eye(5), zero_tol=1e-10)
+        got = _inertia(np.eye(5), zero_tol=1e-10)
         assert (got.n_pos, got.n_neg, got.n_zero) == (5, 0, 0)
 
     def test_diagonal(self):
-        got = inertia(np.diag([1.0, -2.0, 0.0]), zero_tol=1e-10)
+        got = _inertia(np.diag([1.0, -2.0, 0.0]), zero_tol=1e-10)
         assert (got.n_pos, got.n_neg, got.n_zero) == (1, 1, 1)
 
     def test_truncated_circle_localiser_signature(self, circle40):
         # window signature reads off twice the pairing
-        got = inertia(circle40.window(30.5).localiser(0.05))
+        got = _inertia(circle40.window(30.5).localiser(0.05))
         assert got.n_zero == 0
         assert got.signature == 2 * oracle_pairing(circle40)
 
     def test_backend_disagreement_raises(self, monkeypatch, rng):
         h = random_hermitian(rng, 5)
-        true_counts = inertia(h)
+        true_counts = _inertia(h)
 
         def bad_backend(m, zero_tol):
             return (0, 0, m.shape[0])
 
         monkeypatch.setattr(core, "_inertia_sylvester", bad_backend)
         with pytest.raises(BackendDisagreement) as exc:
-            inertia(h)
+            _inertia(h)
         assert exc.value.eig_counts == (
             true_counts.n_pos, true_counts.n_neg, true_counts.n_zero,
         )
@@ -94,8 +128,18 @@ class TestInertia:
     @given(st.integers(2, 16), st.integers(0, 10_000))
     def test_backends_agree_and_counts_sum(self, dim, seed):
         h = random_hermitian(np.random.default_rng(seed), dim)
-        got = inertia(h)
+        got = _inertia(h)
         assert got.n_pos + got.n_neg + got.n_zero == dim
+
+    @pytest.mark.parametrize("zero_tol", [np.nan, np.inf, -1e-3])
+    def test_bad_zero_tol_rejected(self, zero_tol):
+        # nan used to reach SciPy's finiteness check, inf to count every eigenvalue zero
+        with pytest.raises(ValidationError):
+            _inertia(np.diag([1.0, -2.0]), zero_tol=zero_tol)
+
+    def test_eigenvalue_count_must_match(self):
+        with pytest.raises(DimensionMismatch):
+            inertia(np.eye(3), np.ones(2))
 
 
 # tier-1 fixture models with the kappas and rhos their window tests use
@@ -118,14 +162,14 @@ class TestSylvester:
         # SuperLU pivots off the zero diagonal; the dense LDL^* answers
         m = np.array([[0.0, 1.0], [1.0, 0.0]])
         assert core._inertia_sylvester(sp.csc_array(m), 0.0) is None
-        got = inertia(m, zero_tol=0.0)
+        got = _inertia(m, zero_tol=0.0)
         assert (got.n_pos, got.n_neg, got.n_zero) == (1, 1, 0)
 
     def test_singular_shift_declines(self):
         # the shift +zero_tol is exactly the eigenvalue 0.5: a singular factor
         m = np.diag([2.0, -1.0, 0.5])
         assert core._inertia_sylvester(sp.csc_array(m), 0.5) is None
-        got = inertia(m, zero_tol=0.5)
+        got = _inertia(m, zero_tol=0.5)
         assert (got.n_pos, got.n_neg, got.n_zero) == (1, 1, 1)
 
     def test_non_minimal_eigenpair_is_rejected(self, monkeypatch):
@@ -233,10 +277,10 @@ class TestEigenvalueKernel:
             assert route.name.startswith("banded eigensolve")
             loc = window.localiser(kappa)
             dense = np.linalg.eigvalsh(loc.toarray())
-            got = core.hermitian_eigenvalues(loc, route)
+            got = hermitian_eigenvalues(loc, route)
             norm = float(np.max(np.abs(dense)))
             assert np.max(np.abs(got - dense)) <= 1e-12 * norm
-            assert inertia(HermitianOperator(loc, route)) == inertia(loc.toarray())
+            assert inertia(loc, got) == inertia(loc, dense)
 
     @given(st.integers(2, 64), st.integers(0, 3), st.integers(0, 10_000))
     def test_permuted_band_matches_eigvalsh(self, dim, width, seed):
@@ -278,38 +322,43 @@ class TestEigenvalueKernel:
             w[top] = -w[top]
             return np.sort(w)
 
-        monkeypatch.setattr(core, "hermitian_eigenvalues", flipped)
+        loc = window.localiser(0.05)
         with pytest.raises(BackendDisagreement):
-            inertia(HermitianOperator(window.localiser(0.05), window.eigen_route))
+            inertia(loc, flipped(loc, window.eigen_route))
+        monkeypatch.setattr(core, "hermitian_eigenvalues", flipped)
+        monkeypatch.setattr(localiser, "hermitian_eigenvalues", flipped)
         with pytest.raises(BackendDisagreement):
             pairing(circle40, LocaliserParams(0.05, 30.5))
 
 
 class TestSignature:
+    """Inertia.signature, n_pos - n_neg of the cross-checked counts."""
+
     def test_off_diagonal_pair(self):
-        assert signature(np.array([[0.0, 1.0], [1.0, 0.0]])) == 0
+        assert _inertia(np.array([[0.0, 1.0], [1.0, 0.0]])).signature == 0
 
     def test_negative_identity(self):
-        assert signature(-np.eye(3)) == -3
+        assert _inertia(-np.eye(3)).signature == -3
 
     def test_shift_dirac_minus_grading(self):
         # K = -1 makes the window localiser kappa*D - Gamma truncated: its
         # signature exposes minus the D+ index
         model = build_weighted_shift_dirac(40, nu=1, sign=-1)
-        assert signature(model.window(10.5).localiser(0.1)) == 1
+        assert _inertia(model.window(10.5).localiser(0.1)).signature == 1
 
     def test_singular_raises(self):
+        # a signature is read off invertible matrices only: the walk refuses a singular end
+        assert _inertia(np.diag([1.0, 0.0])).n_zero == 1
         with pytest.raises(SingularMatrix):
-            signature(np.diag([1.0, 0.0]))
+            sf_crossings(line_path(np.eye(2), np.diag([1.0, 0.0])))
 
     @given(st.integers(1, 10), st.integers(0, 10_000))
     def test_antisymmetry_under_negation(self, dim, seed):
         h = random_hermitian(np.random.default_rng(seed), dim)
-        try:
-            s = signature(h)
-        except SingularMatrix:
+        counts = _inertia(h)
+        if counts.n_zero:
             return
-        assert signature(-h) == -s
+        assert _inertia(-h).signature == -counts.signature
 
 
 class TestIntervalProjection:
@@ -348,7 +397,7 @@ class TestIntervalProjection:
 
 class TestGapsAndNorms:
     def test_gap_diagonal(self):
-        assert spectral_gap(np.diag([3.0, -0.5])) == pytest.approx(0.5)
+        assert _gap(np.diag([3.0, -0.5])) == pytest.approx(0.5)
 
     def test_circle_symbol_gap(self):
         # min over theta of |e^{i theta} + 1/2| = 1/2; the Fourier grid of a
@@ -415,9 +464,7 @@ class TestGapsAndNorms:
         u = _random_unitary(rng, dim)
         rotated = u.conj().T @ h @ u
         rotated = (rotated + rotated.conj().T) / 2.0
-        assert spectral_gap(rotated) == pytest.approx(
-            spectral_gap(h), rel=1e-10, abs=1e-12
-        )
+        assert _gap(rotated) == pytest.approx(_gap(h), rel=1e-10, abs=1e-12)
 
 
 def _small_mask_case(rows):

@@ -16,7 +16,6 @@ from speclocaliser import (
     build_weighted_shift_dirac,
     line_path,
     sf_crossings,
-    sf_endpoints,
     suspension,
 )
 from speclocaliser import core, flow as flow_module
@@ -27,7 +26,7 @@ from speclocaliser.errors import (
     SingularMatrix,
 )
 from speclocaliser.core import hermitian_eigenvalues
-from reference import compress, dense_localiser, dense_path
+from reference import compress, dense_endpoints, dense_localiser, dense_path
 
 
 def _scalar_path(fn, grid):
@@ -35,21 +34,28 @@ def _scalar_path(fn, grid):
 
 
 class TestEndpoints:
+    """SpectralFlowResult.endpoints against half the signature difference of
+    the ends, counted from np.linalg.eigvalsh."""
+
     def test_sign_change_counts_once(self):
-        assert sf_endpoints(np.array([[-1.0]]), np.array([[1.0]])) == 1
+        a, b = np.array([[-1.0]]), np.array([[1.0]])
+        assert sf_crossings(line_path(a, b)).endpoints == dense_endpoints(a, b) == 1
 
     def test_equal_endpoints_flow_zero(self, rng):
         h = rng.normal(size=(6, 6))
         h = h + h.T + 8 * np.eye(6)
-        assert sf_endpoints(h, h) == 0
+        assert sf_crossings(line_path(h, h)).endpoints == dense_endpoints(h, h) == 0
 
     def test_singular_endpoint_rejected(self):
         with pytest.raises(SingularMatrix):
-            sf_endpoints(np.array([[0.0]]), np.array([[1.0]]))
+            sf_crossings(line_path(np.array([[1.0]]), np.array([[0.0]])))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            sf_endpoints(np.eye(2), np.eye(3))
+            line_path(np.eye(2), np.eye(3))
+        jump = OperatorPath(evaluate=lambda t: np.eye(2 if t < 1 else 3), grid=[0.0, 1.0])
+        with pytest.raises(DimensionMismatch):
+            sf_crossings(jump)
 
 
 class TestCrossings:
@@ -107,10 +113,8 @@ class TestCrossings:
         a = a + a.T + (2 + n) * np.eye(n)
         b = rng.normal(size=(n, n))
         b = b + b.T - (2 + n) * np.eye(n)
-        path = line_path(a, b, num=21)
-        flow, ends = sf_crossings(path), sf_endpoints(a, b)
-        assert flow.value == ends
-        assert flow.endpoints == ends
+        flow = sf_crossings(line_path(a, b, num=21))
+        assert flow.value == flow.endpoints == dense_endpoints(a, b)
 
 
 class TestSuspensions:
@@ -121,11 +125,11 @@ class TestSuspensions:
         cols = qwz9.window(rho).index
         start = compress(dense_localiser(qwz9, kappa, -np.eye(qwz9.dim)), qwz9, cols)
         assert sp.issparse(susp.sample(-1.0))  # sparse on the dense eigenvalue route too
-        assert np.allclose(susp.sample(-1.0).toarray(), start.matrix, atol=1e-13)
+        assert np.allclose(susp.sample(-1.0).toarray(), start, atol=1e-13)
         middle = compress(kappa * qwz9.dirac.toarray(), qwz9, cols)
-        assert np.allclose(susp.sample(0.0).toarray(), middle.matrix, atol=1e-13)
+        assert np.allclose(susp.sample(0.0).toarray(), middle, atol=1e-13)
         end = compress(dense_localiser(qwz9, kappa), qwz9, cols)
-        assert np.allclose(susp.sample(1.0).toarray(), end.matrix, atol=1e-13)
+        assert np.allclose(susp.sample(1.0).toarray(), end, atol=1e-13)
 
     def test_odd_endpoints_are_the_advertised_operators(self, circle40):
         # circle windows take the banded route, so their samples are sparse
@@ -137,9 +141,9 @@ class TestSuspensions:
         start = susp.sample(-1.0).toarray()
         assert np.allclose(start[:d, d:], np.eye(d), atol=1e-13)
         trivial = dense_localiser(circle40, kappa, np.eye(circle40.dim))
-        assert np.allclose(start, compress(trivial, circle40, cols).matrix, atol=1e-13)
+        assert np.allclose(start, compress(trivial, circle40, cols), atol=1e-13)
         end = compress(dense_localiser(circle40, kappa), circle40, cols)
-        assert np.allclose(susp.sample(1.0).toarray(), end.matrix, atol=1e-13)
+        assert np.allclose(susp.sample(1.0).toarray(), end, atol=1e-13)
 
     def test_reference_half_carries_no_flow(self, qwz9):
         # from kappa D - Gamma to kappa D the two terms anticommute, so the

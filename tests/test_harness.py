@@ -385,6 +385,18 @@ class TestCli:
         assert cli.main(argv + [flag, value]) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("spec,key", [
+        ("qwz:box=5,mass=nan", "mass"),
+        ("qwz:box=5,mass=inf", "mass"),
+        ("circle:modes=20,c0=nan", "c0"),
+        ("circle:modes=20,offset=inf", "offset"),
+    ])
+    def test_non_finite_model_spec_exits_two(self, capsys, spec, key):
+        argv = ["localise", "--model", spec, "--kappa", "0.1", "--rho", "2.5"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "key %s=" % key in err
+
     def test_sf_subcommand(self, capsys):
         code = cli.main(
             ["sf", "--model", "shift:sites=20", "--kappa", "0.1", "--rho", "5.5", "--grid", "17"]

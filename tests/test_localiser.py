@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import speclocaliser.core as core
+from speclocaliser import localiser
 from speclocaliser import (
     BoundaryEigenvalue,
     ContainmentViolation,
@@ -15,17 +16,15 @@ from speclocaliser import (
     build_circle_model,
     build_qwz_model,
     build_weighted_shift_dirac,
-    inertia,
     oracle_pairing,
     pairing,
     pairing_even,
     pairing_odd,
-    spectral_gap,
     suspension,
     validate_infinite_regime,
     validate_truncation_params,
 )
-from reference import compress, dense_localiser
+from reference import compress, dense_gap, dense_inertia, dense_localiser
 
 
 class TestAssembly:
@@ -184,7 +183,7 @@ class TestComplementBlock:
         # D and Gamma commute blockwise, so the complement eigenvalues are
         # +/- sqrt(kappa^2 d^2 + 1); the smallest |d| beyond 10.5 is 11
         comp = shift40.containment_window().localiser(0.1, beyond=10.5)
-        assert spectral_gap(comp) == pytest.approx(np.sqrt(0.01 * 121 + 1.0), rel=1e-12)
+        assert dense_gap(comp) == pytest.approx(np.sqrt(0.01 * 121 + 1.0), rel=1e-12)
         cert = pairing(shift40, LocaliserParams(0.1, 10.5)).certificate("complement_gap")
         assert cert.bound == pytest.approx(np.sqrt(47.0 / 48.0) * 0.1 * 10.5)
         assert cert.satisfied and cert.kind == "guarantee"
@@ -219,9 +218,9 @@ class TestComplementBlock:
 
 def _assert_same_block(block, reference):
     dense = block.toarray()
-    assert dense.shape == reference.matrix.shape
-    assert np.max(np.abs(dense - reference.matrix)) <= 1e-12
-    assert inertia(block) == inertia(reference)
+    assert dense.shape == reference.shape
+    assert np.max(np.abs(dense - reference)) <= 1e-12
+    assert dense_inertia(block) == dense_inertia(reference)
 
 
 class TestWindowBlocks:
@@ -255,17 +254,17 @@ class TestWindowBlocks:
                 _assert_same_block(outer.localiser(kappa, beyond=rho), comp)
 
                 path = suspension(model, kappa, rho, num=3)
-                assert np.max(np.abs(path.sample(1.0) - trunc.matrix)) <= 1e-12
+                assert np.max(np.abs(path.sample(1.0) - trunc)) <= 1e-12
 
                 res = pairing(model, LocaliserParams(kappa, rho))
-                assert res.inertia == inertia(trunc)
+                assert res.inertia == dense_inertia(trunc)
                 assert res.certificate("complement_gap").measured == pytest.approx(
-                    spectral_gap(comp), rel=1e-12
+                    dense_gap(comp), rel=1e-12
                 )
                 regime = res.certificate("regime_gap")
                 if regime.applicable:
                     assert regime.measured == pytest.approx(
-                        spectral_gap(seam_free), rel=1e-12
+                        dense_gap(seam_free), rel=1e-12
                     )
 
 
@@ -275,6 +274,25 @@ class TestPairing:
         res = pairing_odd(model, LocaliserParams(0.1, 5.5))
         assert res.pairing == 0
         assert res.signature == 0
+
+    @pytest.mark.parametrize("name,params", [
+        ("circle40", LocaliserParams(0.05, 30.5)),  # banded route
+        ("qwz9", LocaliserParams(0.75, 5.5)),  # dense route
+    ])
+    def test_one_eigensolve_per_pairing(self, request, monkeypatch, name, params):
+        # the truncated gap, the invertibility bound and the inertia check
+        # share one diagonalisation; the certified gaps take no dense fallback
+        model = request.getfixturevalue(name)
+        kernel, calls = core.hermitian_eigenvalues, []
+
+        def counted(a, route=None):
+            calls.append(a.shape[0])
+            return kernel(a, route)
+
+        monkeypatch.setattr(core, "hermitian_eigenvalues", counted)
+        monkeypatch.setattr(localiser, "hermitian_eigenvalues", counted)
+        res = pairing(model, params)
+        assert calls == [res.dim_trunc]
 
     def test_symbol_offset_does_not_move_the_class(self):
         plain = build_circle_model(40, {1: 1.0})

@@ -23,7 +23,6 @@ from speclocaliser import (
     build_weighted_shift_dirac,
     commutator_norm,
     export_model,
-    inertia,
     load_model,
     oracle_pairing,
     pairing,
@@ -34,6 +33,7 @@ import speclocaliser.core as core
 from speclocaliser.core import DENSE_DIM_LIMIT
 from speclocaliser.errors import FormatError, SingularSymbol
 from speclocaliser.models import sx, sy, sz
+from reference import dense_inertia
 
 
 class TestCircleModel:
@@ -152,7 +152,7 @@ class TestShiftModel:
         kernel = vecs[:, np.abs(evals) < 1e-9]
         assert kernel.shape[1] == nu
         compressed = kernel.conj().T @ np.diag(model.grading.astype(float)) @ kernel
-        counts = inertia(compressed)
+        counts = dense_inertia(compressed)
         assert (counts.n_pos, counts.n_neg, counts.n_zero) == (0, nu, 0)
 
     def test_window_multiplicities(self, shift40):
