@@ -5,31 +5,31 @@ to a handful of operations on Hermitian matrices: inertia counts, gaps and
 norms.  One kernel diagonalises, ``hermitian_eigenvalues`` (banded or dense
 by an ``EigenRoute``); it validates its input (square, non-empty, finite,
 Hermitian within HERM_TOL_FACTOR, at most DENSE_DIM_LIMIT rows), sparse
-input on its stored entries.  Inertia is computed by two independent
-routes: ``inertia`` counts the eigenvalues its caller already holds against
-Sylvester's law of inertia read off a triangular factorization of the matrix
-itself; the two integer count triples must agree exactly, and a mismatch
-raises :class:`~speclocaliser.errors.BackendDisagreement`.  The
-factorization is a sparse symmetric LU (SuperLU, symmetric fill-reducing
-ordering, diagonal pivots); when it declines (a pivot left the diagonal or
-vanished), a dense symmetric-indefinite LDL^* factorization takes over.
+input on its stored entries.  Counts come from Sylvester's law of inertia
+on a sparse symmetric LU (SuperLU, diagonal pivots, one of two ORDERINGS),
+which declines when a pivot leaves the diagonal or vanishes.  Every inertia
+is read by two independent routes whose count triples must agree exactly,
+or :class:`~speclocaliser.errors.BackendDisagreement` is raised:
+``inertia`` checks the eigenvalues its caller holds against LU counts (a
+declined LU is retried in the second ordering), and ``certified_inertia``
+checks the counts that confirm ``certified_gap``'s bound against LUs in
+the second ordering, with no eigensolve.
 
 Model operators (D, K and D's eigenvectors) are stored sparse, as
 :class:`CsrOperator` arrays validated on their nonzeros by
-``hermitian_csr``, so a model costs O(nnz) at any size.  The dense helpers
-are capped at ``DENSE_DIM_LIMIT`` rows: the truncated window localiser, the
-D eigensystem and K spectrum of a model without closed forms, and the inputs
-of the small-model oracles and flows, which densify sparse input at their
-entry.  Two primitives stay sparse throughout, each padded by its
-Lanczos residual in the safe direction: ``commutator_norm`` (Lanczos on the
+``hermitian_csr``, so a model costs O(nnz) at any size.  Dense copies are
+capped at ``DENSE_DIM_LIMIT`` rows: the eigenvalue kernel's, the D
+eigensystem and K spectrum of a model without closed forms, and the inputs
+of the small-model oracles and flows.  ``commutator_norm`` (Lanczos on the
 Gram matrix of the masked commutator, an upper bound) and ``certified_gap``
-(shift-invert Lanczos on the same LU, a lower bound confirmed by Sylvester
-counts).
+(shift-invert Lanczos on the LU, a lower bound confirmed by Sylvester
+counts) stay sparse, each padded by its residual in the safe direction.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -40,6 +40,7 @@ from .errors import (
     BackendDisagreement,
     BoundaryEigenvalue,
     DimensionMismatch,
+    FactorizationDeclined,
     ValidationError,
 )
 
@@ -56,6 +57,7 @@ __all__ = [
     "inertia",
     "window_mask",
     "certified_gap",
+    "certified_inertia",
     "commutator_norm",
 ]
 
@@ -74,10 +76,14 @@ EIG_SEP_TOL = 1e-6
 SPARSE_GAP_ROUTE = "sparse Lanczos, Sylvester-certified lower bound"
 DENSE_GAP_ROUTE = "dense eigvalsh fallback"
 
-# a pattern takes the banded eigenvalue route when BAND_RATIO times its
-# reverse Cuthill-McKee bandwidth is at most its dimension
-BAND_RATIO = 16
+# a pattern takes the banded eigenvalue route when its reverse Cuthill-McKee
+# bandwidth to the power BAND_POWER is at most its dimension: bandwidth-1
+# circle and shift windows do, QWZ windows (bandwidth 27 and up) do not
+BAND_POWER = 2
 DENSE_EIG_ROUTE = "dense eigvalsh"
+
+# SuperLU column orderings of the two Sylvester count routes
+ORDERINGS = ("MMD_AT_PLUS_A", "COLAMD")
 
 # Lanczos basis size of commutator_norm: the top of the [D, K] Gram spectrum
 # is tightly clustered, and 40 vectors converge it fastest on QWZ boxes.
@@ -94,11 +100,6 @@ class CsrOperator(sp.csr_array):
     @property
     def nbytes(self) -> int:
         return int(self.data.nbytes + self.indices.nbytes + self.indptr.nbytes)
-
-
-def _as_array(m) -> np.ndarray:
-    # dense helpers take a dense copy of sparse (model) input
-    return m.toarray() if sp.issparse(m) else np.asarray(m)
 
 
 def _check_shape(shape: tuple) -> None:
@@ -126,7 +127,7 @@ def as_matrix(m) -> np.ndarray:
     _check_dense_dim(shape[0])
     # C order: the dense copy of a CSC array is Fortran-ordered, and the
     # finiteness check reads it as a float view
-    m = np.ascontiguousarray(_as_array(m), dtype=np.complex128)
+    m = np.ascontiguousarray(m.toarray() if sp.issparse(m) else m, dtype=np.complex128)
     _check_finite(m)
     return m
 
@@ -172,13 +173,13 @@ class EigenRoute:
 
     @classmethod
     def of(cls, pattern) -> EigenRoute:
-        """Banded when BAND_RATIO * bandwidth <= dim; the diagonal is added."""
+        """Banded when bandwidth**BAND_POWER <= dim; the diagonal is added."""
         from scipy.sparse.csgraph import reverse_cuthill_mckee  # deferred: loads sparse.linalg
         p = sp.csr_matrix(abs(sp.csr_array(pattern)) + sp.eye_array(pattern.shape[0]))
         position = np.argsort(reverse_cuthill_mckee(p, symmetric_mode=True))
         c = p.tocoo()
         bandwidth = int(np.max(np.abs(position[c.row] - position[c.col])))
-        return cls(position if BAND_RATIO * bandwidth <= p.shape[0] else None, bandwidth)
+        return cls(position if bandwidth**BAND_POWER <= p.shape[0] else None, bandwidth)
 
     @property
     def name(self) -> str:
@@ -228,45 +229,7 @@ class Inertia:
         return self.n_pos - self.n_neg
 
 
-def _ldl_block_signs(d: np.ndarray) -> tuple[int, int, int]:
-    """Sign counts of the block-diagonal factor from an LDL^* factorization.
-
-    The factor is block diagonal with 1x1 and 2x2 pivots; 2x2 blocks are
-    flagged by a nonzero subdiagonal entry.  Eigenvalues of each block are
-    computed in closed form.
-    """
-    n = d.shape[0]
-    lams = []
-    i = 0
-    while i < n:
-        if i + 1 < n and d[i + 1, i] != 0:
-            a, c, b = d[i, i].real, d[i + 1, i + 1].real, abs(d[i + 1, i])
-            half_tr, disc = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
-            lams += [half_tr + disc, half_tr - disc]
-            i += 2
-        else:
-            lams.append(d[i, i].real)
-            i += 1
-    lams = np.array(lams)
-    pos, neg = int(np.sum(lams > 0)), int(np.sum(lams < 0))
-    return pos, neg, lams.size - pos - neg
-
-
-def _inertia_factorization(m: np.ndarray, zero_tol: float) -> tuple[int, int, int]:
-    """Inertia via dense LDL^* and Sylvester's law, thresholded by shifting.
-
-    n_pos counts eigenvalues > zero_tol, obtained as the positive count of
-    M - zero_tol*I; n_neg symmetrically from M + zero_tol*I.  The fallback
-    of _inertia_sylvester.
-    """
-    n = m.shape[0]
-    eye = np.eye(n)
-    n_pos = _ldl_block_signs(sla.ldl(m - zero_tol * eye, hermitian=True)[1])[0]
-    n_neg = _ldl_block_signs(sla.ldl(m + zero_tol * eye, hermitian=True)[1])[1]
-    return n_pos, n_neg, n - n_pos - n_neg
-
-
-def _symmetric_lu(a: sp.sparray):
+def _symmetric_lu(a: sp.sparray, ordering: str = ORDERINGS[0]):
     """Sparse LU of a with symmetric ordering and diagonal pivots.
 
     When every pivot stays on the diagonal (perm_r == perm_c), the factors
@@ -279,7 +242,7 @@ def _symmetric_lu(a: sp.sparray):
 
     try:
         lu = spla.splu(
-            sp.csc_array(a), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            sp.csc_array(a), permc_spec=ordering, diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )
     except RuntimeError as exc:
@@ -292,9 +255,9 @@ def _symmetric_lu(a: sp.sparray):
     return lu, np.sign(pivots)
 
 
-def _inertia_sylvester(a: sp.sparray, zero_tol: float) -> tuple[int, int, int] | None:
-    """Inertia from sparse LUs of a -/+ zero_tol*I, thresholded by shifting
-    as _inertia_factorization is; None when either factorization declines.
+def _inertia_sylvester(a, zero_tol: float, ordering=ORDERINGS[0]) -> tuple[int, int, int] | None:
+    """Inertia from sparse LUs of a -/+ zero_tol*I in one SuperLU ordering
+    (n_pos from the first, n_neg from the second); None on a decline.
 
     The shifts are written into the stored diagonal of one complex CSC copy
     of a: a sparse sum with zero_tol*I costs as much as the factorization.
@@ -305,13 +268,17 @@ def _inertia_sylvester(a: sp.sparray, zero_tol: float) -> tuple[int, int, int] |
     for shift in (zero_tol, -zero_tol) if zero_tol else (0.0,):
         if shift:
             m.setdiag(d - shift)
-        factored = _symmetric_lu(m)
+        factored = _symmetric_lu(m, ordering)
         if factored is None:
             return None
         signs.append(factored[1])
     n_pos = int(np.sum(signs[0] > 0))
     n_neg = int(np.sum(signs[-1] < 0))
     return n_pos, n_neg, m.shape[0] - n_pos - n_neg
+
+
+# the second count route, bound here so that it stays independent of the first
+_inertia_second = functools.partial(_inertia_sylvester, ordering=ORDERINGS[1])
 
 
 def eigenvalue_counts(w: np.ndarray, eps: float) -> tuple[int, int, int]:
@@ -325,8 +292,9 @@ def inertia(a, eigenvalues: np.ndarray, zero_tol: float | None = None) -> Inerti
     eigenvalues are a's, from hermitian_eigenvalues; zero_tol defaults to
     1e-8 times their largest modulus.  Counts are strict: n_pos counts
     eigenvalues > zero_tol, n_zero those with |eig| <= zero_tol.  They must
-    equal the factorization counts of a itself (sparse LU, or dense LDL^*
-    when the LU declines), or BackendDisagreement is raised.
+    equal the Sylvester counts of a itself, or BackendDisagreement is
+    raised; the LUs run in the first ordering, in the second when one
+    declines, and FactorizationDeclined is raised when both do.
     """
     if zero_tol is not None and not (math.isfinite(zero_tol) and zero_tol >= 0):
         raise ValidationError("zero_tol must be finite and non-negative, got %r" % zero_tol)
@@ -337,9 +305,9 @@ def inertia(a, eigenvalues: np.ndarray, zero_tol: float | None = None) -> Inerti
         zero_tol = ZERO_TOL_FACTOR * float(np.max(np.abs(eigenvalues)))
     tol = float(zero_tol)
     eig_counts = eigenvalue_counts(eigenvalues, tol)
-    factor_counts = _inertia_sylvester(a, tol)
+    factor_counts = _inertia_sylvester(a, tol) or _inertia_second(a, tol)
     if factor_counts is None:
-        factor_counts = _inertia_factorization(_as_array(a), tol)
+        raise FactorizationDeclined("LUs at -/+%.3e declined in both orderings" % tol)
     if eig_counts != factor_counts:
         raise BackendDisagreement(eig_counts, factor_counts, tol)
     return Inertia(*eig_counts)
@@ -369,8 +337,9 @@ def _seeded_start(n: int) -> np.ndarray:
     return [1.0, 1j] @ np.random.default_rng(0).standard_normal((2, n))
 
 
-def _sylvester_gap(a: sp.sparray) -> float | None:
-    """Certified lower bound on min |eigenvalue| of a, or None (a decline)."""
+def _sylvester_gap(a: sp.sparray) -> tuple[float, tuple[int, int, int]] | None:
+    """A certified lower bound on min |eigenvalue| of a and the counts that
+    confirm it, or None (a decline)."""
     n = a.shape[0]
     if n <= 2:  # complex ARPACK needs k = 1 < n - 1
         return None
@@ -397,7 +366,7 @@ def _sylvester_gap(a: sp.sparray) -> float | None:
     counts = _inertia_sylvester(a, lower)
     if counts is None or counts[2]:
         return None
-    return float(lower)
+    return float(lower), counts
 
 
 def certified_gap(a) -> tuple[float, str]:
@@ -413,10 +382,25 @@ def certified_gap(a) -> tuple[float, str]:
     DENSE_GAP_ROUTE).
     """
     a = hermitian_csr(a)
-    lower = _sylvester_gap(a)
-    if lower is None:
+    got = _sylvester_gap(a)
+    if got is None:
         return float(np.min(np.abs(hermitian_eigenvalues(a)))), DENSE_GAP_ROUTE
-    return lower, SPARSE_GAP_ROUTE
+    return got[0], SPARSE_GAP_ROUTE
+
+
+def certified_inertia(a, zero_tol: float) -> tuple[float, Inertia] | None:
+    """certified_gap's sparse lower bound on min |eigenvalue| of a, and a's
+    inertia at zero_tol below it: the Sylvester counts that confirm the bound,
+    checked against LUs at -/+zero_tol in the second ordering (else
+    BackendDisagreement).  None on a decline or a bound not above zero_tol."""
+    a = hermitian_csr(a)
+    got = _sylvester_gap(a)
+    second = _inertia_second(a, zero_tol) if got and got[0] > zero_tol else None
+    if second is None:
+        return None
+    if second != got[1]:
+        raise BackendDisagreement(got[1], second, zero_tol)
+    return got[0], Inertia(*second)
 
 
 def commutator_norm(d, x, interior_mask: np.ndarray | None = None) -> float:

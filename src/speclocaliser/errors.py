@@ -13,6 +13,7 @@ __all__ = [
     "ConfigError",
     "DimensionMismatch",
     "BackendDisagreement",
+    "FactorizationDeclined",
     "SingularMatrix",
     "BoundaryEigenvalue",
     "SingularSymbol",
@@ -46,7 +47,7 @@ class DimensionMismatch(ValidationError):
 
 
 class BackendDisagreement(SpecLocaliserError):
-    """The two independent inertia backends returned different counts.
+    """The two independent inertia count routes returned different counts.
 
     Carries both count triples; never resolved by averaging.
     """
@@ -56,9 +57,13 @@ class BackendDisagreement(SpecLocaliserError):
         self.factor_counts = tuple(factor_counts)
         self.zero_tol = zero_tol
         super().__init__(
-            "inertia backends disagree: eigendecomposition %s vs factorization %s "
-            "at zero_tol=%.3e" % (self.eig_counts, self.factor_counts, zero_tol)
+            "inertia count routes disagree: %s vs %s at zero_tol=%.3e"
+            % (self.eig_counts, self.factor_counts, zero_tol)
         )
+
+
+class FactorizationDeclined(SpecLocaliserError):
+    """Every sparse LU ordering declined (a pivot left the diagonal or vanished)."""
 
 
 class SingularMatrix(SpecLocaliserError):

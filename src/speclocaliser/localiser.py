@@ -13,14 +13,15 @@ the window's grading V* Gamma V; no kernel is counted.
 ``pairing`` never forms the full localiser: every block it needs is read off
 the model's windows (``ModelInstance.window``), which hold D's eigenvalues,
 the K-part V* K~ V and, for even models, the grading V* Gamma V on the
-window, all sparse.  The truncated block (|D| <= rho) stays CSR and is
-diagonalised once, on the window's eigenvalue route, banded or dense (then
-the only block densified); those eigenvalues give the truncated gap, the
-invertibility tolerance and the eigenvalue side of the inertia check.  The
-complement block and the seam-free regime block are sub-blocks of the
-containment window and stay sparse; their gaps are certified lower bounds
-(``core.certified_gap``), and each certificate's detail names the route that
-measured it.
+window, all sparse.  The truncated block (|D| <= rho) stays CSR.  A banded
+window (circle and shift models) is diagonalised once by zhbevd for the
+truncated gap and the eigenvalue side of the inertia check; any other (QWZ)
+is not diagonalised: ``core.certified_inertia`` gives a certified lower
+bound on its gap and the Sylvester counts that confirm it, checked against
+a second LU ordering.  The complement and seam-free regime blocks are
+sub-blocks of the containment window and stay sparse; their gaps are
+certified lower bounds too (``core.certified_gap``), and each certificate's
+detail names the route that measured it.
 
 Validity is tracked through certificates rather than asserted silently:
 every check, the untruncated-regime one included, is one
@@ -45,9 +46,11 @@ import operator
 import numpy as np
 
 from .core import (
+    SPARSE_GAP_ROUTE,
     ZERO_TOL_FACTOR,
     Inertia,
     certified_gap,
+    certified_inertia,
     hermitian_eigenvalues,
     inertia,
 )
@@ -295,15 +298,18 @@ def pairing(
     or IntegerityViolation is raised.  The complement block
     rho < |D| <= containment and the seam-free regime block are sub-blocks
     of the containment window; each equals the compression of the whole-box
-    localiser onto the same eigenvectors of D.
+    localiser onto the same eigenvectors of D.  PairingResult.truncated_gap
+    is the least eigenvalue modulus on a banded window, and a certified lower
+    bound (core.certified_inertia) on any other; the inertia is counted at
+    ZERO_TOL_FACTOR times the Weyl bound kappa max|D_w| + ||K|| on the
+    block's norm, which is also the invertibility certificate's bound.
 
     certificates=False is a lean mode for sweeps on large models: it skips
     the [D, K] commutator (a closed form for builder models, a whole-box
-    Lanczos norm otherwise) and every extra eigensolve (the kappa_bound
+    Lanczos norm otherwise) and the other blocks' gaps (the kappa_bound
     condition, the untruncated-regime gap, the complement block), leaving
-    the cheap geometric conditions plus the measured window gap.  Lean
-    results carry no applicable theorem guarantees, so the mode is
-    permissive-only.
+    the cheap geometric conditions plus the window gap.  Lean results carry
+    no applicable theorem guarantees, so the mode is permissive-only.
     """
     if not certificates and params.mode == "strict":
         raise ValidationError("strict mode needs full certificates")
@@ -315,13 +321,19 @@ def pairing(
 
     window = model.window(params.rho)
     trunc_op = window.localiser(params.kappa)
-    w = hermitian_eigenvalues(trunc_op, window.eigen_route)
-    g = model.k_gap()
-    trunc_gap = float(np.min(np.abs(w)))
+    route = window.eigen_route
+    # Weyl: ||L_w|| <= kappa max|D_w| + ||K||, a tolerance read off no eigenvalue
+    zero_tol = ZERO_TOL_FACTOR * (params.kappa * np.abs(window.eigs).max() + model.k_norm())
+    counted = certified_inertia(trunc_op, zero_tol) if route.position is None else None
+    gap_route = route.name if counted is None else SPARSE_GAP_ROUTE
+    if counted is None:  # the banded route, or a decline: one eigensolve
+        w = hermitian_eigenvalues(trunc_op, route)
+        counted = float(np.min(np.abs(w))), inertia(trunc_op, w, zero_tol)
+    trunc_gap, inert = counted
     certs.append(_certificate(
-        "truncated_gap", trunc_gap, 0.5 * g, ">=", kind="guarantee",
+        "truncated_gap", trunc_gap, 0.5 * model.k_gap(), ">=", kind="guarantee",
         applicable=assumption_ok, slack=1e-9,
-        detail="truncated localiser gap vs g/2 (%s)" % window.eigen_route.name,
+        detail="truncated localiser gap vs g/2 (%s)" % gap_route,
     ))
     if regime is not None:
         certs.append(regime)
@@ -342,11 +354,10 @@ def pairing(
     # the permissive acceptance criterion: the truncated matrix must be
     # numerically invertible regardless of which theoretical bounds applied
     certs.append(_certificate(
-        "invertibility", trunc_gap, ZERO_TOL_FACTOR * float(np.max(np.abs(w))), ">",
-        kind="guarantee", detail="truncated localiser gap vs numerical zero tolerance",
+        "invertibility", trunc_gap, zero_tol, ">", kind="guarantee",
+        detail="truncated localiser gap vs numerical zero tolerance",
     ))
 
-    inert = inertia(trunc_op, w)
     if inert.n_zero:
         raise SingularMatrix(
             "truncated localiser has %d numerical zero eigenvalue(s)" % inert.n_zero

@@ -14,6 +14,7 @@ from speclocaliser import (
     BackendDisagreement,
     BoundaryEigenvalue,
     DimensionMismatch,
+    FactorizationDeclined,
     LocaliserParams,
     SingularMatrix,
     ValidationError,
@@ -159,18 +160,31 @@ class TestSylvester:
     """Sparse LU counts and certified gaps, each checked against eigvalsh."""
 
     def test_off_diagonal_pivot_declines(self):
-        # SuperLU pivots off the zero diagonal; the dense LDL^* answers
+        # SuperLU pivots off the zero diagonal in either ordering; the
+        # decline is raised, not counted
         m = np.array([[0.0, 1.0], [1.0, 0.0]])
         assert core._inertia_sylvester(sp.csc_array(m), 0.0) is None
-        got = _inertia(m, zero_tol=0.0)
+        assert core._inertia_second(sp.csc_array(m), 0.0) is None
+        with pytest.raises(FactorizationDeclined, match="declined in both orderings"):
+            _inertia(m, zero_tol=0.0)
+        got = _inertia(m, zero_tol=1e-10)  # shifted off zero, the diagonal pivots
         assert (got.n_pos, got.n_neg, got.n_zero) == (1, 1, 0)
 
     def test_singular_shift_declines(self):
         # the shift +zero_tol is exactly the eigenvalue 0.5: a singular factor
         m = np.diag([2.0, -1.0, 0.5])
         assert core._inertia_sylvester(sp.csc_array(m), 0.5) is None
-        got = _inertia(m, zero_tol=0.5)
-        assert (got.n_pos, got.n_neg, got.n_zero) == (1, 1, 1)
+        assert core._inertia_second(sp.csc_array(m), 0.5) is None
+        with pytest.raises(FactorizationDeclined):
+            _inertia(m, zero_tol=0.5)
+        got = _inertia(m, zero_tol=0.25)
+        assert (got.n_pos, got.n_neg, got.n_zero) == (2, 1, 0)
+
+    def test_first_ordering_decline_retries_in_the_second(self, monkeypatch):
+        m = np.diag([2.0, -1.0, 0.5])
+        monkeypatch.setattr(core, "_inertia_sylvester", lambda a, zero_tol: None)
+        got = _inertia(m, zero_tol=0.25)
+        assert (got.n_pos, got.n_neg, got.n_zero) == (2, 1, 0)
 
     def test_non_minimal_eigenpair_is_rejected(self, monkeypatch):
         import scipy.sparse.linalg as spla
@@ -285,14 +299,14 @@ class TestEigenvalueKernel:
     @given(st.integers(2, 64), st.integers(0, 3), st.integers(0, 10_000))
     def test_permuted_band_matches_eigvalsh(self, dim, width, seed):
         # a random Hermitian band under a random symmetric permutation; the
-        # ratio is lowered so that every such pattern takes the banded route
+        # power is lowered so that every such pattern takes the banded route
         rng = np.random.default_rng(seed)
         offsets = np.subtract.outer(np.arange(dim), np.arange(dim))
         keep = (np.abs(offsets) <= width) & (rng.random((dim, dim)) < 0.8)
         m = np.where(keep | keep.T, random_hermitian(rng, dim), 0.0)
         perm = rng.permutation(dim)
         m = m[perm][:, perm]
-        with mock.patch.object(core, "BAND_RATIO", 1):
+        with mock.patch.object(core, "BAND_POWER", 1):
             route = core.EigenRoute.of(sp.csr_array(m))
         assert route.position is not None
         dense = np.linalg.eigvalsh(m)
@@ -309,7 +323,7 @@ class TestEigenvalueKernel:
         route = build_qwz_model(box=10, mass=1.0).window(5.5).eigen_route
         assert route.position is None
         assert route.name == core.DENSE_EIG_ROUTE
-        assert core.BAND_RATIO * route.bandwidth > 352
+        assert route.bandwidth**core.BAND_POWER > 352
 
     def test_flipped_kernel_eigenvalue_is_caught(self, monkeypatch, circle40):
         # a wrong banded eigenvalue must not pass the inertia cross-check

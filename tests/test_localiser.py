@@ -6,6 +6,7 @@ import pytest
 import speclocaliser.core as core
 from speclocaliser import localiser
 from speclocaliser import (
+    BackendDisagreement,
     BoundaryEigenvalue,
     ContainmentViolation,
     HypothesisViolated,
@@ -206,7 +207,7 @@ class TestComplementBlock:
                                % circle40.window(30.5).eigen_route.bandwidth)
         qwz = build_qwz_model(box=10, mass=1.0)
         res = pairing(qwz, LocaliserParams(1.0, 5.5), certificates=False)
-        assert res.certificate("truncated_gap").detail.endswith("(dense eigvalsh)")
+        assert res.certificate("truncated_gap").detail.endswith("(%s)" % core.SPARSE_GAP_ROUTE)
 
     def test_outer_cut_restricts_window(self, circle40):
         # the containment radius 37 cuts the complement: modes 31..37 of
@@ -276,12 +277,13 @@ class TestPairing:
         assert res.signature == 0
 
     @pytest.mark.parametrize("name,params", [
-        ("circle40", LocaliserParams(0.05, 30.5)),  # banded route
-        ("qwz9", LocaliserParams(0.75, 5.5)),  # dense route
+        ("circle40", LocaliserParams(0.05, 30.5)),  # banded route: one eigensolve
+        ("qwz9", LocaliserParams(0.75, 5.5)),  # Sylvester counts: none
     ])
     def test_one_eigensolve_per_pairing(self, request, monkeypatch, name, params):
-        # the truncated gap, the invertibility bound and the inertia check
-        # share one diagonalisation; the certified gaps take no dense fallback
+        # on the banded route the truncated gap and the inertia check share
+        # one diagonalisation; elsewhere the truncated gap is certified and
+        # the inertia counted; the certified gaps take no dense fallback
         model = request.getfixturevalue(name)
         kernel, calls = core.hermitian_eigenvalues, []
 
@@ -292,7 +294,7 @@ class TestPairing:
         monkeypatch.setattr(core, "hermitian_eigenvalues", counted)
         monkeypatch.setattr(localiser, "hermitian_eigenvalues", counted)
         res = pairing(model, params)
-        assert calls == [res.dim_trunc]
+        assert calls == ([res.dim_trunc] if model.kind == "circle" else [])
 
     def test_symbol_offset_does_not_move_the_class(self):
         plain = build_circle_model(40, {1: 1.0})
@@ -373,3 +375,67 @@ class TestPairing:
         assert res.dim_full == shift40.dim
         assert res.dim_trunc == 21  # |d| <= 10.5 keeps 0 once and 1..10 twice
         assert res.inertia.n_pos + res.inertia.n_neg == 21
+
+
+# QWZ models whose windows tier-1 pairs, boxes 8-12: (box, mass, offset) ->
+# their (kappa, rho) pairs; box 8 with the spectral-flow sweep's corners
+_QWZ_PAIRED = {
+    **{(8, mass, "half_integer"): [(k, r) for k in (0.8, 1.1) for r in (3.5, 4.5)]
+       for mass in (1.0, -1.0, 3.0)},
+    (9, 1.0, "half_integer"): [(0.5, 4.5), (0.5, 5.5), (0.75, 5.5)]
+    + [(1.0, r) for r in (3.5, 4.5, 5.5, 6.5)],
+    (9, 1.0, "integer"): [(1.0, r) for r in (3.5, 5.5, 6.5)],
+    (10, 1.0, "half_integer"): [(1.0, 5.5)],
+    **{(12, mass, offset): [(k, r) for k in (0.5, 1.0) for r in (6.5, 8.5)]
+       for mass in (1.0, -1.0) for offset in ("half_integer", "integer")},
+    **{(12, 3.0, offset): [(1.0, 6.5), (1.0, 8.5)] for offset in ("half_integer", "integer")},
+}
+
+
+def _flipped(counts):
+    # a count route with one eigenvalue miscounted as positive
+    def flipped(a, zero_tol):
+        n_pos, n_neg, n_zero = counts(a, zero_tol)
+        return n_pos + 1, n_neg - 1, n_zero
+
+    return flipped
+
+
+class TestSylvesterRoute:
+    """Windows off the banded route: a certified gap and Sylvester counts."""
+
+    @pytest.mark.parametrize("box,mass,offset", sorted(_QWZ_PAIRED))
+    def test_counts_and_gap_match_eigvalsh(self, box, mass, offset):
+        model = build_qwz_model(box, mass, offset)
+        for kappa, rho in _QWZ_PAIRED[box, mass, offset]:
+            res = pairing(model, LocaliserParams(kappa, rho), certificates=False)
+            detail = res.certificate("truncated_gap").detail
+            assert detail.endswith("(%s)" % core.SPARSE_GAP_ROUTE)
+            w = np.linalg.eigvalsh(model.window(rho).localiser(kappa).toarray())
+            tol = res.certificate("invertibility").bound
+            assert tol >= core.ZERO_TOL_FACTOR * float(np.max(np.abs(w)))  # Weyl
+            got = res.inertia
+            assert (got.n_pos, got.n_neg, got.n_zero) == core.eigenvalue_counts(w, tol)
+            dense = float(np.min(np.abs(w)))
+            assert dense - 1e-9 * max(dense, 1.0) <= res.truncated_gap <= dense
+
+    @pytest.mark.parametrize("route", ["_inertia_sylvester", "_inertia_second"])
+    def test_flipped_count_from_either_route_is_caught(self, qwz9, monkeypatch, route):
+        monkeypatch.setattr(core, route, _flipped(getattr(core, route)))
+        with pytest.raises(BackendDisagreement) as exc:
+            pairing(qwz9, LocaliserParams(0.75, 5.5), certificates=False)
+        assert exc.value.eig_counts != exc.value.factor_counts
+
+    def test_dense_limit_no_longer_gates_pairing(self, monkeypatch):
+        model = build_qwz_model(box=8, mass=1.0)
+        params = LocaliserParams(1.0, 4.5)
+        window = model.window(params.rho)
+        oracle = oracle_pairing(model)
+        monkeypatch.setattr(core, "DENSE_DIM_LIMIT", window.dim - 1)
+        with pytest.raises(ValidationError, match="dense limit"):
+            core.hermitian_eigenvalues(window.localiser(params.kappa), window.eigen_route)
+        res = pairing_even(model, params)
+        assert res.pairing == oracle
+        assert res.dim_trunc > core.DENSE_DIM_LIMIT
+        for name in ("truncated_gap", "complement_gap"):
+            assert res.certificate(name).detail.endswith("(%s)" % core.SPARSE_GAP_ROUTE)
