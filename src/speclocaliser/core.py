@@ -2,18 +2,21 @@
 
 Everything downstream (localiser assembly, truncation, spectral flow) reduces
 to a handful of operations on Hermitian matrices: inertia counts, gaps and
-norms.  One kernel diagonalises, ``hermitian_eigenvalues`` (banded or dense
-by an ``EigenRoute``); it validates its input (square, non-empty, finite,
-Hermitian within HERM_TOL_FACTOR, at most DENSE_DIM_LIMIT rows), sparse
-input on its stored entries.  Counts come from Sylvester's law of inertia
-on a sparse symmetric LU (SuperLU, diagonal pivots, one of two ORDERINGS),
-which declines when a pivot leaves the diagonal or vanishes.  Every inertia
-is read by two independent routes whose count triples must agree exactly,
-or :class:`~speclocaliser.errors.BackendDisagreement` is raised:
-``inertia`` checks the eigenvalues its caller holds against LU counts (a
-declined LU is retried in the second ordering), and ``certified_inertia``
-checks the counts that confirm ``certified_gap``'s bound against LUs in
-the second ordering, with no eigensolve.
+norms.  One kernel diagonalises, ``hermitian_eigenvalues``; it validates
+its input (square, non-empty, finite, Hermitian within HERM_TOL_FACTOR, at
+most DENSE_DIM_LIMIT rows), sparse input on its stored entries, and picks
+its route from the matrix itself: zhbevd for sparse input whose reverse
+Cuthill-McKee bandwidth is small (BAND_POWER), eigvalsh for the rest.
+Counts come from Sylvester's law of inertia on a sparse symmetric LU
+(SuperLU, diagonal pivots, one of two ORDERINGS), which declines when a
+pivot leaves the diagonal or vanishes.  Every inertia is read by two
+independent routes whose count triples must agree exactly, or
+:class:`~speclocaliser.errors.BackendDisagreement` is raised: ``inertia``
+checks the eigenvalues its caller holds against LU counts (a declined LU
+is retried in the second ordering), and ``certified_inertia``, which makes
+the whole choice for a truncated block, checks either its banded
+eigenvalues that way or, with no eigensolve, the counts that confirm
+``certified_gap``'s bound against LUs in the second ordering.
 
 Model operators (D, K and D's eigenvectors) are stored sparse, as
 :class:`CsrOperator` arrays validated on their nonzeros by
@@ -47,7 +50,6 @@ from .errors import (
 __all__ = [
     "DENSE_DIM_LIMIT",
     "CsrOperator",
-    "EigenRoute",
     "Inertia",
     "as_matrix",
     "hermitian_csr",
@@ -76,9 +78,10 @@ EIG_SEP_TOL = 1e-6
 SPARSE_GAP_ROUTE = "sparse Lanczos, Sylvester-certified lower bound"
 DENSE_GAP_ROUTE = "dense eigvalsh fallback"
 
-# a pattern takes the banded eigenvalue route when its reverse Cuthill-McKee
-# bandwidth to the power BAND_POWER is at most its dimension: bandwidth-1
-# circle and shift windows do, QWZ windows (bandwidth 27 and up) do not
+# a sparse matrix takes the banded eigenvalue route when its reverse
+# Cuthill-McKee bandwidth to the power BAND_POWER is at most its dimension:
+# bandwidth-1 circle and shift windows and the kappa D - Gamma end of a QWZ
+# suspension do, QWZ windows (bandwidth 27 and up) do not
 BAND_POWER = 2
 DENSE_EIG_ROUTE = "dense eigvalsh"
 
@@ -163,57 +166,54 @@ def hermitian_csr(m) -> CsrOperator:
     return m
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class EigenRoute:
-    """Eigenvalue route of the matrices on one sparsity pattern: position[i], row i's
-    place in its reverse Cuthill-McKee order (None: dense route), and that bandwidth."""
+def _band_order(a) -> tuple[np.ndarray, int] | None:
+    """(position, bandwidth) of a sparse a whose reverse Cuthill-McKee
+    bandwidth b, read off its stored pattern, has b**BAND_POWER <= dim, where
+    position[i] is row i's place in that order; None for any other input.
 
-    position: np.ndarray | None
-    bandwidth: int
-
-    @classmethod
-    def of(cls, pattern) -> EigenRoute:
-        """Banded when bandwidth**BAND_POWER <= dim; the diagonal is added."""
-        from scipy.sparse.csgraph import reverse_cuthill_mckee  # deferred: loads sparse.linalg
-        p = sp.csr_matrix(abs(sp.csr_array(pattern)) + sp.eye_array(pattern.shape[0]))
-        position = np.argsort(reverse_cuthill_mckee(p, symmetric_mode=True))
-        c = p.tocoo()
-        bandwidth = int(np.max(np.abs(position[c.row] - position[c.col])))
-        return cls(position if bandwidth**BAND_POWER <= p.shape[0] else None, bandwidth)
-
-    @property
-    def name(self) -> str:
-        banded = "banded eigensolve, bandwidth %d" % self.bandwidth
-        return DENSE_EIG_ROUTE if self.position is None else banded
+    The diagonal is added to the pattern: whether a zero diagonal entry is
+    stored would otherwise change its row's degree, and with it the order."""
+    if not sp.issparse(a):
+        return None
+    from scipy.sparse.csgraph import reverse_cuthill_mckee  # deferred: loads sparse.linalg
+    p = sp.csr_matrix(abs(a) + sp.eye_array(a.shape[0]))
+    position = np.argsort(reverse_cuthill_mckee(p, symmetric_mode=True))
+    c = p.tocoo()
+    bandwidth = int(np.max(np.abs(position[c.row] - position[c.col])))
+    return (position, bandwidth) if bandwidth**BAND_POWER <= a.shape[0] else None
 
 
-def hermitian_eigenvalues(a, route: EigenRoute | None = None) -> np.ndarray:
+def _eigensolve(a, order) -> np.ndarray:
+    """Ascending eigenvalues of a validated Hermitian a: LAPACK's zhbevd on
+    a's upper band in the order of _band_order, or eigvalsh (zheevd) when
+    order is None."""
+    _check_dense_dim(a.shape[0])
+    if order is None:
+        return np.linalg.eigvalsh(a.toarray() if sp.issparse(a) else a)
+    position, bandwidth = order
+    c = a.tocoo()
+    rows, cols = position[c.row], position[c.col]
+    upper = rows <= cols
+    band = np.zeros((bandwidth + 1, a.shape[0]), dtype=np.complex128)
+    band[bandwidth + rows[upper] - cols[upper], cols[upper]] = c.data[upper]
+    return sla.eigvals_banded(band, lower=False, check_finite=False)
+
+
+def hermitian_eigenvalues(a) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, the eigenvalue kernel.
 
     The input must be square, non-empty, finite, Hermitian within
     HERM_TOL_FACTOR and at most DENSE_DIM_LIMIT rows (ValidationError, or
     DimensionMismatch for a non-square one); sparse input is checked on its
-    stored entries and densified only for eigvalsh.  On a banded route,
-    LAPACK's zhbevd runs on a's upper band in the route's ordering (an entry
-    outside it raises ValidationError); otherwise eigvalsh (zheevd).
+    stored entries.  Sparse input narrow enough for _band_order goes to
+    LAPACK's zhbevd in that order, any other is densified for eigvalsh.
     """
     if sp.issparse(a):
         a = hermitian_csr(a)
-        _check_dense_dim(a.shape[0])
     else:
         a = as_matrix(a)
         _check_hermitian(a)
-    if route is None or route.position is None:
-        return np.linalg.eigvalsh(a.toarray() if sp.issparse(a) else a)
-    c = sp.csr_array(a).tocoo()
-    rows, cols = route.position[c.row], route.position[c.col]
-    upper = (rows <= cols) & (c.data != 0)
-    rows, cols = route.bandwidth + rows[upper] - cols[upper], cols[upper]
-    if np.any(rows < 0):
-        raise ValidationError("matrix has entries outside its eigenvalue route's band")
-    band = np.zeros((route.bandwidth + 1, c.shape[0]), dtype=np.complex128)
-    band[rows, cols] = c.data[upper]
-    return sla.eigvals_banded(band, lower=False, check_finite=False)
+    return _eigensolve(a, _band_order(a))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -377,30 +377,39 @@ def certified_gap(a) -> tuple[float, str]:
     |theta| - ||A y - theta y|| less a rounding margin, and accepted only
     when Sylvester counts at -/+ that value show no eigenvalue between them.  A declined LU, an
     ARPACK failure, a block of at most two rows or a failed count falls
-    back to the least eigenvalue modulus from hermitian_eigenvalues.  Returns
+    back to the least eigenvalue modulus from a dense eigvalsh.  Returns
     the gap and the name of the route that measured it (SPARSE_GAP_ROUTE or
     DENSE_GAP_ROUTE).
     """
     a = hermitian_csr(a)
     got = _sylvester_gap(a)
     if got is None:
-        return float(np.min(np.abs(hermitian_eigenvalues(a)))), DENSE_GAP_ROUTE
+        return float(np.min(np.abs(_eigensolve(a, None)))), DENSE_GAP_ROUTE
     return got[0], SPARSE_GAP_ROUTE
 
 
-def certified_inertia(a, zero_tol: float) -> tuple[float, Inertia] | None:
-    """certified_gap's sparse lower bound on min |eigenvalue| of a, and a's
-    inertia at zero_tol below it: the Sylvester counts that confirm the bound,
-    checked against LUs at -/+zero_tol in the second ordering (else
-    BackendDisagreement).  None on a decline or a bound not above zero_tol."""
+def certified_inertia(a, zero_tol: float) -> tuple[float, Inertia, str]:
+    """min |eigenvalue| of a Hermitian a, its inertia at zero_tol, and the
+    name of the route that measured them.
+
+    A block narrow enough for _band_order is diagonalised once by zhbevd: the
+    least eigenvalue modulus, and the inertia checked against LU counts.  Any
+    other takes certified_gap's sparse lower bound (SPARSE_GAP_ROUTE) and the
+    Sylvester counts that confirm it, checked against LUs at -/+zero_tol in
+    the second ordering (else BackendDisagreement).  A decline, or a bound
+    not above zero_tol, falls back to the eigensolve.
+    """
     a = hermitian_csr(a)
-    got = _sylvester_gap(a)
+    order = _band_order(a)
+    got = _sylvester_gap(a) if order is None else None
     second = _inertia_second(a, zero_tol) if got and got[0] > zero_tol else None
-    if second is None:
-        return None
-    if second != got[1]:
-        raise BackendDisagreement(got[1], second, zero_tol)
-    return got[0], Inertia(*second)
+    if second is not None:
+        if second != got[1]:
+            raise BackendDisagreement(got[1], second, zero_tol)
+        return got[0], Inertia(*second), SPARSE_GAP_ROUTE
+    w = _eigensolve(a, order)
+    route = DENSE_EIG_ROUTE if order is None else "banded eigensolve, bandwidth %d" % order[1]
+    return float(np.min(np.abs(w))), inertia(a, w, zero_tol), route
 
 
 def commutator_norm(d, x, interior_mask: np.ndarray | None = None) -> float:

@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import core
-from .core import EigenRoute, eigenvalue_counts, hermitian_eigenvalues, inertia
+from .core import eigenvalue_counts, hermitian_eigenvalues, inertia
 from .errors import (
     BackendDisagreement,
     DimensionMismatch,
@@ -98,11 +98,10 @@ CHI_PAIRS = {"clamp": CHI_CLAMP, "smooth": CHI_SMOOTH}
 
 @dataclasses.dataclass(eq=False)
 class OperatorPath:
-    """A Hermitian path t -> T(t), a sampling grid and its samples' eigenvalue route."""
+    """A Hermitian path t -> T(t) and a sampling grid."""
 
     evaluate: Callable[[float], np.ndarray]
     grid: np.ndarray
-    route: EigenRoute | None = None
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
@@ -161,17 +160,17 @@ def sf_crossings(path: OperatorPath, trace: bool = False) -> SpectralFlowResult:
     tolerance (1e-6 times the larger end norm) are replaced by clean samples
     found by bisecting toward their clean neighbours; failure to find one
     within _MAX_DEPTH steps raises RefinementLimit.  The end samples are
-    validated and diagonalised by hermitian_eigenvalues on the path's route,
-    and their signatures are inertia-checked; the rest are trusted Hermitian
-    and counted by Sylvester's law, and a traced walk requires their grid
-    eigenvalues to agree (BackendDisagreement).
+    validated and diagonalised by hermitian_eigenvalues, each on the route
+    it picks, and their signatures are inertia-checked; the rest are
+    trusted Hermitian and counted by Sylvester's law, and a traced walk
+    requires their grid eigenvalues to agree (BackendDisagreement).
     """
-    grid, route = path.grid, path.route
+    grid = path.grid
     first = path.sample(grid[0])
-    w_first = hermitian_eigenvalues(first, route)
+    w_first = hermitian_eigenvalues(first)
     dim = first.shape[0]
     last = _sample(path, grid[-1], dim)
-    w_last = hermitian_eigenvalues(last, route)
+    w_last = hermitian_eigenvalues(last)
     scale = max(float(np.max(np.abs(w_first))), float(np.max(np.abs(w_last))), 1e-300)
     eps = 1e-6 * scale
     fallbacks = 0
@@ -182,7 +181,7 @@ def sf_crossings(path: OperatorPath, trace: bool = False) -> SpectralFlowResult:
         got = core._inertia_sylvester(m, eps)
         if got is None:
             fallbacks += 1
-            w = hermitian_eigenvalues(m, route) if w is None else w
+            w = hermitian_eigenvalues(m) if w is None else w
             return eigenvalue_counts(w, eps)
         if w is not None and eigenvalue_counts(w, eps) != got:
             raise BackendDisagreement(eigenvalue_counts(w, eps), got, eps)
@@ -198,7 +197,7 @@ def sf_crossings(path: OperatorPath, trace: bool = False) -> SpectralFlowResult:
         diff = cur - prev
         steps.append(np.linalg.norm(diff.data if sp.issparse(diff) else diff))
         if t < grid[-1]:
-            rows.append(hermitian_eigenvalues(cur, route) if trace else None)
+            rows.append(hermitian_eigenvalues(cur) if trace else None)
             status.append(counts(cur, rows[-1]))
         prev = cur
     rows.append(w_last)
@@ -275,8 +274,7 @@ def suspension(
     (even) or the trivial odd localiser with G = identity (odd) at t=-1,
     and at t=+1 the truncated localiser that ``pairing`` reads.  kappa D,
     K_W and T_W are laid out by ``Window.assemble``, as the window localiser
-    is, and the path takes the window's eigenvalue route; every sample is
-    sparse, on every route.
+    is; every sample is sparse.
     """
     chi.validate()
     window = model.window(rho)
@@ -287,8 +285,4 @@ def suspension(
     def evaluate(t):
         return base + (chi.plus(t) * k_w + chi.minus(t) * t_w)
 
-    return OperatorPath(
-        evaluate=evaluate,
-        grid=np.linspace(-1.0, 1.0, num),
-        route=window.eigen_route,
-    )
+    return OperatorPath(evaluate=evaluate, grid=np.linspace(-1.0, 1.0, num))

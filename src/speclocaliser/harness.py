@@ -473,7 +473,8 @@ def _sf_job(model, kappa, rho, mode, chi_name, grid, trace_dir) -> JobRecord:
         path = suspension(model, kappa, rho, chi=chi, num=grid)
         flow = sf_crossings(path, trace=trace_dir is not None)
         if trace_dir is not None:
-            name = "trace_k%g_r%g.csv" % (kappa, rho)
+            # round-trip values: %g would give close kappas one file
+            name = "trace_k%r_r%r.csv" % (float(kappa), float(rho))
             with open(Path(trace_dir) / name, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["t"] + ["eig%d" % i for i in range(flow.trace.shape[1])])

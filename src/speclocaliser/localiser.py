@@ -13,12 +13,11 @@ the window's grading V* Gamma V; no kernel is counted.
 ``pairing`` never forms the full localiser: every block it needs is read off
 the model's windows (``ModelInstance.window``), which hold D's eigenvalues,
 the K-part V* K~ V and, for even models, the grading V* Gamma V on the
-window, all sparse.  The truncated block (|D| <= rho) stays CSR.  A banded
-window (circle and shift models) is diagonalised once by zhbevd for the
-truncated gap and the eigenvalue side of the inertia check; any other (QWZ)
-is not diagonalised: ``core.certified_inertia`` gives a certified lower
-bound on its gap and the Sylvester counts that confirm it, checked against
-a second LU ordering.  The complement and seam-free regime blocks are
+window, all sparse.  The truncated block (|D| <= rho) stays CSR, and
+``core.certified_inertia`` reads its gap and inertia on the route it picks
+from the block: one banded eigensolve (circle and shift windows), or a
+certified lower bound on the gap and the Sylvester counts that confirm it
+(QWZ windows).  The complement and seam-free regime blocks are
 sub-blocks of the containment window and stay sparse; their gaps are
 certified lower bounds too (``core.certified_gap``), and each certificate's
 detail names the route that measured it.
@@ -45,15 +44,7 @@ import operator
 
 import numpy as np
 
-from .core import (
-    SPARSE_GAP_ROUTE,
-    ZERO_TOL_FACTOR,
-    Inertia,
-    certified_gap,
-    certified_inertia,
-    hermitian_eigenvalues,
-    inertia,
-)
+from .core import ZERO_TOL_FACTOR, Inertia, certified_gap, certified_inertia
 from .errors import (
     ContainmentViolation,
     HypothesisViolated,
@@ -299,10 +290,11 @@ def pairing(
     rho < |D| <= containment and the seam-free regime block are sub-blocks
     of the containment window; each equals the compression of the whole-box
     localiser onto the same eigenvectors of D.  PairingResult.truncated_gap
-    is the least eigenvalue modulus on a banded window, and a certified lower
-    bound (core.certified_inertia) on any other; the inertia is counted at
-    ZERO_TOL_FACTOR times the Weyl bound kappa max|D_w| + ||K|| on the
-    block's norm, which is also the invertibility certificate's bound.
+    and the inertia come from core.certified_inertia (the least eigenvalue
+    modulus on a banded window, a certified lower bound on any other), the
+    inertia counted at ZERO_TOL_FACTOR times the Weyl bound
+    kappa max|D_w| + ||K|| on the block's norm, which is also the
+    invertibility certificate's bound.
 
     certificates=False is a lean mode for sweeps on large models: it skips
     the [D, K] commutator (a closed form for builder models, a whole-box
@@ -321,15 +313,9 @@ def pairing(
 
     window = model.window(params.rho)
     trunc_op = window.localiser(params.kappa)
-    route = window.eigen_route
     # Weyl: ||L_w|| <= kappa max|D_w| + ||K||, a tolerance read off no eigenvalue
     zero_tol = ZERO_TOL_FACTOR * (params.kappa * np.abs(window.eigs).max() + model.k_norm())
-    counted = certified_inertia(trunc_op, zero_tol) if route.position is None else None
-    gap_route = route.name if counted is None else SPARSE_GAP_ROUTE
-    if counted is None:  # the banded route, or a decline: one eigensolve
-        w = hermitian_eigenvalues(trunc_op, route)
-        counted = float(np.min(np.abs(w))), inertia(trunc_op, w, zero_tol)
-    trunc_gap, inert = counted
+    trunc_gap, inert, gap_route = certified_inertia(trunc_op, zero_tol)
     certs.append(_certificate(
         "truncated_gap", trunc_gap, 0.5 * model.k_gap(), ">=", kind="guarantee",
         applicable=assumption_ok, slack=1e-9,

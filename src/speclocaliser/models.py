@@ -7,8 +7,9 @@ models, an invertible G for odd ones.  Builders return fully validated
 mask used for commutator norms, and the name of the oracle that predicts the
 pairing independently.  D, K and D's eigenvector matrix are stored sparse
 (``core.CsrOperator`` for D and K, a CSC array for the eigenvectors) and are
-validated on their nonzeros, so a model costs O(nnz) at any box size, and
-so are the spectral windows and the localiser blocks assembled from them.
+validated on their nonzeros, so a model costs O(nnz) at any box size; the
+spectral windows and the localiser blocks assembled from them are sparse
+too, and each block is validated by the core primitive that reads it.
 
 Three builders are provided:
 
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +49,6 @@ import yaml
 
 from .core import (
     CsrOperator,
-    EigenRoute,
     as_matrix,
     certified_gap,
     commutator_norm,
@@ -165,7 +164,7 @@ class Window:
     K~ = Gamma K for even models and G for odd ones.  gamma_part is the
     grading V_W* Gamma V_W (sparse), None for odd models.  radius is the
     selection radius.  Every localiser block on the window or on a
-    sub-window is read off these.  eigen_route is chosen once per window.
+    sub-window is read off these.
     """
 
     index: np.ndarray
@@ -182,24 +181,20 @@ class Window:
     def odd(self) -> bool:
         return self.gamma_part is None
 
-    @cached_property
-    def eigen_route(self) -> EigenRoute:
-        """The route of the localiser and its suspension (reference I or -Gamma)."""
-        ref = sp.eye_array(self.dim) if self.odd else self.gamma_part
-        return EigenRoute.of(sum(abs(self.assemble(1.0, abs(p))) for p in (self.k_part, ref)))
-
-    def localiser(self, kappa: float, beyond: float | None = None) -> CsrOperator | None:
+    def localiser(self, kappa: float, beyond: float | None = None) -> sp.csr_array | None:
         """The localiser on the window, or on its part with |D| > beyond (sparse).
 
-        None when the part beyond is empty.
+        None when the part beyond is empty.  Hermitian by construction (a
+        real diagonal plus the symmetrised even K-part, or the odd double), so
+        it is left to its consumers to validate.
         """
         if beyond is None:
-            return hermitian_csr(self.assemble(kappa, self.k_part))
+            return self.assemble(kappa, self.k_part)
         w = np.abs(self.eigs)
         sel = np.flatnonzero((w > beyond) & (w <= self.radius))
         if not sel.size:
             return None
-        return hermitian_csr(self.assemble(kappa, self.k_part[sel][:, sel], sel))
+        return self.assemble(kappa, self.k_part[sel][:, sel], sel)
 
     def assemble(self, kappa: float, k_part: sp.sparray, sel=slice(None)) -> sp.csr_array:
         """kappa*diag(eigs) + k_part for even models, the odd double

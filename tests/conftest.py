@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import HealthCheck, settings
 
 from speclocaliser import (
@@ -41,3 +42,15 @@ def qwz9():
 def random_hermitian(rng, dim: int) -> np.ndarray:
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (m + m.conj().T) / 2.0
+
+
+def banded_spy(monkeypatch) -> list:
+    """The band shapes of LAPACK's zhbevd calls (scipy.linalg.eigvals_banded)."""
+    calls, banded = [], sla.eigvals_banded
+
+    def spy(band, *args, **kwargs):
+        calls.append(band.shape)
+        return banded(band, *args, **kwargs)
+
+    monkeypatch.setattr(sla, "eigvals_banded", spy)
+    return calls

@@ -3,9 +3,9 @@
 The library reads every localiser block off a model's spectral windows
 (``ModelInstance.window``).  Tests check those blocks against the dense
 localiser of the whole box, laid out here with numpy alone and compressed
-onto the same eigenvectors of D, and banded-route suspension paths against
-the same path sampled dense.  Reference counts and gaps come from
-np.linalg.eigvalsh.
+onto the same eigenvectors of D, and suspension paths, whose samples the
+eigenvalue kernel may send to its banded route, against the same path
+sampled dense.  Reference counts and gaps come from np.linalg.eigvalsh.
 """
 
 import numpy as np
@@ -61,9 +61,8 @@ def dense_endpoints(t0, t1) -> int:
 
 
 def dense_path(path: OperatorPath) -> OperatorPath:
-    """path with every sample dense and no eigenvalue route, so whatever
-    sf_crossings diagonalises (its ends, and its grid when traced) goes to
-    np.linalg.eigvalsh."""
+    """path with every sample dense, so whatever sf_crossings diagonalises
+    (its ends, and its grid when traced) goes to np.linalg.eigvalsh."""
 
     def evaluate(t):
         m = path.evaluate(t)

@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
@@ -28,9 +29,8 @@ from speclocaliser import (
     pairing,
     sf_crossings,
 )
-from speclocaliser import localiser
 from speclocaliser.core import DENSE_DIM_LIMIT, certified_gap, hermitian_eigenvalues, window_mask
-from conftest import random_hermitian
+from conftest import banded_spy, random_hermitian
 
 st_dim = st.integers(1, 12)
 
@@ -78,22 +78,20 @@ class TestKernelContract:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_non_finite(self, value):
+        # a sparse diagonal is on the banded route, a dense one is not
         m = np.diag([1.0, value, 2.0])
-        banded = core.EigenRoute.of(sp.eye_array(3))
-        assert banded.position is not None
-        for a, route in ((m, None), (sp.csr_array(m), None), (sp.csr_array(m), banded)):
+        assert core._band_order(sp.csr_array(np.eye(3))) is not None
+        for a in (m, sp.csr_array(m)):
             with pytest.raises(ValidationError):
-                hermitian_eigenvalues(a, route)
+                hermitian_eigenvalues(a)
 
     def test_rejects_sparse_input_over_the_dense_cap(self):
-        # refused on its stored entries: a densified copy would take 1.6 GB
+        # refused on its stored entries: a densified copy would take 1.6 GB,
+        # and a band of this width would take the banded route
         big = sp.eye_array(DENSE_DIM_LIMIT + 1, dtype=complex, format="csr")
-        banded = core.EigenRoute.of(big)
-        assert banded.position is not None
         with mock.patch.object(sp.csr_array, "toarray", side_effect=AssertionError("densified")):
-            for route in (None, banded):
-                with pytest.raises(ValidationError, match="exceeds dense limit"):
-                    hermitian_eigenvalues(big, route)
+            with pytest.raises(ValidationError, match="exceeds dense limit"):
+                hermitian_eigenvalues(big)
 
 
 class TestInertia:
@@ -282,16 +280,15 @@ class TestEigenvalueKernel:
     """The banded eigenvalue route against np.linalg.eigvalsh."""
 
     @pytest.mark.parametrize("case", sorted(_BANDED_WINDOWS))
-    def test_banded_windows_match_eigvalsh(self, case):
+    def test_banded_windows_match_eigvalsh(self, case, monkeypatch):
         build, kappa, rhos = _BANDED_WINDOWS[case]
         model = build()
+        calls = banded_spy(monkeypatch)
         for rho in rhos:
-            window = model.window(rho)
-            route = window.eigen_route
-            assert route.name.startswith("banded eigensolve")
-            loc = window.localiser(kappa)
+            loc = model.window(rho).localiser(kappa)
             dense = np.linalg.eigvalsh(loc.toarray())
-            got = hermitian_eigenvalues(loc, route)
+            got = hermitian_eigenvalues(loc)
+            assert calls.pop() == (2, loc.shape[0])  # zhbevd, bandwidth 1
             norm = float(np.max(np.abs(dense)))
             assert np.max(np.abs(got - dense)) <= 1e-12 * norm
             assert inertia(loc, got) == inertia(loc, dense)
@@ -306,41 +303,35 @@ class TestEigenvalueKernel:
         m = np.where(keep | keep.T, random_hermitian(rng, dim), 0.0)
         perm = rng.permutation(dim)
         m = m[perm][:, perm]
-        with mock.patch.object(core, "BAND_POWER", 1):
-            route = core.EigenRoute.of(sp.csr_array(m))
-        assert route.position is not None
         dense = np.linalg.eigvalsh(m)
-        got = core.hermitian_eigenvalues(sp.csr_array(m), route)
+        with mock.patch.object(core, "BAND_POWER", 1), \
+                mock.patch.object(sla, "eigvals_banded", wraps=sla.eigvals_banded) as zhbevd:
+            got = core.hermitian_eigenvalues(sp.csr_array(m))
+        assert zhbevd.call_count == 1
         assert np.max(np.abs(got - dense)) <= 1e-12 * max(float(np.max(np.abs(dense))), 1.0)
 
-    def test_entry_outside_the_band_is_refused(self):
-        route = core.EigenRoute.of(sp.eye_array(40))
-        assert route.bandwidth == 0 and route.position is not None
-        with pytest.raises(ValidationError):
-            core.hermitian_eigenvalues(sp.csr_array(np.ones((40, 40))), route)
-
-    def test_qwz_window_takes_the_dense_route(self):
-        route = build_qwz_model(box=10, mass=1.0).window(5.5).eigen_route
-        assert route.position is None
-        assert route.name == core.DENSE_EIG_ROUTE
-        assert route.bandwidth**core.BAND_POWER > 352
+    def test_qwz_window_takes_the_dense_route(self, monkeypatch):
+        loc = build_qwz_model(box=10, mass=1.0).window(5.5).localiser(1.0)
+        assert loc.shape[0] == 352 and core._band_order(loc) is None
+        calls = banded_spy(monkeypatch)
+        got = hermitian_eigenvalues(loc)
+        assert calls == []
+        assert_allclose(got, np.linalg.eigvalsh(loc.toarray()), rtol=0, atol=1e-12)
 
     def test_flipped_kernel_eigenvalue_is_caught(self, monkeypatch, circle40):
         # a wrong banded eigenvalue must not pass the inertia cross-check
-        window = circle40.window(30.5)
-        kernel = core.hermitian_eigenvalues
+        kernel = core._eigensolve
 
-        def flipped(a, route=None):
-            w = kernel(a, route).copy()
+        def flipped(a, order):
+            w = kernel(a, order).copy()
             top = int(np.argmax(np.abs(w)))
             w[top] = -w[top]
             return np.sort(w)
 
-        loc = window.localiser(0.05)
+        monkeypatch.setattr(core, "_eigensolve", flipped)
+        loc = circle40.window(30.5).localiser(0.05)
         with pytest.raises(BackendDisagreement):
-            inertia(loc, flipped(loc, window.eigen_route))
-        monkeypatch.setattr(core, "hermitian_eigenvalues", flipped)
-        monkeypatch.setattr(localiser, "hermitian_eigenvalues", flipped)
+            inertia(loc, hermitian_eigenvalues(loc))
         with pytest.raises(BackendDisagreement):
             pairing(circle40, LocaliserParams(0.05, 30.5))
 

@@ -26,6 +26,7 @@ from speclocaliser.errors import (
     SingularMatrix,
 )
 from speclocaliser.core import hermitian_eigenvalues
+from conftest import banded_spy
 from reference import compress, dense_endpoints, dense_localiser, dense_path
 
 
@@ -162,9 +163,9 @@ class TestSuspensions:
         rows = sf_crossings(susp, trace=True).trace
         assert rows.shape == (7, susp.sample(0.0).shape[0])
         assert np.all(np.diff(rows, axis=1) >= 0)
-        # the rows are the walk's own grid eigenvalues, through the path's route
+        # the rows are the walk's own grid eigenvalues, each through the kernel
         for t, row in zip(susp.grid, rows):
-            assert np.array_equal(row, hermitian_eigenvalues(susp.sample(t), susp.route))
+            assert np.array_equal(row, hermitian_eigenvalues(susp.sample(t)))
 
 
 # (model, kappa, rho): the circle40 and shift40 fixture models, and the
@@ -176,13 +177,27 @@ _FLOW_PARITY_CASES = {
 }
 
 
+# QWZ suspensions whose t = -1 end, kappa D - Gamma in 2x2 blocks, is the
+# only banded sample: box 9 at both offsets, and box 8 as the sf-sweep
+# benchmark runs it
+_BANDED_END_CASES = {
+    **{
+        "qwz9-" + offset: (lambda offset=offset: build_qwz_model(9, 1.0, offset), 1.0, 6.5)
+        for offset in ("integer", "half_integer")
+    },
+    "qwz8-r4.5": (lambda: build_qwz_model(8, 1.0), 1.0, 4.5),
+}
+
+
 @pytest.mark.parametrize("chi", [CHI_CLAMP, CHI_SMOOTH], ids=["clamp", "smooth"])
-@pytest.mark.parametrize("case", sorted(_FLOW_PARITY_CASES))
-def test_banded_flow_matches_dense_samples(case, chi):
-    build, kappa, rho = _FLOW_PARITY_CASES[case]
+@pytest.mark.parametrize("case", sorted({**_FLOW_PARITY_CASES, **_BANDED_END_CASES}))
+def test_banded_flow_matches_dense_samples(case, chi, monkeypatch):
+    build, kappa, rho = {**_FLOW_PARITY_CASES, **_BANDED_END_CASES}[case]
     susp = suspension(build(), kappa, rho, chi=chi)
-    assert susp.route.position is not None  # the banded route is the one under test
-    flow, dense = sf_crossings(susp, trace=True), sf_crossings(dense_path(susp), trace=True)
+    calls = banded_spy(monkeypatch)
+    flow = sf_crossings(susp, trace=True)
+    assert calls[0] == (2, flow.trace.shape[1])  # the t = -1 end: zhbevd, bandwidth 1
+    dense = sf_crossings(dense_path(susp), trace=True)
     assert (flow.value, flow.endpoints, flow.crossings) == (
         dense.value, dense.endpoints, dense.crossings,
     )
@@ -232,9 +247,9 @@ def test_untraced_walk_diagonalises_only_its_ends(qwz9, monkeypatch):
     calls = []
     kernel = core.hermitian_eigenvalues
 
-    def counted(a, route=None):
+    def counted(a):
         calls.append(a.shape[0])
-        return kernel(a, route)
+        return kernel(a)
 
     susp = suspension(qwz9, 1.0, 6.5)
     monkeypatch.setattr(core, "hermitian_eigenvalues", counted)

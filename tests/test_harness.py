@@ -294,6 +294,14 @@ class TestFlowSweeps:
         assert len(runs[1][1]) == 4
         assert runs[1][1] == runs[2][1]
 
+    def test_close_kappas_write_separate_traces(self, tmp_path):
+        # kappas equal to 6 significant digits: one CSV each, none overwritten
+        cfg = RunConfig(model="circle:modes=40", kappas=[0.05, 0.0500000001], rhos=[10.5],
+                        out=str(tmp_path), trace=True, grid=9)
+        report = run_sf(cfg)
+        assert [rec.status for rec in report.records] == ["ok", "ok"]
+        assert len(list(tmp_path.glob("trace_*.csv"))) == 2
+
     def test_localise_rejects_trace(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml.safe_dump({

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import speclocaliser.core as core
-from speclocaliser import localiser
 from speclocaliser import (
     BackendDisagreement,
     BoundaryEigenvalue,
@@ -26,6 +25,7 @@ from speclocaliser import (
     validate_truncation_params,
 )
 from reference import compress, dense_gap, dense_inertia, dense_localiser
+from test_core import _BANDED_WINDOWS
 
 
 class TestAssembly:
@@ -174,8 +174,8 @@ class TestTruncate:
         assert window.localiser(0.5).shape[0] == window.dim  # not doubled
 
     def test_compression_preserves_hermiticity(self, shift40):
+        # Hermitian by construction; its consumers validate it
         loc = shift40.window(10.5).localiser(0.1)
-        assert isinstance(loc, core.CsrOperator)  # validated by hermitian_csr
         assert abs(loc - loc.conj().T).max() == 0.0
 
 
@@ -200,11 +200,10 @@ class TestComplementBlock:
             for name in ("regime_gap", "complement_gap"):
                 assert res.certificate(name).as_dict()["detail"].endswith("(%s)" % route)
 
-    def test_truncated_gap_names_its_eigen_route(self, circle40):
+    def test_truncated_gap_names_its_route(self, circle40):
         params = LocaliserParams(0.05, 30.5)
         detail = pairing(circle40, params).certificate("truncated_gap").detail
-        assert detail.endswith("(banded eigensolve, bandwidth %d)"
-                               % circle40.window(30.5).eigen_route.bandwidth)
+        assert detail.endswith("(banded eigensolve, bandwidth 1)")
         qwz = build_qwz_model(box=10, mass=1.0)
         res = pairing(qwz, LocaliserParams(1.0, 5.5), certificates=False)
         assert res.certificate("truncated_gap").detail.endswith("(%s)" % core.SPARSE_GAP_ROUTE)
@@ -285,14 +284,13 @@ class TestPairing:
         # one diagonalisation; elsewhere the truncated gap is certified and
         # the inertia counted; the certified gaps take no dense fallback
         model = request.getfixturevalue(name)
-        kernel, calls = core.hermitian_eigenvalues, []
+        kernel, calls = core._eigensolve, []
 
-        def counted(a, route=None):
+        def counted(a, order):
             calls.append(a.shape[0])
-            return kernel(a, route)
+            return kernel(a, order)
 
-        monkeypatch.setattr(core, "hermitian_eigenvalues", counted)
-        monkeypatch.setattr(localiser, "hermitian_eigenvalues", counted)
+        monkeypatch.setattr(core, "_eigensolve", counted)
         res = pairing(model, params)
         assert calls == ([res.dim_trunc] if model.kind == "circle" else [])
 
@@ -401,23 +399,40 @@ def _flipped(counts):
     return flipped
 
 
-class TestSylvesterRoute:
-    """Windows off the banded route: a certified gap and Sylvester counts."""
+# the QWZ windows above, off the banded route, and the banded circle and
+# shift windows of test_core, each case name -> (model builder, (kappa, rho) pairs)
+_PAIRED_WINDOWS = {
+    **{"%d-%s-%s" % key: (lambda key=key: build_qwz_model(*key), pairs)
+       for key, pairs in _QWZ_PAIRED.items()},
+    **{name: (build, [(kappa, rho) for rho in rhos])
+       for name, (build, kappa, rhos) in _BANDED_WINDOWS.items()},
+}
 
-    @pytest.mark.parametrize("box,mass,offset", sorted(_QWZ_PAIRED))
-    def test_counts_and_gap_match_eigvalsh(self, box, mass, offset):
-        model = build_qwz_model(box, mass, offset)
-        for kappa, rho in _QWZ_PAIRED[box, mass, offset]:
+
+class TestSylvesterRoute:
+    """Each window on the route certified_inertia picks for it: a certified
+    gap and Sylvester counts off the band, one eigensolve on it."""
+
+    @pytest.mark.parametrize("case", sorted(_PAIRED_WINDOWS))
+    def test_counts_and_gap_match_eigvalsh(self, case):
+        build, pairs = _PAIRED_WINDOWS[case]
+        model = build()
+        banded = model.kind != "qwz"
+        for kappa, rho in pairs:
             res = pairing(model, LocaliserParams(kappa, rho), certificates=False)
-            detail = res.certificate("truncated_gap").detail
-            assert detail.endswith("(%s)" % core.SPARSE_GAP_ROUTE)
+            route = "banded eigensolve, bandwidth 1" if banded else core.SPARSE_GAP_ROUTE
+            assert res.certificate("truncated_gap").detail.endswith("(%s)" % route)
             w = np.linalg.eigvalsh(model.window(rho).localiser(kappa).toarray())
             tol = res.certificate("invertibility").bound
-            assert tol >= core.ZERO_TOL_FACTOR * float(np.max(np.abs(w)))  # Weyl
+            norm = float(np.max(np.abs(w)))
+            assert tol >= core.ZERO_TOL_FACTOR * norm  # Weyl
             got = res.inertia
             assert (got.n_pos, got.n_neg, got.n_zero) == core.eigenvalue_counts(w, tol)
             dense = float(np.min(np.abs(w)))
-            assert dense - 1e-9 * max(dense, 1.0) <= res.truncated_gap <= dense
+            if banded:
+                assert abs(res.truncated_gap - dense) <= 1e-12 * norm
+            else:
+                assert dense - 1e-9 * max(dense, 1.0) <= res.truncated_gap <= dense
 
     @pytest.mark.parametrize("route", ["_inertia_sylvester", "_inertia_second"])
     def test_flipped_count_from_either_route_is_caught(self, qwz9, monkeypatch, route):
@@ -433,7 +448,7 @@ class TestSylvesterRoute:
         oracle = oracle_pairing(model)
         monkeypatch.setattr(core, "DENSE_DIM_LIMIT", window.dim - 1)
         with pytest.raises(ValidationError, match="dense limit"):
-            core.hermitian_eigenvalues(window.localiser(params.kappa), window.eigen_route)
+            core.hermitian_eigenvalues(window.localiser(params.kappa))
         res = pairing_even(model, params)
         assert res.pairing == oracle
         assert res.dim_trunc > core.DENSE_DIM_LIMIT
