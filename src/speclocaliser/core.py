@@ -9,13 +9,15 @@ its route from the matrix itself: zhbevd for sparse input whose reverse
 Cuthill-McKee bandwidth is small (BAND_POWER), eigvalsh for the rest.
 Counts come from Sylvester's law of inertia on a sparse symmetric LU
 (SuperLU, diagonal pivots, one of two ORDERINGS), which declines when a
-pivot leaves the diagonal or vanishes.  Every inertia is read by two
-independent routes whose count triples must agree exactly, or
-:class:`~speclocaliser.errors.BackendDisagreement` is raised: ``inertia``
-checks the eigenvalues its caller holds against LU counts (a declined LU
-is retried in the second ordering), and ``certified_inertia``, which makes
-the whole choice for a truncated block, checks either its banded
-eigenvalues that way or, with no eigensolve, the counts that confirm
+pivot leaves the diagonal or vanishes; matrices that share one sparse
+pattern (the samples of a spectral-flow walk) share one pattern counter,
+which computes the first ordering once and factors each in it.  Every
+inertia is read by two independent routes whose count triples must agree
+exactly, or :class:`~speclocaliser.errors.BackendDisagreement` is raised:
+``inertia`` checks the eigenvalues its caller holds against LU counts (a
+declined LU is retried in the second ordering), and ``certified_inertia``,
+which makes the whole choice for a truncated block, checks either its
+banded eigenvalues that way or, with no eigensolve, the counts that confirm
 ``certified_gap``'s bound against LUs in the second ordering.
 
 Model operators (D, K and D's eigenvectors) are stored sparse, as
@@ -54,6 +56,7 @@ __all__ = [
     "as_matrix",
     "hermitian_csr",
     "hermitian_eigenvalues",
+    "hermitian_matrix",
     "max_abs_entry",
     "eigenvalue_counts",
     "inertia",
@@ -166,21 +169,35 @@ def hermitian_csr(m) -> CsrOperator:
     return m
 
 
-def _band_order(a) -> tuple[np.ndarray, int] | None:
-    """(position, bandwidth) of a sparse a whose reverse Cuthill-McKee
-    bandwidth b, read off its stored pattern, has b**BAND_POWER <= dim, where
-    position[i] is row i's place in that order; None for any other input.
+def _nonzero_entries(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of the nonzero stored entries of a CSR a.
 
-    The diagonal is added to the pattern: whether a zero diagonal entry is
-    stored would otherwise change its row's degree, and with it the order."""
+    Stored zeros are masked out, so that the band order and the band it
+    orders read one pattern."""
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    nonzero = a.data != 0
+    return rows[nonzero], a.indices[nonzero], a.data[nonzero]
+
+
+def _band_order(a) -> tuple[np.ndarray, int] | None:
+    """(position, bandwidth) of a sparse (CSR) a whose reverse Cuthill-McKee
+    bandwidth b, read off its nonzero pattern, has b**BAND_POWER <= dim,
+    where position[i] is row i's place in that order; None for any other input.
+
+    The order is read off the off-diagonal nonzeros: scipy's RCM counts a
+    stored diagonal entry in its row's degree, so whether a (zero) diagonal
+    entry is stored would otherwise change the order."""
     if not sp.issparse(a):
         return None
     from scipy.sparse.csgraph import reverse_cuthill_mckee  # deferred: loads sparse.linalg
-    p = sp.csr_matrix(abs(a) + sp.eye_array(a.shape[0]))
-    position = np.argsort(reverse_cuthill_mckee(p, symmetric_mode=True))
-    c = p.tocoo()
-    bandwidth = int(np.max(np.abs(position[c.row] - position[c.col])))
-    return (position, bandwidth) if bandwidth**BAND_POWER <= a.shape[0] else None
+    n = a.shape[0]
+    rows, cols, _ = _nonzero_entries(a)
+    off = rows != cols
+    indptr = np.searchsorted(rows[off], np.arange(n + 1))
+    graph = sp.csr_array((np.ones(np.count_nonzero(off)), cols[off], indptr), shape=a.shape)
+    position = np.argsort(reverse_cuthill_mckee(graph, symmetric_mode=True))
+    bandwidth = int(np.max(np.abs(position[rows] - position[cols]), initial=0))
+    return (position, bandwidth) if bandwidth**BAND_POWER <= n else None
 
 
 def _eigensolve(a, order) -> np.ndarray:
@@ -191,12 +208,23 @@ def _eigensolve(a, order) -> np.ndarray:
     if order is None:
         return np.linalg.eigvalsh(a.toarray() if sp.issparse(a) else a)
     position, bandwidth = order
-    c = a.tocoo()
-    rows, cols = position[c.row], position[c.col]
+    rows, cols, values = _nonzero_entries(a)
+    rows, cols = position[rows], position[cols]
     upper = rows <= cols
     band = np.zeros((bandwidth + 1, a.shape[0]), dtype=np.complex128)
-    band[bandwidth + rows[upper] - cols[upper], cols[upper]] = c.data[upper]
+    band[bandwidth + rows[upper] - cols[upper], cols[upper]] = values[upper]
     return sla.eigvals_banded(band, lower=False, check_finite=False)
+
+
+def hermitian_matrix(a):
+    """The eigenvalue kernel's validated copy of a Hermitian matrix:
+    hermitian_csr's for sparse input, as_matrix's, checked Hermitian, for
+    dense input."""
+    if sp.issparse(a):
+        return hermitian_csr(a)
+    a = as_matrix(a)
+    _check_hermitian(a)
+    return a
 
 
 def hermitian_eigenvalues(a) -> np.ndarray:
@@ -208,11 +236,7 @@ def hermitian_eigenvalues(a) -> np.ndarray:
     stored entries.  Sparse input narrow enough for _band_order goes to
     LAPACK's zhbevd in that order, any other is densified for eigvalsh.
     """
-    if sp.issparse(a):
-        a = hermitian_csr(a)
-    else:
-        a = as_matrix(a)
-        _check_hermitian(a)
+    a = hermitian_matrix(a)
     return _eigensolve(a, _band_order(a))
 
 
@@ -255,6 +279,21 @@ def _symmetric_lu(a: sp.sparray, ordering: str = ORDERINGS[0]):
     return lu, np.sign(pivots)
 
 
+def _sylvester_counts(shifted, n: int, zero_tol: float, ordering: str):
+    """Inertia from sparse LUs of shifted(zero_tol) and shifted(-zero_tol),
+    the n-row matrix less that multiple of I, in one SuperLU ordering (n_pos
+    from the first, n_neg from the second); None on a decline."""
+    signs = []
+    for shift in (zero_tol, -zero_tol) if zero_tol else (0.0,):
+        factored = _symmetric_lu(shifted(shift), ordering)
+        if factored is None:
+            return None
+        signs.append(factored[1])
+    n_pos = int(np.sum(signs[0] > 0))
+    n_neg = int(np.sum(signs[-1] < 0))
+    return n_pos, n_neg, n - n_pos - n_neg
+
+
 def _inertia_sylvester(a, zero_tol: float, ordering=ORDERINGS[0]) -> tuple[int, int, int] | None:
     """Inertia from sparse LUs of a -/+ zero_tol*I in one SuperLU ordering
     (n_pos from the first, n_neg from the second); None on a decline.
@@ -264,17 +303,57 @@ def _inertia_sylvester(a, zero_tol: float, ordering=ORDERINGS[0]) -> tuple[int, 
     """
     m = sp.csc_array(a, dtype=np.complex128, copy=True)
     d = m.diagonal()
-    signs = []
-    for shift in (zero_tol, -zero_tol) if zero_tol else (0.0,):
+
+    def shifted(shift):
         if shift:
             m.setdiag(d - shift)
-        factored = _symmetric_lu(m, ordering)
-        if factored is None:
-            return None
-        signs.append(factored[1])
-    n_pos = int(np.sum(signs[0] > 0))
-    n_neg = int(np.sum(signs[-1] < 0))
-    return n_pos, n_neg, m.shape[0] - n_pos - n_neg
+        return m
+
+    return _sylvester_counts(shifted, m.shape[0], zero_tol, ordering)
+
+
+def _pattern_counter(pattern: sp.csc_array):
+    """Sylvester counts of the Hermitian matrices stored on one pattern.
+
+    pattern is a canonical CSC array that stores its full diagonal.  The
+    fill-reducing symmetric order (ORDERINGS[0]) is computed once, from the
+    structure alone, and the pattern is permuted into it; the returned
+    count(data, zero_tol) takes the values of a matrix on pattern, writes
+    them and their shifted diagonal into the permuted copy and factors it in
+    NATURAL order, giving _inertia_sylvester's triple, or None on a decline.
+    """
+    import scipy.sparse.linalg as spla  # deferred: only factorizations load SuperLU
+
+    n = pattern.shape[0]
+    cols = np.repeat(np.arange(n), np.diff(pattern.indptr))
+    rows = pattern.indices
+    # a strictly diagonally dominant matrix on the pattern factors with
+    # diagonal pivots, so SuperLU returns the order of the structure alone
+    values = np.where(rows == cols, float(n), 1.0)
+    order = spla.splu(
+        sp.csc_array((values, rows, pattern.indptr), shape=pattern.shape),
+        permc_spec=ORDERINGS[0], diag_pivot_thresh=0.0, options={"SymmetricMode": True},
+    ).perm_c
+    rows, cols = order[rows], order[cols]
+    src = np.lexsort((rows, cols))  # stored entries in the permuted CSC order
+    rows, cols = rows[src], cols[src]
+    indices = rows.astype(pattern.indices.dtype)
+    indptr = np.searchsorted(cols, np.arange(n + 1)).astype(pattern.indptr.dtype)
+    diag = np.flatnonzero(rows == cols)
+
+    def count(data: np.ndarray, zero_tol: float) -> tuple[int, int, int] | None:
+        m = sp.csc_array((np.asarray(data, dtype=np.complex128)[src], indices, indptr),
+                         shape=pattern.shape)
+        d = m.data[diag]
+
+        def shifted(shift):
+            if shift:
+                m.data[diag] = d - shift
+            return m
+
+        return _sylvester_counts(shifted, n, zero_tol, "NATURAL")
+
+    return count
 
 
 # the second count route, bound here so that it stays independent of the first

@@ -3,14 +3,16 @@
 Spectral flow is computed two ways from one walk, and callers cross-check
 them: by accumulating per-interval changes of the positive eigenvalue count
 along the path, and from the endpoint signatures (half their difference),
-read off the walk's first and last samples: the only two it diagonalises
-unless traced, each inertia-checked against its own Sylvester counts.
-Branches are matched between samples by inertia counts (Sylvester's law on
-sparse LUs, except at the two ends), not eigenvector continuity; a sample
-with an eigenvalue inside the zero tolerance is replaced by clean samples
-bisected toward its clean neighbours, and an eigenvalue that cannot be
-separated from zero raises RefinementLimit rather than being counted either
-way.
+read off the walk's first and last samples.  Every sample is counted, not
+diagonalised: Sylvester's law on sparse LUs at -/+eps, with the
+fill-reducing order computed once per sample pattern of the walk; the two
+ends are validated as Hermitian and their counts checked against LUs in a
+second ordering, and only a traced walk diagonalises (its whole grid).
+Branches are matched between samples by these counts, not eigenvector
+continuity; a sample with an eigenvalue inside the zero tolerance is
+replaced by clean samples bisected toward its clean neighbours, and an
+eigenvalue that cannot be separated from zero raises RefinementLimit rather
+than being counted either way.
 
 The suspension path interpolates the window localiser's K-part between a
 trivial reference (-Gamma for even models, the identity for odd ones) and
@@ -29,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import core
-from .core import eigenvalue_counts, hermitian_eigenvalues, inertia
+from .core import eigenvalue_counts, hermitian_eigenvalues, hermitian_matrix
 from .errors import (
     BackendDisagreement,
     DimensionMismatch,
@@ -150,38 +152,65 @@ def _sample(path: OperatorPath, t: float, dim: int) -> np.ndarray:
     return m
 
 
+def _on_pattern(m) -> tuple[tuple[bytes, bytes], sp.csc_array]:
+    """m as a canonical CSC array that stores its full diagonal, the form the
+    pattern counters read, and its pattern as a key.  A dense m is stored on
+    its nonzeros; a suspension sample already has that form and is not copied."""
+    n = m.shape[0]
+    c = sp.csc_array(m, dtype=np.complex128)
+    c.sum_duplicates()
+    cols = np.repeat(np.arange(n), np.diff(c.indptr))
+    if np.count_nonzero(c.indices == cols) < n:
+        # explicit zeros on the missing diagonal; COO->CSC keeps them
+        c = sp.csc_array((np.concatenate([c.data, np.zeros(n)]),
+                          (np.concatenate([c.indices, np.arange(n)]),
+                           np.concatenate([cols, np.arange(n)]))), shape=m.shape)
+    return (c.indptr.tobytes(), c.indices.tobytes()), c
+
+
 def sf_crossings(path: OperatorPath, trace: bool = False) -> SpectralFlowResult:
     """Crossing-counted spectral flow along the path, and its endpoint value.
 
     For any continuous path the crossing count equals the endpoint value,
-    half the signature difference of the end samples at core.ZERO_TOL_FACTOR
-    times the larger end norm; the crossing ledger localizes where the
-    positive count changes.  Interior samples with an eigenvalue inside the
-    tolerance (1e-6 times the larger end norm) are replaced by clean samples
-    found by bisecting toward their clean neighbours; failure to find one
-    within _MAX_DEPTH steps raises RefinementLimit.  The end samples are
-    validated and diagonalised by hermitian_eigenvalues, each on the route
-    it picks, and their signatures are inertia-checked; the rest are
-    trusted Hermitian and counted by Sylvester's law, and a traced walk
-    requires their grid eigenvalues to agree (BackendDisagreement).
+    half the signature difference of the end samples; the crossing ledger
+    localizes where the positive count changes.  Every sample is counted by
+    Sylvester's law on sparse LUs at -/+eps, eps = 1e-6 times the larger
+    max-absolute-row-sum of the two ends (a bound on both spectral radii),
+    with one pattern counter (one fill-reducing order) per sample pattern of
+    the walk; a sample whose LU declines is counted from its eigenvalues
+    (fallbacks).  Interior samples with an eigenvalue inside eps are
+    replaced by clean samples found by bisecting toward their clean
+    neighbours; failure to find one within _MAX_DEPTH steps raises
+    RefinementLimit, and an end with one raises SingularMatrix.  The end
+    samples are validated as Hermitian, and each end's counts are checked
+    against LUs at -/+ core.ZERO_TOL_FACTOR times that bound in the second
+    SuperLU ordering (BackendDisagreement); the rest are trusted Hermitian.
+    Only a traced walk diagonalises, every grid sample by
+    hermitian_eigenvalues, and requires their counts to agree.
     """
     grid = path.grid
     first = path.sample(grid[0])
-    w_first = hermitian_eigenvalues(first)
+    hermitian_matrix(first)
     dim = first.shape[0]
     last = _sample(path, grid[-1], dim)
-    w_last = hermitian_eigenvalues(last)
-    scale = max(float(np.max(np.abs(w_first))), float(np.max(np.abs(w_last))), 1e-300)
+    hermitian_matrix(last)
+    # the larger max-absolute-row-sum of the ends bounds both spectral radii
+    scale = max(1e-300, *(float(np.max(abs(m).sum(axis=1))) for m in (first, last)))
     eps = 1e-6 * scale
     fallbacks = 0
+    counters = {}  # pattern key -> its counter, for this walk only
 
-    def counts(m, w=None):
-        # Sylvester counts at +/-eps; eigenvalues on a decline; checked against w
+    def counts(sample, w=None):
+        # Sylvester counts at +/-eps of an _on_pattern sample; eigenvalues on
+        # a decline; checked against w
         nonlocal fallbacks
-        got = core._inertia_sylvester(m, eps)
+        key, c = sample
+        if key not in counters:
+            counters[key] = core._pattern_counter(c)
+        got = counters[key](c.data, eps)
         if got is None:
             fallbacks += 1
-            w = hermitian_eigenvalues(m) if w is None else w
+            w = hermitian_eigenvalues(c) if w is None else w
             return eigenvalue_counts(w, eps)
         if w is not None and eigenvalue_counts(w, eps) != got:
             raise BackendDisagreement(eigenvalue_counts(w, eps), got, eps)
@@ -190,19 +219,18 @@ def sf_crossings(path: OperatorPath, trace: bool = False) -> SpectralFlowResult:
     # one pass over the grid: counts of every sample, plus the increment
     # norms of the continuity screen (a step whose increment dwarfs the rest
     # signals a discontinuous evaluator, for which crossing counts are
-    # meaningless)
-    rows, status, steps, prev = [w_first], [], [], first
-    for t in grid[1:]:
-        cur = _sample(path, t, dim) if t < grid[-1] else last
-        diff = cur - prev
-        steps.append(np.linalg.norm(diff.data if sp.issparse(diff) else diff))
-        if t < grid[-1]:
-            rows.append(hermitian_eigenvalues(cur) if trace else None)
-            status.append(counts(cur, rows[-1]))
+    # meaningless); consecutive samples on one pattern differ in their data
+    rows, status, steps, prev = [], [], [], None
+    for i, t in enumerate(grid):
+        m = first if i == 0 else last if i == len(grid) - 1 else _sample(path, t, dim)
+        cur = _on_pattern(m)
+        if prev is not None:
+            diff = cur[1].data - prev[1].data if cur[0] == prev[0] else (cur[1] - prev[1]).data
+            steps.append(np.linalg.norm(diff))
+        if trace:
+            rows.append(hermitian_eigenvalues(m))
+        status.append(counts(cur, rows[-1] if trace else None))
         prev = cur
-    rows.append(w_last)
-    status = ([eigenvalue_counts(rows[0], eps)] + status
-              + [eigenvalue_counts(rows[-1], eps)])
     slopes = np.divide(steps, np.diff(grid))
     top, typical = float(np.max(slopes)), float(np.median(slopes))
     if typical > 0 and top > 100.0 * typical:
@@ -227,7 +255,7 @@ def sf_crossings(path: OperatorPath, trace: bool = False) -> SpectralFlowResult:
         for lo, hi, towards_left in ((clean[-1][0], t, True), (t, float(grid[i + 1]), False)):
             for _ in range(_MAX_DEPTH):
                 mid = 0.5 * (lo + hi)
-                npos_m, _, nzero_m = counts(_sample(path, mid, dim))
+                npos_m, _, nzero_m = counts(_on_pattern(_sample(path, mid, dim)))
                 evaluations += 1
                 if not nzero_m:
                     clean.append((mid, npos_m))
@@ -243,9 +271,16 @@ def sf_crossings(path: OperatorPath, trace: bool = False) -> SpectralFlowResult:
     crossings = [
         (ta, tb, nb - na) for (ta, na), (tb, nb) in zip(clean, clean[1:]) if nb != na
     ]
-    # both ends are clean at eps, so neither has an eigenvalue within tol < eps
+    # both ends are clean at eps, so their counts at tol < eps must be the
+    # same; the second route reads them in the other ordering (or, should
+    # that LU decline, from the end's eigenvalues)
     tol = core.ZERO_TOL_FACTOR * scale
-    ends = inertia(last, w_last, tol).signature - inertia(first, w_first, tol).signature
+    for end, got in ((first, status[0]), (last, status[-1])):
+        second = (core._inertia_second(end, tol)
+                  or eigenvalue_counts(hermitian_eigenvalues(end), tol))
+        if second != got:
+            raise BackendDisagreement(got, second, tol)
+    ends = (status[-1][0] - status[-1][1]) - (status[0][0] - status[0][1])
     if ends % 2:
         raise IntegerityViolation("signature difference %d is odd" % ends)
     return SpectralFlowResult(
@@ -257,6 +292,13 @@ def sf_crossings(path: OperatorPath, trace: bool = False) -> SpectralFlowResult:
 
 # ---------------------------------------------------------------------------
 # suspension paths
+
+
+def _csc_keys(m: sp.csc_array) -> np.ndarray:
+    # position of every stored entry in column-major order, the sort order of
+    # a canonical CSC array
+    n = m.shape[0]
+    return np.repeat(np.arange(n, dtype=np.int64), np.diff(m.indptr)) * n + m.indices
 
 
 def suspension(
@@ -274,15 +316,42 @@ def suspension(
     (even) or the trivial odd localiser with G = identity (odd) at t=-1,
     and at t=+1 the truncated localiser that ``pairing`` reads.  kappa D,
     K_W and T_W are laid out by ``Window.assemble``, as the window localiser
-    is; every sample is sparse.
+    is.  Every sample is a CSC array on one of at most four fixed layouts,
+    one per support set (K_W where chi_plus != 0, T_W where chi_minus != 0,
+    kappa D and the full diagonal always): its values are computed on the
+    layout with numpy alone, equal to the entries of the sparse sum
+    kappa D + (chi_plus K_W + chi_minus T_W).
     """
     chi.validate()
     window = model.window(rho)
     ref = sp.eye_array(window.dim, dtype=complex) if window.odd else -window.gamma_part
     base = window.assemble(kappa, sp.csr_array(window.k_part.shape))
-    k_w, t_w = (window.assemble(0.0, part) for part in (window.k_part, ref))
+    parts = [sp.csc_array(window.assemble(0.0, part)) for part in (window.k_part, ref)]
+    parts = [sp.csc_array(base)] + parts
+    for part in parts:
+        part.sum_duplicates()
+    n = base.shape[0]
+    keys = [_csc_keys(part) for part in parts]
+    layouts = {}  # support set -> (indices, indptr, values of each part on the layout)
+
+    def layout(support):
+        used = [True, *support]
+        union = np.unique(np.concatenate(
+            [np.arange(n, dtype=np.int64) * (n + 1)] + [k for k, on in zip(keys, used) if on]
+        ))
+        values = np.zeros((3, union.size), dtype=np.complex128)
+        for row, part, k, on in zip(values, parts, keys, used):
+            if on:
+                row[np.searchsorted(union, k)] = part.data
+        indptr = np.searchsorted(union // n, np.arange(n + 1))
+        return (union % n).astype(np.int32), indptr.astype(np.int32), values
 
     def evaluate(t):
-        return base + (chi.plus(t) * k_w + chi.minus(t) * t_w)
+        plus, minus = chi.plus(t), chi.minus(t)
+        support = (plus != 0, minus != 0)
+        if support not in layouts:
+            layouts[support] = layout(support)
+        indices, indptr, (b, k, r) = layouts[support]
+        return sp.csc_array((b + (plus * k + minus * r), indices, indptr), shape=(n, n))
 
     return OperatorPath(evaluate=evaluate, grid=np.linspace(-1.0, 1.0, num))

@@ -491,28 +491,25 @@ def build_circle_model(modes: int, symbol, offset: float = 0.0) -> ModelInstance
 
 
 def qwz_bloch(mass: float):
-    """Momentum-space two-band Hamiltonian h(k1, k2) as a callable."""
+    """Momentum-space two-band Hamiltonian h(k1, k2) as a callable.
 
-    def h(k1: float, k2: float) -> np.ndarray:
-        return (
-            math.sin(k1) * sx
-            + math.sin(k2) * sy
-            + (mass + math.cos(k1) + math.cos(k2)) * sz
-        )
+    It broadcasts: momenta of any (common) array shape give the stack of
+    2x2 matrices over that shape."""
+
+    def h(k1, k2) -> np.ndarray:
+        s1, s2, z = (np.asarray(x)[..., None, None]
+                     for x in (np.sin(k1), np.sin(k2), mass + np.cos(k1) + np.cos(k2)))
+        return s1 * sx + s2 * sy + z * sz
 
     return h
 
 
-def _qwz_dvec_norms(mass: float, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
-    c1, c2 = np.cos(k1), np.cos(k2)
-    return np.sqrt(np.sin(k1) ** 2 + np.sin(k2) ** 2 + (mass + c1 + c2) ** 2)
-
-
 def _qwz_grid_norms(mass: float, grid: int) -> np.ndarray:
-    """|d(k)| on the uniform grid x grid momenta (the bands sit at +/-|d(k)|)."""
+    """|d(k)| on the uniform grid x grid momenta (the bands sit at +/-|d(k)|),
+    from one row of sines and cosines broadcast over the grid."""
     ks = 2.0 * np.pi * np.arange(grid) / grid
-    k1, k2 = np.meshgrid(ks, ks, indexing="ij")
-    return _qwz_dvec_norms(mass, k1, k2)
+    s, c = np.sin(ks), np.cos(ks)
+    return np.sqrt(s[:, None] ** 2 + s[None, :] ** 2 + (mass + c[:, None] + c[None, :]) ** 2)
 
 
 def qwz_bloch_gap(mass: float, grid: int = 512) -> float:

@@ -91,13 +91,16 @@ def winding_number(symbol, grid: int = 4096) -> int:
 def chern_number_fhs(bloch, grid: int = 48) -> int:
     """Occupied(lower)-band Chern number via plaquette field strengths.
 
-    bloch: callable (k1, k2) -> Hermitian 2x2 matrix.  Link variables are
+    bloch: callable (k1, k2) -> Hermitian 2x2 matrix, called once on the
+    (grid, grid) momentum arrays; it must broadcast over them (a stack of
+    shape (grid, grid, 2, 2)) or return one matrix for every k.  Link variables are
     overlaps of lower-band eigenvectors at neighbouring grid momenta; the
     plaquette phase sum is quantized on any grid fine enough to resolve the
     gap.  Raises GapClosure if the bands touch on the grid.
     """
     ks = 2.0 * np.pi * np.arange(grid) / grid
-    h = np.array([[bloch(k1, k2) for k2 in ks] for k1 in ks], dtype=complex)
+    k1, k2 = np.meshgrid(ks, ks, indexing="ij")
+    h = np.broadcast_to(np.asarray(bloch(k1, k2), dtype=complex), (grid, grid, 2, 2))
     w, v = np.linalg.eigh(h)  # one stacked call over the (grid, grid, 2, 2) array
     touching = np.argwhere(w[..., 1] - w[..., 0] < 1e-8)
     if touching.size:

@@ -310,6 +310,23 @@ class TestEigenvalueKernel:
         assert zhbevd.call_count == 1
         assert np.max(np.abs(got - dense)) <= 1e-12 * max(float(np.max(np.abs(dense))), 1.0)
 
+    def test_stored_zeros_outside_the_band_are_ignored(self, monkeypatch):
+        # a tridiagonal matrix that also stores zeros at (0, 39) and (39, 0):
+        # the band order and the band both read the nonzero pattern, so the
+        # corner zeros neither widen the band nor fall outside it
+        n = 40
+        tri = sp.diags_array([np.ones(n - 1), np.arange(n, dtype=float), np.ones(n - 1)],
+                             offsets=[-1, 0, 1]).tocoo()
+        m = sp.csr_array((np.concatenate([tri.data, [0.0, 0.0]]),
+                          (np.concatenate([tri.row, [0, n - 1]]),
+                           np.concatenate([tri.col, [n - 1, 0]]))), shape=(n, n))
+        assert m.nnz == tri.nnz + 2
+        assert core._band_order(m)[1] == core._band_order(sp.csr_array(tri))[1] == 1
+        calls = banded_spy(monkeypatch)
+        got = hermitian_eigenvalues(m)
+        assert calls == [(2, n)]
+        assert_allclose(got, np.linalg.eigvalsh(m.toarray()), rtol=0, atol=1e-12)
+
     def test_qwz_window_takes_the_dense_route(self, monkeypatch):
         loc = build_qwz_model(box=10, mass=1.0).window(5.5).localiser(1.0)
         assert loc.shape[0] == 352 and core._band_order(loc) is None

@@ -226,7 +226,7 @@ _SYLVESTER_PARITY_CASES = {
 def _eigenvalue_walk(monkeypatch, path):
     # every LU declines, so every sample is counted from its eigenvalues
     with monkeypatch.context() as patch:
-        patch.setattr(core, "_inertia_sylvester", lambda a, zero_tol: None)
+        patch.setattr(core, "_pattern_counter", lambda pattern: lambda data, zero_tol: None)
         return sf_crossings(path)
 
 
@@ -240,25 +240,55 @@ def test_sylvester_walk_matches_eigenvalue_walk(case, chi, monkeypatch):
         eig.value, eig.endpoints, eig.crossings, eig.samples,
     )
     assert flow.fallbacks == 0
-    assert eig.fallbacks == eig.samples - 2  # all but the two end samples
+    assert eig.fallbacks == eig.samples  # the two ends are counted too
 
 
-def test_untraced_walk_diagonalises_only_its_ends(qwz9, monkeypatch):
+def test_untraced_walk_diagonalises_no_sample(qwz9, monkeypatch):
     calls = []
-    kernel = core.hermitian_eigenvalues
+    kernel, solve = core.hermitian_eigenvalues, core._eigensolve
 
     def counted(a):
         calls.append(a.shape[0])
         return kernel(a)
 
+    def solved(a, order):
+        calls.append(a.shape[0])
+        return solve(a, order)
+
     susp = suspension(qwz9, 1.0, 6.5)
     monkeypatch.setattr(core, "hermitian_eigenvalues", counted)
     monkeypatch.setattr(flow_module, "hermitian_eigenvalues", counted)
+    monkeypatch.setattr(core, "_eigensolve", solved)
     res = sf_crossings(susp)
     assert res.samples == len(susp.grid) and res.trace is None
-    assert len(calls) == 2
-    calls.clear()
-    assert sf_crossings(susp, trace=True).trace.shape[0] == len(calls) == len(susp.grid)
+    assert calls == []
+    assert sf_crossings(susp, trace=True).trace.shape[0] == len(susp.grid)
+    # each grid sample once through the kernel, and once through its solve
+    assert len(calls) == 2 * len(susp.grid)
+
+
+def _counter_spy(monkeypatch, alter):
+    """Patch the walk's pattern counters so that call i (from 1, over every
+    counter of the walk) returns alter(i, counts)."""
+    make, calls = core._pattern_counter, []
+
+    def spied(pattern):
+        count = make(pattern)
+
+        def altered(data, zero_tol):
+            calls.append(None)
+            return alter(len(calls), count(data, zero_tol))
+
+        return altered
+
+    monkeypatch.setattr(core, "_pattern_counter", spied)
+    return calls
+
+
+def _flip(counts):
+    # one eigenvalue miscounted as positive
+    n_pos, n_neg, n_zero = counts
+    return n_pos + 1, n_neg - 1, n_zero
 
 
 def test_flipped_interior_count_is_caught_by_trace_and_leaves_value(qwz9, monkeypatch):
@@ -267,19 +297,9 @@ def test_flipped_interior_count_is_caught_by_trace_and_leaves_value(qwz9, monkey
     # crossing pair to the ledger while value still telescopes to the end counts
     susp = suspension(qwz9, 1.0, 6.5, num=17)
     honest = sf_crossings(susp)
-    lu_counts = core._inertia_sylvester
-    calls = []
-
-    def flipped(a, zero_tol):
-        n_pos, n_neg, n_zero = lu_counts(a, zero_tol)
-        calls.append(None)
-        # grid sample 8 of 0..16 is the walk's 8th Sylvester sample, one
-        # call counting its LUs at -eps (n_pos) and +eps (n_neg)
-        if len(calls) == 8:
-            n_pos, n_neg = n_pos + 1, n_neg - 1
-        return n_pos, n_neg, n_zero
-
-    monkeypatch.setattr(core, "_inertia_sylvester", flipped)
+    # grid sample 8 of 0..16 is the walk's 9th count, one counter call
+    # counting its LUs at -eps (n_pos) and +eps (n_neg)
+    calls = _counter_spy(monkeypatch, lambda i, counts: _flip(counts) if i == 9 else counts)
     with pytest.raises(BackendDisagreement):
         sf_crossings(susp, trace=True)
     calls.clear()
@@ -288,6 +308,77 @@ def test_flipped_interior_count_is_caught_by_trace_and_leaves_value(qwz9, monkey
     assert mutant.crossings != honest.crossings
     assert len(mutant.crossings) == len(honest.crossings) + 2
     assert mutant.value == honest.value
+
+
+@pytest.mark.parametrize("end", ["start", "end"])
+@pytest.mark.parametrize("route", ["pattern", "second"])
+def test_flipped_end_count_is_caught(qwz9, monkeypatch, route, end):
+    # each end's counts are read twice, by its pattern counter at -/+eps and
+    # by LUs in the second ordering at -/+tol; a flip on either route raises
+    susp = suspension(qwz9, 1.0, 6.5, num=9)
+    sf_crossings(susp)
+    if route == "pattern":
+        # the walk counts its grid in order: the start first, the end last
+        hit = 1 if end == "start" else len(susp.grid)
+        _counter_spy(monkeypatch, lambda i, counts: _flip(counts) if i == hit else counts)
+    else:
+        second, calls = core._inertia_second, []
+
+        def flipped(a, zero_tol):
+            calls.append(None)
+            counts = second(a, zero_tol)
+            return _flip(counts) if len(calls) == (1 if end == "start" else 2) else counts
+
+        monkeypatch.setattr(core, "_inertia_second", flipped)
+    with pytest.raises(BackendDisagreement):
+        sf_crossings(susp)
+
+
+def _counter_cases():
+    circle, shift = build_circle_model(40, {0: 0.5, 1: 1.0}), build_weighted_shift_dirac(40, 1, 1)
+    rng = np.random.default_rng(7)
+    a, b = (rng.normal(size=(6, 6)) for _ in range(2))
+    line = line_path(a + a.T + 8 * np.eye(6), b + b.T - 8 * np.eye(6), num=9)
+    return {
+        "qwz9": suspension(build_qwz_model(9, 1.0), 1.0, 6.5, num=9),
+        "circle40": suspension(circle, 0.05, 30.5, num=9),
+        "shift40": suspension(shift, 0.1, 10.5, num=9),
+        "line": line,
+    }
+
+
+@pytest.mark.parametrize("case", ["qwz9", "circle40", "shift40", "line"])
+def test_pattern_counter_matches_lu_and_eigenvalue_counts(case):
+    path = _counter_cases()[case]
+    counters = {}
+    for t in path.grid:
+        m = path.sample(t)
+        key, c = flow_module._on_pattern(m)
+        count = counters.setdefault(key, core._pattern_counter(c))
+        w = np.linalg.eigvalsh(m.toarray() if sp.issparse(m) else m)
+        for eps in 1e-6 * float(np.max(np.abs(w))), 0.37 * float(np.max(np.abs(w))):
+            assert count(c.data, eps) == core._inertia_sylvester(m, eps) == (
+                core.eigenvalue_counts(w, eps)
+            )
+    # suspensions sample on one layout each for t < 0, t = 0 and t > 0; the
+    # shift model's -Gamma is diagonal in D's eigenbasis, so its first two
+    # coincide
+    assert len(counters) == {"qwz9": 3, "circle40": 3, "shift40": 2, "line": 1}[case]
+
+
+def test_zero_pivot_declines_into_a_counted_fallback():
+    # the shifted diagonal of the middle sample vanishes exactly, so its LU
+    # must leave the diagonal: the counter declines and the walk counts that
+    # sample from its eigenvalues
+    middle = np.array([[1e-6, 1.0], [1.0, 1e-6]])
+    assert core._pattern_counter(sp.csc_array(middle))(middle.ravel(), 1e-6) is None
+    path = OperatorPath(
+        evaluate=lambda t: np.eye(2) if t != 0.5 else middle, grid=[0.0, 0.5, 1.0]
+    )
+    res = sf_crossings(path)
+    assert res.fallbacks == 1
+    assert (res.value, res.endpoints) == (0, 0)
+    assert res.crossings == ((0.0, 0.5, -1), (0.5, 1.0, 1))
 
 
 class TestChiPairs:
