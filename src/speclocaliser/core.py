@@ -319,8 +319,8 @@ def _pattern_counter(pattern: sp.csc_array):
     fill-reducing symmetric order (ORDERINGS[0]) is computed once, from the
     structure alone, and the pattern is permuted into it; the returned
     count(data, zero_tol) takes the values of a matrix on pattern, writes
-    them and their shifted diagonal into the permuted copy and factors it in
-    NATURAL order, giving _inertia_sylvester's triple, or None on a decline.
+    them and their shifted diagonal into the one permuted copy and factors it
+    in NATURAL order, giving _inertia_sylvester's triple, or None on a decline.
     """
     import scipy.sparse.linalg as spla  # deferred: only factorizations load SuperLU
 
@@ -340,10 +340,11 @@ def _pattern_counter(pattern: sp.csc_array):
     indices = rows.astype(pattern.indices.dtype)
     indptr = np.searchsorted(cols, np.arange(n + 1)).astype(pattern.indptr.dtype)
     diag = np.flatnonzero(rows == cols)
+    m = sp.csc_array((np.zeros(src.size, dtype=np.complex128), indices, indptr),
+                     shape=pattern.shape)
 
     def count(data: np.ndarray, zero_tol: float) -> tuple[int, int, int] | None:
-        m = sp.csc_array((np.asarray(data, dtype=np.complex128)[src], indices, indptr),
-                         shape=pattern.shape)
+        m.data[:] = np.asarray(data)[src]
         d = m.data[diag]
 
         def shifted(shift):

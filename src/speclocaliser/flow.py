@@ -325,12 +325,11 @@ def suspension(
     chi.validate()
     window = model.window(rho)
     ref = sp.eye_array(window.dim, dtype=complex) if window.odd else -window.gamma_part
-    base = window.assemble(kappa, sp.csr_array(window.k_part.shape))
-    parts = [sp.csc_array(window.assemble(0.0, part)) for part in (window.k_part, ref)]
-    parts = [sp.csc_array(base)] + parts
+    parts = [sp.csc_array(window.assemble(kappa, sp.csr_array(window.k_part.shape)))]
+    parts += [sp.csc_array(window.assemble(0.0, part)) for part in (window.k_part, ref)]
     for part in parts:
         part.sum_duplicates()
-    n = base.shape[0]
+    n = parts[0].shape[0]
     keys = [_csc_keys(part) for part in parts]
     layouts = {}  # support set -> (indices, indptr, values of each part on the layout)
 

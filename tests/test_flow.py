@@ -334,36 +334,34 @@ def test_flipped_end_count_is_caught(qwz9, monkeypatch, route, end):
         sf_crossings(susp)
 
 
-def _counter_cases():
-    circle, shift = build_circle_model(40, {0: 0.5, 1: 1.0}), build_weighted_shift_dirac(40, 1, 1)
-    rng = np.random.default_rng(7)
-    a, b = (rng.normal(size=(6, 6)) for _ in range(2))
-    line = line_path(a + a.T + 8 * np.eye(6), b + b.T - 8 * np.eye(6), num=9)
-    return {
-        "qwz9": suspension(build_qwz_model(9, 1.0), 1.0, 6.5, num=9),
-        "circle40": suspension(circle, 0.05, 30.5, num=9),
-        "shift40": suspension(shift, 0.1, 10.5, num=9),
-        "line": line,
-    }
+# (kappa, rho, layouts) of the pattern-counter suspensions on the fixture
+# models: one layout each for t < 0, t = 0 and t > 0, except that the shift
+# model's -Gamma is diagonal in D's eigenbasis, so its first two coincide
+_COUNTER_SUSPENSIONS = {"qwz9": (1.0, 6.5, 3), "circle40": (0.05, 30.5, 3), "shift40": (0.1, 10.5, 2)}
 
 
-@pytest.mark.parametrize("case", ["qwz9", "circle40", "shift40", "line"])
-def test_pattern_counter_matches_lu_and_eigenvalue_counts(case):
-    path = _counter_cases()[case]
+@pytest.mark.parametrize("case", [*_COUNTER_SUSPENSIONS, "line"])
+def test_pattern_counter_matches_lu_and_eigenvalue_counts(case, request):
+    if case == "line":
+        rng = np.random.default_rng(7)
+        a, b = (rng.normal(size=(6, 6)) for _ in range(2))
+        path, layouts = line_path(a + a.T + 8 * np.eye(6), b + b.T - 8 * np.eye(6), num=9), 1
+    else:
+        kappa, rho, layouts = _COUNTER_SUSPENSIONS[case]
+        path = suspension(request.getfixturevalue(case), kappa, rho, num=9)
     counters = {}
     for t in path.grid:
         m = path.sample(t)
         key, c = flow_module._on_pattern(m)
-        count = counters.setdefault(key, core._pattern_counter(c))
+        if key not in counters:
+            counters[key] = core._pattern_counter(c)
+        count = counters[key]
         w = np.linalg.eigvalsh(m.toarray() if sp.issparse(m) else m)
         for eps in 1e-6 * float(np.max(np.abs(w))), 0.37 * float(np.max(np.abs(w))):
             assert count(c.data, eps) == core._inertia_sylvester(m, eps) == (
                 core.eigenvalue_counts(w, eps)
             )
-    # suspensions sample on one layout each for t < 0, t = 0 and t > 0; the
-    # shift model's -Gamma is diagonal in D's eigenbasis, so its first two
-    # coincide
-    assert len(counters) == {"qwz9": 3, "circle40": 3, "shift40": 2, "line": 1}[case]
+    assert len(counters) == layouts
 
 
 def test_zero_pivot_declines_into_a_counted_fallback():
