@@ -7,18 +7,33 @@ its input (square, non-empty, finite, Hermitian within HERM_TOL_FACTOR, at
 most DENSE_DIM_LIMIT rows), sparse input on its stored entries, and picks
 its route from the matrix itself: zhbevd for sparse input whose reverse
 Cuthill-McKee bandwidth is small (BAND_POWER), eigvalsh for the rest.
-Counts come from Sylvester's law of inertia on a sparse symmetric LU
-(SuperLU, diagonal pivots, one of two ORDERINGS), which declines when a
-pivot leaves the diagonal or vanishes; matrices that share one sparse
-pattern (the samples of a spectral-flow walk) share one pattern counter,
-which computes the first ordering once and factors each in it.  Every
-inertia is read by two independent routes whose count triples must agree
-exactly, or :class:`~speclocaliser.errors.BackendDisagreement` is raised:
-``inertia`` checks the eigenvalues its caller holds against LU counts (a
-declined LU is retried in the second ordering), and ``certified_inertia``,
-which makes the whole choice for a truncated block, checks either its
-banded eigenvalues that way or, with no eigensolve, the counts that confirm
-``certified_gap``'s bound against LUs in the second ordering.
+
+One primitive counts, ``_Counter``: Sylvester's law of inertia on sparse
+symmetric LUs (SuperLU, diagonal pivots) of the matrices on one sparse
+pattern, in one of two ORDERINGS.  Its first LU finds the ordering, later
+thresholds (and a walk's later samples) factor the copy permuted into it,
+and a pivot that leaves the diagonal or vanishes is a decline.  The counts
+at t are the eigenvalues above t, below -t and in [-t, t].  Every count is
+read by two independent routes whose triples must agree exactly, or
+:class:`~speclocaliser.errors.BackendDisagreement` is raised
+(:class:`~speclocaliser.errors.FactorizationDeclined` when no LU is left):
+``inertia`` checks its caller's eigenvalues against the counts, retrying a
+declined LU in the second ordering; ``certified_inertia`` checks a
+truncated block's banded eigenvalues that way or, with no eigensolve, the
+counts that confirm a shift-invert Lanczos lower bound on its gap against
+the second ordering's; ``gap_counts`` decides a row ``gap >= b`` by counts
+in both orderings; a spectral-flow walk counts each sample on its
+pattern's counter and checks each end in the second ordering.  The count
+thresholds, with ||X||_1 the larger max-absolute-row-sum of a walk's ends
+(a bound on both spectral radii) and L_w the truncated window localiser:
+
+  walk samples (``eps``)       1e-6 ||X||_1                    flow.sf_crossings
+  walk end checks              1e-8 ||X||_1                    flow.sf_crossings
+  pairing ``zero_tol``         1e-8 (kappa max|D_w| + ||K||),  localiser.pairing
+                               a Weyl bound on ||L_w||
+  truncated gap confirmation   its Lanczos lower bound         certified_inertia
+  complement and regime gaps   b - 1e-9, b the row's bound     gap_counts
+  ``inertia`` by default       1e-8 max|eigenvalue|            inertia
 
 Model operators (D, K and D's eigenvectors) are stored sparse, as
 :class:`CsrOperator` arrays validated on their nonzeros by
@@ -26,15 +41,14 @@ Model operators (D, K and D's eigenvectors) are stored sparse, as
 capped at ``DENSE_DIM_LIMIT`` rows: the eigenvalue kernel's, the D
 eigensystem and K spectrum of a model without closed forms, and the inputs
 of the small-model oracles and flows.  ``commutator_norm`` (Lanczos on the
-Gram matrix of the masked commutator, an upper bound) and ``certified_gap``
-(shift-invert Lanczos on the LU, a lower bound confirmed by Sylvester
+Gram matrix of the masked commutator, an upper bound) and the truncated
+gap (shift-invert Lanczos on the LU, a lower bound confirmed by Sylvester
 counts) stay sparse, each padded by its residual in the safe direction.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 
 import numpy as np
@@ -61,7 +75,7 @@ __all__ = [
     "eigenvalue_counts",
     "inertia",
     "window_mask",
-    "certified_gap",
+    "gap_counts",
     "certified_inertia",
     "commutator_norm",
 ]
@@ -77,16 +91,15 @@ ZERO_TOL_FACTOR = 1e-8
 HERM_TOL_FACTOR = 1e-12
 EIG_SEP_TOL = 1e-6
 
-# certified_gap routes, named in the certificates they measure
+# the routes of certified_inertia, named in the truncated_gap certificate
 SPARSE_GAP_ROUTE = "sparse Lanczos, Sylvester-certified lower bound"
-DENSE_GAP_ROUTE = "dense eigvalsh fallback"
+DENSE_EIG_ROUTE = "dense eigvalsh"
 
 # a sparse matrix takes the banded eigenvalue route when its reverse
 # Cuthill-McKee bandwidth to the power BAND_POWER is at most its dimension:
 # bandwidth-1 circle and shift windows and the kappa D - Gamma end of a QWZ
 # suspension do, QWZ windows (bandwidth 27 and up) do not
 BAND_POWER = 2
-DENSE_EIG_ROUTE = "dense eigvalsh"
 
 # SuperLU column orderings of the two Sylvester count routes
 ORDERINGS = ("MMD_AT_PLUS_A", "COLAMD")
@@ -253,112 +266,91 @@ class Inertia:
         return self.n_pos - self.n_neg
 
 
-def _symmetric_lu(a: sp.sparray, ordering: str = ORDERINGS[0]):
-    """Sparse LU of a with symmetric ordering and diagonal pivots.
+def _on_pattern(m) -> sp.csc_array:
+    """m as a canonical complex CSC array that stores its full diagonal, the
+    form a _Counter reads; a dense m is stored on its nonzeros.  An m already
+    in that form (a suspension sample) is not copied."""
+    n = m.shape[0]
+    c = sp.csc_array(m, dtype=np.complex128)
+    c.sum_duplicates()
+    cols = np.repeat(np.arange(n), np.diff(c.indptr))
+    if np.count_nonzero(c.indices == cols) < n:
+        # explicit zeros on the missing diagonal; COO->CSC keeps them
+        c = sp.csc_array((np.concatenate([c.data, np.zeros(n)]),
+                          (np.concatenate([c.indices, np.arange(n)]),
+                           np.concatenate([cols, np.arange(n)]))), shape=m.shape)
+    return c
 
-    When every pivot stays on the diagonal (perm_r == perm_c), the factors
-    read P A P^T = L D L^* with D = diag(U), so by Sylvester's law the signs
-    of U's diagonal are the inertia of a.  Returns (lu, those signs), or
-    None (a decline) when a pivot left the diagonal or is zero, SuperLU's
-    exactly-singular error included.
+
+class _Counter:
+    """Sylvester counts of the Hermitian matrices on one sparse pattern, in
+    one SuperLU ordering.
+
+    a is read into an _on_pattern copy.  The first factorization is of a
+    itself, in the ordering, whose column order SuperLU computes from the
+    structure alone; the copy is then permuted into that order, and every
+    later one writes its values (a's, or data on a's _on_pattern layout) and
+    shifted diagonal there and factors in NATURAL order.  With diagonal
+    pivots (perm_r == perm_c) P A P^T = L D L^* with D = diag(U), so by
+    Sylvester's law the signs of U's diagonal are the inertia; a pivot off
+    the diagonal or a zero pivot (SuperLU's singular error too) is a decline.
     """
-    import scipy.sparse.linalg as spla  # deferred: only factorizations load SuperLU
 
-    try:
-        lu = spla.splu(
-            sp.csc_array(a), permc_spec=ordering, diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError as exc:
-        if "singular" not in str(exc):  # SuperLU: "Factor is exactly singular"
-            raise
-        return None
-    pivots = lu.U.diagonal().real
-    if not np.array_equal(lu.perm_r, lu.perm_c) or not np.all(pivots):
-        return None
-    return lu, np.sign(pivots)
+    def __init__(self, a, ordering: str = ORDERINGS[0]):
+        c = _on_pattern(a)
+        self.ordering, self.values, self.matrix, self.dim = ordering, c.data, c.copy(), c.shape[0]
+        self.src = None  # position in a's layout of each permuted entry
+        self.diag = np.flatnonzero(c.indices == np.repeat(np.arange(self.dim), np.diff(c.indptr)))
 
+    def factor(self, shift: float, data=None):
+        """(lu, signs of its pivots) of the matrix less shift*I, or None on a decline."""
+        import scipy.sparse.linalg as spla  # deferred: only factorizations load SuperLU
 
-def _sylvester_counts(shifted, n: int, zero_tol: float, ordering: str):
-    """Inertia from sparse LUs of shifted(zero_tol) and shifted(-zero_tol),
-    the n-row matrix less that multiple of I, in one SuperLU ordering (n_pos
-    from the first, n_neg from the second); None on a decline."""
-    signs = []
-    for shift in (zero_tol, -zero_tol) if zero_tol else (0.0,):
-        factored = _symmetric_lu(shifted(shift), ordering)
-        if factored is None:
+        m = self.matrix
+        values = self.values if data is None else np.asarray(data)
+        m.data[:] = values if self.src is None else values[self.src]
+        m.data[self.diag] -= shift
+        try:
+            lu = spla.splu(
+                m, permc_spec=self.ordering if self.src is None else "NATURAL",
+                diag_pivot_thresh=0.0, options={"SymmetricMode": True},
+            )
+        except RuntimeError as exc:
+            if "singular" not in str(exc):  # SuperLU: "Factor is exactly singular"
+                raise
             return None
-        signs.append(factored[1])
-    n_pos = int(np.sum(signs[0] > 0))
-    n_neg = int(np.sum(signs[-1] < 0))
-    return n_pos, n_neg, n - n_pos - n_neg
+        if self.src is None:
+            self._permute(lu.perm_c)
+        pivots = lu.U.diagonal().real
+        if not np.array_equal(lu.perm_r, lu.perm_c) or not np.all(pivots):
+            return None
+        return lu, np.sign(pivots)
 
+    def _permute(self, order: np.ndarray) -> None:
+        # row/column i of a moves to order[i]; the entries are re-sorted into
+        # the permuted CSC order
+        m, n = self.matrix, self.dim
+        rows = order[m.indices].astype(np.int64)
+        cols = order[np.repeat(np.arange(n), np.diff(m.indptr))].astype(np.int64)
+        self.src = np.argsort(cols * n + rows)
+        rows, cols = rows[self.src], cols[self.src]
+        indptr = np.searchsorted(cols, np.arange(n + 1)).astype(m.indptr.dtype)
+        self.matrix = sp.csc_array((np.zeros_like(m.data), rows.astype(m.indices.dtype), indptr),
+                                   shape=m.shape)
+        self.diag = np.flatnonzero(rows == cols)
 
-def _inertia_sylvester(a, zero_tol: float, ordering=ORDERINGS[0]) -> tuple[int, int, int] | None:
-    """Inertia from sparse LUs of a -/+ zero_tol*I in one SuperLU ordering
-    (n_pos from the first, n_neg from the second); None on a decline.
-
-    The shifts are written into the stored diagonal of one complex CSC copy
-    of a: a sparse sum with zero_tol*I costs as much as the factorization.
-    """
-    m = sp.csc_array(a, dtype=np.complex128, copy=True)
-    d = m.diagonal()
-
-    def shifted(shift):
-        if shift:
-            m.setdiag(d - shift)
-        return m
-
-    return _sylvester_counts(shifted, m.shape[0], zero_tol, ordering)
-
-
-def _pattern_counter(pattern: sp.csc_array):
-    """Sylvester counts of the Hermitian matrices stored on one pattern.
-
-    pattern is a canonical CSC array that stores its full diagonal.  The
-    fill-reducing symmetric order (ORDERINGS[0]) is computed once, from the
-    structure alone, and the pattern is permuted into it; the returned
-    count(data, zero_tol) takes the values of a matrix on pattern, writes
-    them and their shifted diagonal into the one permuted copy and factors it
-    in NATURAL order, giving _inertia_sylvester's triple, or None on a decline.
-    """
-    import scipy.sparse.linalg as spla  # deferred: only factorizations load SuperLU
-
-    n = pattern.shape[0]
-    cols = np.repeat(np.arange(n), np.diff(pattern.indptr))
-    rows = pattern.indices
-    # a strictly diagonally dominant matrix on the pattern factors with
-    # diagonal pivots, so SuperLU returns the order of the structure alone
-    values = np.where(rows == cols, float(n), 1.0)
-    order = spla.splu(
-        sp.csc_array((values, rows, pattern.indptr), shape=pattern.shape),
-        permc_spec=ORDERINGS[0], diag_pivot_thresh=0.0, options={"SymmetricMode": True},
-    ).perm_c
-    rows, cols = order[rows], order[cols]
-    src = np.lexsort((rows, cols))  # stored entries in the permuted CSC order
-    rows, cols = rows[src], cols[src]
-    indices = rows.astype(pattern.indices.dtype)
-    indptr = np.searchsorted(cols, np.arange(n + 1)).astype(pattern.indptr.dtype)
-    diag = np.flatnonzero(rows == cols)
-    m = sp.csc_array((np.zeros(src.size, dtype=np.complex128), indices, indptr),
-                     shape=pattern.shape)
-
-    def count(data: np.ndarray, zero_tol: float) -> tuple[int, int, int] | None:
-        m.data[:] = np.asarray(data)[src]
-        d = m.data[diag]
-
-        def shifted(shift):
-            if shift:
-                m.data[diag] = d - shift
-            return m
-
-        return _sylvester_counts(shifted, n, zero_tol, "NATURAL")
-
-    return count
-
-
-# the second count route, bound here so that it stays independent of the first
-_inertia_second = functools.partial(_inertia_sylvester, ordering=ORDERINGS[1])
+    def counts(self, zero_tol: float, data=None) -> tuple[int, int, int] | None:
+        """Inertia at zero_tol from the LUs at shifts zero_tol (n_pos) and
+        -zero_tol (n_neg), one LU at shift 0 when zero_tol is 0; None on a decline."""
+        signs = []
+        for shift in (zero_tol, -zero_tol) if zero_tol else (0.0,):
+            factored = self.factor(shift, data)
+            if factored is None:
+                return None
+            signs.append(factored[1])
+        n_pos = int(np.sum(signs[0] > 0))
+        n_neg = int(np.sum(signs[-1] < 0))
+        return n_pos, n_neg, self.dim - n_pos - n_neg
 
 
 def eigenvalue_counts(w: np.ndarray, eps: float) -> tuple[int, int, int]:
@@ -385,7 +377,7 @@ def inertia(a, eigenvalues: np.ndarray, zero_tol: float | None = None) -> Inerti
         zero_tol = ZERO_TOL_FACTOR * float(np.max(np.abs(eigenvalues)))
     tol = float(zero_tol)
     eig_counts = eigenvalue_counts(eigenvalues, tol)
-    factor_counts = _inertia_sylvester(a, tol) or _inertia_second(a, tol)
+    factor_counts = _Counter(a).counts(tol) or _Counter(a, ORDERINGS[1]).counts(tol)
     if factor_counts is None:
         raise FactorizationDeclined("LUs at -/+%.3e declined in both orderings" % tol)
     if eig_counts != factor_counts:
@@ -417,13 +409,39 @@ def _seeded_start(n: int) -> np.ndarray:
     return [1.0, 1j] @ np.random.default_rng(0).standard_normal((2, n))
 
 
-def _sylvester_gap(a: sp.sparray) -> tuple[float, tuple[int, int, int]] | None:
-    """A certified lower bound on min |eigenvalue| of a and the counts that
-    confirm it, or None (a decline)."""
+def gap_counts(a, bound: float) -> tuple[int, int, int]:
+    """Sylvester counts of a Hermitian a at plus and minus bound less 1e-9.
+
+    An empty zero class proves that no eigenvalue of a lies within
+    bound - 1e-9 of 0 (the 1e-9 absorbs the rounding of a bound that the gap
+    attains exactly).  The counts are read in the first ordering and checked
+    against the second: a mismatch raises BackendDisagreement, a decline in
+    one ordering leaves the other's counts, and FactorizationDeclined is
+    raised when both decline.
+    """
+    tol = max(bound - 1e-9, 0.0)
+    first, second = (_Counter(a, ordering).counts(tol) for ordering in ORDERINGS)
+    if first is None and second is None:
+        raise FactorizationDeclined("LUs at -/+%.3e declined in both orderings" % tol)
+    if first is not None and second is not None and first != second:
+        raise BackendDisagreement(first, second, tol)
+    return first or second
+
+
+def _lanczos_gap(a: sp.sparray) -> tuple[float, tuple[int, int, int]] | None:
+    """A certified lower bound on min |eigenvalue| of a and the counts (first
+    ordering) that confirm it, or None (a decline).
+
+    Shift-invert Lanczos, with the LU at shift 0 as the inverse, finds the
+    eigenpair (theta, y) nearest 0; the bound is |theta| - ||A y - theta y||
+    less a rounding margin, accepted only when Sylvester counts at -/+ that
+    value show no eigenvalue between them.
+    """
     n = a.shape[0]
     if n <= 2:  # complex ARPACK needs k = 1 < n - 1
         return None
-    factored = _symmetric_lu(a)
+    counter = _Counter(a)
+    factored = counter.factor(0.0)  # the counter's first LU: of a itself
     if factored is None:
         return None
     import scipy.sparse.linalg as spla  # deferred: only certificates load ARPACK
@@ -443,29 +461,10 @@ def _sylvester_gap(a: sp.sparray) -> tuple[float, tuple[int, int, int]] | None:
         return None
     # no eigenvalue in [-lower, lower]: the Sylvester count at +/-lower has
     # an empty zero class
-    counts = _inertia_sylvester(a, lower)
+    counts = counter.counts(lower)
     if counts is None or counts[2]:
         return None
     return float(lower), counts
-
-
-def certified_gap(a) -> tuple[float, str]:
-    """min |eigenvalue| of a sparse Hermitian matrix, as a certified lower bound.
-
-    Shift-invert Lanczos, with the sparse LU at shift 0 as the inverse,
-    finds the eigenpair (theta, y) nearest 0; the gap is reported as
-    |theta| - ||A y - theta y|| less a rounding margin, and accepted only
-    when Sylvester counts at -/+ that value show no eigenvalue between them.  A declined LU, an
-    ARPACK failure, a block of at most two rows or a failed count falls
-    back to the least eigenvalue modulus from a dense eigvalsh.  Returns
-    the gap and the name of the route that measured it (SPARSE_GAP_ROUTE or
-    DENSE_GAP_ROUTE).
-    """
-    a = hermitian_csr(a)
-    got = _sylvester_gap(a)
-    if got is None:
-        return float(np.min(np.abs(_eigensolve(a, None)))), DENSE_GAP_ROUTE
-    return got[0], SPARSE_GAP_ROUTE
 
 
 def certified_inertia(a, zero_tol: float) -> tuple[float, Inertia, str]:
@@ -474,15 +473,15 @@ def certified_inertia(a, zero_tol: float) -> tuple[float, Inertia, str]:
 
     A block narrow enough for _band_order is diagonalised once by zhbevd: the
     least eigenvalue modulus, and the inertia checked against LU counts.  Any
-    other takes certified_gap's sparse lower bound (SPARSE_GAP_ROUTE) and the
-    Sylvester counts that confirm it, checked against LUs at -/+zero_tol in
-    the second ordering (else BackendDisagreement).  A decline, or a bound
+    other takes _lanczos_gap's certified lower bound (SPARSE_GAP_ROUTE) and
+    the Sylvester counts that confirm it, checked against LUs at -/+zero_tol
+    in the second ordering (else BackendDisagreement).  A decline, or a bound
     not above zero_tol, falls back to the eigensolve.
     """
     a = hermitian_csr(a)
     order = _band_order(a)
-    got = _sylvester_gap(a) if order is None else None
-    second = _inertia_second(a, zero_tol) if got and got[0] > zero_tol else None
+    got = _lanczos_gap(a) if order is None else None
+    second = _Counter(a, ORDERINGS[1]).counts(zero_tol) if got and got[0] > zero_tol else None
     if second is not None:
         if second != got[1]:
             raise BackendDisagreement(got[1], second, zero_tol)

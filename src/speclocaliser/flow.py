@@ -152,22 +152,6 @@ def _sample(path: OperatorPath, t: float, dim: int) -> np.ndarray:
     return m
 
 
-def _on_pattern(m) -> tuple[tuple[bytes, bytes], sp.csc_array]:
-    """m as a canonical CSC array that stores its full diagonal, the form the
-    pattern counters read, and its pattern as a key.  A dense m is stored on
-    its nonzeros; a suspension sample already has that form and is not copied."""
-    n = m.shape[0]
-    c = sp.csc_array(m, dtype=np.complex128)
-    c.sum_duplicates()
-    cols = np.repeat(np.arange(n), np.diff(c.indptr))
-    if np.count_nonzero(c.indices == cols) < n:
-        # explicit zeros on the missing diagonal; COO->CSC keeps them
-        c = sp.csc_array((np.concatenate([c.data, np.zeros(n)]),
-                          (np.concatenate([c.indices, np.arange(n)]),
-                           np.concatenate([cols, np.arange(n)]))), shape=m.shape)
-    return (c.indptr.tobytes(), c.indices.tobytes()), c
-
-
 def sf_crossings(path: OperatorPath, trace: bool = False) -> SpectralFlowResult:
     """Crossing-counted spectral flow along the path, and its endpoint value.
 
@@ -200,14 +184,14 @@ def sf_crossings(path: OperatorPath, trace: bool = False) -> SpectralFlowResult:
     fallbacks = 0
     counters = {}  # pattern key -> its counter, for this walk only
 
-    def counts(sample, w=None):
-        # Sylvester counts at +/-eps of an _on_pattern sample; eigenvalues on
-        # a decline; checked against w
+    def counts(c, w=None):
+        # Sylvester counts at +/-eps of a core._on_pattern sample, on its
+        # pattern's counter; eigenvalues on a decline; checked against w
         nonlocal fallbacks
-        key, c = sample
+        key = c.indptr.tobytes(), c.indices.tobytes()
         if key not in counters:
-            counters[key] = core._pattern_counter(c)
-        got = counters[key](c.data, eps)
+            counters[key] = core._Counter(c)
+        got = counters[key].counts(eps, c.data)
         if got is None:
             fallbacks += 1
             w = hermitian_eigenvalues(c) if w is None else w
@@ -223,10 +207,11 @@ def sf_crossings(path: OperatorPath, trace: bool = False) -> SpectralFlowResult:
     rows, status, steps, prev = [], [], [], None
     for i, t in enumerate(grid):
         m = first if i == 0 else last if i == len(grid) - 1 else _sample(path, t, dim)
-        cur = _on_pattern(m)
+        cur = core._on_pattern(m)
         if prev is not None:
-            diff = cur[1].data - prev[1].data if cur[0] == prev[0] else (cur[1] - prev[1]).data
-            steps.append(np.linalg.norm(diff))
+            same = (np.array_equal(cur.indptr, prev.indptr)
+                    and np.array_equal(cur.indices, prev.indices))
+            steps.append(np.linalg.norm(cur.data - prev.data if same else (cur - prev).data))
         if trace:
             rows.append(hermitian_eigenvalues(m))
         status.append(counts(cur, rows[-1] if trace else None))
@@ -255,7 +240,7 @@ def sf_crossings(path: OperatorPath, trace: bool = False) -> SpectralFlowResult:
         for lo, hi, towards_left in ((clean[-1][0], t, True), (t, float(grid[i + 1]), False)):
             for _ in range(_MAX_DEPTH):
                 mid = 0.5 * (lo + hi)
-                npos_m, _, nzero_m = counts(_on_pattern(_sample(path, mid, dim)))
+                npos_m, _, nzero_m = counts(core._on_pattern(_sample(path, mid, dim)))
                 evaluations += 1
                 if not nzero_m:
                     clean.append((mid, npos_m))
@@ -276,7 +261,7 @@ def sf_crossings(path: OperatorPath, trace: bool = False) -> SpectralFlowResult:
     # that LU decline, from the end's eigenvalues)
     tol = core.ZERO_TOL_FACTOR * scale
     for end, got in ((first, status[0]), (last, status[-1])):
-        second = (core._inertia_second(end, tol)
+        second = (core._Counter(end, core.ORDERINGS[1]).counts(tol)
                   or eigenvalue_counts(hermitian_eigenvalues(end), tol))
         if second != got:
             raise BackendDisagreement(got, second, tol)

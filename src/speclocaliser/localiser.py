@@ -18,9 +18,11 @@ window, all sparse.  The truncated block (|D| <= rho) stays CSR, and
 from the block: one banded eigensolve (circle and shift windows), or a
 certified lower bound on the gap and the Sylvester counts that confirm it
 (QWZ windows).  The complement and seam-free regime blocks are
-sub-blocks of the containment window and stay sparse; their gaps are
-certified lower bounds too (``core.certified_gap``), and each certificate's
-detail names the route that measured it.
+sub-blocks of the containment window and stay sparse.  Their rows,
+gap >= b, are decided with no eigensolve by ``core.gap_counts``: Sylvester
+counts at +/-(b - 1e-9) in two orderings, whose empty zero class proves the
+row; measured is then b - 1e-9, and otherwise a Weyl lower bound, and each
+row's detail names the counts.
 
 Validity is tracked through certificates rather than asserted silently:
 every check, the untruncated-regime one included, is one
@@ -44,7 +46,7 @@ import operator
 
 import numpy as np
 
-from .core import ZERO_TOL_FACTOR, Inertia, certified_gap, certified_inertia
+from .core import ZERO_TOL_FACTOR, Inertia, certified_inertia, gap_counts
 from .errors import (
     ContainmentViolation,
     HypothesisViolated,
@@ -145,43 +147,59 @@ def _certificate(
     )
 
 
+def _gap_certificate(name, bound, counts, weyl, applicable, detail) -> GapCertificate:
+    """A gap guarantee gap >= bound decided by core.gap_counts of its block.
+
+    Satisfied when the zero class of the counts at +/-(bound - 1e-9) is
+    empty; measured is then bound - 1e-9, the gap the counts prove, and
+    otherwise weyl, a Weyl lower bound on the gap; both are clipped at 0.
+    """
+    satisfied = not counts[2]
+    return GapCertificate(
+        name, max(bound - 1e-9 if satisfied else weyl, 0.0), float(bound), ">=", satisfied,
+        kind="guarantee", applicable=applicable,
+        detail="%s (Sylvester counts %s at +/-(bound - 1e-9))" % (detail, counts),
+    )
+
+
+def _weyl_gap(model: ModelInstance, kappa: float, beyond: float = -math.inf) -> float:
+    # Weyl: every eigenvalue of the localiser on the containment window's part
+    # |D| > beyond (all of it by default) lies within ||K|| of one of kappa D's
+    w = np.abs(model.containment_window().eigs)
+    return kappa * float(np.min(w[w > beyond])) - model.k_norm()
+
+
 def validate_infinite_regime(
     model: ModelInstance, kappa: float, mode: str = "permissive"
 ) -> GapCertificate:
     """The regime_gap guarantee: kappa * ||[D, K]|| < g^2 and the untruncated gap.
 
     The commutator norm is the interior one (ModelInstance.dirac_commutator:
-    a builder's closed-form bound, or measured), and the gap is measured on the
+    a builder's closed-form bound, or measured), and the gap is decided on the
     localiser compressed to the containment window of D
     (``ModelInstance.regime_gap``): the periodic seam of a finite box
     carries commutator entries of size O(box) and bound eigenmodes with no
     infinite-volume counterpart (at strict circle parameters the lowest
     full-box eigenvector has all its mass on the wrap rows).  In strict
-    mode a failed hypothesis raises HypothesisViolated.  The gap is measured
+    mode a failed hypothesis raises HypothesisViolated.  The gap is counted
     only when the hypothesis holds, the only case where the theoretical
     bound sqrt(g^2 - kappa ||[D, K]||) makes a claim; otherwise the row is
-    inapplicable and its measured value is NaN.
+    inapplicable, its bound 0 and its measured value NaN.
     """
     g = model.k_gap()
     comm, source = model.dirac_commutator()
-    holds = kappa * comm < g * g
-    if mode == "strict" and not holds:
+    detail = "seam-free localiser gap vs sqrt(g^2 - kappa*||[D,K]||), ||[D,K]||: %s" % source
+    if kappa * comm < g * g:
+        bound, counts = model.regime_gap(kappa)
+        return _gap_certificate("regime_gap", bound, counts, _weyl_gap(model, kappa),
+                                True, detail)
+    if mode == "strict":
         raise HypothesisViolated(
             "kappa*||[D,K]|| = %.6g is not below g^2 = %.6g"
             % (kappa * comm, g * g)
         )
-    measured, route = model.regime_gap(kappa) if holds else (math.nan, "")
-    return _certificate(
-        "regime_gap",
-        measured,
-        math.sqrt(max(g * g - kappa * comm, 0.0)),
-        ">=",
-        kind="guarantee",
-        applicable=bool(holds),
-        detail="seam-free localiser gap vs sqrt(g^2 - kappa*||[D,K]||), ||[D,K]||: %s"
-        % source + (" (%s)" % route if route else ""),
-        slack=1e-9,
-    )
+    return _certificate("regime_gap", math.nan, 0.0, ">=", kind="guarantee",
+                        applicable=False, detail=detail)
 
 
 def validate_truncation_params(
@@ -233,20 +251,6 @@ def validate_truncation_params(
                     % (cert.name, cert.measured, cert.relation, cert.bound)
                 )
     return certs
-
-
-def _complement_certificate(op, kappa, rho, applicable) -> GapCertificate:
-    gap, route = certified_gap(op)
-    return _certificate(
-        "complement_gap",
-        gap,
-        _COMPLEMENT_FACTOR * kappa * rho,
-        ">=",
-        kind="guarantee",
-        applicable=applicable,
-        detail="complement block gap vs sqrt(47/48) kappa rho (%s)" % route,
-        slack=1e-9,
-    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -325,9 +329,12 @@ def pairing(
         certs.append(regime)
         comp = model.containment_window().localiser(params.kappa, beyond=params.rho)
         if comp is not None:
-            certs.append(
-                _complement_certificate(comp, params.kappa, params.rho, assumption_ok)
-            )
+            bound = _COMPLEMENT_FACTOR * params.kappa * params.rho
+            certs.append(_gap_certificate(
+                "complement_gap", bound, gap_counts(comp, bound),
+                _weyl_gap(model, params.kappa, params.rho), assumption_ok,
+                "complement block gap vs sqrt(47/48) kappa rho",
+            ))
 
     if params.mode == "strict":
         for cert in certs:

@@ -33,6 +33,8 @@ degenerate eigenspaces.
 onto a spectral window of D in that eigenbasis once per radius, touching
 only the rows the window's eigenvectors reach; every localiser block the
 pairing and the suspension paths read is assembled from such a window.
+``ModelInstance.regime_gap`` caches, per kappa, the regime bound and the
+Sylvester counts (``core.gap_counts``) that decide it on the seam-free block.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ import yaml
 from .core import (
     CsrOperator,
     as_matrix,
-    certified_gap,
     commutator_norm,
+    gap_counts,
     hermitian_csr,
     max_abs_entry,
     window_mask,
@@ -365,12 +367,15 @@ class ModelInstance:
             )
         return self.cache["dirac_commutator"]
 
-    def regime_gap(self, kappa: float) -> tuple[float, str]:
-        """Seam-free localiser gap on the containment window and its route
-        (core.certified_gap), cached."""
+    def regime_gap(self, kappa: float) -> tuple[float, tuple[int, int, int]]:
+        """The regime bound sqrt(g^2 - kappa ||[D,K]||) and core.gap_counts of
+        the seam-free localiser (the containment window's) at it, cached per kappa."""
         key = ("regime_gap", float(kappa))
         if key not in self.cache:
-            self.cache[key] = certified_gap(self.containment_window().localiser(kappa))
+            g = self.k_gap()
+            bound = math.sqrt(max(g * g - kappa * self.dirac_commutator()[0], 0.0))
+            block = self.containment_window().localiser(kappa)
+            self.cache[key] = bound, gap_counts(block, bound)
         return self.cache[key]
 
     def describe(self) -> dict:

@@ -54,3 +54,17 @@ def banded_spy(monkeypatch) -> list:
 
     monkeypatch.setattr(sla, "eigvals_banded", spy)
     return calls
+
+
+def splu_spy(monkeypatch) -> list:
+    """The (dimension, column ordering) of every SuperLU factorization."""
+    import scipy.sparse.linalg as spla
+
+    calls, splu = [], spla.splu
+
+    def spy(a, **kwargs):
+        calls.append((a.shape[0], kwargs["permc_spec"]))
+        return splu(a, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    return calls

@@ -29,8 +29,8 @@ from speclocaliser import (
     pairing,
     sf_crossings,
 )
-from speclocaliser.core import DENSE_DIM_LIMIT, certified_gap, hermitian_eigenvalues, window_mask
-from conftest import banded_spy, random_hermitian
+from speclocaliser.core import DENSE_DIM_LIMIT, gap_counts, hermitian_eigenvalues, window_mask
+from conftest import banded_spy, random_hermitian, splu_spy
 
 st_dim = st.integers(1, 12)
 
@@ -113,10 +113,10 @@ class TestInertia:
         h = random_hermitian(rng, 5)
         true_counts = _inertia(h)
 
-        def bad_backend(m, zero_tol):
-            return (0, 0, m.shape[0])
+        def bad_backend(counter, zero_tol, data=None):
+            return (0, 0, counter.dim)
 
-        monkeypatch.setattr(core, "_inertia_sylvester", bad_backend)
+        monkeypatch.setattr(core._Counter, "counts", bad_backend)
         with pytest.raises(BackendDisagreement) as exc:
             _inertia(h)
         assert exc.value.eig_counts == (
@@ -154,15 +154,19 @@ def _eig_counts(w: np.ndarray, tol: float) -> tuple[int, int, int]:
     return int(np.sum(w > tol)), int(np.sum(w < -tol)), int(np.sum(np.abs(w) <= tol))
 
 
+def _counts(a, zero_tol, ordering=core.ORDERINGS[0]):
+    return core._Counter(a, ordering).counts(zero_tol)
+
+
 class TestSylvester:
-    """Sparse LU counts and certified gaps, each checked against eigvalsh."""
+    """Sparse LU counts, gap counts and certified gaps, each checked against eigvalsh."""
 
     def test_off_diagonal_pivot_declines(self):
         # SuperLU pivots off the zero diagonal in either ordering; the
         # decline is raised, not counted
         m = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert core._inertia_sylvester(sp.csc_array(m), 0.0) is None
-        assert core._inertia_second(sp.csc_array(m), 0.0) is None
+        for ordering in core.ORDERINGS:
+            assert _counts(sp.csc_array(m), 0.0, ordering) is None
         with pytest.raises(FactorizationDeclined, match="declined in both orderings"):
             _inertia(m, zero_tol=0.0)
         got = _inertia(m, zero_tol=1e-10)  # shifted off zero, the diagonal pivots
@@ -171,8 +175,8 @@ class TestSylvester:
     def test_singular_shift_declines(self):
         # the shift +zero_tol is exactly the eigenvalue 0.5: a singular factor
         m = np.diag([2.0, -1.0, 0.5])
-        assert core._inertia_sylvester(sp.csc_array(m), 0.5) is None
-        assert core._inertia_second(sp.csc_array(m), 0.5) is None
+        for ordering in core.ORDERINGS:
+            assert _counts(sp.csc_array(m), 0.5, ordering) is None
         with pytest.raises(FactorizationDeclined):
             _inertia(m, zero_tol=0.5)
         got = _inertia(m, zero_tol=0.25)
@@ -180,22 +184,31 @@ class TestSylvester:
 
     def test_first_ordering_decline_retries_in_the_second(self, monkeypatch):
         m = np.diag([2.0, -1.0, 0.5])
-        monkeypatch.setattr(core, "_inertia_sylvester", lambda a, zero_tol: None)
+        counts, orderings = core._Counter.counts, []
+
+        def first_declines(counter, zero_tol, data=None):
+            orderings.append(counter.ordering)
+            if counter.ordering == core.ORDERINGS[0]:
+                return None
+            return counts(counter, zero_tol, data)
+
+        monkeypatch.setattr(core._Counter, "counts", first_declines)
         got = _inertia(m, zero_tol=0.25)
         assert (got.n_pos, got.n_neg, got.n_zero) == (2, 1, 0)
+        assert orderings == list(core.ORDERINGS)
 
     def test_non_minimal_eigenpair_is_rejected(self, monkeypatch):
         import scipy.sparse.linalg as spla
 
         a = sp.diags_array([3.0, -2.0, 0.5, 4.0]).astype(complex)
-        assert certified_gap(a)[1] == core.SPARSE_GAP_ROUTE
+        assert core._lanczos_gap(a)[1] == (3, 1, 0)
 
         def far_pair(m, k, **kwargs):
             # an exact eigenpair, but not the one nearest 0
             return np.array([3.0]), np.eye(4, 1, dtype=complex)
 
         monkeypatch.setattr(spla, "eigsh", far_pair)
-        assert certified_gap(a) == (0.5, core.DENSE_GAP_ROUTE)
+        assert core._lanczos_gap(a) is None
 
     def test_residual_pads_an_inexact_eigenpair(self, monkeypatch):
         import scipy.sparse.linalg as spla
@@ -205,8 +218,8 @@ class TestSylvester:
         y /= np.linalg.norm(y)
         residual = np.linalg.norm(a @ y[:, 0] - 0.5 * y[:, 0])  # about 0.025
         monkeypatch.setattr(spla, "eigsh", lambda m, k, **kwargs: (np.array([0.5]), y))
-        gap, route = certified_gap(a)
-        assert route == core.SPARSE_GAP_ROUTE
+        gap, counts = core._lanczos_gap(a)
+        assert counts == (3, 1, 0)
         assert 0.5 - residual - 1e-12 <= gap <= 0.5 - residual
 
     @pytest.mark.parametrize("name,kappas,rhos", _FIXTURE_WINDOWS)
@@ -225,10 +238,17 @@ class TestSylvester:
             for block in blocks:
                 w = np.linalg.eigvalsh(block.toarray())
                 tol = core.ZERO_TOL_FACTOR * float(np.max(np.abs(w)))
-                assert core._inertia_sylvester(block, tol) == _eig_counts(w, tol)
+                for ordering in core.ORDERINGS:
+                    assert _counts(block, tol, ordering) == _eig_counts(w, tol)
                 dense = float(np.min(np.abs(w)))
-                gap, route = certified_gap(block)
-                assert route == core.SPARSE_GAP_ROUTE
+                # a bound the gap attains is decided within the 1e-9 slack,
+                # one just past it is not
+                for bound in (dense, dense + 2e-9, 0.5 * dense, 2.0 * dense):
+                    got = gap_counts(block, bound)
+                    assert got == _eig_counts(w, bound - 1e-9)
+                    assert (got[2] == 0) == (dense >= bound - 1e-9)
+                gap, counts = core._lanczos_gap(block)
+                assert counts == _eig_counts(w, gap)
                 assert dense * (1.0 - 1e-12) <= gap <= dense
 
     @given(st.integers(2, 40), st.floats(0.05, 0.5), st.booleans(), st.integers(0, 10_000))
@@ -243,15 +263,35 @@ class TestSylvester:
         w = np.linalg.eigvalsh(m)
         norm = float(np.max(np.abs(w)))
         tol = core.ZERO_TOL_FACTOR * norm
-        counts = core._inertia_sylvester(a, tol)
+        counts = _counts(a, tol)
         assert counts is None or counts == _eig_counts(w, tol)
         # the shifts are written into a copy, not into a CSC input
         c = sp.csc_array(m)
-        assert core._inertia_sylvester(c, tol) == counts
+        assert _counts(c, tol) == counts
         assert np.array_equal(c.toarray(), m)
         dense = float(np.min(np.abs(w)))
-        gap, _ = certified_gap(a)
-        assert dense - 1e-10 * max(norm, 1.0) <= gap <= dense
+        for bound in (0.5 * dense, 2.0 * dense):
+            try:
+                got = gap_counts(a, bound)
+            except FactorizationDeclined:
+                continue
+            assert got == _eig_counts(w, max(bound - 1e-9, 0.0))
+        lanczos = core._lanczos_gap(a)
+        if lanczos is not None:
+            assert dense - 1e-10 * max(norm, 1.0) <= lanczos[0] <= dense
+
+    def test_later_thresholds_factor_the_permuted_copy(self, qwz9, monkeypatch):
+        # one ordering per counter: the first LU finds it, the later ones
+        # factor the copy permuted into it, in NATURAL order
+        block = qwz9.window(5.5).localiser(0.75)
+        w = np.linalg.eigvalsh(block.toarray())
+        calls = splu_spy(monkeypatch)
+        for ordering in core.ORDERINGS:
+            counter = core._Counter(block, ordering)
+            for tol in (1e-3, 0.1, 0.3):
+                assert counter.counts(tol) == _eig_counts(w, tol)
+            assert [spec for _, spec in calls] == [ordering] + ["NATURAL"] * 5
+            calls.clear()
 
 
 # odd circle windows (windings +-1, +-2, 3; integer and offset modes) and

@@ -26,7 +26,7 @@ from speclocaliser.errors import (
     SingularMatrix,
 )
 from speclocaliser.core import hermitian_eigenvalues
-from conftest import banded_spy
+from conftest import banded_spy, splu_spy
 from reference import compress, dense_endpoints, dense_localiser, dense_path
 
 
@@ -224,9 +224,15 @@ _SYLVESTER_PARITY_CASES = {
 
 
 def _eigenvalue_walk(monkeypatch, path):
-    # every LU declines, so every sample is counted from its eigenvalues
+    # every LU of the walk's counters (the first ordering) declines, so every
+    # sample is counted from its eigenvalues
+    counts = core._Counter.counts
+
+    def declined(counter, zero_tol, data=None):
+        return None if counter.ordering == core.ORDERINGS[0] else counts(counter, zero_tol, data)
+
     with monkeypatch.context() as patch:
-        patch.setattr(core, "_pattern_counter", lambda pattern: lambda data, zero_tol: None)
+        patch.setattr(core._Counter, "counts", declined)
         return sf_crossings(path)
 
 
@@ -267,21 +273,35 @@ def test_untraced_walk_diagonalises_no_sample(qwz9, monkeypatch):
     assert len(calls) == 2 * len(susp.grid)
 
 
-def _counter_spy(monkeypatch, alter):
-    """Patch the walk's pattern counters so that call i (from 1, over every
-    counter of the walk) returns alter(i, counts)."""
-    make, calls = core._pattern_counter, []
+def test_walk_finds_each_ordering_once(monkeypatch):
+    # the sf-sweep walk (QWZ box 8): each of its three layouts is ordered by
+    # its first LU and factored in NATURAL order after that, and each end is
+    # checked by one COLAMD LU and one NATURAL one; two LUs per sample, with
+    # no separate ordering LU per layout
+    susp = suspension(build_qwz_model(8, 1.0), 1.0, 4.5)
+    calls = splu_spy(monkeypatch)
+    res = sf_crossings(susp)
+    orderings = [ordering for _, ordering in calls]
+    assert res.fallbacks == 0
+    assert len(calls) == 2 * res.samples + 4
+    assert orderings.count(core.ORDERINGS[0]) == 3
+    assert orderings.count(core.ORDERINGS[1]) == 2
 
-    def spied(pattern):
-        count = make(pattern)
 
-        def altered(data, zero_tol):
-            calls.append(None)
-            return alter(len(calls), count(data, zero_tol))
+def _counter_spy(monkeypatch, alter, ordering=core.ORDERINGS[0]):
+    """Patch the counters in one ordering (the first: the walk's pattern
+    counters; the second: its end checks) so that call i (from 1, over every
+    such counter of the walk) returns alter(i, counts)."""
+    counts, calls = core._Counter.counts, []
 
-        return altered
+    def altered(counter, zero_tol, data=None):
+        got = counts(counter, zero_tol, data)
+        if counter.ordering != ordering:
+            return got
+        calls.append(None)
+        return alter(len(calls), got)
 
-    monkeypatch.setattr(core, "_pattern_counter", spied)
+    monkeypatch.setattr(core._Counter, "counts", altered)
     return calls
 
 
@@ -322,14 +342,9 @@ def test_flipped_end_count_is_caught(qwz9, monkeypatch, route, end):
         hit = 1 if end == "start" else len(susp.grid)
         _counter_spy(monkeypatch, lambda i, counts: _flip(counts) if i == hit else counts)
     else:
-        second, calls = core._inertia_second, []
-
-        def flipped(a, zero_tol):
-            calls.append(None)
-            counts = second(a, zero_tol)
-            return _flip(counts) if len(calls) == (1 if end == "start" else 2) else counts
-
-        monkeypatch.setattr(core, "_inertia_second", flipped)
+        hit = 1 if end == "start" else 2
+        _counter_spy(monkeypatch, lambda i, counts: _flip(counts) if i == hit else counts,
+                     core.ORDERINGS[1])
     with pytest.raises(BackendDisagreement):
         sf_crossings(susp)
 
@@ -352,13 +367,14 @@ def test_pattern_counter_matches_lu_and_eigenvalue_counts(case, request):
     counters = {}
     for t in path.grid:
         m = path.sample(t)
-        key, c = flow_module._on_pattern(m)
+        c = core._on_pattern(m)
+        key = c.indptr.tobytes(), c.indices.tobytes()
         if key not in counters:
-            counters[key] = core._pattern_counter(c)
-        count = counters[key]
+            counters[key] = core._Counter(c)
+        counter = counters[key]
         w = np.linalg.eigvalsh(m.toarray() if sp.issparse(m) else m)
         for eps in 1e-6 * float(np.max(np.abs(w))), 0.37 * float(np.max(np.abs(w))):
-            assert count(c.data, eps) == core._inertia_sylvester(m, eps) == (
+            assert counter.counts(eps, c.data) == core._Counter(m).counts(eps) == (
                 core.eigenvalue_counts(w, eps)
             )
     assert len(counters) == layouts
@@ -369,7 +385,7 @@ def test_zero_pivot_declines_into_a_counted_fallback():
     # must leave the diagonal: the counter declines and the walk counts that
     # sample from its eigenvalues
     middle = np.array([[1e-6, 1.0], [1.0, 1e-6]])
-    assert core._pattern_counter(sp.csc_array(middle))(middle.ravel(), 1e-6) is None
+    assert core._Counter(middle).counts(1e-6) is None
     path = OperatorPath(
         evaluate=lambda t: np.eye(2) if t != 0.5 else middle, grid=[0.0, 0.5, 1.0]
     )

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import speclocaliser.core as core
+import speclocaliser.localiser as localiser
 from speclocaliser import (
     BackendDisagreement,
     BoundaryEigenvalue,
     ContainmentViolation,
+    FactorizationDeclined,
     HypothesisViolated,
     LocaliserParams,
     ModelInstance,
@@ -24,8 +26,18 @@ from speclocaliser import (
     validate_infinite_regime,
     validate_truncation_params,
 )
+from conftest import splu_spy
 from reference import compress, dense_gap, dense_inertia, dense_localiser
 from test_core import _BANDED_WINDOWS
+
+
+def _assert_decided_by_counts(cert, block):
+    # a gap row decided by counts: satisfied exactly when the gap reaches the
+    # bound up to the 1e-9 slack, and measured a lower bound on the gap
+    gap = dense_gap(block)
+    assert cert.satisfied == (gap >= cert.bound - 1e-9)
+    assert cert.measured <= gap
+    assert "Sylvester counts" in cert.detail
 
 
 class TestAssembly:
@@ -62,9 +74,12 @@ class TestInfiniteRegime:
         assert cert.name == "regime_gap" and cert.kind == "guarantee"
         assert cert.applicable and cert.satisfied
         assert cert.bound == pytest.approx(np.sqrt(g * g - 0.2), abs=1e-12)
-        assert cert.measured >= cert.bound - 1e-9
-        # the gap is the model's cached seam-free gap
-        assert cert.measured == model.regime_gap(0.2)[0]
+        # the row reads the model's cached seam-free counts
+        bound, counts = model.regime_gap(0.2)
+        assert cert.bound == bound and counts[2] == 0
+        assert cert.detail.endswith("(Sylvester counts %s at +/-(bound - 1e-9))" % (counts,))
+        assert cert.measured == bound - 1e-9
+        _assert_decided_by_counts(cert, model.containment_window().localiser(0.2))
 
     def test_hypothesis_failure_permissive_vs_strict(self):
         # kappa ||[D,G]|| = 0.3 exceeds g^2 = 0.25
@@ -75,6 +90,39 @@ class TestInfiniteRegime:
         assert ("regime_gap", 0.3) not in model.cache
         with pytest.raises(HypothesisViolated):
             validate_infinite_regime(model, 0.3, mode="strict")
+
+    @pytest.mark.parametrize("nu", [1, 2, 3])
+    def test_gap_equal_to_its_bound_stays_satisfied(self, nu):
+        # K = +/-1 commutes with D, so the seam-free gap is exactly g = 1, the
+        # bound itself: the LUs at exactly +/-1 are singular in both orderings,
+        # and the counts at +/-(1 - 1e-9) find no eigenvalue inside
+        model = build_weighted_shift_dirac(40, nu=nu)
+        block = model.containment_window().localiser(0.1)
+        assert dense_gap(block) == pytest.approx(1.0, abs=1e-14)
+        for ordering in core.ORDERINGS:
+            assert core._Counter(block, ordering).counts(1.0) is None
+        cert = validate_infinite_regime(model, 0.1)
+        assert cert.bound == 1.0 and cert.applicable and cert.satisfied
+        assert cert.measured == 1.0 - 1e-9
+        if nu == 1:
+            assert model.regime_gap(0.1)[1] == (38, 39, 0)
+        _assert_decided_by_counts(cert, block)
+
+    def test_gap_just_below_its_bound_is_not_satisfied(self, shift40, monkeypatch):
+        # the shift complement gap sqrt(0.01 * 121 + 1) against bounds moved
+        # onto it: within the 1e-9 slack the row holds, past it the counts
+        # find the two eigenvalues +/-gap inside and the row reports the
+        # Weyl bound kappa * 11 - ||K||, clipped at 0
+        comp = shift40.containment_window().localiser(0.1, beyond=10.5)
+        gap = dense_gap(comp)
+        for excess, satisfied in ((0.5e-9, True), (2e-9, False), (1e-3, False)):
+            monkeypatch.setattr(localiser, "_COMPLEMENT_FACTOR", (gap + excess) / (0.1 * 10.5))
+            cert = pairing(shift40, LocaliserParams(0.1, 10.5)).certificate("complement_gap")
+            assert cert.satisfied is satisfied
+            assert cert.bound == pytest.approx(gap + excess, abs=1e-15)
+            assert cert.measured == (cert.bound - 1e-9 if satisfied else 0.1 * 11 - 1.0)
+            _assert_decided_by_counts(cert, comp)
+        assert not cert.violated  # the row is inapplicable on shift40
 
     def test_commuting_pair_keeps_full_margin(self, shift40):
         # K = identity commutes with D, so the bound stays at g itself
@@ -189,16 +237,22 @@ class TestComplementBlock:
         assert cert.bound == pytest.approx(np.sqrt(47.0 / 48.0) * 0.1 * 10.5)
         assert cert.satisfied and cert.kind == "guarantee"
 
-    def test_gap_certificates_name_their_route(self, monkeypatch):
-        # report.json carries as_dict(); its detail says which backend measured
+    def test_gap_certificates_name_their_route(self):
+        # report.json carries as_dict(); its detail names the counts that decided it
         params = LocaliserParams(0.05, 30.5)
-        for route in (core.SPARSE_GAP_ROUTE, core.DENSE_GAP_ROUTE):
-            if route == core.DENSE_GAP_ROUTE:
-                monkeypatch.setattr(core, "_sylvester_gap", lambda a: None)
-            res = pairing(build_circle_model(40, {0: 0.5, 1: 1.0}), params)
-            assert res.certificate("regime_gap").applicable
-            for name in ("regime_gap", "complement_gap"):
-                assert res.certificate(name).as_dict()["detail"].endswith("(%s)" % route)
+        model = build_circle_model(40, {0: 0.5, 1: 1.0})
+        res = pairing(model, params)
+        assert res.certificate("regime_gap").applicable
+        outer = model.containment_window()
+        blocks = {"regime_gap": outer.localiser(0.05),
+                  "complement_gap": outer.localiser(0.05, beyond=30.5)}
+        for name, block in blocks.items():
+            cert = res.certificate(name)
+            counts = core.gap_counts(block, cert.bound)
+            assert cert.as_dict()["detail"].endswith(
+                "(Sylvester counts %s at +/-(bound - 1e-9))" % (counts,)
+            )
+            _assert_decided_by_counts(cert, block)
 
     def test_truncated_gap_names_its_route(self, circle40):
         params = LocaliserParams(0.05, 30.5)
@@ -258,14 +312,10 @@ class TestWindowBlocks:
 
                 res = pairing(model, LocaliserParams(kappa, rho))
                 assert res.inertia == dense_inertia(trunc)
-                assert res.certificate("complement_gap").measured == pytest.approx(
-                    dense_gap(comp), rel=1e-12
-                )
+                _assert_decided_by_counts(res.certificate("complement_gap"), comp)
                 regime = res.certificate("regime_gap")
                 if regime.applicable:
-                    assert regime.measured == pytest.approx(
-                        dense_gap(seam_free), rel=1e-12
-                    )
+                    _assert_decided_by_counts(regime, seam_free)
 
 
 class TestPairing:
@@ -390,13 +440,17 @@ _QWZ_PAIRED = {
 }
 
 
-def _flipped(counts):
-    # a count route with one eigenvalue miscounted as positive
-    def flipped(a, zero_tol):
-        n_pos, n_neg, n_zero = counts(a, zero_tol)
-        return n_pos + 1, n_neg - 1, n_zero
+def _alter_counts(monkeypatch, alter, ordering, dim=None):
+    """Patch the counters in one ordering (on blocks of one dimension, when
+    given) to return alter(counts)."""
+    counts = core._Counter.counts
 
-    return flipped
+    def altered(counter, zero_tol, data=None):
+        got = counts(counter, zero_tol, data)
+        hit = counter.ordering == ordering and dim in (None, counter.dim)
+        return alter(got) if hit else got
+
+    monkeypatch.setattr(core._Counter, "counts", altered)
 
 
 # the QWZ windows above, off the banded route, and the banded circle and
@@ -434,9 +488,10 @@ class TestSylvesterRoute:
             else:
                 assert dense - 1e-9 * max(dense, 1.0) <= res.truncated_gap <= dense
 
-    @pytest.mark.parametrize("route", ["_inertia_sylvester", "_inertia_second"])
-    def test_flipped_count_from_either_route_is_caught(self, qwz9, monkeypatch, route):
-        monkeypatch.setattr(core, route, _flipped(getattr(core, route)))
+    @pytest.mark.parametrize("ordering", core.ORDERINGS, ids=["first", "second"])
+    def test_flipped_count_from_either_ordering_is_caught(self, qwz9, monkeypatch, ordering):
+        # one eigenvalue miscounted as positive
+        _alter_counts(monkeypatch, lambda c: (c[0] + 1, c[1] - 1, c[2]), ordering)
         with pytest.raises(BackendDisagreement) as exc:
             pairing(qwz9, LocaliserParams(0.75, 5.5), certificates=False)
         assert exc.value.eig_counts != exc.value.factor_counts
@@ -452,5 +507,87 @@ class TestSylvesterRoute:
         res = pairing_even(model, params)
         assert res.pairing == oracle
         assert res.dim_trunc > core.DENSE_DIM_LIMIT
-        for name in ("truncated_gap", "complement_gap"):
-            assert res.certificate(name).detail.endswith("(%s)" % core.SPARSE_GAP_ROUTE)
+        assert res.certificate("truncated_gap").detail.endswith("(%s)" % core.SPARSE_GAP_ROUTE)
+        comp = model.containment_window().localiser(params.kappa, beyond=params.rho)
+        _assert_decided_by_counts(res.certificate("complement_gap"), comp)
+
+
+# the gap rows' blocks on a circle model where both rows are applicable:
+# name -> the block at kappa 0.05, rho 30.5
+def _gap_blocks(model):
+    outer = model.containment_window()
+    return {"regime_gap": outer.localiser(0.05),
+            "complement_gap": outer.localiser(0.05, beyond=30.5)}
+
+
+class TestGapCounts:
+    """The complement and regime rows are decided by counts in both orderings."""
+
+    @pytest.mark.parametrize("ordering", core.ORDERINGS, ids=["first", "second"])
+    @pytest.mark.parametrize("name", ["regime_gap", "complement_gap"])
+    def test_flipped_zero_class_from_either_ordering_is_caught(self, monkeypatch, name, ordering):
+        # one eigenvalue miscounted into the zero class, on that row's block only
+        model = build_circle_model(40, {0: 0.5, 1: 1.0})
+        block = _gap_blocks(model)[name]
+        _alter_counts(monkeypatch, lambda c: (c[0] - 1, c[1], c[2] + 1), ordering, block.shape[0])
+        with pytest.raises(BackendDisagreement):
+            pairing(model, LocaliserParams(0.05, 30.5))
+
+    @pytest.mark.parametrize("name", ["regime_gap", "complement_gap"])
+    def test_decline_in_both_orderings_raises(self, monkeypatch, name):
+        model = build_circle_model(40, {0: 0.5, 1: 1.0})
+        dim = _gap_blocks(model)[name].shape[0]
+        for ordering in core.ORDERINGS:
+            _alter_counts(monkeypatch, lambda c: None, ordering, dim)
+        with pytest.raises(FactorizationDeclined):
+            pairing(model, LocaliserParams(0.05, 30.5))
+
+    @pytest.mark.parametrize("name", ["regime_gap", "complement_gap"])
+    def test_decline_in_one_ordering_leaves_the_other(self, monkeypatch, name):
+        model = build_circle_model(40, {0: 0.5, 1: 1.0})
+        block = _gap_blocks(model)[name]
+        _alter_counts(monkeypatch, lambda c: None, core.ORDERINGS[0], block.shape[0])
+        cert = pairing(model, LocaliserParams(0.05, 30.5)).certificate(name)
+        assert cert.satisfied
+        _assert_decided_by_counts(cert, block)
+
+    def test_only_the_truncated_block_runs_an_eigensolver(self, monkeypatch):
+        # a full-certificate QWZ box-10 pairing: ARPACK runs once, on the
+        # truncated block (its Lanczos gap), and no eigensolver runs elsewhere
+        import scipy.sparse.linalg as spla
+
+        calls = []
+
+        def spy(name, solver):
+            def spied(a, *args, **kwargs):
+                calls.append((name, a.shape[0]))
+                return solver(a, *args, **kwargs)
+            return spied
+
+        for module, name in ((spla, "eigsh"), (np.linalg, "eigvalsh"), (np.linalg, "eigh"),
+                             (core, "_eigensolve")):
+            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+        res = pairing(build_qwz_model(box=10, mass=1.0), LocaliserParams(0.25, 5.5))
+        assert res.certificate("regime_gap").applicable
+        assert "complement_gap" in {c.name for c in res.certificates}
+        assert calls == [("eigsh", res.dim_trunc)]
+
+    @pytest.mark.parametrize("model,params,truncated", [
+        # truncated block: one LU at 0 for Lanczos, two at +/-gap (first
+        # ordering) and two at +/-zero_tol (second); or, banded, two at +/-zero_tol
+        (lambda: build_qwz_model(box=10, mass=1.0), LocaliserParams(0.25, 5.5), 5),
+        (lambda: build_circle_model(250, {0: 0.5, 1: 1.0}), LocaliserParams(0.05, 100.5), 2),
+    ], ids=["qwz10", "circle250"])
+    def test_factorizations_per_block(self, monkeypatch, model, params, truncated):
+        model = model()
+        outer = model.containment_window()
+        blocks = [model.window(params.rho).localiser(params.kappa), outer.localiser(params.kappa)]
+        comp = outer.localiser(params.kappa, beyond=params.rho)
+        blocks += [comp] if comp is not None else []
+        assert len({b.shape[0] for b in blocks}) == len(blocks)
+        calls = splu_spy(monkeypatch)
+        assert pairing(model, params).certificate("regime_gap").applicable
+        per_block = [sum(dim == b.shape[0] for dim, _ in calls) for b in blocks]
+        # each gap row: two LUs per ordering, the first of each finding it
+        assert per_block == [truncated] + [4] * (len(blocks) - 1)
+        assert len(calls) == sum(per_block)
