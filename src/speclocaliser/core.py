@@ -1,12 +1,11 @@
 """Finite-dimensional spectral primitives.
 
-Everything downstream (localiser assembly, truncation, spectral flow) reduces
-to a handful of operations on Hermitian matrices: inertia counts, gaps and
-norms.  One kernel diagonalises, ``hermitian_eigenvalues``; it validates
-its input (square, non-empty, finite, Hermitian within HERM_TOL_FACTOR, at
-most DENSE_DIM_LIMIT rows), sparse input on its stored entries, and picks
-its route from the matrix itself: zhbevd for sparse input whose reverse
-Cuthill-McKee bandwidth is small (BAND_POWER), eigvalsh for the rest.
+Everything downstream reduces to inertia counts, gaps and norms of
+Hermitian matrices.  One kernel diagonalises, ``hermitian_eigenvalues``; it
+validates its input (square, non-empty, finite, Hermitian within
+HERM_TOL_FACTOR, at most DENSE_DIM_LIMIT rows), sparse input on its stored
+entries, and picks its route from the matrix itself: zhbevd for sparse
+input of small reverse Cuthill-McKee bandwidth (BAND_POWER), else eigvalsh.
 
 One primitive counts, ``_Counter``: Sylvester's law of inertia on sparse
 symmetric LUs (SuperLU, diagonal pivots) of the matrices on one sparse
@@ -18,20 +17,21 @@ read by two independent routes whose triples must agree exactly, or
 :class:`~speclocaliser.errors.BackendDisagreement` is raised
 (:class:`~speclocaliser.errors.FactorizationDeclined` when no LU is left):
 ``inertia`` checks its caller's eigenvalues against the counts, retrying a
-declined LU in the second ordering; ``certified_inertia`` checks a
-truncated block's banded eigenvalues that way or, with no eigensolve, the
-counts that confirm a shift-invert Lanczos lower bound on its gap against
-the second ordering's; ``gap_counts`` decides a row ``gap >= b`` by counts
-in both orderings; a spectral-flow walk counts each sample on its
-pattern's counter and checks each end in the second ordering.  The count
-thresholds, with ||X||_1 the larger max-absolute-row-sum of a walk's ends
-(a bound on both spectral radii) and L_w the truncated window localiser:
+declined LU in the second ordering; ``certified_inertia`` estimates a
+truncated block's gap g by Lanczos or the kernel and confirms it once, in
+an ordering the estimate did not use; ``gap_counts`` decides a row
+``gap >= b`` by counts in both orderings; a spectral-flow walk counts each
+sample on its pattern's counter and checks each end in the second
+ordering.  The count thresholds, with ||X||_1 the larger absolute row sum
+of a walk's ends (a bound on both spectral radii), L_w the truncated
+window localiser and r(A) = 3 sqrt(n) eps ||A||_inf:
 
   walk samples (``eps``)       1e-6 ||X||_1                    flow.sf_crossings
   walk end checks              1e-8 ||X||_1                    flow.sf_crossings
   pairing ``zero_tol``         1e-8 (kappa max|D_w| + ||K||),  localiser.pairing
                                a Weyl bound on ||L_w||
-  truncated gap confirmation   its Lanczos lower bound         certified_inertia
+  truncated gap confirmation   its Lanczos bound, or the       certified_inertia
+                               kernel's max(g - r(A), zero_tol)
   complement and regime gaps   b - 1e-9, b the row's bound     gap_counts
   ``inertia`` by default       1e-8 max|eigenvalue|            inertia
 
@@ -286,19 +286,20 @@ class _Counter:
     """Sylvester counts of the Hermitian matrices on one sparse pattern, in
     one SuperLU ordering.
 
-    a is read into an _on_pattern copy.  The first factorization is of a
-    itself, in the ordering, whose column order SuperLU computes from the
-    structure alone; the copy is then permuted into that order, and every
-    later one writes its values (a's, or data on a's _on_pattern layout) and
-    shifted diagonal there and factors in NATURAL order.  With diagonal
-    pivots (perm_r == perm_c) P A P^T = L D L^* with D = diag(U), so by
-    Sylvester's law the signs of U's diagonal are the inertia; a pivot off
-    the diagonal or a zero pivot (SuperLU's singular error too) is a decline.
+    a is read into an _on_pattern copy.  The first LU is of a itself, in the
+    ordering, whose column order SuperLU computes from the structure alone;
+    the second permutes the copy into that order, and every later one writes
+    its values (a's, or data on a's _on_pattern layout) and shifted diagonal
+    there and factors in NATURAL order.  With diagonal pivots (perm_r ==
+    perm_c) P A P^T = L D L^* with D = diag(U), so by Sylvester's law the
+    signs of U's diagonal are the inertia; a pivot off the diagonal or a
+    zero pivot (SuperLU's singular error too) is a decline.
     """
 
     def __init__(self, a, ordering: str = ORDERINGS[0]):
         c = _on_pattern(a)
         self.ordering, self.values, self.matrix, self.dim = ordering, c.data, c.copy(), c.shape[0]
+        self.order = None  # the first LU's column order, until the copy is permuted into it
         self.src = None  # position in a's layout of each permuted entry
         self.diag = np.flatnonzero(c.indices == np.repeat(np.arange(self.dim), np.diff(c.indptr)))
 
@@ -306,6 +307,8 @@ class _Counter:
         """(lu, signs of its pivots) of the matrix less shift*I, or None on a decline."""
         import scipy.sparse.linalg as spla  # deferred: only factorizations load SuperLU
 
+        if self.order is not None:  # the second LU permutes the copy, once
+            self._permute()
         m = self.matrix
         values = self.values if data is None else np.asarray(data)
         m.data[:] = values if self.src is None else values[self.src]
@@ -320,16 +323,16 @@ class _Counter:
                 raise
             return None
         if self.src is None:
-            self._permute(lu.perm_c)
+            self.order = lu.perm_c
         pivots = lu.U.diagonal().real
         if not np.array_equal(lu.perm_r, lu.perm_c) or not np.all(pivots):
             return None
         return lu, np.sign(pivots)
 
-    def _permute(self, order: np.ndarray) -> None:
+    def _permute(self) -> None:
         # row/column i of a moves to order[i]; the entries are re-sorted into
         # the permuted CSC order
-        m, n = self.matrix, self.dim
+        m, n, order, self.order = self.matrix, self.dim, self.order, None
         rows = order[m.indices].astype(np.int64)
         cols = order[np.repeat(np.arange(n), np.diff(m.indptr))].astype(np.int64)
         self.src = np.argsort(cols * n + rows)
@@ -428,20 +431,23 @@ def gap_counts(a, bound: float) -> tuple[int, int, int]:
     return first or second
 
 
-def _lanczos_gap(a: sp.sparray) -> tuple[float, tuple[int, int, int]] | None:
-    """A certified lower bound on min |eigenvalue| of a and the counts (first
-    ordering) that confirm it, or None (a decline).
+def _rounding(a) -> float:
+    """3 sqrt(n) eps ||A||_inf, thrice the rounding level of an n-row LU of a:
+    a gap estimate less it survives the rounding of the LUs that count it."""
+    return 3.0 * np.sqrt(a.shape[0]) * np.finfo(float).eps * abs(a).sum(axis=1).max()
 
-    Shift-invert Lanczos, with the LU at shift 0 as the inverse, finds the
-    eigenpair (theta, y) nearest 0; the bound is |theta| - ||A y - theta y||
-    less a rounding margin, accepted only when Sylvester counts at -/+ that
-    value show no eigenvalue between them.
+
+def _lanczos_gap(a: sp.sparray) -> tuple[float, tuple[int, int, int]] | None:
+    """An estimated lower bound on min |eigenvalue| of a and the inertia read
+    off the pivot signs (none zero) of the first ordering's LU of a at 0, or
+    None (a decline, an ARPACK failure or a bound not above 0).
+
+    Shift-invert Lanczos, with that LU as the inverse, finds the eigenpair
+    (theta, y) nearest 0; the bound, |theta| - ||A y - theta y|| less
+    _rounding(a), is confirmed by certified_inertia, not here.
     """
     n = a.shape[0]
-    if n <= 2:  # complex ARPACK needs k = 1 < n - 1
-        return None
-    counter = _Counter(a)
-    factored = counter.factor(0.0)  # the counter's first LU: of a itself
+    factored = _Counter(a).factor(0.0) if n > 2 else None  # complex ARPACK needs k = 1 < n - 1
     if factored is None:
         return None
     import scipy.sparse.linalg as spla  # deferred: only certificates load ARPACK
@@ -452,43 +458,37 @@ def _lanczos_gap(a: sp.sparray) -> tuple[float, tuple[int, int, int]] | None:
     except spla.ArpackError:
         return None
     theta, y = theta[0], y[:, 0]
-    # residual bound, less three times the rounding level sqrt(n) eps ||A||_inf
-    # of an n-row factorization, so that it also holds under the rounding of
-    # the counting factorizations (and of a dense eigensolver)
-    rounding = 3.0 * np.sqrt(n) * np.finfo(float).eps * abs(a).sum(axis=1).max()
-    lower = abs(theta) - np.linalg.norm(a @ y - theta * y) - rounding
+    lower = abs(theta) - np.linalg.norm(a @ y - theta * y) - _rounding(a)
     if not lower > 0:
         return None
-    # no eigenvalue in [-lower, lower]: the Sylvester count at +/-lower has
-    # an empty zero class
-    counts = counter.counts(lower)
-    if counts is None or counts[2]:
-        return None
-    return float(lower), counts
+    return float(lower), (int(np.sum(factored[1] > 0)), int(np.sum(factored[1] < 0)), 0)
 
 
 def certified_inertia(a, zero_tol: float) -> tuple[float, Inertia, str]:
     """min |eigenvalue| of a Hermitian a, its inertia at zero_tol, and the
     name of the route that measured them.
 
-    A block narrow enough for _band_order is diagonalised once by zhbevd: the
-    least eigenvalue modulus, and the inertia checked against LU counts.  Any
-    other takes _lanczos_gap's certified lower bound (SPARSE_GAP_ROUTE) and
-    the Sylvester counts that confirm it, checked against LUs at -/+zero_tol
-    in the second ordering (else BackendDisagreement).  A decline, or a bound
-    not above zero_tol, falls back to the eigensolve.
+    Estimate once, confirm once, in an ordering the estimate did not use.
+    Off _band_order's band, _lanczos_gap's bound (SPARSE_GAP_ROUTE) needs
+    counts at exactly +/-bound in the second ordering with an empty zero
+    class and the Lanczos LU's triple (else BackendDisagreement).  A zero
+    class, a decline or a bound not above zero_tol falls to the kernel
+    (zhbevd when banded, else eigvalsh), whose least eigenvalue modulus g
+    ``inertia`` confirms at max(g - _rounding(a), zero_tol); no eigenvalue
+    lies between that and zero_tol, so the inertia is the one at zero_tol.
     """
     a = hermitian_csr(a)
     order = _band_order(a)
     got = _lanczos_gap(a) if order is None else None
-    second = _Counter(a, ORDERINGS[1]).counts(zero_tol) if got and got[0] > zero_tol else None
-    if second is not None:
+    second = _Counter(a, ORDERINGS[1]).counts(got[0]) if got and got[0] > zero_tol else None
+    if second is not None and not second[2]:
         if second != got[1]:
-            raise BackendDisagreement(got[1], second, zero_tol)
+            raise BackendDisagreement(got[1], second, got[0])
         return got[0], Inertia(*second), SPARSE_GAP_ROUTE
     w = _eigensolve(a, order)
+    gap = float(np.min(np.abs(w)))
     route = DENSE_EIG_ROUTE if order is None else "banded eigensolve, bandwidth %d" % order[1]
-    return float(np.min(np.abs(w))), inertia(a, w, zero_tol), route
+    return gap, inertia(a, w, max(gap - _rounding(a), zero_tol)), route
 
 
 def commutator_norm(d, x, interior_mask: np.ndarray | None = None) -> float:

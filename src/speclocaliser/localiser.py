@@ -14,15 +14,15 @@ the window's grading V* Gamma V; no kernel is counted.
 the model's windows (``ModelInstance.window``), which hold D's eigenvalues,
 the K-part V* K~ V and, for even models, the grading V* Gamma V on the
 window, all sparse.  The truncated block (|D| <= rho) stays CSR, and
-``core.certified_inertia`` reads its gap and inertia on the route it picks
-from the block: one banded eigensolve (circle and shift windows), or a
-certified lower bound on the gap and the Sylvester counts that confirm it
-(QWZ windows).  The complement and seam-free regime blocks are
-sub-blocks of the containment window and stay sparse.  Their rows,
-gap >= b, are decided with no eigensolve by ``core.gap_counts``: Sylvester
-counts at +/-(b - 1e-9) in two orderings, whose empty zero class proves the
-row; measured is then b - 1e-9, and otherwise a Weyl lower bound, and each
-row's detail names the counts.
+``core.certified_inertia`` reads its gap and inertia by one rule: estimate
+by Lanczos (QWZ windows) or the kernel (banded circle and shift windows);
+confirm once, by Sylvester counts in an ordering the estimate did not use.
+The complement and seam-free regime blocks are sub-blocks of the
+containment window and stay sparse.  Their rows, gap >= b, are decided with
+no eigensolve by ``core.gap_counts``: Sylvester counts at +/-(b - 1e-9) in
+two orderings, whose empty zero class proves the row; measured is then
+b - 1e-9, and otherwise a Weyl lower bound, and each row's detail names the
+counts.
 
 Validity is tracked through certificates rather than asserted silently:
 every check, the untruncated-regime one included, is one
@@ -294,11 +294,9 @@ def pairing(
     rho < |D| <= containment and the seam-free regime block are sub-blocks
     of the containment window; each equals the compression of the whole-box
     localiser onto the same eigenvectors of D.  PairingResult.truncated_gap
-    and the inertia come from core.certified_inertia (the least eigenvalue
-    modulus on a banded window, a certified lower bound on any other), the
-    inertia counted at ZERO_TOL_FACTOR times the Weyl bound
-    kappa max|D_w| + ||K|| on the block's norm, which is also the
-    invertibility certificate's bound.
+    and the inertia come from core.certified_inertia (a count-confirmed gap
+    estimate), the inertia counted at ZERO_TOL_FACTOR times the Weyl bound
+    kappa max|D_w| + ||K|| on the block's norm, the invertibility bound.
 
     certificates=False is a lean mode for sweeps on large models: it skips
     the [D, K] commutator (a closed form for builder models, a whole-box

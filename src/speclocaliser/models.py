@@ -301,15 +301,16 @@ class ModelInstance:
         """The |D| <= containment radius window, cached.
 
         Containment radii are themselves D eigenvalues, so there is no edge
-        check.  An empty selection means the whole space.
+        check.  An empty selection raises ValidationError, as window_mask does.
         """
         if "containment_window" not in self.cache:
             w, _ = self.dirac_eigensystem()
             radius = self.containment_radius + 1e-9
             mask = np.abs(w) <= radius
-            self.cache["containment_window"] = self._window(
-                mask if mask.any() else np.ones_like(mask), radius
-            )
+            if not mask.any():
+                raise ValidationError("empty containment window: radius %.6g below the least |D| "
+                                      "eigenvalue %.6g" % (self.containment_radius, min(abs(w))))
+            self.cache["containment_window"] = self._window(mask, radius)
         return self.cache["containment_window"]
 
     def _window(self, mask: np.ndarray, radius: float) -> Window:

@@ -198,17 +198,28 @@ class TestSylvester:
         assert orderings == list(core.ORDERINGS)
 
     def test_non_minimal_eigenpair_is_rejected(self, monkeypatch):
+        # an eigenvalue Lanczos misses lies inside its estimate: the
+        # confirming counts see it, and the kernel route measures the gap
         import scipy.sparse.linalg as spla
 
-        a = sp.diags_array([3.0, -2.0, 0.5, 4.0]).astype(complex)
+        rng = np.random.default_rng(1)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        m = q @ np.diag([3.0, -2.0, 0.5, 4.0]) @ q.conj().T
+        a = sp.csr_array((m + m.conj().T) / 2.0)  # dense pattern: off the banded route
         assert core._lanczos_gap(a)[1] == (3, 1, 0)
+        gap, got, route = core.certified_inertia(a, 1e-8)
+        assert route == core.SPARSE_GAP_ROUTE and 0.5 - 1e-9 <= gap <= 0.5
 
         def far_pair(m, k, **kwargs):
             # an exact eigenpair, but not the one nearest 0
-            return np.array([3.0]), np.eye(4, 1, dtype=complex)
+            return np.array([3.0]), q[:, :1]
 
         monkeypatch.setattr(spla, "eigsh", far_pair)
-        assert core._lanczos_gap(a) is None
+        assert core._lanczos_gap(a)[0] > 2.9
+        gap, got, route = core.certified_inertia(a, 1e-8)
+        assert route == core.DENSE_EIG_ROUTE
+        assert abs(gap - 0.5) <= 1e-12
+        assert (got.n_pos, got.n_neg, got.n_zero) == (3, 1, 0)
 
     def test_residual_pads_an_inexact_eigenpair(self, monkeypatch):
         import scipy.sparse.linalg as spla

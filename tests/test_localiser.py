@@ -371,6 +371,17 @@ class TestPairing:
         assert res.index_correction == 0
         assert res.pairing == 0
 
+    def test_empty_containment_window_is_refused(self):
+        # every |D| eigenvalue lies beyond the containment radius, so the
+        # seam-free regime row has no window to count on
+        model = ModelInstance(
+            kind="custom", parity="odd", dirac=np.diag([-3.0, -2.0, 2.0, 3.0]), grading=None,
+            k_rep=np.eye(4), containment_radius=1.0, oracle_ref="fredholm_index_graded",
+            params={}, interior_mask=np.ones(4, dtype=bool),
+        )
+        with pytest.raises(ValidationError, match=r"radius 1 below the least \|D\| eigenvalue 2"):
+            pairing(model, LocaliserParams(0.5, 2.5))
+
     def test_parity_dispatch_enforced(self, circle40, qwz9):
         with pytest.raises(ValidationError):
             pairing_even(circle40, LocaliserParams(0.05, 30.5))
@@ -490,11 +501,56 @@ class TestSylvesterRoute:
 
     @pytest.mark.parametrize("ordering", core.ORDERINGS, ids=["first", "second"])
     def test_flipped_count_from_either_ordering_is_caught(self, qwz9, monkeypatch, ordering):
-        # one eigenvalue miscounted as positive
-        _alter_counts(monkeypatch, lambda c: (c[0] + 1, c[1] - 1, c[2]), ordering)
+        # one negative pivot read as positive in that ordering's LUs: the
+        # first ordering's LU at 0 (the Lanczos estimate's) or the second's
+        # at +/-bound (its confirmation)
+        factor = core._Counter.factor
+
+        def flipped(counter, shift, data=None):
+            got = factor(counter, shift, data)
+            if got is None or counter.ordering != ordering:
+                return got
+            signs = got[1].copy()
+            signs[np.argmax(signs < 0)] = 1.0
+            return got[0], signs
+
+        monkeypatch.setattr(core._Counter, "factor", flipped)
         with pytest.raises(BackendDisagreement) as exc:
             pairing(qwz9, LocaliserParams(0.75, 5.5), certificates=False)
         assert exc.value.eig_counts != exc.value.factor_counts
+
+    def test_lanczos_bound_is_confirmed_once_at_itself(self, qwz9, monkeypatch):
+        # the only counts are the second ordering's, at exactly +/-bound, and
+        # a count flipped there is caught
+        block = qwz9.window(5.5).localiser(0.75)
+        lower = core._lanczos_gap(block)[0]
+        counts, thresholds = core._Counter.counts, []
+
+        def flipped(counter, zero_tol, data=None):
+            thresholds.append((counter.ordering, zero_tol))
+            got = counts(counter, zero_tol, data)
+            return got[0] + 1, got[1] - 1, got[2]
+
+        monkeypatch.setattr(core._Counter, "counts", flipped)
+        with pytest.raises(BackendDisagreement) as exc:
+            core.certified_inertia(block, 1e-8)
+        assert thresholds == [(core.ORDERINGS[1], lower)]
+        assert exc.value.zero_tol == lower
+
+    def test_banded_gap_is_confirmed_by_counts(self, circle40, monkeypatch):
+        # the kernel reports the eigenvalues nearest 0 further out than they
+        # are: the counts at the reported gap find them inside it
+        eigensolve = core._eigensolve
+
+        def moved(a, order):
+            w = eigensolve(a, order)
+            near = np.abs(w) < 1.01 * np.min(np.abs(w))
+            return np.where(near, 1.5 * w, w)
+
+        monkeypatch.setattr(core, "_eigensolve", moved)
+        with pytest.raises(BackendDisagreement) as exc:
+            pairing(circle40, LocaliserParams(0.05, 30.5), certificates=False)
+        assert exc.value.eig_counts[2] == 0 and exc.value.factor_counts[2] > 0
 
     def test_dense_limit_no_longer_gates_pairing(self, monkeypatch):
         model = build_qwz_model(box=8, mass=1.0)
@@ -573,9 +629,9 @@ class TestGapCounts:
         assert calls == [("eigsh", res.dim_trunc)]
 
     @pytest.mark.parametrize("model,params,truncated", [
-        # truncated block: one LU at 0 for Lanczos, two at +/-gap (first
-        # ordering) and two at +/-zero_tol (second); or, banded, two at +/-zero_tol
-        (lambda: build_qwz_model(box=10, mass=1.0), LocaliserParams(0.25, 5.5), 5),
+        # truncated block: one LU at 0 for Lanczos (first ordering) and two
+        # at +/-gap (second); or, banded, two at +/-(gap less rounding)
+        (lambda: build_qwz_model(box=10, mass=1.0), LocaliserParams(0.25, 5.5), 3),
         (lambda: build_circle_model(250, {0: 0.5, 1: 1.0}), LocaliserParams(0.05, 100.5), 2),
     ], ids=["qwz10", "circle250"])
     def test_factorizations_per_block(self, monkeypatch, model, params, truncated):

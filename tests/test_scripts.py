@@ -2,6 +2,7 @@
 the cheap ones also run end to end."""
 
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -59,3 +60,19 @@ def test_phase_scan_lean_mode_agrees_with_the_oracle():
     assert [(r[0], r[2], r[3], r[4]) for r in rows] == [
         ("1.000", "1", "1", "yes"), ("3.000", "0", "0", "yes"),
     ]
+
+
+def test_dump_pairings_quick_profile():
+    proc = _run(ROOT / "scripts" / "dump_pairings.py", "--profile", "quick")
+    assert proc.returncode == 0, proc.stderr
+    dump = json.loads(proc.stdout)
+    assert dump["criteria_passed"] == [1, 3, 5, 6, 9, 10]
+    strict = dump["pairings"]["circle strict"]
+    assert set(strict) == {
+        "pairing", "signature", "inertia", "index_correction", "truncated_gap", "certificates",
+    }
+    n_pos, n_neg, n_zero = strict["inertia"]
+    assert strict["signature"] == n_pos - n_neg == 2 * strict["pairing"] and n_zero == 0
+    assert {c["name"] for c in strict["certificates"]} >= {"truncated_gap", "regime_gap"}
+    for entry in dump["suspensions"]:
+        assert entry["sf_clamp"] == entry["sf_smooth"] == entry["pairing"]
