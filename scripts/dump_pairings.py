@@ -8,10 +8,19 @@ applicable, violated, measured value and detail, then every criterion-6
 suspension record.  Two checkouts' dumps diff line by line:
 
     PYTHONPATH=src python scripts/dump_pairings.py --profile full > after.json
+
+With --diff, the dump is compared field by field with one written before
+(say on the parent commit) instead of printed: every field that differs is
+printed with both values, then the largest relative difference among float
+fields.  The exit status is 1 when a non-float field differs or a float
+field differs by more than FLOAT_RTOL relative:
+
+    PYTHONPATH=src python scripts/dump_pairings.py --profile full --diff before.json
 """
 
 import argparse
 import json
+import math
 import sys
 
 from speclocaliser.verify import VerifySession
@@ -32,10 +41,49 @@ def _pairing_record(res) -> dict:
     }
 
 
+# floats (gaps, measured values) may move by rounding between two routes
+FLOAT_RTOL = 1e-12
+
+
+def _differences(before, after, path="$"):
+    """(path, before, after, relative difference or None) for every leaf that
+    differs; the difference is None unless both leaves are floats."""
+    if isinstance(before, dict) and isinstance(after, dict):
+        for key in sorted(set(before) | set(after)):
+            yield from _differences(before.get(key), after.get(key), "%s.%s" % (path, key))
+    elif isinstance(before, list) and isinstance(after, list) and len(before) == len(after):
+        for i, (old, new) in enumerate(zip(before, after)):
+            yield from _differences(old, new, "%s[%d]" % (path, i))
+    elif isinstance(before, float) and isinstance(after, float):
+        if before != after and not (math.isnan(before) and math.isnan(after)):
+            rel = abs(after - before) / max(abs(before), abs(after))
+            yield path, before, after, rel if math.isfinite(rel) else math.inf
+    elif type(before) is not type(after) or before != after:
+        yield path, before, after, None
+
+
+def diff(before: dict, after: dict) -> int:
+    """Print every field of after that differs from before and the largest
+    relative float difference; 1 if a non-float field differs or a float one
+    by more than FLOAT_RTOL, else 0."""
+    worst, status = (0.0, None), 0
+    for path, old, new, rel in _differences(before, after):
+        print("%s: %r -> %r%s" % (path, old, new, "" if rel is None else "  (rel %.3g)" % rel))
+        if rel is None or rel > FLOAT_RTOL:
+            status = 1
+        if rel is not None and rel > worst[0]:
+            worst = (rel, path)
+    print("largest relative float difference: %.3g%s"
+          % (worst[0], "" if worst[1] is None else " at " + worst[1]))
+    return status
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--profile", choices=("quick", "full"), default="quick")
+    ap.add_argument("--diff", metavar="BEFORE.json",
+                    help="compare with this earlier dump instead of printing it")
     args = ap.parse_args()
 
     session = VerifySession(quick=args.profile == "quick")
@@ -47,8 +95,11 @@ def main() -> int:
         "suspensions": session._suspension_entries(),
     }
     # numpy scalars (a certificate's satisfied flag) print as their Python values
-    json.dump(dump, sys.stdout, indent=1, sort_keys=True, default=lambda o: o.item())
-    sys.stdout.write("\n")
+    text = json.dumps(dump, indent=1, sort_keys=True, default=lambda o: o.item())
+    if args.diff is not None:
+        with open(args.diff) as fh:
+            return diff(json.load(fh), json.loads(text))
+    sys.stdout.write(text + "\n")
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -17,21 +17,21 @@ read by two independent routes whose triples must agree exactly, or
 :class:`~speclocaliser.errors.BackendDisagreement` is raised
 (:class:`~speclocaliser.errors.FactorizationDeclined` when no LU is left):
 ``inertia`` checks its caller's eigenvalues against the counts, retrying a
-declined LU in the second ordering; ``certified_inertia`` estimates a
-truncated block's gap g by Lanczos or the kernel and confirms it once, in
-an ordering the estimate did not use; ``gap_counts`` decides a row
-``gap >= b`` by counts in both orderings; a spectral-flow walk counts each
-sample on its pattern's counter and checks each end in the second
-ordering.  The count thresholds, with ||X||_1 the larger absolute row sum
-of a walk's ends (a bound on both spectral radii), L_w the truncated
-window localiser and r(A) = 3 sqrt(n) eps ||A||_inf:
+declined LU in the second ordering; in ``certified_inertia`` the LU at 0
+gives a truncated block's inertia, Lanczos or two band eigenvalues its gap
+g, and one count pair in the second ordering confirms both; ``gap_counts``
+decides a row ``gap >= b`` by counts in both orderings; a spectral-flow
+walk counts each sample on its pattern's counter and checks each end in
+the second ordering.  The count thresholds, with ||X||_1 the larger
+absolute row sum of a walk's ends (a bound on both spectral radii), L_w
+the truncated window localiser and r(A) = 3 sqrt(n) eps ||A||_inf:
 
   walk samples (``eps``)       1e-6 ||X||_1                    flow.sf_crossings
   walk end checks              1e-8 ||X||_1                    flow.sf_crossings
   pairing ``zero_tol``         1e-8 (kappa max|D_w| + ||K||),  localiser.pairing
                                a Weyl bound on ||L_w||
   truncated gap confirmation   its Lanczos bound, or the       certified_inertia
-                               kernel's max(g - r(A), zero_tol)
+                               band's max(g - r(A), zero_tol)
   complement and regime gaps   b - 1e-9, b the row's bound     gap_counts
   ``inertia`` by default       1e-8 max|eigenvalue|            inertia
 
@@ -42,8 +42,8 @@ capped at ``DENSE_DIM_LIMIT`` rows: the eigenvalue kernel's, the D
 eigensystem and K spectrum of a model without closed forms, and the inputs
 of the small-model oracles and flows.  ``commutator_norm`` (Lanczos on the
 Gram matrix of the masked commutator, an upper bound) and the truncated
-gap (shift-invert Lanczos on the LU, a lower bound confirmed by Sylvester
-counts) stay sparse, each padded by its residual in the safe direction.
+gap (shift-invert Lanczos on the LU at 0, a lower bound, or bisection on
+the band) stay sparse, Lanczos padded by its residual in the safe direction.
 """
 
 from __future__ import annotations
@@ -213,10 +213,10 @@ def _band_order(a) -> tuple[np.ndarray, int] | None:
     return (position, bandwidth) if bandwidth**BAND_POWER <= n else None
 
 
-def _eigensolve(a, order) -> np.ndarray:
-    """Ascending eigenvalues of a validated Hermitian a: LAPACK's zhbevd on
-    a's upper band in the order of _band_order, or eigvalsh (zheevd) when
-    order is None."""
+def _eigensolve(a, order, select=None) -> np.ndarray:
+    """Ascending eigenvalues of a validated Hermitian a: zhbevd on a's upper
+    band in the order of _band_order (zhbevx, by bisection, for the indices
+    select = (lo, hi) alone), or eigvalsh (zheevd) when order is None."""
     _check_dense_dim(a.shape[0])
     if order is None:
         return np.linalg.eigvalsh(a.toarray() if sp.issparse(a) else a)
@@ -226,7 +226,7 @@ def _eigensolve(a, order) -> np.ndarray:
     upper = rows <= cols
     band = np.zeros((bandwidth + 1, a.shape[0]), dtype=np.complex128)
     band[bandwidth + rows[upper] - cols[upper], cols[upper]] = values[upper]
-    return sla.eigvals_banded(band, lower=False, check_finite=False)
+    return sla.eigvals_banded(band, select="a" if select is None else "i", select_range=select)
 
 
 def hermitian_matrix(a):
@@ -464,31 +464,49 @@ def _lanczos_gap(a: sp.sparray) -> tuple[float, tuple[int, int, int]] | None:
     return float(lower), (int(np.sum(factored[1] > 0)), int(np.sum(factored[1] < 0)), 0)
 
 
+def _band_gap(a, order) -> tuple[float, tuple[int, int, int]] | None:
+    """min |eigenvalue| of a banded a, read off its eigenvalues of ascending
+    indices n_neg - 1 and n_neg alone, and the inertia of the first ordering's
+    LU at 0 with n_neg negative pivots, or None on a decline.  The two must
+    bracket 0, unless within _rounding(a) of it, else BackendDisagreement."""
+    factored = _Counter(a).factor(0.0)
+    if factored is None:
+        return None
+    n, n_neg = a.shape[0], int(np.sum(factored[1] < 0))
+    w = _eigensolve(a, order, (max(n_neg - 1, 0), min(n_neg, n - 1)))
+    signs, bracket = eigenvalue_counts(w, 0.0), (int(n_neg < n), int(n_neg > 0), 0)
+    if signs != bracket and np.min(np.abs(w)) > _rounding(a):
+        raise BackendDisagreement(signs, bracket, 0.0)
+    return float(np.min(np.abs(w))), (n - n_neg, n_neg, 0)
+
+
 def certified_inertia(a, zero_tol: float) -> tuple[float, Inertia, str]:
     """min |eigenvalue| of a Hermitian a, its inertia at zero_tol, and the
     name of the route that measured them.
 
-    Estimate once, confirm once, in an ordering the estimate did not use.
-    Off _band_order's band, _lanczos_gap's bound (SPARSE_GAP_ROUTE) needs
-    counts at exactly +/-bound in the second ordering with an empty zero
-    class and the Lanczos LU's triple (else BackendDisagreement).  A zero
-    class, a decline or a bound not above zero_tol falls to the kernel
-    (zhbevd when banded, else eigvalsh), whose least eigenvalue modulus g
-    ``inertia`` confirms at max(g - _rounding(a), zero_tol); no eigenvalue
-    lies between that and zero_tol, so the inertia is the one at zero_tol.
+    The first ordering's LU at 0 gives the inertia, Lanczos (_lanczos_gap,
+    SPARSE_GAP_ROUTE) or two band eigenvalues (_band_gap) the gap g, and one
+    count pair in the second ordering confirms both at the Lanczos bound or
+    the band's max(g - _rounding(a), zero_tol), no eigenvalue lying between
+    that and zero_tol: an empty zero class (else a Lanczos bound falls back)
+    and the LU's triple, else BackendDisagreement.  A decline or a g not
+    above zero_tol falls to the kernel's full spectrum (zhbevd or eigvalsh)
+    and ``inertia`` at max(g - _rounding(a), zero_tol).
     """
     a = hermitian_csr(a)
     order = _band_order(a)
-    got = _lanczos_gap(a) if order is None else None
-    second = _Counter(a, ORDERINGS[1]).counts(got[0]) if got and got[0] > zero_tol else None
-    if second is not None and not second[2]:
-        if second != got[1]:
-            raise BackendDisagreement(got[1], second, got[0])
-        return got[0], Inertia(*second), SPARSE_GAP_ROUTE
+    band_route = None if order is None else "banded eigensolve, bandwidth %d" % order[1]
+    got = _lanczos_gap(a) if order is None else _band_gap(a, order)
+    if got is not None and got[0] > zero_tol:
+        tol = got[0] if order is None else max(got[0] - _rounding(a), zero_tol)
+        second = _Counter(a, ORDERINGS[1]).counts(tol)
+        if second is not None and (order is not None or not second[2]):
+            if second != got[1]:
+                raise BackendDisagreement(got[1], second, tol)
+            return got[0], Inertia(*second), band_route or SPARSE_GAP_ROUTE
     w = _eigensolve(a, order)
     gap = float(np.min(np.abs(w)))
-    route = DENSE_EIG_ROUTE if order is None else "banded eigensolve, bandwidth %d" % order[1]
-    return gap, inertia(a, w, max(gap - _rounding(a), zero_tol)), route
+    return gap, inertia(a, w, max(gap - _rounding(a), zero_tol)), band_route or DENSE_EIG_ROUTE
 
 
 def commutator_norm(d, x, interior_mask: np.ndarray | None = None) -> float:

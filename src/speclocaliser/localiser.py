@@ -14,9 +14,9 @@ the window's grading V* Gamma V; no kernel is counted.
 the model's windows (``ModelInstance.window``), which hold D's eigenvalues,
 the K-part V* K~ V and, for even models, the grading V* Gamma V on the
 window, all sparse.  The truncated block (|D| <= rho) stays CSR, and
-``core.certified_inertia`` reads its gap and inertia by one rule: estimate
-by Lanczos (QWZ windows) or the kernel (banded circle and shift windows);
-confirm once, by Sylvester counts in an ordering the estimate did not use.
+``core.certified_inertia`` reads it by one rule: the LU at 0 gives the
+inertia; Lanczos (QWZ windows) or two band eigenvalues (circle and shift
+windows) give the gap; one ``COLAMD`` count pair confirms both.
 The complement and seam-free regime blocks are sub-blocks of the
 containment window and stay sparse.  Their rows, gap >= b, are decided with
 no eigensolve by ``core.gap_counts``: Sylvester counts at +/-(b - 1e-9) in

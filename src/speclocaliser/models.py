@@ -200,15 +200,17 @@ class Window:
 
     def assemble(self, kappa: float, k_part: sp.sparray, sel=slice(None)) -> sp.csr_array:
         """kappa*diag(eigs) + k_part for even models, the odd double
-        [[kappa*diag(eigs), k_part], [k_part*, -kappa*diag(eigs)]] for odd
-        ones, with eigs taken at the window positions sel.  k_part is any
-        sparse K-part on those positions.
+        [[kappa*diag(eigs), k_part], [k_part*, -kappa*diag(eigs)]], storing
+        no zero of kappa*eigs, for odd ones, with eigs taken at the window
+        positions sel.  k_part is any sparse K-part on those positions.
         """
-        d = sp.diags_array((kappa * self.eigs[sel]).astype(np.complex128))
+        d = (kappa * self.eigs[sel]).astype(np.complex128)
         if not self.odd:
-            return (d + k_part).tocsr()
-        d, k_part = sp.csr_array(d), sp.csr_array(k_part)
-        return sp.block_array([[d, k_part], [k_part.conj().T, -d]], format="csr")
+            return (sp.diags_array(d) + k_part).tocsr()
+        k, n, nz = sp.coo_array(k_part), d.size, np.flatnonzero(d)
+        ij = np.concatenate([[nz, nz], [k.row, k.col + n], [k.col + n, k.row], [nz + n] * 2], 1)
+        data = np.concatenate([d[nz], k.data, k.data.conj(), -d[nz]])
+        return sp.csr_array((data, tuple(ij)), shape=(2 * n, 2 * n))
 
 
 @dataclasses.dataclass(eq=False)

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 import speclocaliser.core as core
+import speclocaliser.verify as verify
 from speclocaliser import (
     BackendDisagreement,
     BoundaryEigenvalue,
@@ -327,6 +328,52 @@ _BANDED_WINDOWS = {
 }
 
 
+# every circle and shift window that verify --profile full pairs, by model:
+# criterion 1 (circle 200, strict), 2 (circle 60), 3 (shift 40) and 7's
+# grown boxes (circle 90, shift 60)
+_VERIFY_BANDED = {
+    "circle200-strict": (lambda: build_circle_model(200, {0: 0.5, 1: 1.0}), [(1.0 / 144.0, 145.5)]),
+    **{
+        "circle60-w%d" % w: (
+            lambda w=w: build_circle_model(60, {0: 0.5, w: 1.0}),
+            [(kappa, rho) for kappa in verify._CIRCLE_KAPPAS for rho in verify._CIRCLE_RHOS],
+        )
+        for w in verify._CIRCLE_WINDINGS
+    },
+    **{
+        "circle90-w%d" % w: (lambda w=w: build_circle_model(90, {0: 0.5, w: 1.0}), [(0.05, 30.5)])
+        for w in verify._CIRCLE_WINDINGS
+    },
+    **{
+        "shift%d-nu%d-sign%+d" % (dim, nu, sign): (
+            lambda dim=dim, nu=nu, sign=sign: build_weighted_shift_dirac(dim, nu=nu, sign=sign),
+            [(0.1, 10.5)],
+        )
+        for dim in (40, 60)
+        for nu in verify._SHIFT_NUS
+        for sign in (1, -1)
+    },
+}
+
+
+def _band_route_matches_eigvalsh(monkeypatch, a, zero_tol):
+    # certified_inertia's banded route against the full spectrum: the gap
+    # within _rounding(a), the inertia exactly, and no full-spectrum solve
+    kernel, selects = core._eigensolve, []
+
+    def spied(m, order, select=None):
+        selects.append(select)
+        return kernel(m, order, select)
+
+    monkeypatch.setattr(core, "_eigensolve", spied)
+    gap, got, route = core.certified_inertia(a, zero_tol)
+    w = np.linalg.eigvalsh(a.toarray())
+    assert route.startswith("banded eigensolve")
+    assert len(selects) == 1 and selects[0] is not None
+    assert abs(gap - float(np.min(np.abs(w)))) <= core._rounding(sp.csr_array(a))
+    assert (got.n_pos, got.n_neg, got.n_zero) == core.eigenvalue_counts(w, zero_tol)
+
+
 class TestEigenvalueKernel:
     """The banded eigenvalue route against np.linalg.eigvalsh."""
 
@@ -386,14 +433,43 @@ class TestEigenvalueKernel:
         assert calls == []
         assert_allclose(got, np.linalg.eigvalsh(loc.toarray()), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("case", sorted(_VERIFY_BANDED))
+    def test_band_gap_matches_eigvalsh_on_the_verify_grid(self, monkeypatch, case):
+        build, pairs = _VERIFY_BANDED[case]
+        model = build()
+        for kappa, rho in pairs:
+            window = model.window(rho)
+            zero_tol = core.ZERO_TOL_FACTOR * (kappa * np.abs(window.eigs).max() + model.k_norm())
+            _band_route_matches_eigvalsh(monkeypatch, window.localiser(kappa), zero_tol)
+
+    @given(st.integers(1, 64), st.integers(1, 3), st.sampled_from([0, 1, -1]),
+           st.integers(0, 10_000))
+    def test_random_band_gap_matches_eigvalsh(self, dim, width, definite, seed):
+        # a random Hermitian band under a random symmetric permutation,
+        # shifted positive or negative definite (no eigenvalue below 0, or
+        # none above it) when definite is +1 or -1; the power is lowered so
+        # that every such pattern takes the banded route
+        rng = np.random.default_rng(seed)
+        offsets = np.subtract.outer(np.arange(dim), np.arange(dim))
+        m = np.where(np.abs(offsets) <= width, random_hermitian(rng, dim), 0.0)
+        m += definite * (np.abs(m).sum(axis=1).max() + 1.0) * np.eye(dim)
+        perm = rng.permutation(dim)
+        a = sp.csr_array(m[perm][:, perm])
+        zero_tol = core.ZERO_TOL_FACTOR * float(np.abs(m).sum(axis=1).max())
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(core, "BAND_POWER", 1)
+            _band_route_matches_eigvalsh(monkeypatch, a, zero_tol)
+
     def test_flipped_kernel_eigenvalue_is_caught(self, monkeypatch, circle40):
-        # a wrong banded eigenvalue must not pass the inertia cross-check
+        # a wrong banded eigenvalue must pass neither the inertia cross-check
+        # nor the bracket of the pairing's two selected eigenvalues: the
+        # least positive one, of the pair that brackets 0, changes sign
         kernel = core._eigensolve
 
-        def flipped(a, order):
-            w = kernel(a, order).copy()
-            top = int(np.argmax(np.abs(w)))
-            w[top] = -w[top]
+        def flipped(a, order, select=None):
+            w = kernel(a, order, select).copy()
+            near = int(np.argmin(np.where(w > 0, w, np.inf)))
+            w[near] = -w[near]
             return np.sort(w)
 
         monkeypatch.setattr(core, "_eigensolve", flipped)
@@ -580,12 +656,19 @@ _COMMUTATOR_CASES = {
 
 @functools.cache
 def _dense_commutator_norm(case: str) -> float:
-    # the 2-norm of the dense masked commutator, once per case (QWZ box 12
-    # takes an SVD of a 2,500-dim matrix)
+    # the 2-norm of the dense masked commutator, once per case.  For
+    # Hermitian D and X (QWZ and shift cases) C is anti-Hermitian, so
+    # ||C||_2 = max|eigvalsh(1j C)|, a Hermitian eigensolve that is cheaper
+    # than the SVD (QWZ box 12 masks C to 2,116 rows); the circle's G is not
+    # Hermitian and keeps the SVD
     d, x, mask = _COMMUTATOR_CASES[case]()
     dd = d.toarray() if hasattr(d, "toarray") else d
     xd = x.toarray() if hasattr(x, "toarray") else x
-    return float(np.linalg.norm((dd @ xd - xd @ dd)[mask][:, mask], 2))
+    c = (dd @ xd - xd @ dd)[mask][:, mask]
+    if not (np.array_equal(dd, dd.conj().T) and np.array_equal(xd, xd.conj().T)):
+        return float(np.linalg.norm(c, 2))
+    assert not np.any(c + c.conj().T)
+    return float(np.max(np.abs(np.linalg.eigvalsh(1j * c))))
 
 
 class TestLanczosCommutatorNorm:

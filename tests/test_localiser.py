@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import speclocaliser.core as core
 import speclocaliser.localiser as localiser
@@ -54,6 +55,31 @@ class TestAssembly:
         assert np.allclose(loc[d:, d:], -kappa * np.diag(window.eigs), atol=1e-14)
         assert np.allclose(loc[:d, d:], g_w, atol=1e-14)
         assert np.allclose(loc[d:, :d], g_w.conj().T, atol=1e-14)
+
+    @pytest.mark.parametrize("offset", [0.0, 0.25], ids=["zero-mode", "no-zero-mode"])
+    def test_odd_double_stores_what_block_array_stores(self, offset):
+        # the one-COO odd double against sp.block_array, entry by entry and
+        # pattern included, on the window (holding mode 0, D eigenvalue 0, at
+        # offset 0), on the complement block, and with kappa 0 as the
+        # suspension layouts assemble it: block_array stores no zero of
+        # kappa diag(eigs)
+        model = build_circle_model(40, {0: 0.5, 1: 1.0}, offset=offset)
+        window, outer = model.window(30.5), model.containment_window()
+        assert np.any(window.eigs == 0.0) == (offset == 0.0)
+        w = np.abs(outer.eigs)
+        sel = np.flatnonzero((w > 20.5) & (w <= outer.radius))
+        cases = [
+            (window, 0.05, window.k_part, slice(None), window.localiser(0.05)),
+            (outer, 0.05, outer.k_part[sel][:, sel], sel, outer.localiser(0.05, beyond=20.5)),
+            (window, 0.0, window.k_part, slice(None), window.assemble(0.0, window.k_part)),
+        ]
+        for win, kappa, k_part, sel, got in cases:
+            d = sp.csr_array(sp.diags_array((kappa * win.eigs[sel]).astype(np.complex128)))
+            k_part = sp.csr_array(k_part)
+            ref = sp.block_array([[d, k_part], [k_part.conj().T, -d]], format="csr")
+            assert got.format == "csr" and got.has_canonical_format
+            for field in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, field), getattr(ref, field))
 
     def test_identity_symbol_spectrum_in_closed_form(self):
         # G = I makes every 2x2 momentum block [[kn, 1], [1, -kn]]; the
@@ -330,19 +356,20 @@ class TestPairing:
         ("qwz9", LocaliserParams(0.75, 5.5)),  # Sylvester counts: none
     ])
     def test_one_eigensolve_per_pairing(self, request, monkeypatch, name, params):
-        # on the banded route the truncated gap and the inertia check share
-        # one diagonalisation; elsewhere the truncated gap is certified and
+        # on the banded route the kernel computes the two eigenvalues that
+        # bracket 0, no more; elsewhere the truncated gap is certified and
         # the inertia counted; the certified gaps take no dense fallback
         model = request.getfixturevalue(name)
         kernel, calls = core._eigensolve, []
 
-        def counted(a, order):
-            calls.append(a.shape[0])
-            return kernel(a, order)
+        def counted(a, order, select=None):
+            w = kernel(a, order, select)
+            calls.append((a.shape[0], w.size))
+            return w
 
         monkeypatch.setattr(core, "_eigensolve", counted)
         res = pairing(model, params)
-        assert calls == ([res.dim_trunc] if model.kind == "circle" else [])
+        assert calls == ([(res.dim_trunc, 2)] if model.kind == "circle" else [])
 
     def test_symbol_offset_does_not_move_the_class(self):
         plain = build_circle_model(40, {1: 1.0})
@@ -519,6 +546,24 @@ class TestSylvesterRoute:
             pairing(qwz9, LocaliserParams(0.75, 5.5), certificates=False)
         assert exc.value.eig_counts != exc.value.factor_counts
 
+    def test_flipped_pivot_at_zero_on_the_band_is_caught(self, circle40, monkeypatch):
+        # one negative pivot of a banded block's LU at 0 read as positive:
+        # the two eigenvalues at the indices it implies do not bracket 0
+        factor = core._Counter.factor
+
+        def flipped(counter, shift, data=None):
+            got = factor(counter, shift, data)
+            if got is None or shift != 0.0:
+                return got
+            signs = got[1].copy()
+            signs[np.argmax(signs < 0)] = 1.0
+            return got[0], signs
+
+        monkeypatch.setattr(core._Counter, "factor", flipped)
+        with pytest.raises(BackendDisagreement) as exc:
+            pairing(circle40, LocaliserParams(0.05, 30.5), certificates=False)
+        assert exc.value.eig_counts != exc.value.factor_counts
+
     def test_lanczos_bound_is_confirmed_once_at_itself(self, qwz9, monkeypatch):
         # the only counts are the second ordering's, at exactly +/-bound, and
         # a count flipped there is caught
@@ -538,14 +583,13 @@ class TestSylvesterRoute:
         assert exc.value.zero_tol == lower
 
     def test_banded_gap_is_confirmed_by_counts(self, circle40, monkeypatch):
-        # the kernel reports the eigenvalues nearest 0 further out than they
-        # are: the counts at the reported gap find them inside it
+        # the kernel reports the two eigenvalues that bracket 0 further out
+        # than they are: the counts at the reported gap find them inside it
         eigensolve = core._eigensolve
 
-        def moved(a, order):
-            w = eigensolve(a, order)
-            near = np.abs(w) < 1.01 * np.min(np.abs(w))
-            return np.where(near, 1.5 * w, w)
+        def moved(a, order, select=None):
+            w = eigensolve(a, order, select)
+            return w if select is None else 1.5 * w
 
         monkeypatch.setattr(core, "_eigensolve", moved)
         with pytest.raises(BackendDisagreement) as exc:
@@ -629,10 +673,11 @@ class TestGapCounts:
         assert calls == [("eigsh", res.dim_trunc)]
 
     @pytest.mark.parametrize("model,params,truncated", [
-        # truncated block: one LU at 0 for Lanczos (first ordering) and two
-        # at +/-gap (second); or, banded, two at +/-(gap less rounding)
+        # truncated block: one LU at 0 for the inertia (first ordering) and
+        # two at +/-gap (second), the gap from Lanczos or, banded, from the
+        # two eigenvalues that bracket 0 (confirmed at gap less rounding)
         (lambda: build_qwz_model(box=10, mass=1.0), LocaliserParams(0.25, 5.5), 3),
-        (lambda: build_circle_model(250, {0: 0.5, 1: 1.0}), LocaliserParams(0.05, 100.5), 2),
+        (lambda: build_circle_model(250, {0: 0.5, 1: 1.0}), LocaliserParams(0.05, 100.5), 3),
     ], ids=["qwz10", "circle250"])
     def test_factorizations_per_block(self, monkeypatch, model, params, truncated):
         model = model()

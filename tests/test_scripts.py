@@ -2,6 +2,7 @@
 the cheap ones also run end to end."""
 
 import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -62,10 +63,15 @@ def test_phase_scan_lean_mode_agrees_with_the_oracle():
     ]
 
 
-def test_dump_pairings_quick_profile():
+@pytest.fixture(scope="module")
+def quick_dump() -> str:
     proc = _run(ROOT / "scripts" / "dump_pairings.py", "--profile", "quick")
     assert proc.returncode == 0, proc.stderr
-    dump = json.loads(proc.stdout)
+    return proc.stdout
+
+
+def test_dump_pairings_quick_profile(quick_dump):
+    dump = json.loads(quick_dump)
     assert dump["criteria_passed"] == [1, 3, 5, 6, 9, 10]
     strict = dump["pairings"]["circle strict"]
     assert set(strict) == {
@@ -76,3 +82,33 @@ def test_dump_pairings_quick_profile():
     assert {c["name"] for c in strict["certificates"]} >= {"truncated_gap", "regime_gap"}
     for entry in dump["suspensions"]:
         assert entry["sf_clamp"] == entry["sf_smooth"] == entry["pairing"]
+
+
+def test_dump_pairings_diff(tmp_path, quick_dump, capsys):
+    # a quick dump diffed against itself by the script exits 0; a flipped
+    # flag, or a float moved past FLOAT_RTOL, makes the comparison return 1
+    path, before = ROOT / "scripts" / "dump_pairings.py", tmp_path / "before.json"
+    before.write_text(quick_dump)
+    proc = _run(path, "--profile", "quick", "--diff", str(before))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "largest relative float difference: 0\n"
+
+    spec = importlib.util.spec_from_file_location("dump_pairings", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    dump = json.loads(quick_dump)
+    strict = dump["pairings"]["circle strict"]
+    gap = strict["truncated_gap"]
+    for moved, status in ((gap * (1 + 1e-14), 0), (gap * (1 + 1e-9), 1)):
+        strict["truncated_gap"] = moved
+        assert script.diff(json.loads(quick_dump), dump) == status
+    strict["truncated_gap"] = gap
+    cert = strict["certificates"][0]
+    cert["satisfied"] = not cert["satisfied"]
+    capsys.readouterr()
+    assert script.diff(json.loads(quick_dump), dump) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "$.pairings.circle strict.certificates[0].satisfied: %r -> %r"
+        % (not cert["satisfied"], cert["satisfied"]),
+        "largest relative float difference: 0",
+    ]
