@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Print every acceptance-suite pairing and suspension record as sorted JSON.
 
-Runs ``speclocaliser verify`` in-process with the given profile and dumps,
-for every criterion 1-4 pairing, its pairing, signature, inertia, index
+Runs ``speclocaliser verify`` in-process with the given profile and dumps
+each criterion's detail line with its wall times masked, then, for every
+criterion 1-4 pairing, its pairing, signature, inertia, index
 correction, truncated gap and each certificate's name, satisfied,
 applicable, violated, measured value and detail, then every criterion-6
 suspension record.  Two checkouts' dumps diff line by line:
@@ -21,6 +22,7 @@ field differs by more than FLOAT_RTOL relative:
 import argparse
 import json
 import math
+import re
 import sys
 
 from speclocaliser.verify import VerifySession
@@ -86,11 +88,13 @@ def main() -> int:
                     help="compare with this earlier dump instead of printing it")
     args = ap.parse_args()
 
-    session = VerifySession(quick=args.profile == "quick")
-    results = session.run(args.profile)
+    session = VerifySession(args.profile)
+    results = session.run()
     dump = {
         "profile": args.profile,
         "criteria_passed": [r.index for r in results if r.passed],
+        # a detail line's wall times ("%.1fs") differ from run to run
+        "details": {str(r.index): re.sub(r"\d+\.\ds\b", "*s", r.detail) for r in results},
         "pairings": {label: _pairing_record(res) for label, res in session._all_pairing_results()},
         "suspensions": session._suspension_entries(),
     }

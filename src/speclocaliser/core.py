@@ -3,9 +3,9 @@
 Everything downstream reduces to inertia counts, gaps and norms of
 Hermitian matrices.  One kernel diagonalises, ``hermitian_eigenvalues``; it
 validates its input (square, non-empty, finite, Hermitian within
-HERM_TOL_FACTOR, at most DENSE_DIM_LIMIT rows), sparse input on its stored
-entries, and picks its route from the matrix itself: zhbevd for sparse
-input of small reverse Cuthill-McKee bandwidth (BAND_POWER), else eigvalsh.
+HERM_TOL_FACTOR), sparse input on its stored entries, and picks its route
+from the matrix itself: zhbevd on the band of sparse input of small reverse
+Cuthill-McKee bandwidth (BAND_POWER), else eigvalsh on a dense copy.
 
 One primitive counts, ``_Counter``: Sylvester's law of inertia on sparse
 symmetric LUs (SuperLU, diagonal pivots) of the matrices on one sparse
@@ -38,7 +38,7 @@ the truncated window localiser and r(A) = 3 sqrt(n) eps ||A||_inf:
 Model operators (D, K and D's eigenvectors) are stored sparse, as
 :class:`CsrOperator` arrays validated on their nonzeros by
 ``hermitian_csr``, so a model costs O(nnz) at any size.  Dense copies are
-capped at ``DENSE_DIM_LIMIT`` rows: the eigenvalue kernel's, the D
+capped at ``DENSE_DIM_LIMIT`` rows (a band is not): the kernel's, the D
 eigensystem and K spectrum of a model without closed forms, and the inputs
 of the small-model oracles and flows.  ``commutator_norm`` (Lanczos on the
 Gram matrix of the masked commutator, an upper bound) and the truncated
@@ -80,8 +80,8 @@ __all__ = [
     "commutator_norm",
 ]
 
-# Caps every dense matrix: window localisers and the inputs of the dense
-# small-model helpers.  Sparse model storage is not capped.
+# Caps every dense copy: the eigenvalue kernel's and the inputs of the dense
+# small-model helpers.  Sparse model storage and bands are not capped.
 DENSE_DIM_LIMIT = 10_000
 
 # zero_tol (relative default) separates "invertible" from "kernel"; the
@@ -133,17 +133,13 @@ def _check_finite(values: np.ndarray) -> None:
         raise ValidationError("matrix contains non-finite entries")
 
 
-def _check_dense_dim(n: int) -> None:
-    if n > DENSE_DIM_LIMIT:
-        raise ValidationError("dimension %d exceeds dense limit %d" % (n, DENSE_DIM_LIMIT))
-
-
 def as_matrix(m) -> np.ndarray:
     """A validated dense copy of a dense or sparse square matrix (square,
     non-empty, at most DENSE_DIM_LIMIT rows, finite)."""
     shape = m.shape if sp.issparse(m) else np.shape(m)
     _check_shape(shape)
-    _check_dense_dim(shape[0])
+    if shape[0] > DENSE_DIM_LIMIT:
+        raise ValidationError("dimension %d exceeds dense limit %d" % (shape[0], DENSE_DIM_LIMIT))
     # C order: the dense copy of a CSC array is Fortran-ordered, and the
     # finiteness check reads it as a float view
     m = np.ascontiguousarray(m.toarray() if sp.issparse(m) else m, dtype=np.complex128)
@@ -216,10 +212,10 @@ def _band_order(a) -> tuple[np.ndarray, int] | None:
 def _eigensolve(a, order, select=None) -> np.ndarray:
     """Ascending eigenvalues of a validated Hermitian a: zhbevd on a's upper
     band in the order of _band_order (zhbevx, by bisection, for the indices
-    select = (lo, hi) alone), or eigvalsh (zheevd) when order is None."""
-    _check_dense_dim(a.shape[0])
+    select = (lo, hi) alone), or eigvalsh (zheevd) on an as_matrix copy when
+    order is None."""
     if order is None:
-        return np.linalg.eigvalsh(a.toarray() if sp.issparse(a) else a)
+        return np.linalg.eigvalsh(as_matrix(a))
     position, bandwidth = order
     rows, cols, values = _nonzero_entries(a)
     rows, cols = position[rows], position[cols]
@@ -243,11 +239,11 @@ def hermitian_matrix(a):
 def hermitian_eigenvalues(a) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, the eigenvalue kernel.
 
-    The input must be square, non-empty, finite, Hermitian within
-    HERM_TOL_FACTOR and at most DENSE_DIM_LIMIT rows (ValidationError, or
-    DimensionMismatch for a non-square one); sparse input is checked on its
-    stored entries.  Sparse input narrow enough for _band_order goes to
-    LAPACK's zhbevd in that order, any other is densified for eigvalsh.
+    The input must be square, non-empty, finite and Hermitian within
+    HERM_TOL_FACTOR (ValidationError, or DimensionMismatch if not square),
+    sparse input on its stored entries.  Sparse input narrow enough for
+    _band_order goes to LAPACK's zhbevd in that order, at any dimension; any
+    other is densified for eigvalsh, at most DENSE_DIM_LIMIT rows.
     """
     a = hermitian_matrix(a)
     return _eigensolve(a, _band_order(a))
@@ -269,7 +265,8 @@ class Inertia:
 def _on_pattern(m) -> sp.csc_array:
     """m as a canonical complex CSC array that stores its full diagonal, the
     form a _Counter reads; a dense m is stored on its nonzeros.  An m already
-    in that form (a suspension sample) is not copied."""
+    in that form (a suspension sample, or a block converted once for the
+    counters of both orderings) is not copied."""
     n = m.shape[0]
     c = sp.csc_array(m, dtype=np.complex128)
     c.sum_duplicates()
@@ -378,9 +375,9 @@ def inertia(a, eigenvalues: np.ndarray, zero_tol: float | None = None) -> Inerti
         raise DimensionMismatch("%d eigenvalues for %d rows" % (np.size(eigenvalues), n))
     if zero_tol is None:
         zero_tol = ZERO_TOL_FACTOR * float(np.max(np.abs(eigenvalues)))
-    tol = float(zero_tol)
+    tol, c = float(zero_tol), _on_pattern(a)
     eig_counts = eigenvalue_counts(eigenvalues, tol)
-    factor_counts = _Counter(a).counts(tol) or _Counter(a, ORDERINGS[1]).counts(tol)
+    factor_counts = _Counter(c).counts(tol) or _Counter(c, ORDERINGS[1]).counts(tol)
     if factor_counts is None:
         raise FactorizationDeclined("LUs at -/+%.3e declined in both orderings" % tol)
     if eig_counts != factor_counts:
@@ -422,8 +419,8 @@ def gap_counts(a, bound: float) -> tuple[int, int, int]:
     one ordering leaves the other's counts, and FactorizationDeclined is
     raised when both decline.
     """
-    tol = max(bound - 1e-9, 0.0)
-    first, second = (_Counter(a, ordering).counts(tol) for ordering in ORDERINGS)
+    tol, c = max(bound - 1e-9, 0.0), _on_pattern(a)
+    first, second = (_Counter(c, ordering).counts(tol) for ordering in ORDERINGS)
     if first is None and second is None:
         raise FactorizationDeclined("LUs at -/+%.3e declined in both orderings" % tol)
     if first is not None and second is not None and first != second:
@@ -464,12 +461,12 @@ def _lanczos_gap(a: sp.sparray) -> tuple[float, tuple[int, int, int]] | None:
     return float(lower), (int(np.sum(factored[1] > 0)), int(np.sum(factored[1] < 0)), 0)
 
 
-def _band_gap(a, order) -> tuple[float, tuple[int, int, int]] | None:
-    """min |eigenvalue| of a banded a, read off its eigenvalues of ascending
+def _band_gap(a, c, order) -> tuple[float, tuple[int, int, int]] | None:
+    """min |eigenvalue| of a banded CSR a, read off its eigenvalues of ascending
     indices n_neg - 1 and n_neg alone, and the inertia of the first ordering's
-    LU at 0 with n_neg negative pivots, or None on a decline.  The two must
-    bracket 0, unless within _rounding(a) of it, else BackendDisagreement."""
-    factored = _Counter(a).factor(0.0)
+    LU at 0 of c (a's _on_pattern copy) with n_neg negative pivots, or None on
+    a decline.  The two bracket 0 unless within _rounding(a) of it, else BackendDisagreement."""
+    factored = _Counter(c).factor(0.0)
     if factored is None:
         return None
     n, n_neg = a.shape[0], int(np.sum(factored[1] < 0))
@@ -494,19 +491,19 @@ def certified_inertia(a, zero_tol: float) -> tuple[float, Inertia, str]:
     and ``inertia`` at max(g - _rounding(a), zero_tol).
     """
     a = hermitian_csr(a)
-    order = _band_order(a)
+    c, order = _on_pattern(a), _band_order(a)
     band_route = None if order is None else "banded eigensolve, bandwidth %d" % order[1]
-    got = _lanczos_gap(a) if order is None else _band_gap(a, order)
+    got = _lanczos_gap(c) if order is None else _band_gap(a, c, order)
     if got is not None and got[0] > zero_tol:
         tol = got[0] if order is None else max(got[0] - _rounding(a), zero_tol)
-        second = _Counter(a, ORDERINGS[1]).counts(tol)
+        second = _Counter(c, ORDERINGS[1]).counts(tol)
         if second is not None and (order is not None or not second[2]):
             if second != got[1]:
                 raise BackendDisagreement(got[1], second, tol)
             return got[0], Inertia(*second), band_route or SPARSE_GAP_ROUTE
     w = _eigensolve(a, order)
     gap = float(np.min(np.abs(w)))
-    return gap, inertia(a, w, max(gap - _rounding(a), zero_tol)), band_route or DENSE_EIG_ROUTE
+    return gap, inertia(c, w, max(gap - _rounding(a), zero_tol)), band_route or DENSE_EIG_ROUTE
 
 
 def commutator_norm(d, x, interior_mask: np.ndarray | None = None) -> float:

@@ -1,21 +1,27 @@
 """Acceptance gate: every release criterion at its stated tolerance.
 
-Each test prints one machine-readable pass/fail line.  The session object
-shares expensive artifacts (sweeps, suspensions, large lattice builds)
-across criteria, so this file is also the cheapest way to run the whole
-gate: ``pytest tests/test_acceptance.py -v -s``.
+Each test prints one machine-readable pass/fail line.  The session builds
+each pairing grid and the suspension records once and shares them across
+criteria, so this file is also the cheapest way to run the whole gate:
+``pytest tests/test_acceptance.py -v -s``.  The tests after the criteria
+drive the engine's failure path with a patched pairing.
 """
+
+import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from speclocaliser import verify
+from speclocaliser.errors import SingularMatrix
 from speclocaliser.verify import CheckFailure, VerifySession, _positive_projection
 
 
 @pytest.fixture(scope="module")
 def session():
-    return VerifySession(seed=0, quick=False)
+    return VerifySession("full")
 
 
 def _run(session, index):
@@ -82,3 +88,59 @@ def test_positive_projection_of_criteria_9_10(h, expected):
 def test_positive_projection_fails_on_a_kernel():
     with pytest.raises(CheckFailure, match="within zero_tol"):
         _positive_projection(np.diag([1.0, 0.0]))
+
+
+def _patch_pairing(monkeypatch, outcome):
+    """Replace the suite's pairing by outcome(model, params); returns the
+    list of calls."""
+    calls = []
+
+    def patched(model, params, **kwargs):
+        calls.append(params)
+        return outcome(model, params)
+
+    monkeypatch.setattr(verify, "pairing", patched)
+    return calls
+
+
+def _singular(model, params):
+    raise SingularMatrix("window localiser is singular")
+
+
+def test_failed_check_records_its_message(monkeypatch):
+    # every shift pairing reads 0: criterion 3's first check (nu = 1, H = +1)
+    # fails, and its message is the criterion's detail
+    _patch_pairing(monkeypatch, lambda model, params: SimpleNamespace(
+        pairing=0, signature=0, index_correction=0))
+    result = VerifySession().criterion(3)
+    assert not result.passed
+    assert result.detail == "nu=1 H=+1: pairing 0 != -1"
+
+
+def test_library_error_records_its_type_and_message(monkeypatch):
+    _patch_pairing(monkeypatch, _singular)
+    result = VerifySession().criterion(3)
+    assert not result.passed
+    assert result.detail == "SingularMatrix: window localiser is singular"
+
+
+def test_criterion_runs_once_per_session(monkeypatch):
+    calls = _patch_pairing(monkeypatch, _singular)
+    session = VerifySession()
+    first = session.criterion(3)
+    assert calls and session.criterion(3) is first
+    assert len(calls) == 1
+
+
+def test_failing_run_writes_its_report(monkeypatch, tmp_path, capsys):
+    _patch_pairing(monkeypatch, _singular)
+    assert verify.run_verify("quick", out=tmp_path) == 1
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert report["profile"] == "quick"
+    criteria = report["criteria"]
+    assert [c["index"] for c in criteria] == [1, 3, 5, 6, 9, 10]
+    assert [c["passed"] for c in criteria] == [False, False, False, False, True, True]
+    assert criteria[0]["detail"] == "SingularMatrix: window localiser is singular"
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[2] for line in lines[:-1]] == ["FAIL"] * 4 + ["PASS"] * 2
+    assert lines[-1].startswith("verify[quick]: 2/6 criteria passed in ")

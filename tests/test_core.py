@@ -87,12 +87,33 @@ class TestKernelContract:
                 hermitian_eigenvalues(a)
 
     def test_rejects_sparse_input_over_the_dense_cap(self):
-        # refused on its stored entries: a densified copy would take 1.6 GB,
-        # and a band of this width would take the banded route
-        big = sp.eye_array(DENSE_DIM_LIMIT + 1, dtype=complex, format="csr")
+        # refused on its stored entries: a densified copy would take 1.6 GB.
+        # The identity plus couplings from row 0 to every other row is off
+        # the banded route, which stores only a band and is not capped
+        n = DENSE_DIM_LIMIT + 1
+        spokes = np.arange(1, n)
+        big = sp.csr_array((np.r_[np.ones(n), 0.1 * np.ones(2 * (n - 1))],
+                            (np.r_[np.arange(n), np.zeros(n - 1, int), spokes],
+                             np.r_[np.arange(n), spokes, np.zeros(n - 1, int)])),
+                           shape=(n, n), dtype=complex)
+        assert core._band_order(big) is None
         with mock.patch.object(sp.csr_array, "toarray", side_effect=AssertionError("densified")):
             with pytest.raises(ValidationError, match="exceeds dense limit"):
                 hermitian_eigenvalues(big)
+
+    def test_band_past_the_dense_cap_is_diagonalised(self, monkeypatch):
+        # the banded route stores a (bandwidth + 1, n) band, never a dense
+        # copy: the path graph's adjacency, 2 cos(k pi / (n + 1)), past a cap
+        n = 101
+        monkeypatch.setattr(core, "DENSE_DIM_LIMIT", n - 1)
+        path = sp.diags_array([np.ones(n - 1), np.ones(n - 1)], offsets=[-1, 1],
+                              format="csr").astype(complex)
+        calls = banded_spy(monkeypatch)
+        with mock.patch.object(sp.csr_array, "toarray", side_effect=AssertionError("densified")):
+            got = hermitian_eigenvalues(path)
+        assert calls == [(2, n)]
+        expected = np.sort(2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1)))
+        assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
 class TestInertia:

@@ -611,6 +611,16 @@ class TestSylvesterRoute:
         comp = model.containment_window().localiser(params.kappa, beyond=params.rho)
         _assert_decided_by_counts(res.certificate("complement_gap"), comp)
 
+    @pytest.mark.parametrize("certificates", [False, True], ids=["lean", "certified"])
+    def test_banded_window_past_the_dense_cap(self, certificates):
+        # a 20,202-row circle window takes the banded route, which is not
+        # capped, lean and with full certificates
+        model = build_circle_model(5100, {0: 0.5, 1: 1.0})
+        res = pairing(model, LocaliserParams(0.05, 5050.5), certificates=certificates)
+        assert res.dim_trunc == 20202 > core.DENSE_DIM_LIMIT
+        assert res.pairing == oracle_pairing(model) == -1
+        assert not res.violations
+
 
 # the gap rows' blocks on a circle model where both rows are applicable:
 # name -> the block at kappa 0.05, rho 30.5

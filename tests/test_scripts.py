@@ -73,6 +73,11 @@ def quick_dump() -> str:
 def test_dump_pairings_quick_profile(quick_dump):
     dump = json.loads(quick_dump)
     assert dump["criteria_passed"] == [1, 3, 5, 6, 9, 10]
+    # one detail line per criterion, its wall times masked
+    details = dump["details"]
+    assert sorted(details, key=int) == ["1", "3", "5", "6", "9", "10"]
+    assert details["1"].startswith("strict pairing -1 == winding oracle")
+    assert details["1"].endswith(", *s")
     strict = dump["pairings"]["circle strict"]
     assert set(strict) == {
         "pairing", "signature", "inertia", "index_correction", "truncated_gap", "certificates",
@@ -112,3 +117,8 @@ def test_dump_pairings_diff(tmp_path, quick_dump, capsys):
         % (not cert["satisfied"], cert["satisfied"]),
         "largest relative float difference: 0",
     ]
+    # a criterion that says something else, all else equal, is a difference
+    dump = json.loads(quick_dump)
+    dump["details"]["5"] = dump["details"]["5"].replace("0 violations", "1 violations")
+    assert script.diff(json.loads(quick_dump), dump) == 1
+    assert capsys.readouterr().out.splitlines()[0].startswith("$.details.5: ")
