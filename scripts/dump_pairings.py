@@ -13,7 +13,9 @@ suspension record.  Two checkouts' dumps diff line by line:
 With --diff, the dump is compared field by field with one written before
 (say on the parent commit) instead of printed: every field that differs is
 printed with both values, then the largest relative difference among float
-fields.  The exit status is 1 when a non-float field differs or a float
+fields, then a tally of the differing certificate rows per certificate name
+with their differing fields (``complement_gap: 71 rows (detail, measured,
+satisfied)``).  The exit status is 1 when a non-float field differs or a float
 field differs by more than FLOAT_RTOL relative:
 
     PYTHONPATH=src python scripts/dump_pairings.py --profile full --diff before.json
@@ -47,15 +49,16 @@ def _pairing_record(res) -> dict:
 FLOAT_RTOL = 1e-12
 
 
-def _differences(before, after, path="$"):
+def _differences(before, after, path=()):
     """(path, before, after, relative difference or None) for every leaf that
-    differs; the difference is None unless both leaves are floats."""
+    differs, the path a tuple of keys and list indices; the difference is
+    None unless both leaves are floats."""
     if isinstance(before, dict) and isinstance(after, dict):
         for key in sorted(set(before) | set(after)):
-            yield from _differences(before.get(key), after.get(key), "%s.%s" % (path, key))
+            yield from _differences(before.get(key), after.get(key), path + (key,))
     elif isinstance(before, list) and isinstance(after, list) and len(before) == len(after):
         for i, (old, new) in enumerate(zip(before, after)):
-            yield from _differences(old, new, "%s[%d]" % (path, i))
+            yield from _differences(old, new, path + (i,))
     elif isinstance(before, float) and isinstance(after, float):
         if before != after and not (math.isnan(before) and math.isnan(after)):
             rel = abs(after - before) / max(abs(before), abs(after))
@@ -64,19 +67,34 @@ def _differences(before, after, path="$"):
         yield path, before, after, None
 
 
+def _path(keys) -> str:
+    return "$" + "".join("[%d]" % k if isinstance(k, int) else "." + k for k in keys)
+
+
 def diff(before: dict, after: dict) -> int:
-    """Print every field of after that differs from before and the largest
-    relative float difference; 1 if a non-float field differs or a float one
-    by more than FLOAT_RTOL, else 0."""
-    worst, status = (0.0, None), 0
+    """Print every field of after that differs from before, the largest
+    relative float difference and the tally of differing certificate rows
+    per name; 1 if a non-float field differs or a float one by more than
+    FLOAT_RTOL, else 0."""
+    worst, status, tally = (0.0, None), 0, {}
     for path, old, new, rel in _differences(before, after):
-        print("%s: %r -> %r%s" % (path, old, new, "" if rel is None else "  (rel %.3g)" % rel))
+        print("%s: %r -> %r%s" % (_path(path), old, new,
+                                  "" if rel is None else "  (rel %.3g)" % rel))
         if rel is None or rel > FLOAT_RTOL:
             status = 1
         if rel is not None and rel > worst[0]:
-            worst = (rel, path)
+            worst = (rel, _path(path))
+        if len(path) == 5 and path[0] == "pairings" and path[2] == "certificates":
+            # pairings.<label>.certificates[i].<field>, named by its record
+            name = after["pairings"][path[1]]["certificates"][path[3]]["name"]
+            rows, fields = tally.setdefault(name, (set(), set()))
+            rows.add(path[1:4])
+            fields.add(path[4])
     print("largest relative float difference: %.3g%s"
           % (worst[0], "" if worst[1] is None else " at " + worst[1]))
+    for name, (rows, fields) in sorted(tally.items()):
+        print("%s: %d row%s (%s)" % (name, len(rows), "" if len(rows) == 1 else "s",
+                                     ", ".join(sorted(fields))))
     return status
 
 

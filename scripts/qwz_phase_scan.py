@@ -27,8 +27,9 @@ def main() -> int:
                     default=[-3.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 3.0])
     ap.add_argument("--lean", action="store_true",
                     help="skip the kappa_bound row and the regime and complement "
-                         "gaps; the gaps are sparse solves on the containment "
-                         "window, which grows with the box (recommended for box > 12)")
+                         "gaps; a gap row that is applicable is counted by sparse "
+                         "LUs on the containment window, which grows with the box "
+                         "(recommended for box > 12); an inapplicable one costs nothing")
     args = ap.parse_args()
 
     params = LocaliserParams(kappa=args.kappa, rho=args.rho)

@@ -32,7 +32,8 @@ the truncated window localiser and r(A) = 3 sqrt(n) eps ||A||_inf:
                                a Weyl bound on ||L_w||
   truncated gap confirmation   its Lanczos bound, or the       certified_inertia
                                band's max(g - r(A), zero_tol)
-  complement and regime gaps   b - 1e-9, b the row's bound     gap_counts
+  complement and regime gaps   b - 1e-9, b the row's bound,    gap_counts
+                               on applicable rows only
   ``inertia`` by default       1e-8 max|eigenvalue|            inertia
 
 Model operators (D, K and D's eigenvectors) are stored sparse, as

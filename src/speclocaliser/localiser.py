@@ -18,11 +18,13 @@ window, all sparse.  The truncated block (|D| <= rho) stays CSR, and
 inertia; Lanczos (QWZ windows) or two band eigenvalues (circle and shift
 windows) give the gap; one ``COLAMD`` count pair confirms both.
 The complement and seam-free regime blocks are sub-blocks of the
-containment window and stay sparse.  Their rows, gap >= b, are decided with
-no eigensolve by ``core.gap_counts``: Sylvester counts at +/-(b - 1e-9) in
-two orderings, whose empty zero class proves the row; measured is then
-b - 1e-9, and otherwise a Weyl lower bound, and each row's detail names the
-counts.
+containment window and stay sparse.  A gap row, gap >= b, on either block
+is built and counted only when it is applicable (the regime row when
+kappa ||[D,K]|| < g^2, the complement row when every hard condition holds),
+and otherwise reads NaN.  It is decided with no eigensolve by
+``core.gap_counts``: Sylvester counts at +/-(b - 1e-9) in two orderings,
+whose empty zero class proves the row; measured is then b - 1e-9, and
+otherwise a Weyl lower bound, and each row's detail names the counts.
 
 Validity is tracked through certificates rather than asserted silently:
 every check, the untruncated-regime one included, is one
@@ -32,10 +34,9 @@ the box) gate the truncation theorem and are enforced in strict mode.  The
 coupling and endpoint conditions from the block-decomposition argument are
 recorded but never enforced: they are sufficient-only and fail by a wide
 margin on standard parameter sets whose pairings are nevertheless exact, so
-they ship as diagnostics.  Guarantee certificates (truncated gap >= gap/2,
-complement gap, seam-free regime gap >= sqrt(g^2 - kappa ||[D,K]||)) are
-marked applicable only when the hypotheses backing them hold.  Every cached
-spectral quantity (windows, norms, gaps) is owned by the model.
+they ship as diagnostics.  Guarantee certificates (truncated gap >= gap/2
+and the two gap rows above) are applicable only when the hypotheses backing
+them hold.  Every cached spectral quantity is owned by the model.
 """
 
 from __future__ import annotations
@@ -147,26 +148,28 @@ def _certificate(
     )
 
 
-def _gap_certificate(name, bound, counts, weyl, applicable, detail) -> GapCertificate:
-    """A gap guarantee gap >= bound decided by core.gap_counts of its block.
-
-    Satisfied when the zero class of the counts at +/-(bound - 1e-9) is
-    empty; measured is then bound - 1e-9, the gap the counts prove, and
-    otherwise weyl, a Weyl lower bound on the gap; both are clipped at 0.
-    """
-    satisfied = not counts[2]
-    return GapCertificate(
-        name, max(bound - 1e-9 if satisfied else weyl, 0.0), float(bound), ">=", satisfied,
-        kind="guarantee", applicable=applicable,
-        detail="%s (Sylvester counts %s at +/-(bound - 1e-9))" % (detail, counts),
-    )
+def _outer_eigs(model: ModelInstance, beyond: float) -> np.ndarray:
+    # |D| on the containment window's part |D| > beyond, read off D's spectrum
+    w = np.abs(model.dirac_eigensystem()[0])
+    return w[(w > beyond) & (w <= model.containment_radius + 1e-9)]
 
 
-def _weyl_gap(model: ModelInstance, kappa: float, beyond: float = -math.inf) -> float:
-    # Weyl: every eigenvalue of the localiser on the containment window's part
-    # |D| > beyond (all of it by default) lies within ||K|| of one of kappa D's
-    w = np.abs(model.containment_window().eigs)
-    return kappa * float(np.min(w[w > beyond])) - model.k_norm()
+def _gap_row(model, kappa, name, bound, applicable, detail, counts, beyond=-math.inf):
+    """A gap guarantee gap >= bound on the containment window's part |D| > beyond.
+
+    An inapplicable row builds and counts nothing and reads NaN.  Otherwise
+    it holds when the zero class of counts(), core.gap_counts of the block,
+    is empty; measured is then bound - 1e-9, the gap the counts prove, else
+    the Weyl bound (each eigenvalue lies within ||K|| of one of kappa D's),
+    both clipped at 0."""
+    if not applicable:
+        return _certificate(name, math.nan, bound, ">=", kind="guarantee",
+                            applicable=False, detail=detail)
+    counts = counts()
+    weyl = kappa * float(np.min(_outer_eigs(model, beyond))) - model.k_norm()
+    detail = "%s (Sylvester counts %s at +/-(bound - 1e-9))" % (detail, counts)
+    return GapCertificate(name, max(weyl if counts[2] else bound - 1e-9, 0.0), float(bound), ">=",
+                          not counts[2], kind="guarantee", detail=detail)
 
 
 def validate_infinite_regime(
@@ -181,25 +184,21 @@ def validate_infinite_regime(
     carries commutator entries of size O(box) and bound eigenmodes with no
     infinite-volume counterpart (at strict circle parameters the lowest
     full-box eigenvector has all its mass on the wrap rows).  In strict
-    mode a failed hypothesis raises HypothesisViolated.  The gap is counted
-    only when the hypothesis holds, the only case where the theoretical
-    bound sqrt(g^2 - kappa ||[D, K]||) makes a claim; otherwise the row is
-    inapplicable, its bound 0 and its measured value NaN.
+    mode a failed hypothesis raises HypothesisViolated.  Only when it holds
+    does the bound sqrt(g^2 - kappa ||[D, K]||) claim anything (it is 0
+    otherwise), so only then is the row applicable and the gap counted.
     """
     g = model.k_gap()
     comm, source = model.dirac_commutator()
-    detail = "seam-free localiser gap vs sqrt(g^2 - kappa*||[D,K]||), ||[D,K]||: %s" % source
-    if kappa * comm < g * g:
-        bound, counts = model.regime_gap(kappa)
-        return _gap_certificate("regime_gap", bound, counts, _weyl_gap(model, kappa),
-                                True, detail)
-    if mode == "strict":
-        raise HypothesisViolated(
-            "kappa*||[D,K]|| = %.6g is not below g^2 = %.6g"
-            % (kappa * comm, g * g)
-        )
-    return _certificate("regime_gap", math.nan, 0.0, ">=", kind="guarantee",
-                        applicable=False, detail=detail)
+    applicable = kappa * comm < g * g
+    if not applicable and mode == "strict":
+        raise HypothesisViolated("kappa*||[D,K]|| = %.6g is not below g^2 = %.6g"
+                                 % (kappa * comm, g * g))
+    return _gap_row(
+        model, kappa, "regime_gap", math.sqrt(max(g * g - kappa * comm, 0.0)), applicable,
+        "seam-free localiser gap vs sqrt(g^2 - kappa*||[D,K]||), ||[D,K]||: %s" % source,
+        lambda: model.regime_gap(kappa)[1],
+    )
 
 
 def validate_truncation_params(
@@ -293,10 +292,13 @@ def pairing(
     or IntegerityViolation is raised.  The complement block
     rho < |D| <= containment and the seam-free regime block are sub-blocks
     of the containment window; each equals the compression of the whole-box
-    localiser onto the same eigenvectors of D.  PairingResult.truncated_gap
-    and the inertia come from core.certified_inertia (a count-confirmed gap
-    estimate), the inertia counted at ZERO_TOL_FACTOR times the Weyl bound
-    kappa max|D_w| + ||K|| on the block's norm, the invertibility bound.
+    localiser onto the same eigenvectors of D, built only for an applicable
+    row.  The complement row, present when D has eigenvalues there, is
+    applicable when every hard condition holds; otherwise its detail lists
+    those that failed.  PairingResult.truncated_gap and the inertia come
+    from core.certified_inertia (a count-confirmed gap estimate), the
+    inertia counted at ZERO_TOL_FACTOR times the Weyl bound kappa max|D_w|
+    + ||K|| on the block's norm, the invertibility bound.
 
     certificates=False is a lean mode for sweeps on large models: it skips
     the [D, K] commutator (a closed form for builder models, a whole-box
@@ -308,9 +310,7 @@ def pairing(
     if not certificates and params.mode == "strict":
         raise ValidationError("strict mode needs full certificates")
     certs = validate_truncation_params(model, params, include_commutator=certificates)
-    regime = (
-        validate_infinite_regime(model, params.kappa, params.mode) if certificates else None
-    )
+    regime = validate_infinite_regime(model, params.kappa, params.mode) if certificates else None
     assumption_ok = certificates and all(c.satisfied for c in certs if c.hard)
 
     window = model.window(params.rho)
@@ -325,14 +325,16 @@ def pairing(
     ))
     if regime is not None:
         certs.append(regime)
-        comp = model.containment_window().localiser(params.kappa, beyond=params.rho)
-        if comp is not None:
-            bound = _COMPLEMENT_FACTOR * params.kappa * params.rho
-            certs.append(_gap_certificate(
-                "complement_gap", bound, gap_counts(comp, bound),
-                _weyl_gap(model, params.kappa, params.rho), assumption_ok,
-                "complement block gap vs sqrt(47/48) kappa rho",
-            ))
+        kappa, rho = params.kappa, params.rho
+        bound = _COMPLEMENT_FACTOR * kappa * rho
+        failed = ", ".join(c.name for c in certs if c.hard and not c.satisfied)
+        if _outer_eigs(model, rho).size:
+            certs.append(_gap_row(
+                model, kappa, "complement_gap", bound, assumption_ok,
+                "complement block gap vs sqrt(47/48) kappa rho"
+                + (failed and "; not counted: %s failed" % failed),
+                lambda: gap_counts(model.containment_window().localiser(kappa, rho), bound),
+                rho))
 
     if params.mode == "strict":
         for cert in certs:

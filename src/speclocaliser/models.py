@@ -183,19 +183,15 @@ class Window:
     def odd(self) -> bool:
         return self.gamma_part is None
 
-    def localiser(self, kappa: float, beyond: float | None = None) -> sp.csr_array | None:
+    def localiser(self, kappa: float, beyond: float | None = None) -> sp.csr_array:
         """The localiser on the window, or on its part with |D| > beyond (sparse).
 
-        None when the part beyond is empty.  Hermitian by construction (a
-        real diagonal plus the symmetrised even K-part, or the odd double), so
-        it is left to its consumers to validate.
+        Hermitian by construction (a real diagonal plus the symmetrised even
+        K-part, or the odd double), so it is left to its consumers to validate.
         """
         if beyond is None:
             return self.assemble(kappa, self.k_part)
-        w = np.abs(self.eigs)
-        sel = np.flatnonzero((w > beyond) & (w <= self.radius))
-        if not sel.size:
-            return None
+        sel = np.flatnonzero(np.abs(self.eigs) > beyond)
         return self.assemble(kappa, self.k_part[sel][:, sel], sel)
 
     def assemble(self, kappa: float, k_part: sp.sparray, sel=slice(None)) -> sp.csr_array:

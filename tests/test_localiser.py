@@ -32,6 +32,12 @@ from reference import compress, dense_gap, dense_inertia, dense_localiser
 from test_core import _BANDED_WINDOWS
 
 
+def _circle200_strict():
+    """The one gate pairing whose complement row is applicable: every hard
+    condition holds, and its 208-row complement block counts (104, 104, 0)."""
+    return build_circle_model(200, {0: 0.5, 1: 1.0}), LocaliserParams(1 / 144, 145.5, "strict")
+
+
 def _assert_decided_by_counts(cert, block):
     # a gap row decided by counts: satisfied exactly when the gap reaches the
     # bound up to the 1e-9 slack, and measured a lower bound on the gap
@@ -135,20 +141,22 @@ class TestInfiniteRegime:
         _assert_decided_by_counts(cert, block)
 
     def test_gap_just_below_its_bound_is_not_satisfied(self, shift40, monkeypatch):
-        # the shift complement gap sqrt(0.01 * 121 + 1) against bounds moved
+        # the shift complement gap sqrt(0.04 * 121 + 1) against bounds moved
         # onto it: within the 1e-9 slack the row holds, past it the counts
         # find the two eigenvalues +/-gap inside and the row reports the
-        # Weyl bound kappa * 11 - ||K||, clipped at 0
-        comp = shift40.containment_window().localiser(0.1, beyond=10.5)
+        # Weyl bound kappa * 11 - ||K||, clipped at 0; at kappa 0.2 every
+        # hard condition holds (rho 10.5 > 2g/kappa = 10), so the row is
+        # applicable and a missed bound is a violation
+        comp = shift40.containment_window().localiser(0.2, beyond=10.5)
         gap = dense_gap(comp)
         for excess, satisfied in ((0.5e-9, True), (2e-9, False), (1e-3, False)):
-            monkeypatch.setattr(localiser, "_COMPLEMENT_FACTOR", (gap + excess) / (0.1 * 10.5))
-            cert = pairing(shift40, LocaliserParams(0.1, 10.5)).certificate("complement_gap")
+            monkeypatch.setattr(localiser, "_COMPLEMENT_FACTOR", (gap + excess) / (0.2 * 10.5))
+            cert = pairing(shift40, LocaliserParams(0.2, 10.5)).certificate("complement_gap")
             assert cert.satisfied is satisfied
             assert cert.bound == pytest.approx(gap + excess, abs=1e-15)
-            assert cert.measured == (cert.bound - 1e-9 if satisfied else 0.1 * 11 - 1.0)
+            assert cert.measured == (cert.bound - 1e-9 if satisfied else 0.2 * 11 - 1.0)
             _assert_decided_by_counts(cert, comp)
-        assert not cert.violated  # the row is inapplicable on shift40
+            assert cert.violated is not satisfied
 
     def test_commuting_pair_keeps_full_margin(self, shift40):
         # K = identity commutes with D, so the bound stays at g itself
@@ -257,22 +265,19 @@ class TestComplementBlock:
     def test_shift_complement_gap_in_closed_form(self, shift40):
         # D and Gamma commute blockwise, so the complement eigenvalues are
         # +/- sqrt(kappa^2 d^2 + 1); the smallest |d| beyond 10.5 is 11
-        comp = shift40.containment_window().localiser(0.1, beyond=10.5)
-        assert dense_gap(comp) == pytest.approx(np.sqrt(0.01 * 121 + 1.0), rel=1e-12)
-        cert = pairing(shift40, LocaliserParams(0.1, 10.5)).certificate("complement_gap")
-        assert cert.bound == pytest.approx(np.sqrt(47.0 / 48.0) * 0.1 * 10.5)
-        assert cert.satisfied and cert.kind == "guarantee"
+        # (the row is applicable at kappa 0.2: rho 10.5 > 2g/kappa = 10)
+        comp = shift40.containment_window().localiser(0.2, beyond=10.5)
+        assert dense_gap(comp) == pytest.approx(np.sqrt(0.04 * 121 + 1.0), rel=1e-12)
+        cert = pairing(shift40, LocaliserParams(0.2, 10.5)).certificate("complement_gap")
+        assert cert.bound == pytest.approx(np.sqrt(47.0 / 48.0) * 0.2 * 10.5)
+        assert cert.satisfied and cert.kind == "guarantee" and cert.applicable
 
     def test_gap_certificates_name_their_route(self):
         # report.json carries as_dict(); its detail names the counts that decided it
-        params = LocaliserParams(0.05, 30.5)
-        model = build_circle_model(40, {0: 0.5, 1: 1.0})
+        model, params = _circle200_strict()
         res = pairing(model, params)
         assert res.certificate("regime_gap").applicable
-        outer = model.containment_window()
-        blocks = {"regime_gap": outer.localiser(0.05),
-                  "complement_gap": outer.localiser(0.05, beyond=30.5)}
-        for name, block in blocks.items():
+        for name, block in _gap_blocks(model, params).items():
             cert = res.certificate(name)
             counts = core.gap_counts(block, cert.bound)
             assert cert.as_dict()["detail"].endswith(
@@ -312,11 +317,16 @@ class TestWindowBlocks:
             ("circle40", (0.02, 0.05), (20.5, 30.5)),
             ("qwz9", (0.5, 1.0), (4.5, 5.5)),
             ("shift40_nu2", (0.1, 0.2), (8.5, 10.5)),
+            ("circle200", (1 / 144,), (145.5,)),
         ],
     )
     def test_window_blocks_match_dense_reference(self, request, model_name, kappas, rhos):
+        # the complement row is applicable at shift40_nu2's (0.2, 10.5) and
+        # at circle200's strict pairing, and only there is its block counted
         if model_name == "shift40_nu2":
             model = build_weighted_shift_dirac(40, nu=2)
+        elif model_name == "circle200":
+            model = _circle200_strict()[0]
         else:
             model = request.getfixturevalue(model_name)
         w = model.dirac_eigensystem()[0]
@@ -338,7 +348,11 @@ class TestWindowBlocks:
 
                 res = pairing(model, LocaliserParams(kappa, rho))
                 assert res.inertia == dense_inertia(trunc)
-                _assert_decided_by_counts(res.certificate("complement_gap"), comp)
+                complement = res.certificate("complement_gap")
+                if complement.applicable:
+                    _assert_decided_by_counts(complement, comp)
+                else:
+                    assert np.isnan(complement.measured) and "not counted" in complement.detail
                 regime = res.certificate("regime_gap")
                 if regime.applicable:
                     _assert_decided_by_counts(regime, seam_free)
@@ -597,19 +611,23 @@ class TestSylvesterRoute:
         assert exc.value.eig_counts[2] == 0 and exc.value.factor_counts[2] > 0
 
     def test_dense_limit_no_longer_gates_pairing(self, monkeypatch):
+        # below the cap: a QWZ window, and the complement block of the strict
+        # circle-200 pairing, whose row is applicable and so counted
         model = build_qwz_model(box=8, mass=1.0)
         params = LocaliserParams(1.0, 4.5)
         window = model.window(params.rho)
         oracle = oracle_pairing(model)
-        monkeypatch.setattr(core, "DENSE_DIM_LIMIT", window.dim - 1)
+        circle, strict = _circle200_strict()
+        comp = circle.containment_window().localiser(strict.kappa, beyond=strict.rho)
+        monkeypatch.setattr(core, "DENSE_DIM_LIMIT", min(window.dim, comp.shape[0]) - 1)
         with pytest.raises(ValidationError, match="dense limit"):
             core.hermitian_eigenvalues(window.localiser(params.kappa))
         res = pairing_even(model, params)
         assert res.pairing == oracle
         assert res.dim_trunc > core.DENSE_DIM_LIMIT
         assert res.certificate("truncated_gap").detail.endswith("(%s)" % core.SPARSE_GAP_ROUTE)
-        comp = model.containment_window().localiser(params.kappa, beyond=params.rho)
-        _assert_decided_by_counts(res.certificate("complement_gap"), comp)
+        assert comp.shape[0] > core.DENSE_DIM_LIMIT
+        _assert_decided_by_counts(pairing(circle, strict).certificate("complement_gap"), comp)
 
     @pytest.mark.parametrize("certificates", [False, True], ids=["lean", "certified"])
     def test_banded_window_past_the_dense_cap(self, certificates):
@@ -622,12 +640,12 @@ class TestSylvesterRoute:
         assert not res.violations
 
 
-# the gap rows' blocks on a circle model where both rows are applicable:
-# name -> the block at kappa 0.05, rho 30.5
-def _gap_blocks(model):
+# the gap rows' blocks on a pairing where both rows are applicable, as on
+# the strict circle-200 one: name -> block
+def _gap_blocks(model, params):
     outer = model.containment_window()
-    return {"regime_gap": outer.localiser(0.05),
-            "complement_gap": outer.localiser(0.05, beyond=30.5)}
+    return {"regime_gap": outer.localiser(params.kappa),
+            "complement_gap": outer.localiser(params.kappa, beyond=params.rho)}
 
 
 class TestGapCounts:
@@ -637,29 +655,83 @@ class TestGapCounts:
     @pytest.mark.parametrize("name", ["regime_gap", "complement_gap"])
     def test_flipped_zero_class_from_either_ordering_is_caught(self, monkeypatch, name, ordering):
         # one eigenvalue miscounted into the zero class, on that row's block only
-        model = build_circle_model(40, {0: 0.5, 1: 1.0})
-        block = _gap_blocks(model)[name]
+        model, params = _circle200_strict()
+        block = _gap_blocks(model, params)[name]
         _alter_counts(monkeypatch, lambda c: (c[0] - 1, c[1], c[2] + 1), ordering, block.shape[0])
         with pytest.raises(BackendDisagreement):
-            pairing(model, LocaliserParams(0.05, 30.5))
+            pairing(model, params)
+
+    @pytest.mark.parametrize("ordering", core.ORDERINGS, ids=["first", "second"])
+    def test_flipped_count_on_the_complement_block_is_caught(self, monkeypatch, ordering):
+        # one eigenvalue read above the gap instead of below it: the strict
+        # circle-200 pairing counts its complement block and raises; circle40
+        # at kappa 0.05 fails kappa_bound, so its complement row is
+        # inapplicable, its block is never counted, and nothing raises
+        model, params = _circle200_strict()
+        small = build_circle_model(40, {0: 0.5, 1: 1.0})
+        for m, p, raises in ((model, params, True), (small, LocaliserParams(0.05, 30.5), False)):
+            dim = _gap_blocks(m, p)["complement_gap"].shape[0]
+            _alter_counts(monkeypatch, lambda c: (c[0] + 1, c[1] - 1, c[2]), ordering, dim)
+            if raises:
+                with pytest.raises(BackendDisagreement) as exc:
+                    pairing(m, p)
+                assert exc.value.eig_counts != exc.value.factor_counts
+            else:
+                assert np.isnan(pairing(m, p).certificate("complement_gap").measured)
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("name", ["regime_gap", "complement_gap"])
     def test_decline_in_both_orderings_raises(self, monkeypatch, name):
-        model = build_circle_model(40, {0: 0.5, 1: 1.0})
-        dim = _gap_blocks(model)[name].shape[0]
+        model, params = _circle200_strict()
+        dim = _gap_blocks(model, params)[name].shape[0]
         for ordering in core.ORDERINGS:
             _alter_counts(monkeypatch, lambda c: None, ordering, dim)
         with pytest.raises(FactorizationDeclined):
-            pairing(model, LocaliserParams(0.05, 30.5))
+            pairing(model, params)
 
     @pytest.mark.parametrize("name", ["regime_gap", "complement_gap"])
     def test_decline_in_one_ordering_leaves_the_other(self, monkeypatch, name):
-        model = build_circle_model(40, {0: 0.5, 1: 1.0})
-        block = _gap_blocks(model)[name]
+        model, params = _circle200_strict()
+        block = _gap_blocks(model, params)[name]
         _alter_counts(monkeypatch, lambda c: None, core.ORDERINGS[0], block.shape[0])
-        cert = pairing(model, LocaliserParams(0.05, 30.5)).certificate(name)
+        cert = pairing(model, params).certificate(name)
         assert cert.satisfied
         _assert_decided_by_counts(cert, block)
+
+    def test_inapplicable_complement_row_builds_nothing(self, monkeypatch):
+        # circle40 at kappa 0.05, rho 30.5 fails kappa_bound: its 28-row
+        # complement block runs no LU, and the row reads NaN against its
+        # bound, not applicable and so never violated
+        model, params = build_circle_model(40, {0: 0.5, 1: 1.0}), LocaliserParams(0.05, 30.5)
+        dim = _gap_blocks(model, params)["complement_gap"].shape[0]
+        calls = splu_spy(monkeypatch)
+        res = pairing(model, params)
+        assert res.certificate("regime_gap").applicable
+        assert calls and dim not in {d for d, _ in calls}
+        cert = res.certificate("complement_gap")
+        assert np.isnan(cert.measured) and not cert.satisfied
+        assert not cert.applicable and not cert.violated
+        assert cert.bound == pytest.approx(np.sqrt(47.0 / 48.0) * 0.05 * 30.5)
+        assert cert.detail.endswith("; not counted: kappa_bound failed")
+        # the strict guarantee check, its hard conditions waived, passes over it
+        validate = localiser.validate_truncation_params
+        monkeypatch.setattr(localiser, "validate_truncation_params", lambda m, p, **kw: validate(
+            m, LocaliserParams(p.kappa, p.rho), **kw))
+        strict = pairing(model, LocaliserParams(0.05, 30.5, "strict"))
+        assert strict.certificate("complement_gap") == cert and strict.violations == []
+
+    def test_certified_pairing_follows_the_window(self, monkeypatch):
+        # QWZ box 16 at kappa 1, rho 6.5: neither gap row is applicable, so
+        # no LU is larger than the truncated block and the containment
+        # window is never built
+        model = build_qwz_model(box=16, mass=1.0)
+        calls = splu_spy(monkeypatch)
+        res = pairing(model, LocaliserParams(1.0, 6.5))
+        assert not res.certificate("regime_gap").applicable
+        assert not res.certificate("complement_gap").applicable
+        assert calls and max(d for d, _ in calls) <= res.dim_trunc < model.dim
+        assert "containment_window" not in model.cache
+        assert res.pairing == oracle_pairing(model) == 1
 
     def test_only_the_truncated_block_runs_an_eigensolver(self, monkeypatch):
         # a full-certificate QWZ box-10 pairing: ARPACK runs once, on the
@@ -682,23 +754,26 @@ class TestGapCounts:
         assert "complement_gap" in {c.name for c in res.certificates}
         assert calls == [("eigsh", res.dim_trunc)]
 
-    @pytest.mark.parametrize("model,params,truncated", [
+    @pytest.mark.parametrize("model,expected", [
         # truncated block: one LU at 0 for the inertia (first ordering) and
         # two at +/-gap (second), the gap from Lanczos or, banded, from the
-        # two eigenvalues that bracket 0 (confirmed at gap less rounding)
-        (lambda: build_qwz_model(box=10, mass=1.0), LocaliserParams(0.25, 5.5), 3),
-        (lambda: build_circle_model(250, {0: 0.5, 1: 1.0}), LocaliserParams(0.05, 100.5), 3),
-    ], ids=["qwz10", "circle250"])
-    def test_factorizations_per_block(self, monkeypatch, model, params, truncated):
-        model = model()
-        outer = model.containment_window()
-        blocks = [model.window(params.rho).localiser(params.kappa), outer.localiser(params.kappa)]
-        comp = outer.localiser(params.kappa, beyond=params.rho)
-        blocks += [comp] if comp is not None else []
+        # two eigenvalues that bracket 0 (confirmed at gap less rounding);
+        # each applicable gap row: two LUs per ordering, the first of each
+        # finding it; an inapplicable complement row: none
+        (lambda: (build_qwz_model(box=10, mass=1.0), LocaliserParams(0.25, 5.5)), [3, 4, 0]),
+        (lambda: (build_circle_model(250, {0: 0.5, 1: 1.0}), LocaliserParams(0.05, 100.5)),
+         [3, 4, 0]),
+        (_circle200_strict, [3, 4, 4]),
+    ], ids=["qwz10", "circle250", "circle200-strict"])
+    def test_factorizations_per_block(self, monkeypatch, model, expected):
+        model, params = model()
+        blocks = [model.window(params.rho).localiser(params.kappa),
+                  *_gap_blocks(model, params).values()]
         assert len({b.shape[0] for b in blocks}) == len(blocks)
         calls = splu_spy(monkeypatch)
-        assert pairing(model, params).certificate("regime_gap").applicable
+        res = pairing(model, params)
+        assert res.certificate("regime_gap").applicable
+        assert res.certificate("complement_gap").applicable == (expected[2] > 0)
         per_block = [sum(dim == b.shape[0] for dim, _ in calls) for b in blocks]
-        # each gap row: two LUs per ordering, the first of each finding it
-        assert per_block == [truncated] + [4] * (len(blocks) - 1)
+        assert per_block == expected
         assert len(calls) == sum(per_block)

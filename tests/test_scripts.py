@@ -116,7 +116,18 @@ def test_dump_pairings_diff(tmp_path, quick_dump, capsys):
         "$.pairings.circle strict.certificates[0].satisfied: %r -> %r"
         % (not cert["satisfied"], cert["satisfied"]),
         "largest relative float difference: 0",
+        "%s: 1 row (satisfied)" % cert["name"],
     ]
+    # the tally ends the output: rows per certificate name, read off the
+    # record, with the fields that differ in any of them
+    dump = json.loads(quick_dump)
+    rows = [next(c for c in record["certificates"] if c["name"] == "truncated_gap")
+            for record in list(dump["pairings"].values())[:2]]
+    for row in rows:
+        row["detail"] += " (moved)"
+    rows[1]["measured"] *= 2
+    assert script.diff(json.loads(quick_dump), dump) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "truncated_gap: 2 rows (detail, measured)"
     # a criterion that says something else, all else equal, is a difference
     dump = json.loads(quick_dump)
     dump["details"]["5"] = dump["details"]["5"].replace("0 violations", "1 violations")
