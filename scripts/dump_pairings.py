@@ -117,7 +117,7 @@ def main() -> int:
         "suspensions": session._suspension_entries(),
     }
     # numpy scalars (a certificate's satisfied flag) print as their Python values
-    text = json.dumps(dump, indent=1, sort_keys=True, default=lambda o: o.item())
+    text = json.dumps(dump, indent=1, sort_keys=True)
     if args.diff is not None:
         with open(args.diff) as fh:
             return diff(json.load(fh), json.loads(text))

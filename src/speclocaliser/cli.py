@@ -71,18 +71,8 @@ def _build_config(args) -> RunConfig:
         grid=getattr(args, "grid", None),
         chi=getattr(args, "chi", None),
     )
-    if args.config:
-        return RunConfig.from_file(args.config).merged(**overrides)
-    required = {"model": overrides["model"], "kappas": overrides["kappas"],
-                "rhos": overrides["rhos"]}
-    missing = [k for k, v in required.items() if not v]
-    if missing:
-        raise ConfigError(
-            "without --config these flags are required: %s"
-            % ", ".join("--" + m.rstrip("s") for m in missing)
-        )
-    filled = {k: v for k, v in overrides.items() if v is not None}
-    return RunConfig(**filled)
+    # RunConfig.validate, run by every runner, checks the merged keys
+    return (RunConfig.from_file(args.config) if args.config else RunConfig()).merged(**overrides)
 
 
 def _print_report(report) -> None:

@@ -139,13 +139,14 @@ class RunConfig:
     """One sweep: a model against a (kappa, rho) grid.
 
     File values load with :meth:`from_file`; CLI flags override via
-    :meth:`merged`.  ``validate`` enforces the structural invariants and is
+    :meth:`merged`, so either may give any key.  ``validate`` enforces the
+    structural invariants, a model and the two grids included, and is
     called by every runner.
     """
 
-    model: str
-    kappas: tuple[float, ...]
-    rhos: tuple[float, ...]
+    model: str = ""
+    kappas: tuple[float, ...] = ()
+    rhos: tuple[float, ...] = ()
     mode: str = "permissive"
     out: Optional[str] = None
     grid: int = DEFAULT_GRID
@@ -165,11 +166,11 @@ class RunConfig:
 
     def validate(self) -> None:
         if not str(self.model).strip():
-            raise ConfigError("model spec must be non-empty")
+            raise ConfigError("model spec must be non-empty (--model or config key model)")
         if not self.kappas:
-            raise ConfigError("kappa list must be non-empty")
+            raise ConfigError("kappa list must be non-empty (--kappa or config key kappas)")
         if not self.rhos:
-            raise ConfigError("rho list must be non-empty")
+            raise ConfigError("rho list must be non-empty (--rho or config key rhos)")
         if not all(math.isfinite(k) and k > 0 for k in self.kappas):
             raise ConfigError("all kappa values must be finite and positive")
         if not all(math.isfinite(r) and r > 0 for r in self.rhos):
@@ -208,9 +209,6 @@ class RunConfig:
         unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
         if unknown:
             raise ConfigError("unknown config keys: %s" % unknown)
-        missing = [k for k in ("model", "kappas", "rhos") if k not in data]
-        if missing:
-            raise ConfigError("config file is missing keys: %s" % missing)
         return cls(**data)
 
     def merged(self, **overrides) -> "RunConfig":

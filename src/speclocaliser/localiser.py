@@ -140,7 +140,7 @@ def _certificate(
         measured=float(measured),
         bound=float(bound),
         relation=relation,
-        satisfied=_RELATIONS[relation](measured, effective),
+        satisfied=bool(_RELATIONS[relation](measured, effective)),
         kind=kind,
         hard=hard,
         applicable=applicable,
@@ -148,25 +148,22 @@ def _certificate(
     )
 
 
-def _outer_eigs(model: ModelInstance, beyond: float) -> np.ndarray:
-    # |D| on the containment window's part |D| > beyond, read off D's spectrum
-    w = np.abs(model.dirac_eigensystem()[0])
-    return w[(w > beyond) & (w <= model.containment_radius + 1e-9)]
-
-
-def _gap_row(model, kappa, name, bound, applicable, detail, counts, beyond=-math.inf):
-    """A gap guarantee gap >= bound on the containment window's part |D| > beyond.
+def _gap_row(model, kappa, name, bound, applicable, detail, beyond=None):
+    """A gap guarantee gap >= bound on the containment window, or on its part
+    |D| > beyond.
 
     An inapplicable row builds and counts nothing and reads NaN.  Otherwise
-    it holds when the zero class of counts(), core.gap_counts of the block,
-    is empty; measured is then bound - 1e-9, the gap the counts prove, else
-    the Weyl bound (each eigenvalue lies within ||K|| of one of kappa D's),
-    both clipped at 0."""
+    it holds when the zero class of core.gap_counts of the block is empty;
+    measured is then bound - 1e-9, the gap the counts prove, else the Weyl
+    bound (each eigenvalue lies within ||K|| of one of kappa D's, read off
+    the window), both clipped at 0."""
     if not applicable:
         return _certificate(name, math.nan, bound, ">=", kind="guarantee",
                             applicable=False, detail=detail)
-    counts = counts()
-    weyl = kappa * float(np.min(_outer_eigs(model, beyond))) - model.k_norm()
+    window = model.containment_window()
+    counts = gap_counts(window.localiser(kappa, beyond), bound)
+    w = np.abs(window.eigs)
+    weyl = kappa * float(np.min(w if beyond is None else w[w > beyond])) - model.k_norm()
     detail = "%s (Sylvester counts %s at +/-(bound - 1e-9))" % (detail, counts)
     return GapCertificate(name, max(weyl if counts[2] else bound - 1e-9, 0.0), float(bound), ">=",
                           not counts[2], kind="guarantee", detail=detail)
@@ -179,14 +176,14 @@ def validate_infinite_regime(
 
     The commutator norm is the interior one (ModelInstance.dirac_commutator:
     a builder's closed-form bound, or measured), and the gap is decided on the
-    localiser compressed to the containment window of D
-    (``ModelInstance.regime_gap``): the periodic seam of a finite box
-    carries commutator entries of size O(box) and bound eigenmodes with no
-    infinite-volume counterpart (at strict circle parameters the lowest
-    full-box eigenvector has all its mass on the wrap rows).  In strict
-    mode a failed hypothesis raises HypothesisViolated.  Only when it holds
-    does the bound sqrt(g^2 - kappa ||[D, K]||) claim anything (it is 0
-    otherwise), so only then is the row applicable and the gap counted.
+    localiser compressed to the containment window of D: the periodic seam
+    of a finite box carries commutator entries of size O(box) and bound
+    eigenmodes with no infinite-volume counterpart (at strict circle
+    parameters the lowest full-box eigenvector has all its mass on the wrap
+    rows).  In strict mode a failed hypothesis raises HypothesisViolated.
+    Only when it holds does the bound sqrt(g^2 - kappa ||[D, K]||) claim
+    anything (it is 0 otherwise), so only then is the row applicable and the
+    gap counted.  The row is cached per kappa on the model.
     """
     g = model.k_gap()
     comm, source = model.dirac_commutator()
@@ -194,11 +191,12 @@ def validate_infinite_regime(
     if not applicable and mode == "strict":
         raise HypothesisViolated("kappa*||[D,K]|| = %.6g is not below g^2 = %.6g"
                                  % (kappa * comm, g * g))
-    return _gap_row(
-        model, kappa, "regime_gap", math.sqrt(max(g * g - kappa * comm, 0.0)), applicable,
-        "seam-free localiser gap vs sqrt(g^2 - kappa*||[D,K]||), ||[D,K]||: %s" % source,
-        lambda: model.regime_gap(kappa)[1],
-    )
+    key = ("regime_gap", float(kappa))
+    if key not in model.cache:
+        model.cache[key] = _gap_row(
+            model, kappa, "regime_gap", math.sqrt(max(g * g - kappa * comm, 0.0)), applicable,
+            "seam-free localiser gap vs sqrt(g^2 - kappa*||[D,K]||), ||[D,K]||: %s" % source)
+    return model.cache[key]
 
 
 def validate_truncation_params(
@@ -326,15 +324,13 @@ def pairing(
     if regime is not None:
         certs.append(regime)
         kappa, rho = params.kappa, params.rho
-        bound = _COMPLEMENT_FACTOR * kappa * rho
         failed = ", ".join(c.name for c in certs if c.hard and not c.satisfied)
-        if _outer_eigs(model, rho).size:
+        w = np.abs(model.dirac_eigensystem()[0])
+        if np.any((w > rho) & (w <= model.containment_radius + 1e-9)):
             certs.append(_gap_row(
-                model, kappa, "complement_gap", bound, assumption_ok,
+                model, kappa, "complement_gap", _COMPLEMENT_FACTOR * kappa * rho, assumption_ok,
                 "complement block gap vs sqrt(47/48) kappa rho"
-                + (failed and "; not counted: %s failed" % failed),
-                lambda: gap_counts(model.containment_window().localiser(kappa, rho), bound),
-                rho))
+                + (failed and "; not counted: %s failed" % failed), rho))
 
     if params.mode == "strict":
         for cert in certs:

@@ -33,8 +33,6 @@ degenerate eigenspaces.
 onto a spectral window of D in that eigenbasis once per radius, touching
 only the rows the window's eigenvectors reach; every localiser block the
 pairing and the suspension paths read is assembled from such a window.
-``ModelInstance.regime_gap`` caches, per kappa, the regime bound and the
-Sylvester counts (``core.gap_counts``) that decide it on the seam-free block.
 """
 
 from __future__ import annotations
@@ -53,7 +51,6 @@ from .core import (
     CsrOperator,
     as_matrix,
     commutator_norm,
-    gap_counts,
     hermitian_csr,
     max_abs_entry,
     window_mask,
@@ -164,15 +161,13 @@ class Window:
     index holds the kept positions of the ordered D eigensystem, eigs their
     D eigenvalues, and k_part the K-part V_W* K~ V_W (sparse), with
     K~ = Gamma K for even models and G for odd ones.  gamma_part is the
-    grading V_W* Gamma V_W (sparse), None for odd models.  radius is the
-    selection radius.  Every localiser block on the window or on a
-    sub-window is read off these.
+    grading V_W* Gamma V_W (sparse), None for odd models.  Every localiser
+    block on the window or on a sub-window is read off these.
     """
 
     index: np.ndarray
     eigs: np.ndarray
     k_part: sp.csr_array
-    radius: float
     gamma_part: sp.csr_array | None
 
     @property
@@ -292,26 +287,28 @@ class ModelInstance:
         key = ("window", float(rho))
         if key not in self.cache:
             w, _ = self.dirac_eigensystem()
-            self.cache[key] = self._window(window_mask(w, rho), float(rho))
+            self.cache[key] = self._window(window_mask(w, rho))
         return self.cache[key]
 
     def containment_window(self) -> Window:
         """The |D| <= containment radius window, cached.
 
-        Containment radii are themselves D eigenvalues, so there is no edge
-        check.  An empty selection raises ValidationError, as window_mask does.
+        The window is closed at the radius plus 1e-9 with no edge check, so
+        it keeps an eigenvalue equal to the radius up to rounding; QWZ with
+        the integer offset, circles without offset and the shift model have
+        one there, while half-integer QWZ and offset circles have none.  An
+        empty selection raises ValidationError, as window_mask does.
         """
         if "containment_window" not in self.cache:
             w, _ = self.dirac_eigensystem()
-            radius = self.containment_radius + 1e-9
-            mask = np.abs(w) <= radius
+            mask = np.abs(w) <= self.containment_radius + 1e-9
             if not mask.any():
                 raise ValidationError("empty containment window: radius %.6g below the least |D| "
                                       "eigenvalue %.6g" % (self.containment_radius, min(abs(w))))
-            self.cache["containment_window"] = self._window(mask, radius)
+            self.cache["containment_window"] = self._window(mask)
         return self.cache["containment_window"]
 
-    def _window(self, mask: np.ndarray, radius: float) -> Window:
+    def _window(self, mask: np.ndarray) -> Window:
         w, v = self.dirac_eigensystem()
         index = np.flatnonzero(mask)
         cols = v[:, index]
@@ -329,7 +326,7 @@ class ModelInstance:
         k_part = (cols.conj().T @ (k_sub @ cols)).tocsr()
         if self.parity == "even":
             k_part = (k_part + k_part.conj().T) / 2.0
-        return Window(index, w[index], k_part, radius, gamma_part)
+        return Window(index, w[index], k_part, gamma_part)
 
     def k_norm(self) -> float:
         """Operator norm of K, from _k_spectrum unless a builder cached it."""
@@ -365,17 +362,6 @@ class ModelInstance:
                 "interior Lanczos",
             )
         return self.cache["dirac_commutator"]
-
-    def regime_gap(self, kappa: float) -> tuple[float, tuple[int, int, int]]:
-        """The regime bound sqrt(g^2 - kappa ||[D,K]||) and core.gap_counts of
-        the seam-free localiser (the containment window's) at it, cached per kappa."""
-        key = ("regime_gap", float(kappa))
-        if key not in self.cache:
-            g = self.k_gap()
-            bound = math.sqrt(max(g * g - kappa * self.dirac_commutator()[0], 0.0))
-            block = self.containment_window().localiser(kappa)
-            self.cache[key] = bound, gap_counts(block, bound)
-        return self.cache[key]
 
     def describe(self) -> dict:
         return {

@@ -384,6 +384,20 @@ class TestCli:
         assert cli.main([command, "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    def test_flags_complete_a_partial_config_file(self, tmp_path, capsys):
+        # the file gives the grids, the flag the model; the required keys are
+        # checked once both are merged, and a key neither gives exits 2
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump({"kappas": [0.1], "rhos": [5.5]}))
+        assert cli.main(["localise", "--config", str(path), "--model", "shift:sites=20"]) == 0
+        assert "pairing=" in capsys.readouterr().out
+        assert cli.main(["localise", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "--model" in err
+        assert cli.main(["sf", "--model", "shift:sites=20", "--kappa", "0.1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "--rho" in err
+
     @pytest.mark.parametrize(
         "flag,value", [("--kappa", "nan"), ("--kappa", "inf"), ("--rho", "nan"), ("--rho", "inf")]
     )

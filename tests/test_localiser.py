@@ -1,5 +1,7 @@
 """Localiser assembly, certificates, truncation and the pairing itself."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -73,7 +75,7 @@ class TestAssembly:
         window, outer = model.window(30.5), model.containment_window()
         assert np.any(window.eigs == 0.0) == (offset == 0.0)
         w = np.abs(outer.eigs)
-        sel = np.flatnonzero((w > 20.5) & (w <= outer.radius))
+        sel = np.flatnonzero((w > 20.5) & (w <= model.containment_radius + 1e-9))
         cases = [
             (window, 0.05, window.k_part, slice(None), window.localiser(0.05)),
             (outer, 0.05, outer.k_part[sel][:, sel], sel, outer.localiser(0.05, beyond=20.5)),
@@ -106,20 +108,21 @@ class TestInfiniteRegime:
         assert cert.name == "regime_gap" and cert.kind == "guarantee"
         assert cert.applicable and cert.satisfied
         assert cert.bound == pytest.approx(np.sqrt(g * g - 0.2), abs=1e-12)
-        # the row reads the model's cached seam-free counts
-        bound, counts = model.regime_gap(0.2)
-        assert cert.bound == bound and counts[2] == 0
+        # the row's detail names the seam-free counts that decide it
+        counts = core.gap_counts(model.containment_window().localiser(0.2), cert.bound)
+        assert counts[2] == 0
         assert cert.detail.endswith("(Sylvester counts %s at +/-(bound - 1e-9))" % (counts,))
-        assert cert.measured == bound - 1e-9
+        assert cert.measured == cert.bound - 1e-9
         _assert_decided_by_counts(cert, model.containment_window().localiser(0.2))
 
-    def test_hypothesis_failure_permissive_vs_strict(self):
+    def test_hypothesis_failure_permissive_vs_strict(self, monkeypatch):
         # kappa ||[D,G]|| = 0.3 exceeds g^2 = 0.25
         model = build_circle_model(60, {0: 0.5, 1: 1.0})
+        calls = splu_spy(monkeypatch)
         cert = validate_infinite_regime(model, 0.3)
         assert not cert.applicable and not cert.violated
         assert np.isnan(cert.measured)
-        assert ("regime_gap", 0.3) not in model.cache
+        assert calls == [] and "containment_window" not in model.cache
         with pytest.raises(HypothesisViolated):
             validate_infinite_regime(model, 0.3, mode="strict")
 
@@ -137,7 +140,7 @@ class TestInfiniteRegime:
         assert cert.bound == 1.0 and cert.applicable and cert.satisfied
         assert cert.measured == 1.0 - 1e-9
         if nu == 1:
-            assert model.regime_gap(0.1)[1] == (38, 39, 0)
+            assert cert.detail.endswith("(Sylvester counts (38, 39, 0) at +/-(bound - 1e-9))")
         _assert_decided_by_counts(cert, block)
 
     def test_gap_just_below_its_bound_is_not_satisfied(self, shift40, monkeypatch):
@@ -164,6 +167,20 @@ class TestInfiniteRegime:
         assert shift40.dirac_commutator() == (0.0, "commuting pair")
         assert cert.bound == pytest.approx(shift40.k_gap())
         assert cert.measured >= 1.0 - 1e-9
+
+    def test_row_is_counted_once_per_kappa(self, monkeypatch):
+        # two full-certificate pairings at one kappa and two radii, then a
+        # direct call: the regime block's LUs run in the first pairing only,
+        # and every call returns that one row
+        model = build_circle_model(60, {0: 0.5, 1: 1.0})
+        dim = model.containment_window().localiser(0.2).shape[0]
+        calls = splu_spy(monkeypatch)
+        first = pairing(model, LocaliserParams(0.2, 20.5)).certificate("regime_gap")
+        lus = sum(d == dim for d, _ in calls)
+        second = pairing(model, LocaliserParams(0.2, 30.5)).certificate("regime_gap")
+        assert first.applicable and lus > 0
+        assert second is first and validate_infinite_regime(model, 0.2) is first
+        assert sum(d == dim for d, _ in calls) == lus
 
 
 class TestTruncationCertificates:
@@ -233,6 +250,15 @@ class TestTruncationCertificates:
             validate_truncation_params(
                 qwz9, LocaliserParams(0.5, 8.5, mode="strict"), include_commutator=False
             )
+
+    def test_flags_are_python_bools(self, qwz9):
+        # every row of a full pairing carries plain bools and dumps to JSON
+        # with no hook, the invertibility row (a numpy comparison) included
+        for model, params in (_circle200_strict(), (qwz9, LocaliserParams(0.75, 5.5))):
+            for cert in pairing(model, params).certificates:
+                flags = (cert.satisfied, cert.applicable, cert.hard, cert.violated)
+                assert all(type(flag) is bool for flag in flags)
+                json.dumps(cert.as_dict())
 
 
 class TestTruncate:
