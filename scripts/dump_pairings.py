@@ -6,7 +6,11 @@ each criterion's detail line with its wall times masked, then, for every
 criterion 1-4 pairing, its pairing, signature, inertia, index
 correction, truncated gap and each certificate's name, satisfied,
 applicable, violated, measured value and detail, then every criterion-6
-suspension record.  Two checkouts' dumps diff line by line:
+suspension record, with the crossing ledger (``crossings_<chi>``: each
+(t_a, t_b, change) of the walk) and the sample count (``samples_<chi>``) of
+each of its walks, walked again here with the library's public calls so that
+the dump reads the same fields from any checkout.  Two checkouts' dumps diff
+line by line:
 
     PYTHONPATH=src python scripts/dump_pairings.py --profile full > after.json
 
@@ -27,6 +31,7 @@ import math
 import re
 import sys
 
+from speclocaliser import CHI_CLAMP, CHI_SMOOTH, sf_crossings, suspension
 from speclocaliser.verify import VerifySession
 
 
@@ -43,6 +48,21 @@ def _pairing_record(res) -> dict:
             for cert in res.certificates
         ],
     }
+
+
+def _suspension_records(session) -> list[dict]:
+    """The session's suspension records, each with the crossings and the
+    sample count of its model's walk for each chi."""
+    records = []
+    for entry, (spec, label, model, _) in zip(session._suspension_entries(), session._models()):
+        assert entry["label"] == label
+        record = dict(entry)
+        for chi in (CHI_CLAMP, CHI_SMOOTH):
+            flow = sf_crossings(suspension(model, *spec.path, chi=chi))
+            record["crossings_" + chi.name] = [list(c) for c in flow.crossings]
+            record["samples_" + chi.name] = flow.samples
+        records.append(record)
+    return records
 
 
 # floats (gaps, measured values) may move by rounding between two routes
@@ -114,9 +134,8 @@ def main() -> int:
         # a detail line's wall times ("%.1fs") differ from run to run
         "details": {str(r.index): re.sub(r"\d+\.\ds\b", "*s", r.detail) for r in results},
         "pairings": {label: _pairing_record(res) for label, res in session._all_pairing_results()},
-        "suspensions": session._suspension_entries(),
+        "suspensions": _suspension_records(session),
     }
-    # numpy scalars (a certificate's satisfied flag) print as their Python values
     text = json.dumps(dump, indent=1, sort_keys=True)
     if args.diff is not None:
         with open(args.diff) as fh:

@@ -21,13 +21,16 @@ declined LU in the second ordering; in ``certified_inertia`` the LU at 0
 gives a truncated block's inertia, Lanczos or two band eigenvalues its gap
 g, and one count pair in the second ordering confirms both; ``gap_counts``
 decides a row ``gap >= b`` by counts in both orderings; a spectral-flow
-walk counts each sample on its pattern's counter and checks each end in
-the second ordering.  The count thresholds, with ||X||_1 the larger
-absolute row sum of a walk's ends (a bound on both spectral radii), L_w
-the truncated window localiser and r(A) = 3 sqrt(n) eps ||A||_inf:
+walk counts each sample it does not prove on its pattern's counter and
+checks each end in the second ordering.  The count thresholds, with
+||X||_1 the larger absolute row sum of a walk's ends (a bound on both
+spectral radii), L_w the truncated window localiser and
+r(A) = 3 sqrt(n) eps ||A||_inf:
 
   walk samples (``eps``)       1e-6 ||X||_1                    flow.sf_crossings
   walk end checks              1e-8 ||X||_1                    flow.sf_crossings
+  proved walk samples (no LU)  proved gap > eps                flow.suspension,
+                                                               flow.sf_crossings
   pairing ``zero_tol``         1e-8 (kappa max|D_w| + ||K||),  localiser.pairing
                                a Weyl bound on ||L_w||
   truncated gap confirmation   its Lanczos bound, or the       certified_inertia
@@ -349,6 +352,7 @@ class _Counter:
             if factored is None:
                 return None
             signs.append(factored[1])
+            del factored  # keep the pivot signs alone: no two LUs coexist
         n_pos = int(np.sum(signs[0] > 0))
         n_neg = int(np.sum(signs[-1] < 0))
         return n_pos, n_neg, self.dim - n_pos - n_neg

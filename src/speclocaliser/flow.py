@@ -3,11 +3,14 @@
 Spectral flow is computed two ways from one walk, and callers cross-check
 them: by accumulating per-interval changes of the positive eigenvalue count
 along the path, and from the endpoint signatures (half their difference),
-read off the walk's first and last samples.  Every sample is counted, not
-diagonalised: Sylvester's law on sparse LUs at -/+eps, with the
-fill-reducing order computed once per sample pattern of the walk; the two
-ends are validated as Hermitian and their counts checked against LUs in a
-second ordering, and only a traced walk diagonalises (its whole grid).
+read off the walk's first and last samples.  No sample is diagonalised
+unless the walk is traced: each is counted by Sylvester's law on sparse
+LUs at -/+eps, with the fill-reducing order computed once per sample
+pattern of the walk, or, on a path that carries a proved gap, given the
+start's counts with no LU where that gap exceeds eps.  The two ends are
+always counted, validated as Hermitian and checked against LUs in a second
+ordering, and a traced walk diagonalises its whole grid and checks every
+sample's counts, proved ones included, against its eigenvalues.
 Branches are matched between samples by these counts, not eigenvector
 continuity; a sample with an eigenvalue inside the zero tolerance is
 replaced by clean samples bisected toward its clean neighbours, and an
@@ -19,12 +22,24 @@ trivial reference (-Gamma for even models, the identity for odd ones) and
 the model's class representative using an admissible cutoff pair
 (chi_minus, chi_plus).  One builder serves both parities: every sample is
 the |D| <= rho window localiser, assembled as ``pairing`` assembles it,
-which is what the finite-volume pairing theorems are about.
+which is what the finite-volume pairing theorems are about.  Its proved
+gap rests on two inequalities about the exact diagonal anchor B = kappa D_w
+(d = kappa min|D_w|), the reference part R and the K-part K:
+
+* on the reference half, where chi_plus = 0, a sample is B + sR and
+  ||(B + sR) x||^2 >= d^2 + s^2 (1 - ||R^2 - I||) - s ||BR + RB|| for
+  unit x, so while that stays positive along the segment from the start,
+  the sample has the start's inertia (R anticommutes with B and squares to I, so the bound is
+  d^2 + s^2 up to rounding: the reference half is the trivial class);
+* where chi_minus = 0, a sample is B + cK and Weyl's inequality gives
+  min|eig| >= d - c ||K||, so it has B's inertia while that is positive
+  (the gap argument of J. Phillips, Canad. Math. Bull. 39 (1996)).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Callable
 
 import numpy as np
@@ -100,10 +115,18 @@ CHI_PAIRS = {"clamp": CHI_CLAMP, "smooth": CHI_SMOOTH}
 
 @dataclasses.dataclass(eq=False)
 class OperatorPath:
-    """A Hermitian path t -> T(t) and a sampling grid."""
+    """A Hermitian path t -> T(t), a sampling grid and, optionally, a proved gap.
+
+    proved_gap(t) is a lower bound on min |eigenvalue| of T(t) that is
+    positive only where T(t) is joined to T(grid[0]) by invertible
+    operators, so that T(t) has the start's inertia there.  ``suspension``
+    attaches one read off its parts (by the reference-half bound and by
+    Weyl's inequality, see there); every other path has none.
+    """
 
     evaluate: Callable[[float], np.ndarray]
     grid: np.ndarray
+    proved_gap: Callable[[float], float] | None = None
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
@@ -133,13 +156,16 @@ _MAX_DEPTH = 20
 @dataclasses.dataclass(frozen=True)
 class SpectralFlowResult:
     """Crossing count (value, with its ledger), half the signature difference of the
-    end samples (endpoints), samples counted (fallbacks: LU declined), traced eigenvalues."""
+    end samples (endpoints), samples walked (fallbacks: counted from eigenvalues as
+    their LU declined; proved: given the start's counts by the path's proved gap),
+    traced eigenvalues."""
 
     value: int
     crossings: tuple[tuple[float, float, int], ...]
     samples: int
     endpoints: int
     fallbacks: int
+    proved: int = 0
     trace: np.ndarray | None = dataclasses.field(default=None, compare=False, repr=False)
 
 
@@ -157,12 +183,15 @@ def sf_crossings(path: OperatorPath, trace: bool = False) -> SpectralFlowResult:
 
     For any continuous path the crossing count equals the endpoint value,
     half the signature difference of the end samples; the crossing ledger
-    localizes where the positive count changes.  Every sample is counted by
+    localizes where the positive count changes.  A sample is counted by
     Sylvester's law on sparse LUs at -/+eps, eps = 1e-6 times the larger
     max-absolute-row-sum of the two ends (a bound on both spectral radii),
     with one pattern counter (one fill-reducing order) per sample pattern of
     the walk; a sample whose LU declines is counted from its eigenvalues
-    (fallbacks).  Interior samples with an eigenvalue inside eps are
+    (fallbacks).  An interior sample, on the grid or bisected, whose
+    path.proved_gap exceeds eps has no eigenvalue inside eps and the
+    start's inertia, so it is given the start's counts with no LU
+    (proved).  Interior samples with an eigenvalue inside eps are
     replaced by clean samples found by bisecting toward their clean
     neighbours; failure to find one within _MAX_DEPTH steps raises
     RefinementLimit, and an end with one raises SingularMatrix.  The end
@@ -170,7 +199,8 @@ def sf_crossings(path: OperatorPath, trace: bool = False) -> SpectralFlowResult:
     against LUs at -/+ core.ZERO_TOL_FACTOR times that bound in the second
     SuperLU ordering (BackendDisagreement); the rest are trusted Hermitian.
     Only a traced walk diagonalises, every grid sample by
-    hermitian_eigenvalues, and requires their counts to agree.
+    hermitian_eigenvalues, and requires their counts to agree with the
+    counted or proved ones.
     """
     grid = path.grid
     first = path.sample(grid[0])
@@ -181,17 +211,27 @@ def sf_crossings(path: OperatorPath, trace: bool = False) -> SpectralFlowResult:
     # the larger max-absolute-row-sum of the ends bounds both spectral radii
     scale = max(1e-300, *(float(np.max(abs(m).sum(axis=1))) for m in (first, last)))
     eps = 1e-6 * scale
-    fallbacks = 0
+    fallbacks = proved = 0
     counters = {}  # pattern key -> its counter, for this walk only
 
-    def counts(c, w=None):
+    def proof(t):
+        # the start's counts for an interior sample whose proved gap exceeds eps
+        nonlocal proved
+        if path.proved_gap is None or not path.proved_gap(t) > eps:
+            return None
+        proved += 1
+        return status[0]
+
+    def counts(c, w=None, given=None):
         # Sylvester counts at +/-eps of a core._on_pattern sample, on its
-        # pattern's counter; eigenvalues on a decline; checked against w
+        # pattern's counter, unless given; eigenvalues on a decline; checked against w
         nonlocal fallbacks
-        key = c.indptr.tobytes(), c.indices.tobytes()
-        if key not in counters:
-            counters[key] = core._Counter(c)
-        got = counters[key].counts(eps, c.data)
+        got = given
+        if got is None:
+            key = c.indptr.tobytes(), c.indices.tobytes()
+            if key not in counters:
+                counters[key] = core._Counter(c)
+            got = counters[key].counts(eps, c.data)
         if got is None:
             fallbacks += 1
             w = hermitian_eigenvalues(c) if w is None else w
@@ -214,7 +254,8 @@ def sf_crossings(path: OperatorPath, trace: bool = False) -> SpectralFlowResult:
             steps.append(np.linalg.norm(cur.data - prev.data if same else (cur - prev).data))
         if trace:
             rows.append(hermitian_eigenvalues(m))
-        status.append(counts(cur, rows[-1] if trace else None))
+        given = proof(t) if 0 < i < len(grid) - 1 else None
+        status.append(counts(cur, rows[-1] if trace else None, given))
         prev = cur
     slopes = np.divide(steps, np.diff(grid))
     top, typical = float(np.max(slopes)), float(np.median(slopes))
@@ -240,7 +281,8 @@ def sf_crossings(path: OperatorPath, trace: bool = False) -> SpectralFlowResult:
         for lo, hi, towards_left in ((clean[-1][0], t, True), (t, float(grid[i + 1]), False)):
             for _ in range(_MAX_DEPTH):
                 mid = 0.5 * (lo + hi)
-                npos_m, _, nzero_m = counts(core._on_pattern(_sample(path, mid, dim)))
+                npos_m, _, nzero_m = (proof(mid)
+                                      or counts(core._on_pattern(_sample(path, mid, dim))))
                 evaluations += 1
                 if not nzero_m:
                     clean.append((mid, npos_m))
@@ -270,7 +312,7 @@ def sf_crossings(path: OperatorPath, trace: bool = False) -> SpectralFlowResult:
         raise IntegerityViolation("signature difference %d is odd" % ends)
     return SpectralFlowResult(
         value=sum(c[2] for c in crossings), crossings=tuple(crossings),
-        samples=evaluations, endpoints=ends // 2, fallbacks=fallbacks,
+        samples=evaluations, endpoints=ends // 2, fallbacks=fallbacks, proved=proved,
         trace=np.vstack(rows) if trace else None,
     )
 
@@ -306,6 +348,23 @@ def suspension(
     kappa D and the full diagonal always): its values are computed on the
     layout with numpy alone, equal to the entries of the sparse sum
     kappa D + (chi_plus K_W + chi_minus T_W).
+
+    The path carries a proved gap, read once off its parts: the diagonal
+    anchor B = kappa D_W with d = kappa min|D_W|, R = T_W, and K = K_W,
+    whose norm is at most ||K|| (a compression of Gamma K, or the odd double
+    of a compression of G).  With delta1 >= ||R^2 - I|| and
+    delta2 >= ||BR + RB|| their max-absolute-row-sums, a sample B + sR
+    (chi_plus = 0, s = chi_minus) has min|eig|^2 >= f(s) = d^2 +
+    s^2 (1 - delta1) - s delta2, and one B + cK (chi_minus = 0,
+    c = chi_plus) has min|eig| >= d - c ||K|| by Weyl's inequality.  The
+    proved gap of a sample is the least of these bounds along the samples
+    that join it to the start (f over s from the start's value, then
+    d - c ||K|| from B on), less a rounding margin; where it is positive
+    the sample has the start's inertia.  Both bounds are the gap argument
+    of J. Phillips, Self-adjoint Fredholm operators and spectral flow,
+    Canad. Math. Bull. 39 (1996); f is near d^2 + s^2 because T_W
+    anticommutes with B and squares to the identity, which makes the
+    reference half the trivial class.
     """
     chi.validate()
     window = model.window(rho)
@@ -338,4 +397,48 @@ def suspension(
         indices, indptr, (b, k, r) = layouts[support]
         return sp.csc_array((b + (plus * k + minus * r), indices, indptr), shape=(n, n))
 
-    return OperatorPath(evaluate=evaluate, grid=np.linspace(-1.0, 1.0, num))
+    grid = np.linspace(-1.0, 1.0, num)
+    return OperatorPath(evaluate=evaluate, grid=grid,
+                        proved_gap=_proved_gap(*parts, model.k_norm(), chi, grid[0]))
+
+
+def _row_sum_norm(m) -> float:
+    # the max-absolute-row-sum, a bound on the norm of a Hermitian m
+    return float(np.max(abs(m).sum(axis=1), initial=0.0))
+
+
+def _proved_gap(b, k, r, k_norm: float, chi: ChiPair, start: float) -> Callable[[float], float]:
+    """The proved gap t -> g(t) of the samples b + chi.plus(t) k + chi.minus(t) r
+    of a suspension, for a diagonal b and a path starting at t = start (0
+    everywhere unless chi.plus(start) = 0), as the ``suspension`` docstring
+    states it."""
+    n = b.shape[0]
+    # rounding of the parts' products and of a sample's sum, the norm of K
+    # padded by it as well
+    pad = core._rounding(abs(b) + abs(k) + abs(r))
+    d = float(np.min(np.abs(b.diagonal())))
+    delta1 = _row_sum_norm(r @ r - sp.eye_array(n)) + pad
+    delta2 = _row_sum_norm(b @ r + r @ b) + pad
+    s0 = float(chi.minus(start)) if chi.plus(start) == 0 else None
+
+    def reference(lo, hi):
+        # sqrt of the least f(s) = d^2 + s^2 (1 - delta1) - s delta2 on [lo, hi]:
+        # at an end, or at the vertex when f is convex
+        points = [lo, hi]
+        if delta1 < 1:
+            points.append(min(max(delta2 / (2.0 * (1.0 - delta1)), lo), hi))
+        return math.sqrt(max(0.0, min(d * d + s * s * (1 - delta1) - s * delta2 for s in points)))
+
+    anchor = 0.0 if s0 is None else reference(0.0, s0)  # the proved gap of B
+
+    def gap(t):
+        plus, minus = float(chi.plus(t)), float(chi.minus(t))
+        if s0 is None or (plus and minus):
+            return 0.0
+        if not plus:
+            g = reference(min(minus, s0), max(minus, s0))
+        else:
+            g = min(anchor, d - plus * (k_norm + pad))
+        return max(g - pad, 0.0)
+
+    return gap

@@ -489,6 +489,7 @@ def _sf_job(model, kappa, rho, mode, chi_name, grid, trace_dir) -> JobRecord:
             "sf_consistent": bool(consistent),
             "crossing_count": len(flow.crossings),
             "sample_fallbacks": flow.fallbacks,
+            "proved_samples": flow.proved,
             "chi": chi_name,
         },
     )

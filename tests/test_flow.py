@@ -1,5 +1,7 @@
 """Spectral flow: endpoint counts, crossing counts, suspensions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -246,7 +248,52 @@ def test_sylvester_walk_matches_eigenvalue_walk(case, chi, monkeypatch):
         eig.value, eig.endpoints, eig.crossings, eig.samples,
     )
     assert flow.fallbacks == 0
-    assert eig.fallbacks == eig.samples  # the two ends are counted too
+    # every counted sample, the two ends too; proved samples take no LU
+    assert eig.fallbacks == eig.samples - eig.proved
+
+
+@pytest.mark.parametrize("chi", [CHI_CLAMP, CHI_SMOOTH], ids=["clamp", "smooth"])
+@pytest.mark.parametrize("case", sorted(_SYLVESTER_PARITY_CASES))
+def test_proved_walk_matches_counted_walk(case, chi):
+    # the same path stripped of its proof counts every sample
+    build, kappa, rho = _SYLVESTER_PARITY_CASES[case]
+    susp = suspension(build(), kappa, rho, chi=chi)
+    flow, counted = sf_crossings(susp), sf_crossings(OperatorPath(susp.evaluate, susp.grid))
+    assert (flow.value, flow.endpoints, flow.crossings, flow.samples) == (
+        counted.value, counted.endpoints, counted.crossings, counted.samples,
+    )
+    assert flow.proved > 0 and counted.proved == 0
+
+
+def test_inflated_proved_gap_is_refused_by_trace(qwz9):
+    # a proved gap claimed past the crossing gives a sample the start's
+    # counts, which its eigenvalues refuse
+    susp = suspension(qwz9, 1.0, 6.5, num=9)
+    honest = sf_crossings(susp, trace=True)
+    start = core.eigenvalue_counts(honest.trace[0], 1e-9)
+    late = susp.grid[-2]
+    assert core.eigenvalue_counts(honest.trace[-2], 1e-9) != start
+    assert susp.proved_gap(late) == 0
+    inflated = OperatorPath(susp.evaluate, susp.grid,
+                            lambda t: 1.0 if t == late else susp.proved_gap(t))
+    with pytest.raises(BackendDisagreement):
+        sf_crossings(inflated, trace=True)
+
+
+def test_corrupted_reference_part_proves_no_sample():
+    # a reference part 3 Gamma_w squares to 9, not the identity, so the
+    # reference-half bound fails at the start and proves nothing; the walk
+    # counts every sample
+    model = build_qwz_model(9, 1.0)
+    honest = suspension(model, 1.0, 6.5)
+    grid = honest.grid
+    assert all(honest.proved_gap(t) > 0 for t in grid if t <= 0)
+    key = ("window", 6.5)
+    model.cache[key] = dataclasses.replace(model.cache[key],
+                                           gamma_part=3.0 * model.cache[key].gamma_part)
+    corrupt = suspension(model, 1.0, 6.5)
+    assert [corrupt.proved_gap(t) for t in grid] == [0.0] * len(grid)
+    assert sf_crossings(corrupt).proved == 0
 
 
 def test_untraced_walk_diagonalises_no_sample(qwz9, monkeypatch):
@@ -273,18 +320,22 @@ def test_untraced_walk_diagonalises_no_sample(qwz9, monkeypatch):
     assert len(calls) == 2 * len(susp.grid)
 
 
-def test_walk_finds_each_ordering_once(monkeypatch):
-    # the sf-sweep walk (QWZ box 8): each of its three layouts is ordered by
-    # its first LU and factored in NATURAL order after that, and each end is
-    # checked by one COLAMD LU and one NATURAL one; two LUs per sample, with
-    # no separate ordering LU per layout
-    susp = suspension(build_qwz_model(8, 1.0), 1.0, 4.5)
+@pytest.mark.parametrize("mass,kappa,rho", [(1.0, 1.0, 4.5), (1.05, 0.8, 3.5), (1.05, 1.1, 4.5)])
+def test_walk_finds_each_ordering_once(monkeypatch, mass, kappa, rho):
+    # sf-sweep walks (QWZ box 8): each of their layouts that is counted is
+    # ordered by its first LU and factored in NATURAL order after that, and
+    # each end is checked by one COLAMD LU and one NATURAL one; two LUs per
+    # counted sample, with no separate ordering LU per layout.  The reference
+    # half, t = 0 and the first samples past it are proved, so of the three
+    # layouts only t < 0 and t > 0 are counted
+    susp = suspension(build_qwz_model(8, mass), kappa, rho)
     calls = splu_spy(monkeypatch)
     res = sf_crossings(susp)
     orderings = [ordering for _, ordering in calls]
     assert res.fallbacks == 0
-    assert len(calls) == 2 * res.samples + 4
-    assert orderings.count(core.ORDERINGS[0]) == 3
+    assert susp.proved_gap(0.0) > 0
+    assert len(calls) == 2 * (res.samples - res.proved) + 4 <= 34
+    assert orderings.count(core.ORDERINGS[0]) == 2
     assert orderings.count(core.ORDERINGS[1]) == 2
 
 
@@ -317,9 +368,12 @@ def test_flipped_interior_count_is_caught_by_trace_and_leaves_value(qwz9, monkey
     # crossing pair to the ledger while value still telescopes to the end counts
     susp = suspension(qwz9, 1.0, 6.5, num=17)
     honest = sf_crossings(susp)
-    # grid sample 8 of 0..16 is the walk's 9th count, one counter call
-    # counting its LUs at -eps (n_pos) and +eps (n_neg)
-    calls = _counter_spy(monkeypatch, lambda i, counts: _flip(counts) if i == 9 else counts)
+    # grid sample 12 of 0..16 (t = 0.5) lies past the Weyl radius, so it is
+    # counted: one counter call, after the start's and those of the unproved
+    # samples before it, counting its LUs at -eps (n_pos) and +eps (n_neg)
+    assert susp.proved_gap(susp.grid[12]) == 0
+    hit = 2 + sum(not susp.proved_gap(t) > 0 for t in susp.grid[1:12])
+    calls = _counter_spy(monkeypatch, lambda i, counts: _flip(counts) if i == hit else counts)
     with pytest.raises(BackendDisagreement):
         sf_crossings(susp, trace=True)
     calls.clear()
@@ -336,10 +390,11 @@ def test_flipped_end_count_is_caught(qwz9, monkeypatch, route, end):
     # each end's counts are read twice, by its pattern counter at -/+eps and
     # by LUs in the second ordering at -/+tol; a flip on either route raises
     susp = suspension(qwz9, 1.0, 6.5, num=9)
-    sf_crossings(susp)
+    honest = sf_crossings(susp)
     if route == "pattern":
-        # the walk counts its grid in order: the start first, the end last
-        hit = 1 if end == "start" else len(susp.grid)
+        # the walk counts its grid in order, proved samples not at all: the
+        # start first, the end last
+        hit = 1 if end == "start" else honest.samples - honest.proved
         _counter_spy(monkeypatch, lambda i, counts: _flip(counts) if i == hit else counts)
     else:
         hit = 1 if end == "start" else 2

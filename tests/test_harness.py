@@ -271,7 +271,8 @@ class TestFlowSweeps:
         assert rec.passed
         assert rec.extra["sf_consistent"] is True
         assert rec.extra["sf_crossings"] == rec.extra["sf_endpoints"] == rec.pairing
-        assert rec.extra["sample_fallbacks"] == 0  # every interior sample by Sylvester
+        assert rec.extra["sample_fallbacks"] == 0  # no counted sample's LU declined
+        assert rec.extra["proved_samples"] > 0  # reference-half samples, given with no LU
         traces = list(out.glob("trace_*.csv"))
         assert len(traces) == 1
         header = traces[0].read_text().splitlines()[0]

@@ -87,6 +87,11 @@ def test_dump_pairings_quick_profile(quick_dump):
     assert {c["name"] for c in strict["certificates"]} >= {"truncated_gap", "regime_gap"}
     for entry in dump["suspensions"]:
         assert entry["sf_clamp"] == entry["sf_smooth"] == entry["pairing"]
+        # each walk's ledger: its crossings sum to its value, past its 33-point grid
+        for chi in ("clamp", "smooth"):
+            assert sum(change for _, _, change in entry["crossings_" + chi]) == entry["sf_" + chi]
+            assert all(ta < tb for ta, tb, _ in entry["crossings_" + chi])
+            assert entry["samples_" + chi] >= 33
 
 
 def test_dump_pairings_diff(tmp_path, quick_dump, capsys):
