@@ -40,6 +40,7 @@ from .models import (
     build_qwz_model,
     build_weighted_shift_dirac,
     load_model,
+    oracle_pairing,
     qwz_bloch,
     qwz_bloch_gap,
     save_model,
@@ -49,8 +50,6 @@ from .oracles import (
     ODD_SIGN,
     chern_number_fhs,
     fredholm_index_graded,
-    oracle_pairing,
-    oracle_value,
     winding_number,
 )
 

@@ -14,6 +14,7 @@ from .errors import ConfigError, SpecLocaliserError
 from .flow import CHI_PAIRS
 from .harness import RunConfig, export_model, run_localise, run_oracle, run_sf
 from .localiser import MODES
+from .models import KINDS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -25,10 +26,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version="speclocaliser %s" % __version__
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    model_help = "model spec (%s:key=val,... or manifest path)" % "|".join(
+        kind.head for kind in KINDS.values())
 
     def add_sweep_flags(p, flow=False):
         p.add_argument("--config", help="YAML run configuration file")
-        p.add_argument("--model", help="model spec (kind:key=val,... or manifest path)")
+        p.add_argument("--model", help=model_help)
         p.add_argument("--kappa", type=float, nargs="+", help="coupling values")
         p.add_argument("--rho", type=float, nargs="+", help="truncation radii")
         p.add_argument("--mode", choices=MODES)
@@ -46,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_sweep_flags(sub.add_parser("sf", help="suspension spectral-flow sweep"), flow=True)
 
     p_oracle = sub.add_parser("oracle", help="print the pairing the model's oracle predicts")
-    p_oracle.add_argument("--model", required=True)
+    p_oracle.add_argument("--model", required=True, help=model_help)
     p_oracle.add_argument("--out", help="optional directory for oracle.json")
 
     p_verify = sub.add_parser("verify", help="run the acceptance criteria suite")
@@ -54,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", help="optional directory for the suite report")
 
     p_export = sub.add_parser("export", help="write model matrices to Matrix Market")
-    p_export.add_argument("--model", required=True)
+    p_export.add_argument("--model", required=True, help=model_help)
     p_export.add_argument("--out", required=True)
     return parser
 

@@ -25,15 +25,13 @@ from .errors import ConfigError
 from .flow import CHI_PAIRS, sf_crossings, suspension
 from .localiser import MODES, LocaliserParams, PairingResult, pairing
 from .models import (
+    KINDS,
     ModelInstance,
     _sanitize,
-    build_circle_model,
-    build_qwz_model,
-    build_weighted_shift_dirac,
     load_model,
+    oracle_pairing,
     save_model,
 )
-from .oracles import oracle_pairing
 
 __all__ = [
     "RunConfig",
@@ -48,22 +46,22 @@ __all__ = [
 
 DEFAULT_GRID = 33
 
-_MODEL_KINDS = ("circle", "qwz", "shift")
-
 
 def _parse_kv(body: str) -> dict[str, str]:
     out: dict[str, str] = {}
     if not body:
         return out
     for item in body.split(","):
-        key, sep, value = item.partition("=")
-        if not sep or not key.strip() or not value.strip():
+        key, sep, value = (part.strip() for part in item.partition("="))
+        if not sep or not key or not value:
             raise ConfigError("model spec item %r is not key=value" % item)
-        out[key.strip()] = value.strip()
+        if key in out:
+            raise ConfigError("model spec key %r is repeated" % key)
+        out[key] = value
     return out
 
 
-def _pop(kv: dict, key: str, cast, default=None, required: bool = False):
+def _pop(kv: dict, key: str, cast, default):
     if key in kv:
         raw = kv.pop(key)
         try:
@@ -73,18 +71,18 @@ def _pop(kv: dict, key: str, cast, default=None, required: bool = False):
         if cast is float and not math.isfinite(value):
             raise ConfigError("model spec key %s=%r is not finite" % (key, raw))
         return value
-    if required:
+    if default is None:
         raise ConfigError("model spec is missing required key %r" % key)
     return default
 
 
 def parse_model_spec(spec: str) -> ModelInstance:
-    """Build a model from ``kind:key=val,...`` sugar or a saved manifest path.
+    """Build a model from ``head:key=val,...`` sugar or a saved manifest path.
 
-    Sugar forms:
-      circle:modes=60,winding=1,c0=0.5   loop symbol c0 + z^winding
+    The heads, keys and defaults are those of ``models.KINDS``:
+      circle:modes=60,winding=1,c0=0.5,offset=0   loop symbol c0 + z^winding
       qwz:box=12,mass=1.0,offset=half_integer
-      shift:sites=40,nu=2,sign=1
+      shift:sites=40,nu=1,sign=1                  kind weighted_shift
 
     Anything else is treated as a path to a manifest written by save_model.
     """
@@ -92,37 +90,19 @@ def parse_model_spec(spec: str) -> ModelInstance:
         raise ConfigError("empty model spec")
     spec = str(spec).strip()
     head, _, body = spec.partition(":")
-    if head in _MODEL_KINDS:
-        kv = _parse_kv(body)
-        if head == "circle":
-            modes = _pop(kv, "modes", int, required=True)
-            winding = _pop(kv, "winding", int, default=1)
-            c0 = _pop(kv, "c0", float, default=0.5)
-            offset = _pop(kv, "offset", float, default=0.0)
+    for kind in KINDS.values():
+        if kind.head == head:
+            kv = _parse_kv(body)
+            values = {key: _pop(kv, key, cast, default) for key, cast, default in kind.keys}
             if kv:
-                raise ConfigError("unknown circle keys: %s" % sorted(kv))
-            symbol: dict[int, complex] = {0: complex(c0)}
-            symbol[winding] = symbol.get(winding, 0.0) + 1.0
-            return build_circle_model(modes, symbol, offset=offset)
-        if head == "qwz":
-            box = _pop(kv, "box", int, required=True)
-            mass = _pop(kv, "mass", float, required=True)
-            offset = _pop(kv, "offset", str, default="half_integer")
-            if kv:
-                raise ConfigError("unknown qwz keys: %s" % sorted(kv))
-            return build_qwz_model(box=box, mass=mass, offset=offset)
-        sites = _pop(kv, "sites", int, required=True)
-        nu = _pop(kv, "nu", int, default=1)
-        sign = _pop(kv, "sign", int, default=1)
-        if kv:
-            raise ConfigError("unknown shift keys: %s" % sorted(kv))
-        return build_weighted_shift_dirac(sites, nu=nu, sign=sign)
+                raise ConfigError("unknown %s keys: %s" % (head, sorted(kv)))
+            return kind.build(**kind.sugar(**values))
     path = Path(spec)
     if path.exists():
         return load_model(path)
     raise ConfigError(
         "model spec %r is neither %s sugar nor an existing manifest path"
-        % (spec, "/".join(_MODEL_KINDS))
+        % (spec, "/".join(kind.head for kind in KINDS.values()))
     )
 
 
@@ -522,7 +502,7 @@ def run_oracle(model_spec: str, out=None) -> dict:
     result = {
         "command": "oracle",
         "model": model.describe(),
-        "oracle_ref": model.oracle_ref,
+        "oracle_ref": model.describe()["oracle_ref"],
         "pairing": int(oracle_pairing(model)),
     }
     if out:

@@ -3,15 +3,15 @@
 A model bundles a (possibly graded) position-type operator D with the matrix
 K that represents the class being paired against it: a Hermitian H for even
 models, an invertible G for odd ones.  Builders return fully validated
-:class:`ModelInstance` objects carrying the containment radius, the interior
-mask used for commutator norms, and the name of the oracle that predicts the
-pairing independently.  D, K and D's eigenvector matrix are stored sparse
-(``core.CsrOperator`` for D and K, a CSC array for the eigenvectors) and are
+:class:`ModelInstance` objects carrying the containment radius and the
+interior mask used for commutator norms.  D, K and D's eigenvector matrix
+are stored sparse (``core.CsrOperator`` for D and K, a CSC array for the
+eigenvectors) and are
 validated on their nonzeros, so a model costs O(nnz) at any box size; the
 spectral windows and the localiser blocks assembled from them are sparse
 too, and each block is validated by the core primitive that reads it.
 
-Three builders are provided:
+Three builders are provided, each the builder of one entry of ``KINDS``:
 
 * ``build_circle_model`` - odd; D = diag(n) on Fourier modes, G a banded
   circulant from a finite symbol.  Periodic wrap keeps G exactly invertible.
@@ -40,6 +40,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.io
@@ -63,6 +64,8 @@ from .errors import (
     SingularSymbol,
     ValidationError,
 )
+from .oracles import EVEN_SIGN, ODD_SIGN, chern_number_fhs, fredholm_index_graded, winding_number
+from .oracles import _normalize_symbol, circle_symbol_values
 
 __all__ = [
     "s0",
@@ -77,7 +80,8 @@ __all__ = [
     "build_weighted_shift_dirac",
     "qwz_bloch",
     "qwz_bloch_gap",
-    "circle_symbol_values",
+    "KINDS",
+    "oracle_pairing",
     "save_model",
     "load_model",
 ]
@@ -141,17 +145,10 @@ class GradedOperator:
         return self.matrix.shape[0]
 
     @property
-    def plus_index(self) -> np.ndarray:
-        return np.flatnonzero(self.grading == 1)
-
-    @property
-    def minus_index(self) -> np.ndarray:
-        return np.flatnonzero(self.grading == -1)
-
-    @property
     def block_plus(self) -> sp.csr_array:
         """The block mapping the +1 sector into the -1 sector (sparse)."""
-        return self.matrix[self.minus_index][:, self.plus_index]
+        plus = self.grading == 1
+        return self.matrix[np.flatnonzero(~plus)][:, np.flatnonzero(plus)]
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -214,7 +211,6 @@ class ModelInstance:
     grading: np.ndarray | None
     k_rep: CsrOperator
     containment_radius: float
-    oracle_ref: str
     params: dict
     interior_mask: np.ndarray
     cache: dict = dataclasses.field(default_factory=dict, repr=False)
@@ -364,43 +360,20 @@ class ModelInstance:
         return self.cache["dirac_commutator"]
 
     def describe(self) -> dict:
+        """The report's model entry; oracle_ref is None for a kind outside KINDS."""
+        kind = KINDS.get(self.kind)
         return {
             "kind": self.kind,
             "parity": self.parity,
             "dim": self.dim,
             "containment_radius": self.containment_radius,
-            "oracle_ref": self.oracle_ref,
+            "oracle_ref": None if kind is None else kind.oracle,
             "params": dict(self.params),
         }
 
 
 # ---------------------------------------------------------------------------
 # circle model
-
-
-def _normalize_symbol(symbol) -> dict[int, complex]:
-    if isinstance(symbol, dict):
-        items = symbol.items()
-    else:
-        items = list(symbol)
-    out: dict[int, complex] = {}
-    for k, c in items:
-        k = int(k)
-        c = complex(c[0], c[1]) if isinstance(c, (tuple, list)) else complex(c)
-        if c != 0:
-            out[k] = out.get(k, 0) + c
-    if not out:
-        raise ValidationError("symbol has no nonzero coefficients")
-    return out
-
-
-def circle_symbol_values(symbol, thetas: np.ndarray) -> np.ndarray:
-    """Evaluate the loop symbol g(theta) = sum_k c_k exp(i k theta)."""
-    coeffs = _normalize_symbol(symbol)
-    vals = np.zeros_like(thetas, dtype=complex)
-    for k, c in coeffs.items():
-        vals += c * np.exp(1j * k * thetas)
-    return vals
 
 
 def _cyclic_shift(n: int, k: int) -> sp.csr_array:
@@ -451,7 +424,6 @@ def build_circle_model(modes: int, symbol, offset: float = 0.0) -> ModelInstance
         grading=None,
         k_rep=g,
         containment_radius=containment,
-        oracle_ref="winding_number",
         params={
             "modes": modes,
             "symbol": {int(k): [c.real, c.imag] for k, c in sorted(coeffs.items())},
@@ -571,7 +543,6 @@ def build_qwz_model(
         grading=grading,
         k_rep=k_rep,
         containment_radius=containment,
-        oracle_ref="chern_number_fhs",
         params={"box": box, "mass": mass, "offset": offset},
         interior_mask=interior,
     )
@@ -660,7 +631,6 @@ def build_weighted_shift_dirac(sites: int, nu: int = 1, sign: int = 1) -> ModelI
         grading=grading,
         k_rep=k_rep,
         containment_radius=containment,
-        oracle_ref="fredholm_index_graded",
         params={"sites": n_sites, "nu": nu, "sign": int(sign)},
         interior_mask=np.ones(dim, dtype=bool),
     )
@@ -671,15 +641,72 @@ def build_weighted_shift_dirac(sites: int, nu: int = 1, sign: int = 1) -> ModelI
 
 
 # ---------------------------------------------------------------------------
-# persistence
+# the table of model kinds
 
-_BUILDERS = {
-    "circle": lambda p: build_circle_model(p["modes"], p["symbol"], p.get("offset", 0.0)),
-    "qwz": lambda p: build_qwz_model(p["box"], p["mass"], p.get("offset", "half_integer")),
-    "weighted_shift": lambda p: build_weighted_shift_dirac(
-        p["sites"], p.get("nu", 1), p.get("sign", 1)
+
+class Kind(NamedTuple):
+    """One model kind: its spec sugar, its builder and its oracle.
+
+    head and keys give the ``head:key=val,...`` sugar, each key (name, cast,
+    default), default None for a required key; sugar maps the cast keys to
+    the params of build, called as ``build(**params)``; oracle names the
+    oracle, and predict gives the pairing it predicts, sign included.
+    """
+
+    head: str
+    keys: tuple
+    build: Callable[..., ModelInstance]
+    oracle: str
+    predict: Callable[[ModelInstance], int]
+    sugar: Callable[..., dict] = dict
+
+
+def _circle_sugar(modes, winding, c0, offset) -> dict:
+    symbol = {0: complex(c0)}  # the loop symbol c0 + z^winding
+    symbol[winding] = symbol.get(winding, 0.0) + 1.0
+    return {"modes": modes, "symbol": symbol, "offset": offset}
+
+
+KINDS = {
+    "circle": Kind(
+        head="circle",
+        keys=(("modes", int, None), ("winding", int, 1), ("c0", float, 0.5),
+              ("offset", float, 0.0)),
+        sugar=_circle_sugar,
+        build=build_circle_model,
+        oracle="winding_number",
+        predict=lambda model: ODD_SIGN * winding_number(model.params["symbol"]),
+    ),
+    "qwz": Kind(
+        head="qwz",
+        keys=(("box", int, None), ("mass", float, None), ("offset", str, "half_integer")),
+        build=build_qwz_model,
+        oracle="chern_number_fhs",
+        predict=lambda model: EVEN_SIGN * chern_number_fhs(
+            qwz_bloch(float(model.params["mass"]))),
+    ),
+    "weighted_shift": Kind(
+        head="shift",
+        keys=(("sites", int, None), ("nu", int, 1), ("sign", int, 1)),
+        build=build_weighted_shift_dirac,
+        oracle="fredholm_index_graded",
+        # no free sign: with K = +1 the pairing is the graded index; with
+        # K = -1 the signature and the index correction cancel exactly
+        predict=lambda model: fredholm_index_graded(model.graded())
+        * (int(model.params.get("sign", 1)) == 1),
     ),
 }
+
+
+def oracle_pairing(model: ModelInstance) -> int:
+    """The oracle's prediction for ``pairing(model, ...)``, by the model's kind."""
+    if model.kind not in KINDS:
+        raise ValidationError("no oracle registered for model kind %r" % model.kind)
+    return KINDS[model.kind].predict(model)
+
+
+# ---------------------------------------------------------------------------
+# persistence
 
 
 def save_model(model: ModelInstance, directory) -> Path:
@@ -701,7 +728,7 @@ def save_model(model: ModelInstance, directory) -> Path:
         "schema": 1,
         "kind": model.kind,
         "parity": model.parity,
-        "oracle_ref": model.oracle_ref,
+        "oracle_ref": model.describe()["oracle_ref"],
         "containment_radius": float(model.containment_radius),
         "params": _sanitize(model.params),
         "grading": None if model.grading is None else [int(g) for g in model.grading],
@@ -734,9 +761,10 @@ def _sanitize(obj):
 def load_model(path) -> ModelInstance:
     """Load a model from a manifest directory/file or a {kind, params} config.
 
-    Manifest loads revalidate every structural contract; a tampered file
-    fails loudly rather than producing a quietly inconsistent model: a
-    missing or malformed field raises FormatError naming the file, and a
+    A config is built as ``KINDS[kind].build(**params)``.  Manifest loads
+    revalidate every structural contract; a tampered file fails loudly
+    rather than producing a quietly inconsistent model: a missing, unknown
+    or malformed field or param raises FormatError naming the file, and a
     value a builder or ModelInstance rejects raises its ValidationError.
     """
     path = Path(path)
@@ -755,9 +783,9 @@ def load_model(path) -> ModelInstance:
     try:
         if "files" not in doc:
             kind = doc.get("kind")
-            if kind not in _BUILDERS:
+            if kind not in KINDS:
                 raise FormatError("unknown model kind %r in %s" % (kind, path))
-            return _BUILDERS[kind](doc.get("params", {}))
+            return KINDS[kind].build(**doc.get("params", {}))
         dirac = _read_matrix(path.parent / doc["files"]["dirac"])
         k_rep = _read_matrix(path.parent / doc["files"]["k_rep"])
         grading = doc["grading"]
@@ -768,7 +796,6 @@ def load_model(path) -> ModelInstance:
             grading=None if grading is None else np.asarray(grading, dtype=np.int8),
             k_rep=k_rep,
             containment_radius=float(doc["containment_radius"]),
-            oracle_ref=str(doc["oracle_ref"]),
             params=dict(doc.get("params", {})),
             interior_mask=np.asarray(doc["interior_mask"], dtype=bool),
         )

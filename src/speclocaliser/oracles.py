@@ -1,4 +1,4 @@
-"""Independent oracles and the pairing each one predicts for a model.
+"""Independent oracles: the invariants a model kind's predicted pairing is read from.
 
 None of the invariants touch the localiser machinery: the winding number
 integrates the symbol's phase around the circle, the lattice band invariant
@@ -6,8 +6,9 @@ sums plaquette field strengths of the occupied-band projector, and the
 graded index counts kernel dimensions of the whole-space plus block from its
 singular values, a route the pairing (which reads the window's grading
 trace) never takes.  Expected values in tests come from here, never from
-the code under test.  ``oracle_pairing`` turns a model's invariant into the
-pairing the localiser must return, through two constant signs.
+the code under test.  No model is read here: ``models.KINDS`` turns a
+kind's invariant into the pairing the localiser must return, through two
+constant signs.
 
 Integer-valued outputs are rounded only when the residue is tiny; a residue
 above the tolerance raises ResidueTooLarge instead of returning a guess.
@@ -25,22 +26,14 @@ from .errors import (
     SingularSymbol,
     ValidationError,
 )
-from .models import (
-    GradedOperator,
-    ModelInstance,
-    _normalize_symbol,
-    circle_symbol_values,
-    qwz_bloch,
-)
 
 __all__ = [
     "EVEN_SIGN",
     "ODD_SIGN",
+    "circle_symbol_values",
     "winding_number",
     "chern_number_fhs",
     "fredholm_index_graded",
-    "oracle_value",
-    "oracle_pairing",
 ]
 
 # Basis ordering, grading orientation and the direction of the phase around
@@ -59,6 +52,24 @@ ODD_SIGN = -1
 # index's relative kernel threshold
 _RESIDUE_TOL = 0.01
 _KERNEL_TOL_FACTOR = 1e-6
+
+
+def _normalize_symbol(symbol) -> dict[int, complex]:
+    """The symbol's nonzero coefficients {k: c}, from a dict or (k, c) pairs."""
+    out: dict[int, complex] = {}
+    for k, c in symbol.items() if isinstance(symbol, dict) else symbol:
+        k = int(k)
+        c = complex(c[0], c[1]) if isinstance(c, (tuple, list)) else complex(c)
+        if c != 0:
+            out[k] = out.get(k, 0) + c
+    if not out:
+        raise ValidationError("symbol has no nonzero coefficients")
+    return out
+
+
+def circle_symbol_values(symbol, thetas: np.ndarray) -> np.ndarray:
+    """Evaluate the loop symbol g(theta) = sum_k c_k exp(i k theta)."""
+    return sum(c * np.exp(1j * k * thetas) for k, c in _normalize_symbol(symbol).items())
 
 
 def winding_number(symbol, grid: int = 4096) -> int:
@@ -124,13 +135,14 @@ def chern_number_fhs(bloch, grid: int = 48) -> int:
     return int(nearest)
 
 
-def fredholm_index_graded(graded: GradedOperator) -> int:
+def fredholm_index_graded(graded) -> int:
     """dim ker - dim coker of the plus block of a graded operator.
 
-    Kernel dimensions are column counts minus ranks from singular values of
-    the plus block, densified whole, at tol = 1e-6 max(s_max, 1).  Singular
-    values inside the ambiguity decade [tol/10, 10*tol] raise
-    AmbiguousKernel; counting them either way would be a silent guess.
+    graded: a ``models.GradedOperator``.  Kernel dimensions are column
+    counts minus ranks from singular values of the plus block, densified
+    whole, at tol = 1e-6 max(s_max, 1).  Singular values inside the
+    ambiguity decade [tol/10, 10*tol] raise AmbiguousKernel; counting them
+    either way would be a silent guess.
     """
     a = graded.block_plus.toarray()
     n_rows, n_cols = a.shape
@@ -145,26 +157,3 @@ def fredholm_index_graded(graded: GradedOperator) -> int:
         )
     rank = int(np.sum(s > tol))
     return (n_cols - rank) - (n_rows - rank)
-
-
-def oracle_value(model: ModelInstance) -> int:
-    """The raw oracle integer for the model, before any sign."""
-    if model.oracle_ref == "winding_number":
-        return winding_number(model.params["symbol"])
-    if model.oracle_ref == "chern_number_fhs":
-        return chern_number_fhs(qwz_bloch(float(model.params["mass"])))
-    if model.oracle_ref == "fredholm_index_graded":
-        return fredholm_index_graded(model.graded())
-    raise ValidationError("no oracle registered under %r" % model.oracle_ref)
-
-
-def oracle_pairing(model: ModelInstance) -> int:
-    """The oracle's prediction for ``pairing(model, ...)``."""
-    raw = oracle_value(model)
-    if model.oracle_ref == "winding_number":
-        return ODD_SIGN * raw
-    if model.oracle_ref == "chern_number_fhs":
-        return EVEN_SIGN * raw
-    # graded index: pairing with K = +1 is the index itself, with K = -1 the
-    # signature and correction cancel exactly
-    return raw if int(model.params.get("sign", 1)) == 1 else 0

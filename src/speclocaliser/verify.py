@@ -33,7 +33,7 @@ from .errors import SpecLocaliserError
 from .flow import CHI_CLAMP, CHI_SMOOTH, line_path, sf_crossings, suspension
 from .localiser import LocaliserParams, pairing
 from .models import build_circle_model, build_qwz_model, build_weighted_shift_dirac
-from .oracles import oracle_pairing
+from .models import oracle_pairing
 
 __all__ = ["CriterionResult", "VerifySession", "run_verify", "CRITERION_NAMES"]
 

@@ -11,8 +11,8 @@ from speclocaliser import (
     build_qwz_model,
     build_weighted_shift_dirac,
     chern_number_fhs,
+    fredholm_index_graded,
     oracle_pairing,
-    oracle_value,
     pairing,
     qwz_bloch,
     winding_number,
@@ -22,10 +22,10 @@ from speclocaliser import (
 class TestOracleDispatch:
     def test_raw_values(self, qwz9):
         circle2 = build_circle_model(20, {2: 1.0, 0: 0.3})
-        assert oracle_value(circle2) == 2
-        assert oracle_value(qwz9) == 1
+        assert winding_number(circle2.params["symbol"]) == 2
+        assert chern_number_fhs(qwz_bloch(qwz9.params["mass"])) == 1
         shift = build_weighted_shift_dirac(10, nu=2)
-        assert oracle_value(shift) == -2
+        assert fredholm_index_graded(shift.graded()) == -2
 
     def test_pairing_applies_the_odd_sign(self):
         circle2 = build_circle_model(20, {2: 1.0, 0: 0.3})
@@ -42,10 +42,11 @@ class TestOracleDispatch:
         assert oracle_pairing(minus) == 0
 
     def test_unknown_oracle_rejected(self):
+        # a kind outside models.KINDS has no oracle
         model = build_circle_model(10, {1: 1.0})
-        model.oracle_ref = "nonexistent"
-        with pytest.raises(ValidationError):
-            oracle_value(model)
+        model.kind = "nonexistent"
+        with pytest.raises(ValidationError, match="model kind 'nonexistent'"):
+            oracle_pairing(model)
 
 
 class TestCalibration:

@@ -62,11 +62,16 @@ class TestModelSpecs:
             "torus:n=3",
             "/nonexistent/path/model",
             "circle:modes=abc",
+            "qwz:box=4,mass=1.0,mass=3.0",  # a repeated key, not the last one
         ],
     )
     def test_bad_specs_rejected(self, bad):
         with pytest.raises(ConfigError):
             parse_model_spec(bad)
+
+    def test_repeated_key_is_named(self):
+        with pytest.raises(ConfigError, match="model spec key 'mass' is repeated"):
+            parse_model_spec("qwz:box=4,mass=1.0,mass=3.0")
 
 
 class TestRunConfig:
@@ -240,6 +245,21 @@ class TestLocaliseSweeps:
         code = cli.main(["localise", "--model", spec, "--kappa", "0.05", "--rho", "30.5"])
         assert code == 1
         assert "oracle error: SingularSymbol" in capsys.readouterr().out
+
+    def test_kind_outside_the_table_loads_and_pairs(self, tmp_path, shift40):
+        # a manifest's kind need not be in models.KINDS: it loads, pairs, and
+        # its report records why no oracle could be read
+        path = save_model(shift40, tmp_path / "m")
+        doc = yaml.safe_load(path.read_text())
+        doc["kind"] = "custom"
+        path.write_text(yaml.safe_dump(doc))
+        report = run_localise(RunConfig(model=str(tmp_path / "m"), kappas=[0.5], rhos=[10.5]))
+        rec = report.records[0]
+        assert rec.status == "ok" and rec.pairing == -1 and rec.oracle is None
+        assert report.model["kind"] == "custom" and report.model["oracle_ref"] is None
+        assert report.oracle_error == (
+            "ValidationError: no oracle registered for model kind 'custom'"
+        )
 
     def test_output_files(self, tmp_path):
         out = tmp_path / "sweep"

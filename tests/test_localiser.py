@@ -430,7 +430,7 @@ class TestPairing:
         dirac = np.block([[np.zeros((2, 2)), a.T], [a, np.zeros((2, 2))]])
         model = ModelInstance(
             kind="custom", parity="even", dirac=dirac, grading=np.array([1, 1, -1, -1]),
-            k_rep=np.eye(4), containment_radius=10.0, oracle_ref="fredholm_index_graded",
+            k_rep=np.eye(4), containment_radius=10.0,
             params={}, interior_mask=np.ones(4, dtype=bool),
         )
         res = pairing(model, LocaliserParams(1.0, 2.5))
@@ -443,7 +443,7 @@ class TestPairing:
         # seam-free regime row has no window to count on
         model = ModelInstance(
             kind="custom", parity="odd", dirac=np.diag([-3.0, -2.0, 2.0, 3.0]), grading=None,
-            k_rep=np.eye(4), containment_radius=1.0, oracle_ref="fredholm_index_graded",
+            k_rep=np.eye(4), containment_radius=1.0,
             params={}, interior_mask=np.ones(4, dtype=bool),
         )
         with pytest.raises(ValidationError, match=r"radius 1 below the least \|D\| eigenvalue 2"):

@@ -24,7 +24,6 @@ def _odd_model(dirac, k_rep):
         grading=None,
         k_rep=k_rep,
         containment_radius=1.0,
-        oracle_ref="winding_number",
         params={},
         interior_mask=np.ones(dirac.shape[0], dtype=bool),
     )

@@ -26,13 +26,14 @@ from speclocaliser import (
     load_model,
     oracle_pairing,
     pairing,
+    parse_model_spec,
     qwz_bloch_gap,
     save_model,
 )
 import speclocaliser.core as core
 from speclocaliser.core import DENSE_DIM_LIMIT
 from speclocaliser.errors import FormatError, SingularSymbol
-from speclocaliser.models import sx, sy, sz
+from speclocaliser.models import KINDS, _sanitize, sx, sy, sz
 from reference import dense_inertia
 
 
@@ -190,8 +191,7 @@ class TestGradingContract:
                 grading=np.array([1, -1]),
                 k_rep=swap,
                 containment_radius=1.0,
-                oracle_ref="fredholm_index_graded",
-                params={},
+                    params={},
                 interior_mask=np.ones(2, dtype=bool),
             )
 
@@ -215,7 +215,6 @@ class TestGradingContract:
             grading=self._grading if parity == "even" else None,
             k_rep=k_rep,
             containment_radius=1.0,
-            oracle_ref="fredholm_index_graded",
             params={},
             interior_mask=np.ones(4, dtype=bool),
         )
@@ -380,7 +379,7 @@ class TestPersistence:
         assert np.array_equal(loaded.grading, shift40.grading)
         assert np.array_equal(loaded.interior_mask, shift40.interior_mask)
         assert loaded.containment_radius == shift40.containment_radius
-        assert loaded.oracle_ref == shift40.oracle_ref
+        assert loaded.describe()["oracle_ref"] == shift40.describe()["oracle_ref"]
 
     def test_round_trip_even_model(self, tmp_path, qwz9):
         save_model(qwz9, tmp_path / "m")
@@ -464,6 +463,9 @@ class TestPersistence:
             # box (NaN) or hold containment at every rho (inf)
             ({"containment_radius": float("nan")}, False, ValidationError),
             ({"containment_radius": float("inf")}, False, ValidationError),
+            # an unknown param is not ignored: ofset would leave the default offset
+            ({"kind": "qwz", "params": {"box": 4, "mass": 1.0, "ofset": "integer"}}, True,
+             FormatError),
         ],
     )
     def test_malformed_field_names_the_file(self, tmp_path, shift40, fields, whole, error):
@@ -500,15 +502,29 @@ class TestPersistence:
         with pytest.raises(FormatError):
             load_model(tmp_path / "m")
 
-    def test_config_style_load(self, tmp_path):
+    # the required sugar keys of each kind; every other key takes its default
+    _required_sugar = {"circle": "modes=10", "qwz": "box=4,mass=1.0", "weighted_shift": "sites=10"}
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_config_style_load(self, tmp_path, kind):
+        # sugar with its defaults, the {kind, params} config and a saved
+        # manifest give one model, params and oracle included
         import yaml
 
+        sugar = parse_model_spec("%s:%s" % (KINDS[kind].head, self._required_sugar[kind]))
+        assert sugar.kind == kind
         path = tmp_path / "cfg.yaml"
-        with open(path, "w") as fh:
-            yaml.safe_dump({"kind": "circle", "params": {"modes": 10, "symbol": {1: 1.0}}}, fh)
-        model = load_model(path)
-        assert model.kind == "circle"
-        assert model.dim == 21
+        path.write_text(yaml.safe_dump({"kind": kind, "params": sugar.params}))
+        config = load_model(path)
+        manifest = load_model(save_model(sugar, tmp_path / "m"))
+        for model in (config, manifest):
+            assert model.kind == kind
+            assert np.array_equal(model.dirac.toarray(), sugar.dirac.toarray())
+            assert np.array_equal(model.k_rep.toarray(), sugar.k_rep.toarray())
+            assert np.array_equal(model.grading, sugar.grading)
+            # as reports record them: a manifest stores the symbol's keys as strings
+            assert _sanitize(model.describe()) == _sanitize(sugar.describe())
+            assert oracle_pairing(model) == oracle_pairing(sugar)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError):
